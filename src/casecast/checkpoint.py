@@ -7,7 +7,8 @@ so save -> load is bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .classical import ArimaFit, HwFit, ProphetLiteFit
 from .lstm import LstmModel, LstmParams, TrainConfig
 
 FORMAT_VERSION = 1
+CLASSICAL_KINDS = {"arima": ArimaFit, "hwaas": HwFit, "prophet-lite": ProphetLiteFit}
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -41,23 +43,39 @@ def save_lstm(model: LstmModel, path: str) -> None:
 
 
 def save_classical(fit: ArimaFit | HwFit | ProphetLiteFit, path: str) -> None:
-    kinds = {ArimaFit: "arima", HwFit: "hwaas", ProphetLiteFit: "prophet-lite"}
-    fields = {}
+    kind = {cls: name for name, cls in CLASSICAL_KINDS.items()}[type(fit)]
+    encoded = {}
     for key, value in asdict(fit).items():
         if isinstance(value, np.ndarray):
-            fields[key] = _encode_array(value)
+            encoded[key] = _encode_array(value)
         elif isinstance(value, float):
-            fields[key] = repr(value)
+            encoded[key] = repr(value)
         else:
-            fields[key] = value if not hasattr(value, "isoformat") else value.isoformat()
-    doc = {"format_version": FORMAT_VERSION, "kind": kinds[type(fit)], "fields": fields}
+            encoded[key] = value
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, "fields": encoded}
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=1)
 
 
+def _decode_fit(cls, encoded: dict):
+    """Rebuild a classical fit from its dataclass fields, decoding each by
+    its declared type. Stored keys the dataclass lacks are ignored."""
+    types = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        value, declared = encoded[f.name], types[f.name]
+        if declared is np.ndarray:
+            values[f.name] = _decode_array(value)
+        elif declared in (float, int):
+            values[f.name] = declared(value)
+        else:  # tuple[int, ...]
+            values[f.name] = tuple(value)
+    return cls(**values)
+
+
 def load(path: str):
-    """Load any checkpoint; returns an LstmModel or a raw field dict for the
-    classical kinds (enough to rebuild forecasts)."""
+    """Load any checkpoint as the model it was saved from: an LstmModel,
+    ArimaFit, HwFit or ProphetLiteFit, each ready to forecast."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc["format_version"] != FORMAT_VERSION:
@@ -67,15 +85,4 @@ def load(path: str):
         cfg = TrainConfig(**doc["config"])
         losses = [float(s) for s in doc["epoch_losses"]]
         return LstmModel(params, cfg, losses)
-    fields = {}
-    for key, value in doc["fields"].items():
-        if isinstance(value, dict) and "shape" in value:
-            fields[key] = _decode_array(value)
-        elif isinstance(value, str):
-            try:
-                fields[key] = float(value)
-            except ValueError:
-                fields[key] = value
-        else:
-            fields[key] = value
-    return {"kind": doc["kind"], **fields}
+    return _decode_fit(CLASSICAL_KINDS[doc["kind"]], doc["fields"])

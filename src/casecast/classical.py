@@ -6,7 +6,6 @@ with ridge). All fitters are deterministic functions of their inputs.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,7 +249,6 @@ class ProphetLiteFit:
     coefficients: np.ndarray  # [intercept, slope, deltas..., fourier...]
     fourier_order: int
     ridge_lambda: float
-    start_date: dt.date | None
 
 
 def _prophet_design(t, changepoints, fourier_order):
@@ -265,7 +263,6 @@ def _prophet_design(t, changepoints, fourier_order):
 
 def prophet_lite_fit(
     series,
-    start_date: dt.date | None = None,
     fourier_order: int = 3,
     ridge_lambda: float = 1.0,
 ) -> ProphetLiteFit:
@@ -285,9 +282,10 @@ def prophet_lite_fit(
     penalty[:2] = 0.0
     lhs = design.T @ design + np.diag(penalty)
     cond = np.linalg.cond(lhs)
-    assert np.isfinite(cond) and cond < 1e14, "ridge system unexpectedly singular"
+    if not (np.isfinite(cond) and cond < 1e14):
+        raise FitError(f"singular ridge system, condition number {cond:.3g}")
     coefficients = np.linalg.solve(lhs, design.T @ y)
-    return ProphetLiteFit(n, changepoints, coefficients, fourier_order, ridge_lambda, start_date)
+    return ProphetLiteFit(n, changepoints, coefficients, fourier_order, ridge_lambda)
 
 
 def prophet_lite_forecast(fit: ProphetLiteFit, horizon: int = 15) -> np.ndarray:

@@ -13,9 +13,8 @@ import datetime as dt
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import checkpoint
 from .classical import (
@@ -30,7 +29,7 @@ from .classical import (
 from .data import DAY, DataError, bundled_dataset_path, load_csv, slice_window
 from .evaluation import emit_plot, emit_table, summarize, write_summary_csv
 from .lstm import (
-    SCHEMAS,
+    ACTIVATIONS,
     TrainConfig,
     TrainingDivergedError,
     run_schema,
@@ -68,12 +67,22 @@ class RunConfig:
     out: str = "out"
 
     def validate(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        """Check the type and range of every field; raise ValueError."""
+        for name, expected in typing.get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if not isinstance(value, expected) or isinstance(value, bool):
+                raise ValueError(f"{name} must be of type {expected.__name__}, got {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
-        if self.lookback < 1:
-            raise ValueError("lookback must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}")
+        for name in ("horizon", "lookback", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.out:
+            raise ValueError("out must be a non-empty path")
 
 
 def _parse_train_window(text: str):
@@ -116,11 +125,13 @@ def _merge_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("config file must hold a JSON object")
         valid = {f.name for f in fields(RunConfig)}
         for key, value in doc.items():
             if key not in valid:
                 raise ValueError(f"unknown config key {key!r}")
-            if key in ("train_start", "train_end"):
+            if key in ("train_start", "train_end") and isinstance(value, str):
                 value = dt.date.fromisoformat(value)
             setattr(cfg, key, value)
     for key in ("data", "model", "horizon", "lookback", "activation", "epochs", "seed", "out"):
@@ -146,18 +157,17 @@ def cmd_validate(path: str | None) -> int:
     return EXIT_OK
 
 
-def _forecast_one(ts, cfg: RunConfig, model_name: str, out_dir: str | None = None):
-    """Fit one model, forecast the horizon, return (dates, forecasts, fit-or-model)."""
+def _train_lstm(ts, cfg: RunConfig, schema: str, activation: str):
+    """Train the schema's LSTM on the configured window."""
+    tcfg = TrainConfig(epochs=cfg.epochs, activation=activation, seed=cfg.seed)
+    return train_schema_model(ts, schema, tcfg, cfg.train_start, cfg.train_end, cfg.lookback)
+
+
+def _forecast_one(ts, cfg: RunConfig, model_name: str):
+    """Fit one classical model, forecast the horizon, return (dates, forecasts, fit)."""
     train_ts = slice_window(ts, cfg.train_start, cfg.train_end)
     y = train_ts.cases.astype(float)
     dates = tuple(cfg.train_end + (k + 1) * DAY for k in range(cfg.horizon))
-    if model_name.startswith("lstm-"):
-        schema = model_name.split("-", 1)[1]
-        tcfg = TrainConfig(epochs=cfg.epochs, activation=cfg.activation, seed=cfg.seed)
-        run = run_schema(
-            ts, schema, tcfg, cfg.train_start, cfg.train_end, cfg.horizon, cfg.lookback
-        )
-        return run.dates, run.forecasts, None
     if model_name == "arima":
         fit = fit_arima(y, p=6)
         return dates, forecast_arima_from_series(fit, y, cfg.horizon), fit
@@ -165,7 +175,7 @@ def _forecast_one(ts, cfg: RunConfig, model_name: str, out_dir: str | None = Non
         fit = hw_fit(y, m=7, phi=0.96)
         return dates, hw_forecast(fit, cfg.horizon), fit
     if model_name == "prophet-lite":
-        fit = prophet_lite_fit(y, train_ts.start)
+        fit = prophet_lite_fit(y)
         return dates, prophet_lite_forecast(fit, cfg.horizon), fit
     raise ValueError(f"unknown model {model_name!r}")
 
@@ -202,12 +212,9 @@ def cmd_run(args) -> int:
         if cfg.model.startswith("lstm-"):
             # train explicitly so the checkpoint can be saved
             schema = cfg.model.split("-", 1)[1]
-            tcfg = TrainConfig(epochs=cfg.epochs, activation=cfg.activation, seed=cfg.seed)
-            model = train_schema_model(
-                ts, schema, tcfg, cfg.train_start, cfg.train_end, cfg.lookback
-            )
+            model = _train_lstm(ts, cfg, schema, cfg.activation)
             run = run_schema(
-                ts, schema, tcfg, cfg.train_start, cfg.train_end,
+                ts, schema, model.config, cfg.train_start, cfg.train_end,
                 cfg.horizon, cfg.lookback, model=model,
             )
             dates, forecasts = run.dates, run.forecasts
@@ -254,16 +261,11 @@ def cmd_reproduce(args) -> int:
         runs = {}
         # LSTM schemas, both activations; u1/u2 share one trained model
         for activation in ("elu", "tanh"):
-            tcfg = TrainConfig(epochs=cfg.epochs, activation=activation, seed=cfg.seed)
-            uni = train_schema_model(
-                ts, "u2", tcfg, cfg.train_start, cfg.train_end, cfg.lookback
-            )
-            biv = train_schema_model(
-                ts, "u3", tcfg, cfg.train_start, cfg.train_end, cfg.lookback
-            )
+            uni = _train_lstm(ts, cfg, "u2", activation)
+            biv = _train_lstm(ts, cfg, "u3", activation)
             for schema, model in (("u1", uni), ("u2", uni), ("u3", biv)):
                 run = run_schema(
-                    ts, schema, tcfg, cfg.train_start, cfg.train_end,
+                    ts, schema, model.config, cfg.train_start, cfg.train_end,
                     cfg.horizon, cfg.lookback, model=model,
                 )
                 label = f"{schema.upper()}-{activation}"
@@ -325,7 +327,6 @@ def cmd_reproduce(args) -> int:
     summary = [
         "# Reproduction summary",
         "",
-        f"Generated: {dt.datetime.now().isoformat(timespec='seconds')}",
         f"Seed: {cfg.seed}; train window {cfg.train_start}..{cfg.train_end}; "
         f"horizon {cfg.horizon}; lookback {cfg.lookback}; epochs {cfg.epochs}.",
         "",

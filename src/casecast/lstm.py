@@ -4,7 +4,8 @@ backpropagation through time, Adam, and the three forecasting schemas
 
 Gate layout: the four gate blocks are stacked row-wise in the order
 input, forget, output, candidate, so one matvec per source covers all
-gates. Per-gate views are exposed as properties.
+gates. `forward` is the one implementation of the cell; callers that
+need a single gate slice the stacked arrays (block k is rows k*H..(k+1)*H).
 """
 
 from __future__ import annotations
@@ -80,59 +81,6 @@ class LstmParams:
     def output_dim(self) -> int:
         return self.dense_w.shape[0]
 
-    def _gate(self, mat, k):
-        h = self.hidden
-        return mat[k * h : (k + 1) * h]
-
-    # per-gate views onto the stacked storage
-    @property
-    def w_ix(self):
-        return self._gate(self.wx, 0)
-
-    @property
-    def w_fx(self):
-        return self._gate(self.wx, 1)
-
-    @property
-    def w_ox(self):
-        return self._gate(self.wx, 2)
-
-    @property
-    def w_cx(self):
-        return self._gate(self.wx, 3)
-
-    @property
-    def w_ih(self):
-        return self._gate(self.wh, 0)
-
-    @property
-    def w_fh(self):
-        return self._gate(self.wh, 1)
-
-    @property
-    def w_oh(self):
-        return self._gate(self.wh, 2)
-
-    @property
-    def w_ch(self):
-        return self._gate(self.wh, 3)
-
-    @property
-    def b_i(self):
-        return self._gate(self.b, 0)
-
-    @property
-    def b_f(self):
-        return self._gate(self.b, 1)
-
-    @property
-    def b_o(self):
-        return self._gate(self.b, 2)
-
-    @property
-    def b_c(self):
-        return self._gate(self.b, 3)
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {
             "wx": self.wx,
@@ -173,51 +121,18 @@ class LstmParams:
         )
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zero(cls, hidden: int):
-        return cls(np.zeros(hidden), np.zeros(hidden))
-
-
-@dataclass
-class GateActivations:
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g_in: np.ndarray
-
-
-def lstm_step(params: LstmParams, x, state: LstmState, g: str = "elu"):
-    """One recurrence step.
-
-    i = sigma(Wix x + Wih h + bi), f and o alike;
-    c' = f*c + i*g(Wcx x + Wch h + bc); h' = o*g(c').
-    The activation g is applied both to the candidate and to the cell output.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"input shape {x.shape}, expected ({params.input_dim},)")
-    gfun, _ = ACTIVATIONS[g]
-    hdim = params.hidden
-    a = params.wx @ x + params.wh @ state.h + params.b
-    i = sigmoid(a[:hdim])
-    f = sigmoid(a[hdim : 2 * hdim])
-    o = sigmoid(a[2 * hdim : 3 * hdim])
-    g_in = gfun(a[3 * hdim :])
-    c = f * state.c + i * g_in
-    h = o * gfun(c)
-    return LstmState(h, c), GateActivations(i, f, o, g_in)
-
-
 def forward(params: LstmParams, inputs, g: str = "elu"):
     """Run the sequence from zero state and apply the linear head to the
-    final hidden vector. Returns (y, cache); the cache holds everything
+    final hidden vector. Each step is
+
+        i = sigma(Wix x + Wih h + bi), f and o alike;
+        c' = f*c + i*g(Wcx x + Wch h + bc); h' = o*g(c'),
+
+    with the activation g applied both to the candidate and to the cell
+    output. Returns (y, cache); cache["steps"] holds one tuple
+    (x, h, c, i, f, o, a_c, g(a_c), c', g(c')) per step, everything
     bptt_gradient needs for an exact reverse pass."""
-    gfun, dgfun = ACTIVATIONS[g]
+    gfun, _ = ACTIVATIONS[g]
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != params.input_dim:
         raise ValueError(
@@ -381,18 +296,14 @@ def train(dataset: WindowedDataset, cfg: TrainConfig) -> LstmModel:
     return LstmModel(params, cfg, losses)
 
 
-def forecast_recursive(model, seed_window: np.ndarray, horizon: int = 15):
+def forecast_recursive(predict, seed_window: np.ndarray, horizon: int = 15):
     """Predict `horizon` steps by feeding each output back into the window:
     predict, append, drop the oldest, repeat. All channels are fed back.
 
-    `model` is an LstmModel, or any object with a `predict(window) -> vector`
-    method (handy for stub models in tests)."""
+    `predict(window) -> vector` maps a (lookback, channels) window to the
+    next step."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if hasattr(model, "predict"):
-        predict = model.predict
-    else:
-        predict = lambda w: forward(model.params, w, model.config.activation)[0]
     window = np.atleast_2d(np.asarray(seed_window, dtype=float)).copy()
     outputs = []
     for _ in range(horizon):
@@ -412,6 +323,17 @@ class ForecastRun:
     actuals: np.ndarray | None  # observed total cases where available
 
 
+def _schema_training_values(ts: TimeSeries, schema: str, train_start, train_end):
+    """Slice the schema's training window and fit the normaliser on it.
+    Returns (normaliser, normalised training values)."""
+    if schema not in SCHEMAS:
+        raise ValueError(f"unknown schema {schema!r}")
+    bivariate = schema == "u3"
+    train_ts = slice_window(ts, train_start, train_end)
+    spec = fit_normalizer(train_ts, bivariate)
+    return spec, spec.normalize(train_ts.channels(bivariate))
+
+
 def train_schema_model(
     ts: TimeSeries,
     schema: str,
@@ -422,13 +344,8 @@ def train_schema_model(
 ) -> LstmModel:
     """Fit a model on the schema's training window. u1 and u2 share the same
     (univariate) training path; u3 is bivariate."""
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown schema {schema!r}")
-    bivariate = schema == "u3"
-    train_ts = slice_window(ts, train_start, train_end)
-    spec = fit_normalizer(train_ts, bivariate)
-    dataset = make_windows(spec.normalize(train_ts.channels(bivariate)), lookback)
-    return train(dataset, cfg)
+    _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
+    return train(make_windows(train_vals, lookback), cfg)
 
 
 def run_schema(
@@ -446,31 +363,32 @@ def run_schema(
     u1: one step ahead per test day from the most recent observed values.
     u2: recursive 15-day forecast, cases only, no access to test actuals.
     u3: like u2 with (cases, deaths) as input and output; cases are scored.
+
+    Without `model`, one is trained with `cfg` first; with it, the model's
+    own configuration (its activation) is used.
     """
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown schema {schema!r}")
-    bivariate = schema == "u3"
-    train_ts = slice_window(ts, train_start, train_end)
-    spec = fit_normalizer(train_ts, bivariate)
-    train_vals = spec.normalize(train_ts.channels(bivariate))
+    spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if model is None:
         model = train(make_windows(train_vals, lookback), cfg)
+    activation = model.config.activation
+
+    def predict(window):
+        return forward(model.params, window, activation)[0]
 
     forecast_dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
     if schema == "u1":
         if forecast_dates[-1] > ts.end:
             raise WindowError("u1 needs observed values over the whole horizon")
-        all_vals = spec.normalize(ts.channels(bivariate))
+        all_vals = spec.normalize(ts.channels(bivariate=False))
         preds = []
         for date in forecast_dates:
             j = (date - ts.start).days
             if j < lookback:
                 raise WindowError("not enough history before the first test day")
-            y, _ = forward(model.params, all_vals[j - lookback : j], cfg.activation)
-            preds.append(y)
+            preds.append(predict(all_vals[j - lookback : j]))
         preds = np.array(preds)
     else:
-        preds = forecast_recursive(model, train_vals[-lookback:], horizon)
+        preds = forecast_recursive(predict, train_vals[-lookback:], horizon)
 
     denorm = spec.denormalize(preds)
     forecasts = denorm[:, 0]

@@ -218,6 +218,12 @@ class TestProphetLite:
         with pytest.raises(FitError):
             prophet_lite_fit(np.arange(10.0))
 
+    def test_singular_ridge_system(self):
+        # order-4 weekly terms alias order 3 on integer days; with no ridge
+        # penalty the normal equations are singular
+        with pytest.raises(FitError):
+            prophet_lite_fit(np.cumsum(np.arange(1.0, 31.0)), fourier_order=4, ridge_lambda=0.0)
+
     def test_error_grows_with_horizon_on_real_data(self, series, test_actuals):
         y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
         fc = prophet_lite_forecast(prophet_lite_fit(y), 15)

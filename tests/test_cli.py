@@ -68,6 +68,30 @@ class TestRun:
         cfg.write_text(json.dumps({"modle": "hwaas"}))
         assert run_cli("run", "--config", str(cfg)) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, doc",
+        [
+            (["--epochs", "0"], None),
+            ([], {"epochs": "3"}),
+            ([], {"horizon": "15"}),
+            ([], {"train_start": 5}),
+            (["--seed", "-1"], None),
+            (["--out", ""], None),
+        ],
+        ids=[
+            "epochs-zero", "epochs-string", "horizon-string", "train-start-int",
+            "seed-negative", "out-empty",
+        ],
+    )
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, flags, doc):
+        argv = ["run", "--model", "lstm-u2", "--out", str(tmp_path / "out"), *flags]
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == EXIT_USAGE
+        assert "config error:" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def repro_dir(tmp_path_factory):
@@ -99,3 +123,11 @@ class TestReproduce:
     def test_summary_written(self, repro_dir):
         text = (repro_dir / "summary.md").read_text()
         assert "hwaas" in text and "prophet-lite" in text
+
+    def test_artifacts_are_byte_deterministic(self, repro_dir, tmp_path):
+        again = tmp_path / "again"
+        assert run_cli("reproduce", "--epochs", "5", "--out", str(again)) == EXIT_OK
+        names = ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md")
+        assert sorted(p.name for p in again.iterdir()) == sorted(names)
+        for name in names:
+            assert (again / name).read_bytes() == (repro_dir / name).read_bytes(), name

@@ -7,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from casecast import TrainConfig, forecast_recursive, train, train_schema_model
 from casecast.data import make_windows, WindowedDataset
+from casecast import lstm
 from casecast.lstm import (
     ACTIVATIONS,
     AdamState,
-    GateActivations,
+    LstmModel,
     LstmParams,
-    LstmState,
     adam_update,
     bptt_gradient,
     elu,
     forward,
-    lstm_step,
     run_schema,
     sigmoid,
 )
@@ -37,24 +36,39 @@ class TestElu:
         assert math.isclose(float(elu(-1.0)), math.exp(-1.0) - 1.0, rel_tol=1e-12)
 
 
+def gate_blocks(mat, hidden):
+    """The input, forget, output and candidate blocks of a stacked array."""
+    return [mat[k * hidden : (k + 1) * hidden] for k in range(4)]
+
+
+def cell_steps(params, inputs, g="elu"):
+    """forward's per-step cache as dicts keyed by the cell's quantities."""
+    _, cache = forward(params, inputs, g)
+    keys = ("x", "h", "c", "i", "f", "o", "a_c", "g_in", "c_new", "gc")
+    return [dict(zip(keys, step)) for step in cache["steps"]]
+
+
 class TestLstmStep:
     def test_all_zero_params(self):
         params = LstmParams.zeros(hidden=3, input_dim=1)
         for g in ("elu", "tanh"):
-            state, gates = lstm_step(params, np.array([0.7]), LstmState.zero(3), g)
-            np.testing.assert_allclose(gates.i, 0.5)
-            np.testing.assert_allclose(gates.f, 0.5)
-            np.testing.assert_allclose(gates.o, 0.5)
-            np.testing.assert_allclose(state.c, 0.0)
-            np.testing.assert_allclose(state.h, 0.0)
+            (step,) = cell_steps(params, np.array([[0.7]]), g)
+            np.testing.assert_allclose(step["i"], 0.5)
+            np.testing.assert_allclose(step["f"], 0.5)
+            np.testing.assert_allclose(step["o"], 0.5)
+            np.testing.assert_allclose(step["c_new"], 0.0)
+            np.testing.assert_allclose(step["o"] * step["gc"], 0.0)
 
     def test_saturated_forget_gate(self):
         params = LstmParams.zeros(hidden=2, input_dim=1)
         params.b[2:4] = 10.0  # forget-gate bias rows
-        c0 = np.array([1.5, -0.25])
-        state, _ = lstm_step(params, np.array([0.0]), LstmState(np.zeros(2), c0))
-        np.testing.assert_allclose(state.c, sigmoid(10.0) * c0, rtol=1e-12)
-        assert abs(state.c[0] / c0[0] - 0.99995) < 1e-4
+        params.wx[6:8, 0] = [3.0, -0.5]  # candidate rows: step one writes the cell
+        # step two sees x = 0 and (with wh = 0) a zero candidate, so only f acts
+        _, second = cell_steps(params, np.array([[1.0], [0.0]]))
+        c0 = second["c"]
+        assert np.all(np.abs(c0) > 0.1)
+        np.testing.assert_allclose(second["c_new"], sigmoid(10.0) * c0, rtol=1e-12)
+        assert abs(second["c_new"][0] / c0[0] - 0.99995) < 1e-4
 
     @pytest.mark.parametrize("g", ["elu", "tanh"])
     def test_scalar_hand_trace(self, g):
@@ -72,32 +86,31 @@ class TestLstmStep:
         sig = lambda v: 1.0 / (1.0 + math.exp(-v))
         act = (lambda v: v if v > 0 else math.exp(v) - 1.0) if g == "elu" else math.tanh
 
+        xs = (0.4, -1.2, 0.9)
+        steps = cell_steps(params, np.array(xs)[:, None], g)
         h, c = 0.0, 0.0
-        state = LstmState.zero(1)
-        for x in (0.4, -1.2, 0.9):
+        for x, step in zip(xs, steps):
             i = sig(w_ix * x + w_ih * h + b_i)
             f = sig(w_fx * x + w_fh * h + b_f)
             o = sig(w_ox * x + w_oh * h + b_o)
             c = f * c + i * act(w_cx * x + w_ch * h + b_c)
             h = o * act(c)
-            state, _ = lstm_step(params, np.array([x]), state, g)
-            assert abs(state.c[0] - c) < 1e-12
-            assert abs(state.h[0] - h) < 1e-12
+            assert abs(step["c_new"][0] - c) < 1e-12
+            assert abs((step["o"] * step["gc"])[0] - h) < 1e-12
 
     def test_dimension_mismatch(self):
         params = LstmParams.zeros(hidden=2, input_dim=1)
         with pytest.raises(ValueError):
-            lstm_step(params, np.array([1.0, 2.0]), LstmState.zero(2))
+            forward(params, np.array([1.0, 2.0]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_gates_stay_in_open_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
         params = LstmParams.glorot(4, 2, rng)
-        state = LstmState(rng.standard_normal(4), rng.standard_normal(4))
-        _, gates = lstm_step(params, 10.0 * rng.standard_normal(2), state)
-        for gate in (gates.i, gates.f, gates.o):
-            assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        for step in cell_steps(params, 10.0 * rng.standard_normal((3, 2))):
+            for gate in (step["i"], step["f"], step["o"]):
+                assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
     def test_identity_activation_exposes_affine_structure(self):
         # with g = identity the cell is c' = f c + i * a_c and h = o * c'
@@ -108,14 +121,18 @@ class TestLstmStep:
         try:
             rng = np.random.default_rng(7)
             params = LstmParams.glorot(3, 1, rng)
-            x = np.array([0.6])
-            state0 = LstmState(rng.standard_normal(3), rng.standard_normal(3))
-            state, gates = lstm_step(params, x, state0, "identity")
-            a_c = params.w_cx @ x + params.w_ch @ state0.h + params.b_c
-            np.testing.assert_allclose(
-                state.c, gates.f * state0.c + gates.i * a_c, rtol=1e-12
-            )
-            np.testing.assert_allclose(state.h, gates.o * state.c, rtol=1e-12)
+            params.b[:] = rng.standard_normal(12)
+            w_cx = gate_blocks(params.wx, 3)[3]
+            w_ch = gate_blocks(params.wh, 3)[3]
+            b_c = gate_blocks(params.b, 3)[3]
+            for step in cell_steps(params, rng.standard_normal((3, 1)), "identity"):
+                a_c = w_cx @ step["x"] + w_ch @ step["h"] + b_c
+                np.testing.assert_allclose(
+                    step["c_new"], step["f"] * step["c"] + step["i"] * a_c, rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    step["o"] * step["gc"], step["o"] * step["c_new"], rtol=1e-12
+                )
         finally:
             del ACTIVATIONS["identity"]
 
@@ -131,9 +148,10 @@ class TestForward:
         rng = np.random.default_rng(3)
         params = LstmParams.glorot(4, 1, rng)
         x = np.array([0.3])
-        state, _ = lstm_step(params, x, LstmState.zero(4))
+        i, f, o, a_c = gate_blocks(params.wx @ x + params.b, 4)
+        h = sigmoid(o) * elu(sigmoid(i) * elu(a_c))
         y, _ = forward(params, x[None, :])
-        np.testing.assert_array_equal(y, params.dense_w @ state.h + params.dense_b)
+        np.testing.assert_array_equal(y, params.dense_w @ h + params.dense_b)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -242,53 +260,42 @@ class TestTrain:
             np.testing.assert_array_equal(a, m2.params.arrays()[k])
 
 
-class _StubLast:
-    def predict(self, window):
-        return window[-1]
+def predict_last(window):
+    return window[-1]
 
 
-class _StubIncrement:
-    def __init__(self, delta):
-        self.delta = np.asarray(delta)
-
-    def predict(self, window):
-        return window[-1] + self.delta
+def lstm_predictor(params):
+    return lambda window: forward(params, window)[0]
 
 
 class TestForecastRecursive:
     def test_identity_stub_is_a_fixed_point(self):
-        out = forecast_recursive(_StubLast(), np.array([[0.2], [0.4]]), 15)
+        out = forecast_recursive(predict_last, np.array([[0.2], [0.4]]), 15)
         np.testing.assert_array_equal(out.ravel(), np.full(15, 0.4))
 
     def test_horizon_one_equals_single_forward(self):
         rng = np.random.default_rng(21)
         params = LstmParams.glorot(4, 1, rng)
-        from casecast.lstm import LstmModel
-
-        model = LstmModel(params, TrainConfig(epochs=1, hidden=4), [])
         window = rng.random((3, 1))
-        out = forecast_recursive(model, window, 1)
+        out = forecast_recursive(lstm_predictor(params), window, 1)
         y, _ = forward(params, window)
         np.testing.assert_array_equal(out[0], y)
 
     def test_bivariate_stub_gives_arithmetic_progressions(self):
-        stub = _StubIncrement([0.01, 0.001])
+        delta = np.array([0.01, 0.001])
         seed = np.array([[0.5, 0.1]])
-        out = forecast_recursive(stub, seed, 15)
+        out = forecast_recursive(lambda window: window[-1] + delta, seed, 15)
         np.testing.assert_allclose(out[:, 0], 0.5 + 0.01 * np.arange(1, 16), rtol=1e-12)
         np.testing.assert_allclose(out[:, 1], 0.1 + 0.001 * np.arange(1, 16), rtol=1e-12)
 
     def test_recursion_is_consistent_under_splitting(self):
         rng = np.random.default_rng(13)
-        params = LstmParams.glorot(4, 1, rng)
-        from casecast.lstm import LstmModel
-
-        model = LstmModel(params, TrainConfig(epochs=1, hidden=4), [])
+        predict = lstm_predictor(LstmParams.glorot(4, 1, rng))
         window = rng.random((2, 1))
-        full = forecast_recursive(model, window, 6)
-        part1 = forecast_recursive(model, window, 4)
+        full = forecast_recursive(predict, window, 6)
+        part1 = forecast_recursive(predict, window, 4)
         appended = np.vstack([window, part1])[-2:]
-        part2 = forecast_recursive(model, appended, 2)
+        part2 = forecast_recursive(predict, appended, 2)
         np.testing.assert_array_equal(np.vstack([part1, part2]), full)
 
 
@@ -300,24 +307,16 @@ class TestRunSchema:
         for k, a in m1.params.arrays().items():
             np.testing.assert_array_equal(a, m2.params.arrays()[k])
 
-    def test_perfect_oracle_stub_scores_zero(self, series, test_actuals):
+    def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
         from casecast.data import fit_normalizer, slice_window
 
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))
+        oracle = iter(spec.normalize(test_actuals[:, None]))
+        monkeypatch.setattr(lstm, "forward", lambda params, window, g="elu": (next(oracle), {}))
+        cfg = TrainConfig(epochs=1, hidden=4)
+        model = LstmModel(LstmParams.zeros(hidden=4, input_dim=1), cfg, [])
 
-        class Oracle:
-            def __init__(self):
-                self.k = 0
-
-            def predict(self, window):
-                y = spec.normalize(test_actuals[self.k : self.k + 1, None])[0]
-                self.k += 1
-                return y
-
-        run = run_schema(
-            series, "u2", TrainConfig(epochs=1, hidden=4), TRAIN_START, TRAIN_END,
-            model=Oracle(),
-        )
+        run = run_schema(series, "u2", cfg, TRAIN_START, TRAIN_END, model=model)
         np.testing.assert_allclose(run.forecasts, test_actuals, rtol=1e-12)
 
     def test_u3_requires_deaths_channel(self, series):
