@@ -55,8 +55,18 @@ ACTIVATIONS = {
 }
 
 
+# the doubles next to 0 and 1: 1 / (1 + exp(-x)) rounds to exactly 1.0 once
+# x > ~36.7 and to 0.0 once exp overflows (x < ~-709.8); sigmoid clamps to these
+# so a gate is never exactly shut or exactly open
+_SIGMOID_LO = np.nextafter(0.0, 1.0)
+_SIGMOID_HI = np.nextafter(1.0, 0.0)
+
+
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    """Logistic function with values strictly inside (0, 1)."""
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    return np.maximum(np.minimum(y, _SIGMOID_HI), _SIGMOID_LO)
 
 
 @dataclass
@@ -144,9 +154,8 @@ def forward(params: LstmParams, inputs, g: str = "elu"):
     steps = []
     for x in inputs:
         a = params.wx @ x + params.wh @ h + params.b
-        i = sigmoid(a[:hdim])
-        f = sigmoid(a[hdim : 2 * hdim])
-        o = sigmoid(a[2 * hdim : 3 * hdim])
+        ifo = sigmoid(a[: 3 * hdim])
+        i, f, o = ifo[:hdim], ifo[hdim : 2 * hdim], ifo[2 * hdim :]
         a_c = a[3 * hdim :]
         g_in = gfun(a_c)
         c_new = f * c + i * g_in

@@ -36,6 +36,13 @@ class TestElu:
         assert math.isclose(float(elu(-1.0)), math.exp(-1.0) - 1.0, rel_tol=1e-12)
 
 
+class TestSigmoid:
+    def test_stays_inside_open_interval_at_extremes(self):
+        y = sigmoid(np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0]))
+        assert np.all(y > 0.0) and np.all(y < 1.0)
+        assert y[2] == 0.5
+
+
 def gate_blocks(mat, hidden):
     """The input, forget, output and candidate blocks of a stacked array."""
     return [mat[k * hidden : (k + 1) * hidden] for k in range(4)]
