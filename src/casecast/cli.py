@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import checkpoint
 from .classical import (
@@ -26,10 +26,12 @@ from .classical import (
     prophet_lite_fit,
     prophet_lite_forecast,
 )
-from .data import DAY, DataError, bundled_dataset_path, load_csv, slice_window
+from .data import DAY, DataError, bundled_dataset_path, load_csv, observed_cases, slice_window
 from .evaluation import emit_plot, emit_table, summarize, write_summary_csv
 from .lstm import (
     ACTIVATIONS,
+    ForecastRun,
+    NonFiniteForecastError,
     TrainConfig,
     TrainingDivergedError,
     run_schema,
@@ -43,14 +45,19 @@ EXIT_NUMERICAL = 3
 
 MODELS = ("lstm-u1", "lstm-u2", "lstm-u3", "arima", "hwaas", "prophet-lite")
 
-# published reference results: model -> (mape, std)
-REFERENCE_MAPE = {
-    "lstm-u1": (0.70, 0.30),
-    "lstm-u2": (1.69, 1.35),
-    "lstm-u3": (0.99, 0.51),
-    "arima": (3.24, 1.56),
-    "hwaas": (0.47, 0.28),
+# published reference results and the tolerance band `reproduce` checks:
+# model -> (table label, reference mape, reference std, band)
+REFERENCE = {
+    "lstm-u1": ("U1-elu", 0.70, 0.30, 2.0),
+    "lstm-u2": ("U2-elu", 1.69, 1.35, 5.0),
+    "lstm-u3": ("U3-elu", 0.99, 0.51, 5.0),
+    "arima": ("arima", 3.24, 1.56, 1.5),
+    "hwaas": ("hwaas", 0.47, 0.28, 0.5),
 }
+
+
+class ConfigError(Exception):
+    """A configuration file, value or output directory that cannot be used."""
 
 
 @dataclass
@@ -122,119 +129,111 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("config file must hold a JSON object")
-        valid = {f.name for f in fields(RunConfig)}
-        for key, value in doc.items():
-            if key not in valid:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in ("train_start", "train_end") and isinstance(value, str):
-                value = dt.date.fromisoformat(value)
-            setattr(cfg, key, value)
-    for key in ("data", "model", "horizon", "lookback", "activation", "epochs", "seed", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "train", None):
-        cfg.train_start, cfg.train_end = _parse_train_window(args.train)
-    if not cfg.data:
-        cfg.data = bundled_dataset_path()
-    cfg.validate()
+    try:
+        if getattr(args, "config", None):
+            with open(args.config) as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("config file must hold a JSON object")
+            valid = {f.name for f in fields(RunConfig)}
+            for key, value in doc.items():
+                if key not in valid:
+                    raise ValueError(f"unknown config key {key!r}")
+                if key in ("train_start", "train_end") and isinstance(value, str):
+                    value = dt.date.fromisoformat(value)
+                setattr(cfg, key, value)
+        for f in fields(RunConfig):
+            value = getattr(args, f.name, None)
+            if value is not None:
+                setattr(cfg, f.name, value)
+        if getattr(args, "train", None):
+            cfg.train_start, cfg.train_end = _parse_train_window(args.train)
+        if not cfg.data:
+            cfg.data = bundled_dataset_path()
+        cfg.validate()
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
-def cmd_validate(path: str | None) -> int:
-    path = path or bundled_dataset_path()
+def _prepare(args):
+    """Merge the configuration, load the data and create `--out`.
+    Returns (cfg, ts)."""
+    cfg = _merge_config(args)
+    ts = load_csv(cfg.data)
     try:
-        ts = load_csv(path)
-    except DataError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    print(f"{len(ts)} days, {ts.start}..{ts.end}, OK")
-    return EXIT_OK
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out}: {exc.strerror}") from exc
+    return cfg, ts
 
 
-def _train_lstm(ts, cfg: RunConfig, schema: str, activation: str):
-    """Train the schema's LSTM on the configured window."""
-    tcfg = TrainConfig(epochs=cfg.epochs, activation=activation, seed=cfg.seed)
-    return train_schema_model(ts, schema, tcfg, cfg.train_start, cfg.train_end, cfg.lookback)
+def _forecast(ts, cfg: RunConfig, name: str, model=None):
+    """Fit model `name` on the configured window and forecast the horizon.
+
+    An `lstm-*` name trains its schema's LSTM with `cfg`, unless `model` is
+    given, and runs the schema; a classical name fits on the cases of the
+    window. Returns (ForecastRun, fit): the fit is the LstmModel or the
+    classical fit, which is what a checkpoint stores.
+    """
+    if name.startswith("lstm-"):
+        schema = name.split("-", 1)[1]
+        if model is None:
+            tcfg = TrainConfig(epochs=cfg.epochs, activation=cfg.activation, seed=cfg.seed)
+            model = train_schema_model(
+                ts, schema, tcfg, cfg.train_start, cfg.train_end, cfg.lookback
+            )
+        run = run_schema(
+            ts, schema, model.config, cfg.train_start, cfg.train_end,
+            cfg.horizon, cfg.lookback, model=model,
+        )
+        fit = model
+    else:
+        y = slice_window(ts, cfg.train_start, cfg.train_end).cases.astype(float)
+        if name == "arima":
+            fit = fit_arima(y, p=6)
+            forecasts = forecast_arima_from_series(fit, y, cfg.horizon)
+        elif name == "hwaas":
+            fit = hw_fit(y, m=7, phi=0.96)
+            forecasts = hw_forecast(fit, cfg.horizon)
+        else:
+            fit = prophet_lite_fit(y)
+            forecasts = prophet_lite_forecast(fit, cfg.horizon)
+        dates = tuple(cfg.train_end + (k + 1) * DAY for k in range(cfg.horizon))
+        run = ForecastRun(
+            "", cfg.train_start, cfg.train_end, dates, forecasts, observed_cases(ts, dates)
+        )
+    if run.actuals is not None and (run.actuals <= 0).any():
+        raise DataError("observed cases over the horizon must be positive to score APE")
+    return run, fit
 
 
-def _forecast_one(ts, cfg: RunConfig, model_name: str):
-    """Fit one classical model, forecast the horizon, return (dates, forecasts, fit)."""
-    train_ts = slice_window(ts, cfg.train_start, cfg.train_end)
-    y = train_ts.cases.astype(float)
-    dates = tuple(cfg.train_end + (k + 1) * DAY for k in range(cfg.horizon))
-    if model_name == "arima":
-        fit = fit_arima(y, p=6)
-        return dates, forecast_arima_from_series(fit, y, cfg.horizon), fit
-    if model_name == "hwaas":
-        fit = hw_fit(y, m=7, phi=0.96)
-        return dates, hw_forecast(fit, cfg.horizon), fit
-    if model_name == "prophet-lite":
-        fit = prophet_lite_fit(y)
-        return dates, prophet_lite_forecast(fit, cfg.horizon), fit
-    raise ValueError(f"unknown model {model_name!r}")
-
-
-def _actuals_for(ts, dates):
-    if dates[-1] > ts.end or dates[0] < ts.start:
-        return None
-    i = (dates[0] - ts.start).days
-    return ts.cases[i : i + len(dates)].astype(float)
-
-
-def _write_forecast_csv(path, dates, forecasts, actuals, seed):
+def _write_forecast_csv(path, run: ForecastRun, seed):
     lines = [f"# seed={seed}", "date,forecast,actual"]
-    for k, d in enumerate(dates):
-        actual = "" if actuals is None else repr(float(actuals[k]))
-        lines.append(f"{d.isoformat()},{repr(float(forecasts[k]))},{actual}")
+    for k, d in enumerate(run.dates):
+        actual = "" if run.actuals is None else repr(float(run.actuals[k]))
+        lines.append(f"{d.isoformat()},{repr(float(run.forecasts[k]))},{actual}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = _merge_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        ts = load_csv(cfg.data)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    os.makedirs(cfg.out, exist_ok=True)
-    try:
-        if cfg.model.startswith("lstm-"):
-            # train explicitly so the checkpoint can be saved
-            schema = cfg.model.split("-", 1)[1]
-            model = _train_lstm(ts, cfg, schema, cfg.activation)
-            run = run_schema(
-                ts, schema, model.config, cfg.train_start, cfg.train_end,
-                cfg.horizon, cfg.lookback, model=model,
-            )
-            dates, forecasts = run.dates, run.forecasts
-            checkpoint.save_lstm(model, os.path.join(cfg.out, "checkpoint.json"))
-        else:
-            dates, forecasts, fit = _forecast_one(ts, cfg, cfg.model)
-            checkpoint.save_classical(fit, os.path.join(cfg.out, "checkpoint.json"))
-    except TrainingDivergedError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (DataError, FitError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+def cmd_validate(args) -> int:
+    ts = load_csv(args.data or bundled_dataset_path())
+    print(f"{len(ts)} days, {ts.start}..{ts.end}, OK")
+    return EXIT_OK
 
-    actuals = _actuals_for(ts, dates)
-    _write_forecast_csv(
-        os.path.join(cfg.out, "forecast.csv"), dates, forecasts, actuals, cfg.seed
-    )
-    if actuals is not None:
-        report = summarize(forecasts, actuals, cfg.model)
+
+def cmd_run(args) -> int:
+    cfg, ts = _prepare(args)
+    run, fit = _forecast(ts, cfg, cfg.model)
+    path = os.path.join(cfg.out, "checkpoint.json")
+    if cfg.model.startswith("lstm-"):
+        checkpoint.save_lstm(fit, path)
+    else:
+        checkpoint.save_classical(fit, path)
+    _write_forecast_csv(os.path.join(cfg.out, "forecast.csv"), run, cfg.seed)
+    if run.actuals is not None:
+        report = summarize(run.forecasts, run.actuals, cfg.model)
         emit_table([report], os.path.join(cfg.out, "errors.csv"), "csv")
         write_summary_csv([report], os.path.join(cfg.out, "summary.csv"))
         print(f"{cfg.model}: MAPE {report.mape:.2f} ± {report.std:.2f} %")
@@ -244,46 +243,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        cfg = _merge_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        ts = load_csv(cfg.data)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    os.makedirs(cfg.out, exist_ok=True)
-
-    try:
-        reports = {}
-        runs = {}
-        # LSTM schemas, both activations; u1/u2 share one trained model
-        for activation in ("elu", "tanh"):
-            uni = _train_lstm(ts, cfg, "u2", activation)
-            biv = _train_lstm(ts, cfg, "u3", activation)
-            for schema, model in (("u1", uni), ("u2", uni), ("u3", biv)):
-                run = run_schema(
-                    ts, schema, model.config, cfg.train_start, cfg.train_end,
-                    cfg.horizon, cfg.lookback, model=model,
-                )
-                label = f"{schema.upper()}-{activation}"
-                runs[label] = run
-                reports[label] = summarize(
-                    run.forecasts, run.actuals, label, schema
-                )
-        for name in ("arima", "hwaas", "prophet-lite"):
-            dates, forecasts, _ = _forecast_one(ts, cfg, name)
-            actuals = _actuals_for(ts, dates)
-            runs[name] = (dates, forecasts)
-            reports[name] = summarize(forecasts, actuals, name)
-    except TrainingDivergedError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (DataError, FitError) as exc:
-        print(f"data error while running models: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    cfg, ts = _prepare(args)
+    runs = {}  # table label -> ForecastRun
+    for activation in ("elu", "tanh"):
+        acfg = replace(cfg, activation=activation)
+        runs[f"U2-{activation}"], uni = _forecast(ts, acfg, "lstm-u2")
+        runs[f"U3-{activation}"], _ = _forecast(ts, acfg, "lstm-u3")
+        # u1 and u2 train the same univariate model, so u1 reuses u2's
+        runs[f"U1-{activation}"], _ = _forecast(ts, acfg, "lstm-u1", model=uni)
+    for name in ("arima", "hwaas", "prophet-lite"):
+        runs[name], _ = _forecast(ts, cfg, name)
+    reports = {
+        label: summarize(run.forecasts, run.actuals, label, run.schema)
+        for label, run in runs.items()
+    }
 
     # table1: activation ablation (MAPE per schema x activation)
     lines = ["activation,u1,u2,u3"]
@@ -303,9 +276,8 @@ def cmd_reproduce(args) -> int:
         "csv",
     )
 
-    dates = runs["U2-elu"].dates
-    actuals = _actuals_for(ts, dates)
-    x_labels = [d.isoformat() for d in dates]
+    actuals = runs["U2-elu"].actuals
+    x_labels = [d.isoformat() for d in runs["U2-elu"].dates]
     emit_plot(
         [("actual", actuals)]
         + [(s, runs[f"{s.upper()}-elu"].forecasts) for s in ("u1", "u2", "u3")],
@@ -316,9 +288,9 @@ def cmd_reproduce(args) -> int:
         [
             ("actual", actuals),
             ("U2", runs["U2-elu"].forecasts),
-            ("ARIMA", runs["arima"][1]),
-            ("HWAAS", runs["hwaas"][1]),
-            ("prophet-lite", runs["prophet-lite"][1]),
+            ("ARIMA", runs["arima"].forecasts),
+            ("HWAAS", runs["hwaas"].forecasts),
+            ("prophet-lite", runs["prophet-lite"].forecasts),
         ],
         x_labels,
         os.path.join(cfg.out, "fig4.svg"),
@@ -333,17 +305,12 @@ def cmd_reproduce(args) -> int:
         "| model | MAPE (this run) | reference | within band |",
         "|-------|-----------------|-----------|-------------|",
     ]
-    bands = {"lstm-u1": 2.0, "lstm-u2": 5.0, "lstm-u3": 5.0, "arima": 1.5, "hwaas": 0.5}
-    key_map = {
-        "lstm-u1": "U1-elu", "lstm-u2": "U2-elu", "lstm-u3": "U3-elu",
-        "arima": "arima", "hwaas": "hwaas",
-    }
-    for name, (ref, ref_std) in REFERENCE_MAPE.items():
-        r = reports[key_map[name]]
+    for name, (label, ref, ref_std, band) in REFERENCE.items():
+        r = reports[label]
         if name in ("hwaas", "arima"):
-            ok = abs(r.mape - ref) <= bands[name]
+            ok = abs(r.mape - ref) <= band
         else:
-            ok = r.mape <= bands[name]
+            ok = r.mape <= band
         summary.append(
             f"| {name} | {r.mape:.2f}±{r.std:.2f} | {ref:.2f}±{ref_std:.2f} | "
             f"{'yes' if ok else 'NO'} |"
@@ -360,27 +327,30 @@ def cmd_reproduce(args) -> int:
     with open(os.path.join(cfg.out, "summary.md"), "w", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")
 
-    for name, (ref, _) in REFERENCE_MAPE.items():
-        r = reports[key_map[name]]
-        print(f"{name}: MAPE {r.mape:.2f} % (reference {ref:.2f} %)")
+    for name, (label, ref, _, _) in REFERENCE.items():
+        print(f"{name}: MAPE {reports[label].mape:.2f} % (reference {ref:.2f} %)")
     print(f"prophet-lite: MAPE {pl.mape:.2f} % (qualitative only)")
     print(f"artifacts written to {cfg.out}/")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and map every expected failure to its exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        command = {"validate": cmd_validate, "run": cmd_run, "reproduce": cmd_reproduce}
+        return command[args.command](args)
+    except SystemExit as exc:  # argparse has printed its usage or help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "validate":
-        return cmd_validate(args.data)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "reproduce":
-        return cmd_reproduce(args)
-    return EXIT_USAGE
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DataError, FitError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (TrainingDivergedError, NonFiniteForecastError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

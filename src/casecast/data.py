@@ -158,6 +158,8 @@ def load_csv(path: str) -> TimeSeries:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError as exc:
         raise MissingFileError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with fh:
         reader = csv.reader(fh)
         try:
@@ -210,6 +212,15 @@ def slice_window(ts: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
     j = (end - ts.start).days + 1
     deaths = ts.deaths[i:j] if ts.deaths is not None else None
     return TimeSeries(ts.dates[i:j], ts.cases[i:j], deaths)
+
+
+def observed_cases(ts: TimeSeries, dates) -> np.ndarray | None:
+    """Observed cases on consecutive `dates` inside the series, as floats;
+    None when the series ends before the last of them."""
+    if dates[-1] > ts.end:
+        return None
+    i = (dates[0] - ts.start).days
+    return ts.cases[i : i + len(dates)].astype(float)
 
 
 def fit_normalizer(ts: TimeSeries, bivariate: bool = False) -> NormalizationSpec:

@@ -22,6 +22,7 @@ from .data import (
     WindowError,
     fit_normalizer,
     make_windows,
+    observed_cases,
     slice_window,
 )
 
@@ -32,6 +33,10 @@ class TrainingDivergedError(Exception):
     def __init__(self, epoch: int):
         super().__init__(f"non-finite training loss at epoch {epoch}")
         self.epoch = epoch
+
+
+class NonFiniteForecastError(Exception):
+    """A trained model forecast a NaN or an infinity."""
 
 
 def elu(x):
@@ -402,10 +407,8 @@ def run_schema(
     denorm = spec.denormalize(preds)
     forecasts = denorm[:, 0]
     if not np.all(np.isfinite(forecasts)):
-        raise TrainingDivergedError(model.config.epochs)
-
-    actuals = None
-    if forecast_dates[-1] <= ts.end:
-        i = (forecast_dates[0] - ts.start).days
-        actuals = ts.cases[i : i + horizon].astype(float)
-    return ForecastRun(schema, train_start, train_end, forecast_dates, forecasts, actuals)
+        raise NonFiniteForecastError(f"non-finite forecast under schema {schema}")
+    return ForecastRun(
+        schema, train_start, train_end, forecast_dates, forecasts,
+        observed_cases(ts, forecast_dates),
+    )

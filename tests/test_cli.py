@@ -1,9 +1,12 @@
+import datetime as dt
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from casecast.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from casecast import cli, lstm
+from casecast.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(*argv):
@@ -91,6 +94,73 @@ class TestRun:
             argv += ["--config", str(cfg)]
         assert run_cli(*argv) == EXIT_USAGE
         assert "config error:" in capsys.readouterr().err
+
+
+def _diverge(monkeypatch):
+    """Every training loss reads NaN, so `train` gives up after epoch 1."""
+    real = lstm.bptt_gradient
+
+    def nan_loss(*args):
+        _, grads = real(*args)
+        return float("nan"), grads
+
+    monkeypatch.setattr(lstm, "bptt_gradient", nan_loss)
+
+
+def _nan_dense_bias(monkeypatch):
+    """Training succeeds, then the model's output bias is NaN."""
+    real = cli.train_schema_model
+
+    def trained(*args):
+        model = real(*args)
+        model.params.dense_b[:] = np.nan
+        return model
+
+    monkeypatch.setattr(cli, "train_schema_model", trained)
+
+
+class TestExitCodes:
+    PREFIX = {EXIT_USAGE: "config error:", EXIT_DATA: "data error:",
+              EXIT_NUMERICAL: "numerical failure:"}
+
+    @pytest.mark.parametrize(
+        "argv, patch, code",
+        [
+            (["run", "--model", "hwaas", "--horizon", "0"], None, EXIT_USAGE),
+            (["run", "--model", "hwaas", "--out", "{file}"], None, EXIT_USAGE),
+            (["run", "--model", "hwaas", "--config", "{dir}"], None, EXIT_USAGE),
+            (["validate", "--data", "{dir}"], None, EXIT_DATA),
+            (["run", "--model", "hwaas", "--data", "{dir}"], None, EXIT_DATA),
+            (["run", "--model", "hwaas", "--train", "2020-03-24:2020-03-30"], None, EXIT_DATA),
+            (["run", "--model", "prophet-lite", "--data", "{zeros}",
+              "--train", "2020-01-01:2020-01-31"], None, EXIT_DATA),
+            (["run", "--model", "lstm-u2", "--epochs", "1"], _diverge, EXIT_NUMERICAL),
+            (["run", "--model", "lstm-u2", "--epochs", "1"], _nan_dense_bias, EXIT_NUMERICAL),
+        ],
+        ids=[
+            "bad-config-value", "out-is-a-file", "config-is-a-directory",
+            "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
+            "zero-actual-in-horizon", "training-diverges", "nan-dense-bias",
+        ],
+    )
+    def test_failure_gives_documented_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                argv, patch, code):
+        existing = tmp_path / "a-file"
+        existing.write_text("")
+        zeros = tmp_path / "zeros.csv"
+        days = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(50)]
+        zeros.write_text("date,total_cases,total_deaths\n"
+                         + "".join(f"{d},0,0\n" for d in days))
+        paths = {"{file}": str(existing), "{dir}": str(tmp_path), "{zeros}": str(zeros)}
+        argv = [paths.get(a, a) for a in argv]
+        if argv[0] == "run" and "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        if patch is not None:
+            patch(monkeypatch)
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(self.PREFIX[code]), err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

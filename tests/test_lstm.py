@@ -13,6 +13,7 @@ from casecast.lstm import (
     AdamState,
     LstmModel,
     LstmParams,
+    NonFiniteForecastError,
     adam_update,
     bptt_gradient,
     elu,
@@ -325,6 +326,14 @@ class TestRunSchema:
 
         run = run_schema(series, "u2", cfg, TRAIN_START, TRAIN_END, model=model)
         np.testing.assert_allclose(run.forecasts, test_actuals, rtol=1e-12)
+
+    def test_non_finite_forecast_names_the_schema(self, series):
+        cfg = TrainConfig(epochs=1, hidden=4)
+        params = LstmParams.zeros(hidden=4, input_dim=1)
+        params.dense_b[:] = np.nan
+        model = LstmModel(params, cfg, [])
+        with pytest.raises(NonFiniteForecastError, match="schema u2"):
+            run_schema(series, "u2", cfg, TRAIN_START, TRAIN_END, model=model)
 
     def test_u3_requires_deaths_channel(self, series):
         import casecast.data as data_mod
