@@ -29,10 +29,8 @@ class ArimaFit:
     condition_number: float
 
 
-def difference(series, d: int = 1) -> np.ndarray:
+def difference(series) -> np.ndarray:
     """First difference; output[k] = input[k+1] - input[k]."""
-    if d != 1:
-        raise ValueError("only d=1 is supported")
     series = np.asarray(series, dtype=float)
     if len(series) < 2:
         raise FitError("series too short to difference")
@@ -111,124 +109,72 @@ class HwFit:
     sse: float
 
 
-def hw_heuristic_init(y, m: int):
-    """Simple moment-based initial states: first-season mean level, trend
-    from the gap between the first two season means, seasonal indices as
-    de-meaned first-season deviations."""
-    y = np.asarray(y, dtype=float)
-    level = float(np.mean(y[:m]))
-    trend = float((np.mean(y[m : 2 * m]) - np.mean(y[:m])) / m)
-    seasonals = y[:m] - level
-    return level, trend, seasonals - seasonals.mean()
+def _hw_affine_pass(y, alpha, beta, gamma, m, phi):
+    """Run the recursions of `hw_fit` with every state kept affine in the
+    initial states u = (l0, b0, s0..s_{m-2}): a state is one row
+    [coefficients on u | constant], and the last initial seasonal is
+    -(sum of the rest) so the indices stay de-meaned.
+
+    Returns (design, offset, states): the one-step predictions are
+    design @ u + offset, and `states` holds the final level, trend and the
+    last m seasonals (oldest first, so forecast step h uses seasonal
+    (h-1) mod m) as rows; their values are states @ np.append(u, 1.0).
+    """
+    n, k = len(y), m + 1
+    states = np.zeros((m + 2, k + 1))  # level, trend, seasonals by t mod m
+    states[:k, :k] = np.eye(k)
+    states[k, 2:k] = -1.0
+    observed = np.zeros(k + 1)  # y_t as a row: no coefficients, constant y_t
+    predictions = np.empty((n, k + 1))
+    for t in range(n):
+        level, trend, season = states[0], states[1], states[2 + t % m]
+        observed[k] = y[t]
+        damped = level + phi * trend
+        predictions[t] = damped + season
+        new_level = alpha * (observed - season) + (1 - alpha) * damped
+        new_trend = beta * (new_level - level) + (1 - beta) * phi * trend
+        states[2 + t % m] = gamma * (observed - damped) + (1 - gamma) * season
+        states[0], states[1] = new_level, new_trend
+    seasonals = np.roll(states[2:], -(n % m), axis=0)
+    return predictions[:, :k], predictions[:, k], np.vstack([states[:2], seasonals])
 
 
-def hw_smooth(y, alpha, beta, gamma, m: int = 7, phi: float = 0.96, init=None):
-    """Run the additive damped-trend recursions with fixed weights.
+def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
+    """Fit the additive damped-trend model
 
     level:   l_t = a (y_t - s_{t-m}) + (1-a)(l_{t-1} + phi b_{t-1})
     trend:   b_t = b (l_t - l_{t-1}) + (1-b) phi b_{t-1}
     seasonal s_t = g (y_t - l_{t-1} - phi b_{t-1}) + (1-g) s_{t-m}
 
-    Returns (sse, level, trend, last m seasonal indices ordered so that
-    forecasting step h uses index (h-1) mod m, fitted one-step predictions).
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    level, trend, init_seasonals = hw_heuristic_init(y, m) if init is None else init
-    seasonals = list(np.asarray(init_seasonals, dtype=float))
-    fitted = np.empty(n)
-    sse = 0.0
-    for t in range(n):
-        s_old = seasonals[t % m]
-        predicted = level + phi * trend + s_old
-        fitted[t] = predicted
-        err = y[t] - predicted
-        sse += err * err
-        new_level = alpha * (y[t] - s_old) + (1 - alpha) * (level + phi * trend)
-        new_trend = beta * (new_level - level) + (1 - beta) * phi * trend
-        seasonals[t % m] = gamma * (y[t] - level - phi * trend) + (1 - gamma) * s_old
-        level, trend = new_level, new_trend
-    last = np.array([seasonals[(n + k) % m] for k in range(m)])
-    return sse, level, trend, last, fitted
-
-
-def _hw_affine_pass(y, alpha, beta, gamma, m, phi):
-    """Propagate the recursions with states kept affine in the initial-state
-    vector u = (l0, b0, s0..s_{m-2}); the last seasonal is -(sum of the rest)
-    so the indices stay de-meaned. Returns the one-step-prediction design
-    (C, E) with predictions C u + E, plus the affine final states."""
-    n = len(y)
-    k = 1 + m  # level, trend, m-1 free seasonals
-    eye = np.eye(k)
-    level = (eye[0], 0.0)
-    trend = (eye[1], 0.0)
-    seasonals = [(eye[2 + j], 0.0) for j in range(m - 1)]
-    tail = np.zeros(k)
-    tail[2:] = -1.0
-    seasonals.append((tail, 0.0))
-    design = np.zeros((n, k))
-    offset = np.zeros(n)
-    for t in range(n):
-        sc, se = seasonals[t % m]
-        design[t] = level[0] + phi * trend[0] + sc
-        offset[t] = level[1] + phi * trend[1] + se
-        nlc = alpha * (-sc) + (1 - alpha) * (level[0] + phi * trend[0])
-        nle = alpha * (y[t] - se) + (1 - alpha) * (level[1] + phi * trend[1])
-        ntc = beta * (nlc - level[0]) + (1 - beta) * phi * trend[0]
-        nte = beta * (nle - level[1]) + (1 - beta) * phi * trend[1]
-        nsc = gamma * (-level[0] - phi * trend[0]) + (1 - gamma) * sc
-        nse = gamma * (y[t] - level[1] - phi * trend[1]) + (1 - gamma) * se
-        seasonals[t % m] = (nsc, nse)
-        level, trend = (nlc, nle), (ntc, nte)
-    last = [seasonals[(n + j) % m] for j in range(m)]
-    return design, offset, level, trend, last
-
-
-def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
-    """Fit the additive damped-trend model.
-
-    The smoothing weights are chosen by Nelder-Mead on the in-sample
-    one-step SSE (multi-start, clamped to [0,1]^3 with a quadratic
-    out-of-box penalty). For fixed weights the recursions are linear in the
-    initial states, so level/trend/seasonal starts are solved exactly by
-    least squares inside the objective.
+    with one-step prediction l_{t-1} + phi b_{t-1} + s_{t-m}. The weights
+    (a, b, g) minimise the in-sample one-step SSE by multi-start L-BFGS-B
+    on [0,1]^3. For fixed weights the recursions are linear in the initial
+    states, so level/trend/seasonal starts are solved exactly by least
+    squares inside the objective.
     """
     y = np.asarray(series, dtype=float)
     if len(y) < 2 * m:
         raise FitError(f"need at least two seasons ({2 * m} points), got {len(y)}")
-    scale = float(np.mean(np.abs(y))) or 1.0
 
     def solve_init(theta):
-        design, offset, level, trend, last = _hw_affine_pass(y, *theta, m, phi)
+        design, offset, states = _hw_affine_pass(y, *theta, m, phi)
         u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
         residuals = y - offset - design @ u
-        return float(residuals @ residuals), u, level, trend, last
-
-    def objective(theta):
-        clamped = np.clip(theta, 0.0, 1.0)
-        penalty = float(np.sum((theta - clamped) ** 2)) * scale * scale
-        sse, *_ = solve_init(clamped)
-        return sse + penalty
+        return float(residuals @ residuals), states @ np.append(u, 1.0)
 
     best = None
     for start in ([0.5, 0.1, 0.1], [0.9, 0.9, 0.1], [1.0, 1.0, 1.0], [0.3, 0.1, 0.5]):
         result = minimize(
-            objective,
+            lambda theta: solve_init(theta)[0],
             x0=np.array(start),
-            method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 3000},
+            method="L-BFGS-B",
+            bounds=[(0.0, 1.0)] * 3,
         )
         if best is None or result.fun < best.fun:
             best = result
-    alpha, beta, gamma = np.clip(best.x, 0.0, 1.0)
-    sse, u, level, trend, last = solve_init((alpha, beta, gamma))
-    final_level = float(level[0] @ u + level[1])
-    final_trend = float(trend[0] @ u + trend[1])
-    final_seasonals = np.array([c @ u + e for c, e in last])
-    return HwFit(
-        float(alpha), float(beta), float(gamma), phi, m,
-        final_level, final_trend, final_seasonals, sse,
-    )
+    alpha, beta, gamma = (float(w) for w in best.x)
+    sse, final = solve_init((alpha, beta, gamma))
+    return HwFit(alpha, beta, gamma, phi, m, float(final[0]), float(final[1]), final[2:], sse)
 
 
 def hw_forecast(fit: HwFit, horizon: int = 15) -> np.ndarray:

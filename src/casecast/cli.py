@@ -26,7 +26,15 @@ from .classical import (
     prophet_lite_fit,
     prophet_lite_forecast,
 )
-from .data import DAY, DataError, bundled_dataset_path, load_csv, observed_cases, slice_window
+from .data import (
+    DAY,
+    DataError,
+    WindowError,
+    bundled_dataset_path,
+    load_csv,
+    observed_cases,
+    slice_window,
+)
 from .evaluation import emit_plot, emit_table, summarize, write_summary_csv
 from .lstm import (
     ACTIVATIONS,
@@ -168,6 +176,13 @@ def _prepare(args):
     return cfg, ts
 
 
+def _horizon(ts, cfg: RunConfig):
+    """The forecast dates after the training window and the cases observed
+    on them (None when the series ends first)."""
+    dates = tuple(cfg.train_end + (k + 1) * DAY for k in range(cfg.horizon))
+    return dates, observed_cases(ts, dates)
+
+
 def _forecast(ts, cfg: RunConfig, name: str, model=None):
     """Fit model `name` on the configured window and forecast the horizon.
 
@@ -176,6 +191,9 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
     window. Returns (ForecastRun, fit): the fit is the LstmModel or the
     classical fit, which is what a checkpoint stores.
     """
+    dates, actuals = _horizon(ts, cfg)
+    if name == "lstm-u1" and actuals is None:  # u1 reads them: fail before training
+        raise WindowError("u1 needs observed values over the whole horizon")
     if name.startswith("lstm-"):
         schema = name.split("-", 1)[1]
         if model is None:
@@ -199,10 +217,7 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
         else:
             fit = prophet_lite_fit(y)
             forecasts = prophet_lite_forecast(fit, cfg.horizon)
-        dates = tuple(cfg.train_end + (k + 1) * DAY for k in range(cfg.horizon))
-        run = ForecastRun(
-            "", cfg.train_start, cfg.train_end, dates, forecasts, observed_cases(ts, dates)
-        )
+        run = ForecastRun("", cfg.train_start, cfg.train_end, dates, forecasts, actuals)
     if run.actuals is not None and (run.actuals <= 0).any():
         raise DataError("observed cases over the horizon must be positive to score APE")
     return run, fit
@@ -234,7 +249,7 @@ def cmd_run(args) -> int:
     _write_forecast_csv(os.path.join(cfg.out, "forecast.csv"), run, cfg.seed)
     if run.actuals is not None:
         report = summarize(run.forecasts, run.actuals, cfg.model)
-        emit_table([report], os.path.join(cfg.out, "errors.csv"), "csv")
+        emit_table([report], os.path.join(cfg.out, "errors.csv"))
         write_summary_csv([report], os.path.join(cfg.out, "summary.csv"))
         print(f"{cfg.model}: MAPE {report.mape:.2f} ± {report.std:.2f} %")
     else:
@@ -244,6 +259,9 @@ def cmd_run(args) -> int:
 
 def cmd_reproduce(args) -> int:
     cfg, ts = _prepare(args)
+    if _horizon(ts, cfg)[1] is None:  # fail before the first fit, not after training
+        raise WindowError("reproduce scores every model, so it needs observed values "
+                          "over the whole horizon")
     runs = {}  # table label -> ForecastRun
     for activation in ("elu", "tanh"):
         acfg = replace(cfg, activation=activation)
@@ -270,11 +288,7 @@ def cmd_reproduce(args) -> int:
         fh.write("\n".join(lines) + "\n")
 
     table2_labels = ["U1-elu", "U2-elu", "U3-elu", "arima", "prophet-lite", "hwaas"]
-    emit_table(
-        [reports[k] for k in table2_labels],
-        os.path.join(cfg.out, "table2.csv"),
-        "csv",
-    )
+    emit_table([reports[k] for k in table2_labels], os.path.join(cfg.out, "table2.csv"))
 
     actuals = runs["U2-elu"].actuals
     x_labels = [d.isoformat() for d in runs["U2-elu"].dates]

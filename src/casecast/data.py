@@ -151,8 +151,9 @@ def bundled_dataset_path() -> str:
 def load_csv(path: str) -> TimeSeries:
     """Parse a `date,total_cases,total_deaths` CSV into a TimeSeries.
 
-    Every violation maps to a distinct error: missing file, malformed row
-    (with line number), date gap/order, decreasing cumulative value.
+    Every violation maps to a distinct error: missing file, unreadable or
+    non-UTF-8 file, malformed row (with line number), date gap/order,
+    decreasing cumulative value.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -161,39 +162,40 @@ def load_csv(path: str) -> TimeSeries:
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRowError(1, "empty file")
-        if [h.strip() for h in header] != ["date", "total_cases", "total_deaths"]:
-            raise MalformedRowError(1, f"unexpected header {header!r}")
-        dates: list[dt.date] = []
-        cases: list[int] = []
-        deaths: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRowError(lineno, f"expected 3 fields, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-                c = int(row[1])
-                d = int(row[2])
-            except ValueError as exc:
-                raise MalformedRowError(lineno, str(exc)) from exc
-            if c < 0 or d < 0:
-                raise MalformedRowError(lineno, "negative count")
-            if dates:
-                if date <= dates[-1]:
-                    raise DateOrderError(f"line {lineno}: date {date} not after {dates[-1]}")
-                if date - dates[-1] != DAY:
-                    raise DateOrderError(f"line {lineno}: gap between {dates[-1]} and {date}")
-                if c < cases[-1] or d < deaths[-1]:
-                    raise NonMonotoneError(f"line {lineno}: cumulative value decreases")
-            dates.append(date)
-            cases.append(c)
-            deaths.append(d)
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text") from exc
+    if not rows:
+        raise MalformedRowError(1, "empty file")
+    if [h.strip() for h in rows[0]] != ["date", "total_cases", "total_deaths"]:
+        raise MalformedRowError(1, f"unexpected header {rows[0]!r}")
+    dates: list[dt.date] = []
+    cases: list[int] = []
+    deaths: list[int] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise MalformedRowError(lineno, f"expected 3 fields, got {len(row)}")
+        try:
+            date = dt.date.fromisoformat(row[0].strip())
+            c = int(row[1])
+            d = int(row[2])
+        except ValueError as exc:
+            raise MalformedRowError(lineno, str(exc)) from exc
+        if c < 0 or d < 0:
+            raise MalformedRowError(lineno, "negative count")
+        if dates:
+            if date <= dates[-1]:
+                raise DateOrderError(f"line {lineno}: date {date} not after {dates[-1]}")
+            if date - dates[-1] != DAY:
+                raise DateOrderError(f"line {lineno}: gap between {dates[-1]} and {date}")
+            if c < cases[-1] or d < deaths[-1]:
+                raise NonMonotoneError(f"line {lineno}: cumulative value decreases")
+        dates.append(date)
+        cases.append(c)
+        deaths.append(d)
     if not dates:
         raise MalformedRowError(2, "no data rows")
     return TimeSeries(tuple(dates), np.array(cases), np.array(deaths))

@@ -59,46 +59,29 @@ def summarize(
     return ErrorReport(model, schema, apes, float(np.mean(apes)), std, std_convention)
 
 
-def emit_table(reports: list[ErrorReport], path: str, fmt: str = "csv") -> None:
-    """Day-by-day APE table, one column per model, plus a MAPE row.
+def emit_table(reports: list[ErrorReport], path: str) -> None:
+    """Day-by-day APE CSV, one column per model, plus a MAPE row.
 
-    CSV cells are 2-decimal percentages with a full-precision companion
-    column per model; the text format mirrors the same layout.
+    Cells are 2-decimal percentages with a full-precision companion column
+    per model.
     """
-    if fmt not in ("csv", "text"):
-        raise ValueError(f"unknown format {fmt!r}")
     horizon = len(reports[0].apes)
     for r in reports:
         if len(r.apes) != horizon:
             raise ValueError("reports disagree on horizon length")
-    lines = []
-    if fmt == "csv":
-        header = ["day"]
+    header = ["day"]
+    for r in reports:
+        header += [r.model, f"{r.model}_raw"]
+    lines = [",".join(header)]
+    for day in range(horizon):
+        row = [str(day + 1)]
         for r in reports:
-            header += [r.model, f"{r.model}_raw"]
-        lines.append(",".join(header))
-        for day in range(horizon):
-            row = [str(day + 1)]
-            for r in reports:
-                row += [f"{r.apes[day]:.2f}", repr(float(r.apes[day]))]
-            lines.append(",".join(row))
-        row = ["MAPE"]
-        for r in reports:
-            row += [f"{r.mape:.2f}±{r.std:.2f}", repr(float(r.mape))]
+            row += [f"{r.apes[day]:.2f}", repr(float(r.apes[day]))]
         lines.append(",".join(row))
-    else:
-        width = max(12, max(len(r.model) for r in reports) + 2)
-        header = "day".ljust(6) + "".join(r.model.rjust(width) for r in reports)
-        lines.append(header)
-        for day in range(horizon):
-            lines.append(
-                str(day + 1).ljust(6)
-                + "".join(f"{r.apes[day]:.2f} %".rjust(width) for r in reports)
-            )
-        lines.append(
-            "MAPE".ljust(6)
-            + "".join(f"{r.mape:.2f}±{r.std:.2f}".rjust(width) for r in reports)
-        )
+    row = ["MAPE"]
+    for r in reports:
+        row += [f"{r.mape:.2f}±{r.std:.2f}", repr(float(r.mape))]
+    lines.append(",".join(row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

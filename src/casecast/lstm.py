@@ -381,6 +381,9 @@ def run_schema(
     Without `model`, one is trained with `cfg` first; with it, the model's
     own configuration (its activation) is used.
     """
+    forecast_dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
+    if schema == "u1" and forecast_dates[-1] > ts.end:
+        raise WindowError("u1 needs observed values over the whole horizon")
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if model is None:
         model = train(make_windows(train_vals, lookback), cfg)
@@ -389,10 +392,7 @@ def run_schema(
     def predict(window):
         return forward(model.params, window, activation)[0]
 
-    forecast_dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
     if schema == "u1":
-        if forecast_dates[-1] > ts.end:
-            raise WindowError("u1 needs observed values over the whole horizon")
         all_vals = spec.normalize(ts.channels(bivariate=False))
         preds = []
         for date in forecast_dates:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from casecast.classical import (
     FitError,
     HwFit,
+    _hw_affine_pass,
     difference,
     fit_ar,
     fit_arima,
@@ -15,8 +16,6 @@ from casecast.classical import (
     forecast_arima_from_series,
     hw_fit,
     hw_forecast,
-    hw_heuristic_init,
-    hw_smooth,
     integrate,
     prophet_lite_fit,
     prophet_lite_fitted,
@@ -121,12 +120,31 @@ class TestForecastArima:
 
 class TestHoltWinters:
     def test_degenerate_smoothing_tracks_series(self):
+        # (alpha, beta, gamma) = (1, 0, 0) from level y0, no trend, no
+        # seasonality: each one-step prediction is the previous observation
         y = np.array([3.0, 5.0, 4.0, 6.0, 8.0, 7.0, 9.0, 10.0, 12.0, 11.0, 13.0, 12.0, 14.0, 15.0])
-        init = (y[0], 0.0, np.zeros(7))
-        sse, level, trend, _, fitted = hw_smooth(y, 1.0, 0.0, 0.0, m=7, phi=0.96, init=init)
-        np.testing.assert_allclose(fitted[1:], y[:-1])
+        design, offset, states = _hw_affine_pass(y, 1.0, 0.0, 0.0, 7, 0.96)
+        u = np.zeros(design.shape[1])
+        u[0] = y[0]
+        np.testing.assert_allclose((design @ u + offset)[1:], y[:-1])
+        level, trend, *_ = states @ np.append(u, 1.0)
         assert level == y[-1]
         assert trend == 0.0
+
+    def test_final_states_continue_the_recursion(self):
+        # the one-step forecast from the final states of y[:n] is the pass's
+        # own prediction for y[n], for every n mod m
+        rng = np.random.default_rng(5)
+        y = np.cumsum(rng.uniform(0.0, 10.0, 30))
+        theta = (0.6, 0.3, 0.4)
+        u = np.append(rng.standard_normal(8), 1.0)
+        design, offset, _ = _hw_affine_pass(y, *theta, 7, 0.96)
+        predictions = design @ u[:-1] + offset
+        for n in range(14, 21):
+            *_, states = _hw_affine_pass(y[:n], *theta, 7, 0.96)
+            level, trend, *seasonals = states @ u
+            fit = HwFit(*theta, 0.96, 7, level, trend, np.array(seasonals), 0.0)
+            assert hw_forecast(fit, 1)[0] == pytest.approx(predictions[n], rel=1e-12)
 
     def test_linear_trend_recovered(self):
         y = 10.0 + 2.0 * np.arange(28)
@@ -163,13 +181,22 @@ class TestHoltWinters:
         with pytest.raises(FitError):
             hw_fit(np.arange(10.0), m=7)
 
-    def test_optimizer_beats_coarse_grid(self, series):
-        y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+    @pytest.mark.parametrize(
+        "window",
+        [None, (24, 17), (16, 15)],
+        ids=["paper-split", "backtest-start24-len17", "backtest-start16-len15"],
+    )
+    def test_optimizer_beats_coarse_grid(self, series, window):
+        # (start, length) index windows of the bundled series, as the
+        # backtest draws them; (16, 15) is the shortest
+        if window is None:
+            y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+        else:
+            start, length = window
+            y = series.cases[start : start + length].astype(float)
         fit = hw_fit(y, m=7, phi=0.96)
 
         # independent grid evaluation with the same inner least-squares init
-        from casecast.classical import _hw_affine_pass
-
         def sse_at(theta):
             design, offset, *_ = _hw_affine_pass(y, *theta, 7, 0.96)
             u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
@@ -181,12 +208,6 @@ class TestHoltWinters:
             sse_at(t) for t in itertools.product(grid, grid, grid)
         )
         assert fit.sse <= grid_best * (1.0 + 1e-6)
-
-    def test_heuristic_init_shapes(self):
-        y = np.arange(20.0)
-        level, trend, seasonals = hw_heuristic_init(y, 7)
-        assert abs(seasonals.mean()) < 1e-12
-        assert abs(trend - 1.0) < 1e-9
 
 
 class TestProphetLite:

@@ -119,6 +119,15 @@ def _nan_dense_bias(monkeypatch):
     monkeypatch.setattr(cli, "train_schema_model", trained)
 
 
+def _no_training(monkeypatch):
+    """Any training fails the test: the error must come before it."""
+
+    def refuse(*args):
+        raise AssertionError("trained before the horizon was checked")
+
+    monkeypatch.setattr(cli, "train_schema_model", refuse)
+
+
 class TestExitCodes:
     PREFIX = {EXIT_USAGE: "config error:", EXIT_DATA: "data error:",
               EXIT_NUMERICAL: "numerical failure:"}
@@ -136,11 +145,17 @@ class TestExitCodes:
               "--train", "2020-01-01:2020-01-31"], None, EXIT_DATA),
             (["run", "--model", "lstm-u2", "--epochs", "1"], _diverge, EXIT_NUMERICAL),
             (["run", "--model", "lstm-u2", "--epochs", "1"], _nan_dense_bias, EXIT_NUMERICAL),
+            (["validate", "--data", "{binary}"], None, EXIT_DATA),
+            (["run", "--model", "lstm-u1", "--train", "2020-04-01:2020-05-01"],
+             _no_training, EXIT_DATA),
+            (["reproduce", "--train", "2020-04-10:2020-05-01", "--epochs", "300"],
+             _no_training, EXIT_DATA),
         ],
         ids=[
             "bad-config-value", "out-is-a-file", "config-is-a-directory",
             "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
             "zero-actual-in-horizon", "training-diverges", "nan-dense-bias",
+            "non-utf8-data", "u1-horizon-unobserved", "reproduce-horizon-unobserved",
         ],
     )
     def test_failure_gives_documented_exit_code(self, tmp_path, monkeypatch, capsys,
@@ -151,9 +166,12 @@ class TestExitCodes:
         days = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(50)]
         zeros.write_text("date,total_cases,total_deaths\n"
                          + "".join(f"{d},0,0\n" for d in days))
-        paths = {"{file}": str(existing), "{dir}": str(tmp_path), "{zeros}": str(zeros)}
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe\x00")
+        paths = {"{file}": str(existing), "{dir}": str(tmp_path), "{zeros}": str(zeros),
+                 "{binary}": str(binary)}
         argv = [paths.get(a, a) for a in argv]
-        if argv[0] == "run" and "--out" not in argv:
+        if argv[0] != "validate" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out")]
         if patch is not None:
             patch(monkeypatch)

@@ -93,14 +93,14 @@ def zero_report(name="zero"):
 class TestEmitTable:
     def test_all_zero_report(self, tmp_path):
         path = tmp_path / "t.csv"
-        emit_table([zero_report()], str(path), "csv")
+        emit_table([zero_report()], str(path))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 17  # header + 15 days + MAPE row
         assert all(row.split(",")[1] == "0.00" for row in lines[1:16])
 
     def test_two_model_columns(self, tmp_path):
         path = tmp_path / "t.csv"
-        emit_table([zero_report("a"), zero_report("b")], str(path), "csv")
+        emit_table([zero_report("a"), zero_report("b")], str(path))
         header = path.read_text().split("\n", 1)[0].split(",")
         assert header[0] == "day" and "a" in header and "b" in header
 
@@ -109,14 +109,9 @@ class TestEmitTable:
         actual = rng.uniform(50, 150, 15)
         rep = summarize(actual * 1.01, actual, "m")
         p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
-        emit_table([rep], str(p1), "csv")
-        emit_table([rep], str(p2), "csv")
+        emit_table([rep], str(p1))
+        emit_table([rep], str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_text_format(self, tmp_path):
-        path = tmp_path / "t.txt"
-        emit_table([zero_report()], str(path), "text")
-        assert "MAPE" in path.read_text()
 
     def test_summary_csv(self, tmp_path):
         path = tmp_path / "s.csv"
