@@ -31,8 +31,8 @@ from .data import (
     DataError,
     WindowError,
     bundled_dataset_path,
+    forecast_horizon,
     load_csv,
-    observed_cases,
     slice_window,
 )
 from .evaluation import emit_plot, emit_table, summarize, write_summary_csv
@@ -94,6 +94,10 @@ class RunConfig:
         for name in ("horizon", "lookback", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        try:
+            self.train_end + self.horizon * DAY
+        except OverflowError:
+            raise ValueError(f"horizon {self.horizon} runs past the last representable date") from None
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.out:
@@ -176,13 +180,6 @@ def _prepare(args):
     return cfg, ts
 
 
-def _horizon(ts, cfg: RunConfig):
-    """The forecast dates after the training window and the cases observed
-    on them (None when the series ends first)."""
-    dates = tuple(cfg.train_end + (k + 1) * DAY for k in range(cfg.horizon))
-    return dates, observed_cases(ts, dates)
-
-
 def _forecast(ts, cfg: RunConfig, name: str, model=None):
     """Fit model `name` on the configured window and forecast the horizon.
 
@@ -191,7 +188,7 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
     window. Returns (ForecastRun, fit): the fit is the LstmModel or the
     classical fit, which is what a checkpoint stores.
     """
-    dates, actuals = _horizon(ts, cfg)
+    dates, actuals = forecast_horizon(ts, cfg.train_end, cfg.horizon)
     if name == "lstm-u1" and actuals is None:  # u1 reads them: fail before training
         raise WindowError("u1 needs observed values over the whole horizon")
     if name.startswith("lstm-"):
@@ -259,7 +256,8 @@ def cmd_run(args) -> int:
 
 def cmd_reproduce(args) -> int:
     cfg, ts = _prepare(args)
-    if _horizon(ts, cfg)[1] is None:  # fail before the first fit, not after training
+    dates, actuals = forecast_horizon(ts, cfg.train_end, cfg.horizon)
+    if actuals is None:  # fail before the first fit, not after training
         raise WindowError("reproduce scores every model, so it needs observed values "
                           "over the whole horizon")
     runs = {}  # table label -> ForecastRun
@@ -290,8 +288,7 @@ def cmd_reproduce(args) -> int:
     table2_labels = ["U1-elu", "U2-elu", "U3-elu", "arima", "prophet-lite", "hwaas"]
     emit_table([reports[k] for k in table2_labels], os.path.join(cfg.out, "table2.csv"))
 
-    actuals = runs["U2-elu"].actuals
-    x_labels = [d.isoformat() for d in runs["U2-elu"].dates]
+    x_labels = [d.isoformat() for d in dates]
     emit_plot(
         [("actual", actuals)]
         + [(s, runs[f"{s.upper()}-elu"].forecasts) for s in ("u1", "u2", "u3")],

@@ -14,6 +14,7 @@ from importlib import resources
 import numpy as np
 
 DAY = dt.timedelta(days=1)
+_INT64_MAX = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
 
 class DataError(Exception):
@@ -152,8 +153,8 @@ def load_csv(path: str) -> TimeSeries:
     """Parse a `date,total_cases,total_deaths` CSV into a TimeSeries.
 
     Every violation maps to a distinct error: missing file, unreadable or
-    non-UTF-8 file, malformed row (with line number), date gap/order,
-    decreasing cumulative value.
+    non-UTF-8 file, malformed row (with line number; a count beyond int64
+    is one), date gap/order, decreasing cumulative value.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -186,6 +187,8 @@ def load_csv(path: str) -> TimeSeries:
             raise MalformedRowError(lineno, str(exc)) from exc
         if c < 0 or d < 0:
             raise MalformedRowError(lineno, "negative count")
+        if max(c, d) > _INT64_MAX:
+            raise MalformedRowError(lineno, f"count {max(c, d)} exceeds the int64 range")
         if dates:
             if date <= dates[-1]:
                 raise DateOrderError(f"line {lineno}: date {date} not after {dates[-1]}")
@@ -216,13 +219,15 @@ def slice_window(ts: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
     return TimeSeries(ts.dates[i:j], ts.cases[i:j], deaths)
 
 
-def observed_cases(ts: TimeSeries, dates) -> np.ndarray | None:
-    """Observed cases on consecutive `dates` inside the series, as floats;
-    None when the series ends before the last of them."""
+def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
+    """The `horizon` days after `train_end` and the cases observed on them,
+    as floats (None when the series ends before the last of them).
+    Returns (dates, actuals)."""
+    dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
     if dates[-1] > ts.end:
-        return None
+        return dates, None
     i = (dates[0] - ts.start).days
-    return ts.cases[i : i + len(dates)].astype(float)
+    return dates, ts.cases[i : i + horizon].astype(float)
 
 
 def fit_normalizer(ts: TimeSeries, bivariate: bool = False) -> NormalizationSpec:

@@ -16,8 +16,7 @@ class ErrorReport:
     schema: str
     apes: np.ndarray  # per-day APE percentages, day order
     mape: float
-    std: float
-    std_convention: str  # "population" or "sample"
+    std: float  # population (divide-by-N) standard deviation
 
 
 def ape(actual: float, forecast: float) -> float:
@@ -37,26 +36,11 @@ def ape_series(actuals, forecasts) -> np.ndarray:
     return np.abs(actuals - forecasts) / actuals * 100.0
 
 
-def summarize(
-    forecasts,
-    actuals,
-    model: str,
-    schema: str = "",
-    std_convention: str = "population",
-) -> ErrorReport:
-    """Per-day APEs plus mean and standard deviation over the horizon.
-
-    Population (divide-by-N) std is the default; "sample" switches to the
-    divide-by-(N-1) form.
-    """
+def summarize(forecasts, actuals, model: str, schema: str = "") -> ErrorReport:
+    """Per-day APEs plus mean and population (divide-by-N) standard
+    deviation over the horizon."""
     apes = ape_series(actuals, forecasts)
-    if std_convention == "population":
-        std = float(np.std(apes))
-    elif std_convention == "sample":
-        std = float(np.std(apes, ddof=1))
-    else:
-        raise ValueError(f"unknown std convention {std_convention!r}")
-    return ErrorReport(model, schema, apes, float(np.mean(apes)), std, std_convention)
+    return ErrorReport(model, schema, apes, float(np.mean(apes)), float(np.std(apes)))
 
 
 def emit_table(reports: list[ErrorReport], path: str) -> None:
@@ -87,12 +71,11 @@ def emit_table(reports: list[ErrorReport], path: str) -> None:
 
 
 def write_summary_csv(reports: list[ErrorReport], path: str) -> None:
-    """Companion summary: model,schema,mape,std,convention."""
+    """Companion summary: model,schema,mape,std,convention (the std is
+    always the population one)."""
     lines = ["model,schema,mape,std,convention"]
     for r in reports:
-        lines.append(
-            f"{r.model},{r.schema},{r.mape!r},{r.std!r},{r.std_convention}"
-        )
+        lines.append(f"{r.model},{r.schema},{r.mape!r},{r.std!r},population")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

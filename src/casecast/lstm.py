@@ -11,18 +11,17 @@ need a single gate slice the stacked arrays (block k is rows k*H..(k+1)*H).
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (
-    DAY,
     TimeSeries,
     WindowedDataset,
     WindowError,
     fit_normalizer,
+    forecast_horizon,
     make_windows,
-    observed_cases,
     slice_window,
 )
 
@@ -74,15 +73,24 @@ def sigmoid(x):
     return np.maximum(np.minimum(y, _SIGMOID_HI), _SIGMOID_LO)
 
 
-@dataclass
 class LstmParams:
-    """All weights of one LSTM layer plus the linear dense head."""
+    """All weights of one LSTM layer plus the linear dense head, stored in one
+    contiguous float64 vector `flat`. The five named arrays are reshaped views
+    into it, laid out in the order of NAMES:
 
-    wx: np.ndarray  # (4H, D) input-to-gate, rows stacked i|f|o|c
-    wh: np.ndarray  # (4H, H) hidden-to-gate
-    b: np.ndarray  # (4H,)
-    dense_w: np.ndarray  # (D_out, H)
-    dense_b: np.ndarray  # (D_out,)
+    wx (4H, D) input-to-gate, rows stacked i|f|o|c; wh (4H, H) hidden-to-gate;
+    b (4H,); dense_w (D_out, H); dense_b (D_out,).
+    """
+
+    NAMES = ("wx", "wh", "b", "dense_w", "dense_b")
+
+    def __init__(self, wx, wh, b, dense_w, dense_b):
+        arrays = [np.asarray(a, dtype=float) for a in (wx, wh, b, dense_w, dense_b)]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        start = 0
+        for name, a in zip(self.NAMES, arrays):
+            setattr(self, name, self.flat[start : start + a.size].reshape(a.shape))
+            start += a.size
 
     @property
     def hidden(self) -> int:
@@ -92,31 +100,21 @@ class LstmParams:
     def input_dim(self) -> int:
         return self.wx.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.dense_w.shape[0]
-
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "wx": self.wx,
-            "wh": self.wh,
-            "b": self.b,
-            "dense_w": self.dense_w,
-            "dense_b": self.dense_b,
-        }
+        return {name: getattr(self, name) for name in self.NAMES}
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(**{k: v.copy() for k, v in self.arrays().items()})
+    def zeros_like(self) -> "LstmParams":
+        """Parameters of the same shapes, all zero (a gradient accumulator)."""
+        return LstmParams(**{k: np.zeros(a.shape) for k, a in self.arrays().items()})
 
     @classmethod
-    def zeros(cls, hidden: int, input_dim: int, output_dim: int | None = None):
-        out = input_dim if output_dim is None else output_dim
+    def zeros(cls, hidden: int, input_dim: int):
         return cls(
             wx=np.zeros((4 * hidden, input_dim)),
             wh=np.zeros((4 * hidden, hidden)),
             b=np.zeros(4 * hidden),
-            dense_w=np.zeros((out, hidden)),
-            dense_b=np.zeros(out),
+            dense_w=np.zeros((input_dim, hidden)),
+            dense_b=np.zeros(input_dim),
         )
 
     @classmethod
@@ -175,7 +173,7 @@ def forward(params: LstmParams, inputs, g: str = "elu"):
 def bptt_gradient(params: LstmParams, inputs, target, g: str = "elu"):
     """Exact gradient of the squared error ||y - target||^2 with respect to
     every parameter array, by reverse-mode differentiation through the
-    unrolled recurrence. Returns (loss, grads dict keyed like arrays())."""
+    unrolled recurrence. Returns (loss, grads), grads an LstmParams."""
     _, dgfun = ACTIVATIONS[g]
     y, cache = forward(params, inputs, g)
     target = np.asarray(target, dtype=float)
@@ -183,9 +181,9 @@ def bptt_gradient(params: LstmParams, inputs, target, g: str = "elu"):
     loss = float(err @ err)
 
     hdim = params.hidden
-    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    grads["dense_w"] += np.outer(2.0 * err, cache["h_final"])
-    grads["dense_b"] += 2.0 * err
+    grads = params.zeros_like()
+    grads.dense_w += np.outer(2.0 * err, cache["h_final"])
+    grads.dense_b += 2.0 * err
 
     dh = params.dense_w.T @ (2.0 * err)
     dc = np.zeros(hdim)
@@ -203,9 +201,9 @@ def bptt_gradient(params: LstmParams, inputs, target, g: str = "elu"):
                 dg_in * dgfun(a_c, g_in),
             ]
         )
-        grads["wx"] += np.outer(da, x)
-        grads["wh"] += np.outer(da, h_prev)
-        grads["b"] += da
+        grads.wx += np.outer(da, x)
+        grads.wh += np.outer(da, h_prev)
+        grads.b += da
         dh = params.wh.T @ da
         dc = dc * f
     return loss, grads
@@ -213,45 +211,38 @@ def bptt_gradient(params: LstmParams, inputs, target, g: str = "elu"):
 
 @dataclass
 class AdamState:
+    """Adam's moment estimates, flat vectors laid out like LstmParams.flat,
+    and the step count."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def like(cls, params: LstmParams | dict):
-        arrays = params.arrays() if hasattr(params, "arrays") else params
-        return cls(
-            t=0,
-            m={k: np.zeros_like(a) for k, a in arrays.items()},
-            v={k: np.zeros_like(a) for k, a in arrays.items()},
-        )
+    def like(cls, params: LstmParams):
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_update(
     params: LstmParams,
-    grads: dict[str, np.ndarray],
+    grads: LstmParams,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """Standard Adam with bias correction; updates params/state in place and
-    returns them."""
+    """One Adam step with bias correction over the whole flat parameter
+    vector; updates params and state in place."""
     state.t += 1
-    t = state.t
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for name, arr in params.arrays().items():
-        grad = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return params, state
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    grad, m, v = grads.flat, state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 @dataclass(frozen=True)
@@ -381,8 +372,8 @@ def run_schema(
     Without `model`, one is trained with `cfg` first; with it, the model's
     own configuration (its activation) is used.
     """
-    forecast_dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
-    if schema == "u1" and forecast_dates[-1] > ts.end:
+    forecast_dates, actuals = forecast_horizon(ts, train_end, horizon)
+    if schema == "u1" and actuals is None:
         raise WindowError("u1 needs observed values over the whole horizon")
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if model is None:
@@ -408,7 +399,4 @@ def run_schema(
     forecasts = denorm[:, 0]
     if not np.all(np.isfinite(forecasts)):
         raise NonFiniteForecastError(f"non-finite forecast under schema {schema}")
-    return ForecastRun(
-        schema, train_start, train_end, forecast_dates, forecasts,
-        observed_cases(ts, forecast_dates),
-    )
+    return ForecastRun(schema, train_start, train_end, forecast_dates, forecasts, actuals)

@@ -20,6 +20,7 @@ from casecast.lstm import LstmModel, LstmParams
 def test_lstm_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(17)
     params = LstmParams.glorot(4, 1, rng)
+    params.b[:] = rng.standard_normal(params.b.size)  # written through a view of flat
     model = LstmModel(params, TrainConfig(epochs=3, hidden=4, seed=17), [0.5, 0.25, 0.125])
     path = str(tmp_path / "model.json")
     save_lstm(model, path)
@@ -27,6 +28,7 @@ def test_lstm_round_trip_is_bit_exact(tmp_path):
     assert loaded.config == model.config
     for name, arr in model.params.arrays().items():
         np.testing.assert_array_equal(arr, loaded.params.arrays()[name])
+    np.testing.assert_array_equal(loaded.params.flat, model.params.flat)
     assert loaded.epoch_losses == model.epoch_losses
 
 

@@ -150,12 +150,15 @@ class TestExitCodes:
              _no_training, EXIT_DATA),
             (["reproduce", "--train", "2020-04-10:2020-05-01", "--epochs", "300"],
              _no_training, EXIT_DATA),
+            (["run", "--model", "hwaas", "--horizon", "1000000000"], None, EXIT_USAGE),
+            (["validate", "--data", "{huge}"], None, EXIT_DATA),
         ],
         ids=[
             "bad-config-value", "out-is-a-file", "config-is-a-directory",
             "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
             "zero-actual-in-horizon", "training-diverges", "nan-dense-bias",
             "non-utf8-data", "u1-horizon-unobserved", "reproduce-horizon-unobserved",
+            "horizon-past-last-date", "count-exceeds-int64",
         ],
     )
     def test_failure_gives_documented_exit_code(self, tmp_path, monkeypatch, capsys,
@@ -168,8 +171,10 @@ class TestExitCodes:
                          + "".join(f"{d},0,0\n" for d in days))
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"\xff\xfe\x00")
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f"date,total_cases,total_deaths\n2020-03-24,{10**20},0\n")
         paths = {"{file}": str(existing), "{dir}": str(tmp_path), "{zeros}": str(zeros),
-                 "{binary}": str(binary)}
+                 "{binary}": str(binary), "{huge}": str(huge)}
         argv = [paths.get(a, a) for a in argv]
         if argv[0] != "validate" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out")]

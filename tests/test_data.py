@@ -67,6 +67,13 @@ class TestLoadCsv:
             load_csv(write_csv(tmp_path, ["2020-03-24,1,0", "not-a-date,2,0"]))
         assert err.value.line_number == 3
 
+    def test_count_beyond_int64_reports_line(self, tmp_path):
+        largest = 2**63 - 1
+        assert load_csv(write_csv(tmp_path, [f"2020-03-24,{largest},0"])).cases[0] == largest
+        with pytest.raises(MalformedRowError) as err:
+            load_csv(write_csv(tmp_path, ["2020-03-24,1,0", f"2020-03-25,{10**20},0"]))
+        assert err.value.line_number == 3
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("day,cases,deaths\n2020-03-24,1,0\n")

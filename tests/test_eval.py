@@ -87,7 +87,7 @@ class TestSummarize:
 
 
 def zero_report(name="zero"):
-    return ErrorReport(name, "", np.zeros(15), 0.0, 0.0, "population")
+    return ErrorReport(name, "", np.zeros(15), 0.0, 0.0)
 
 
 class TestEmitTable:

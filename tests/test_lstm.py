@@ -145,6 +145,34 @@ class TestLstmStep:
             del ACTIVATIONS["identity"]
 
 
+class TestLstmParams:
+    def test_write_through_a_view_shows_in_flat(self):
+        params = LstmParams.zeros(hidden=2, input_dim=1)
+        params.b[3] = 5.0
+        offset = params.wx.size + params.wh.size
+        assert params.flat[offset + 3] == 5.0
+        assert np.count_nonzero(params.flat) == 1
+
+    def test_views_lie_in_order_in_flat(self):
+        params = LstmParams.zeros(hidden=3, input_dim=2)
+        for k, a in enumerate(params.arrays().values()):
+            a[...] = k + 1.0
+        sizes = (4 * 3 * 2, 4 * 3 * 3, 4 * 3, 2 * 3, 2)  # wx, wh, b, dense_w, dense_b
+        expected = np.concatenate([np.full(n, k + 1.0) for k, n in enumerate(sizes)])
+        np.testing.assert_array_equal(params.flat, expected)
+
+    def test_zeros_like_has_the_same_views_on_new_storage(self):
+        params = LstmParams.glorot(3, 2, np.random.default_rng(2))
+        before = params.flat.copy()
+        grads = params.zeros_like()
+        grads.dense_b[:] = 1.0
+        np.testing.assert_array_equal(grads.flat[:-2], 0.0)
+        np.testing.assert_array_equal(grads.flat[-2:], 1.0)
+        np.testing.assert_array_equal(params.flat, before)
+        for k, a in params.arrays().items():
+            assert grads.arrays()[k].shape == a.shape
+
+
 class TestForward:
     def test_zero_params_returns_dense_bias(self):
         params = LstmParams.zeros(hidden=3, input_dim=1)
@@ -171,21 +199,19 @@ class TestForward:
 
 
 def finite_difference_grads(params, inputs, target, g, step=1e-5):
-    """Central differences of the squared-error loss over every coordinate."""
-    grads = {}
-    for name, arr in params.arrays().items():
-        out = np.zeros_like(arr)
-        flat = arr.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            lp, _ = bptt_gradient(params, inputs, target, g)
-            flat[j] = orig - step
-            lm, _ = bptt_gradient(params, inputs, target, g)
-            flat[j] = orig
-            out.ravel()[j] = (lp - lm) / (2 * step)
-        grads[name] = out
-    return grads
+    """Central differences of the squared-error loss over every coordinate
+    of params.flat, perturbed in place (the named arrays see each change)."""
+    flat = params.flat
+    out = np.zeros_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + step
+        lp, _ = bptt_gradient(params, inputs, target, g)
+        flat[j] = orig - step
+        lm, _ = bptt_gradient(params, inputs, target, g)
+        flat[j] = orig
+        out[j] = (lp - lm) / (2 * step)
+    return out
 
 
 def max_relative_gradient_error(seed, hidden, lookback, g):
@@ -193,13 +219,13 @@ def max_relative_gradient_error(seed, hidden, lookback, g):
     params = LstmParams.glorot(hidden, 1, rng)
     inputs = rng.random((lookback, 1))
     target = rng.random(1)
-    _, analytic = bptt_gradient(params, inputs, target, g)
+    _, grads = bptt_gradient(params, inputs, target, g)
     numeric = finite_difference_grads(params, inputs, target, g)
-    worst = 0.0
-    for name in analytic:
-        denom = np.maximum(np.abs(numeric[name]), 1e-4)
-        worst = max(worst, float(np.max(np.abs(analytic[name] - numeric[name]) / denom)))
-    return worst
+    # bptt writes the named arrays, the differences perturb flat: read the
+    # former so that a view which stops aliasing flat shows as an error
+    analytic = np.concatenate([a.ravel() for a in grads.arrays().values()])
+    denom = np.maximum(np.abs(numeric), 1e-4)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 class TestBptt:
@@ -207,8 +233,7 @@ class TestBptt:
         params = LstmParams.zeros(hidden=3, input_dim=1)
         loss, grads = bptt_gradient(params, np.array([[0.5]]), np.array([0.0]))
         assert loss == 0.0
-        for g in grads.values():
-            np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(grads.flat, 0.0)
 
     def test_dense_bias_gradient_is_twice_the_error(self):
         rng = np.random.default_rng(11)
@@ -216,7 +241,7 @@ class TestBptt:
         inputs, target = rng.random((3, 1)), rng.random(1)
         y, _ = forward(params, inputs)
         _, grads = bptt_gradient(params, inputs, target)
-        np.testing.assert_allclose(grads["dense_b"], 2.0 * (y - target), rtol=1e-12)
+        np.testing.assert_allclose(grads.dense_b, 2.0 * (y - target), rtol=1e-12)
 
     @pytest.mark.parametrize("g", ["elu", "tanh"])
     def test_matches_finite_differences(self, g):
@@ -227,14 +252,13 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = LstmParams.zeros(hidden=2, input_dim=1)
         params.dense_b[:] = 3.0
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        adam_update(params, grads, AdamState.like(params))
+        adam_update(params, params.zeros_like(), AdamState.like(params))
         np.testing.assert_array_equal(params.dense_b, 3.0)
 
     def test_first_step_with_unit_gradient(self):
         params = LstmParams.zeros(hidden=1, input_dim=1)
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        grads["dense_b"] = np.array([1.0])
+        grads = params.zeros_like()
+        grads.dense_b[:] = 1.0
         adam_update(params, grads, AdamState.like(params), lr=1e-3)
         # bias-corrected first step: -lr * 1 / (1 + eps)
         assert abs(params.dense_b[0] + 1e-3) < 1e-10
@@ -243,12 +267,40 @@ class TestAdam:
         results = []
         for _ in range(2):
             params = LstmParams.zeros(hidden=2, input_dim=1)
-            grads = {k: np.full_like(v, 0.3) for k, v in params.arrays().items()}
+            grads = params.zeros_like()
+            grads.flat[:] = 0.3
             state = AdamState.like(params)
             for _ in range(3):
                 adam_update(params, grads, state)
             results.append(params.dense_w.copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+    def test_matches_per_array_reference_bitwise(self):
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(5)
+        params = LstmParams.glorot(3, 2, rng)
+        state = AdamState.like(params)
+        # reference: Adam one named array at a time, moments in dicts
+        expected = {k: a.copy() for k, a in params.arrays().items()}
+        m = {k: np.zeros_like(a) for k, a in expected.items()}
+        v = {k: np.zeros_like(a) for k, a in expected.items()}
+        for t in range(1, 4):
+            grads = params.zeros_like()
+            for a in grads.arrays().values():  # written through the named views
+                a[...] = rng.standard_normal(a.shape)
+            adam_update(params, grads, state, lr, beta1, beta2, eps)
+            bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+            for k, arr in expected.items():
+                grad = grads.arrays()[k]
+                m[k] *= beta1
+                m[k] += (1.0 - beta1) * grad
+                v[k] *= beta2
+                v[k] += (1.0 - beta2) * grad * grad
+                arr -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+        assert state.t == 3
+        np.testing.assert_array_equal(
+            params.flat, np.concatenate([expected[k].ravel() for k in LstmParams.NAMES])
+        )
 
 
 class TestTrain:
