@@ -14,7 +14,9 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import checkpoint
 from .classical import (
@@ -44,6 +46,7 @@ from .lstm import (
     TrainingDivergedError,
     run_schema,
     train_schema_model,
+    train_schema_models,
 )
 
 EXIT_OK = 0
@@ -180,13 +183,18 @@ def _prepare(args):
     return cfg, ts
 
 
+def _train_config(cfg: RunConfig, activation: str) -> TrainConfig:
+    return TrainConfig(epochs=cfg.epochs, activation=activation, seed=cfg.seed)
+
+
 def _forecast(ts, cfg: RunConfig, name: str, model=None):
     """Fit model `name` on the configured window and forecast the horizon.
 
     An `lstm-*` name trains its schema's LSTM with `cfg`, unless `model` is
     given, and runs the schema; a classical name fits on the cases of the
     window. Returns (ForecastRun, fit): the fit is the LstmModel or the
-    classical fit, which is what a checkpoint stores.
+    classical fit, which is what a checkpoint stores. A forecast with a NaN
+    or an infinity is a NonFiniteForecastError, whatever the model.
     """
     dates, actuals = forecast_horizon(ts, cfg.train_end, cfg.horizon)
     if name == "lstm-u1" and actuals is None:  # u1 reads them: fail before training
@@ -194,9 +202,9 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
     if name.startswith("lstm-"):
         schema = name.split("-", 1)[1]
         if model is None:
-            tcfg = TrainConfig(epochs=cfg.epochs, activation=cfg.activation, seed=cfg.seed)
             model = train_schema_model(
-                ts, schema, tcfg, cfg.train_start, cfg.train_end, cfg.lookback
+                ts, schema, _train_config(cfg, cfg.activation),
+                cfg.train_start, cfg.train_end, cfg.lookback,
             )
         run = run_schema(
             ts, schema, model.config, cfg.train_start, cfg.train_end,
@@ -215,6 +223,8 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
             fit = prophet_lite_fit(y)
             forecasts = prophet_lite_forecast(fit, cfg.horizon)
         run = ForecastRun("", cfg.train_start, cfg.train_end, dates, forecasts, actuals)
+    if not np.all(np.isfinite(run.forecasts)):
+        raise NonFiniteForecastError(f"non-finite forecast from {name}")
     if run.actuals is not None and (run.actuals <= 0).any():
         raise DataError("observed cases over the horizon must be positive to score APE")
     return run, fit
@@ -261,12 +271,17 @@ def cmd_reproduce(args) -> int:
         raise WindowError("reproduce scores every model, so it needs observed values "
                           "over the whole horizon")
     runs = {}  # table label -> ForecastRun
-    for activation in ("elu", "tanh"):
-        acfg = replace(cfg, activation=activation)
-        runs[f"U2-{activation}"], uni = _forecast(ts, acfg, "lstm-u2")
-        runs[f"U3-{activation}"], _ = _forecast(ts, acfg, "lstm-u3")
-        # u1 and u2 train the same univariate model, so u1 reuses u2's
-        runs[f"U1-{activation}"], _ = _forecast(ts, acfg, "lstm-u1", model=uni)
+    tcfgs = [_train_config(cfg, activation) for activation in ("elu", "tanh")]
+    # one lockstep elu/tanh pair per input dimension; u1 and u2 train the
+    # same univariate model, so u1 reuses u2's
+    for trained, schemas in (("u2", ("u2", "u1")), ("u3", ("u3",))):
+        models = train_schema_models(
+            ts, trained, tcfgs, cfg.train_start, cfg.train_end, cfg.lookback
+        )
+        for model in models:
+            for schema in schemas:
+                label = f"{schema.upper()}-{model.config.activation}"
+                runs[label], _ = _forecast(ts, cfg, f"lstm-{schema}", model=model)
     for name in ("arima", "hwaas", "prophet-lite"):
         runs[name], _ = _forecast(ts, cfg, name)
     reports = {

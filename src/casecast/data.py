@@ -131,7 +131,6 @@ class WindowedDataset:
     Sample k's target equals the first row of sample k+1's input block.
     """
 
-    lookback: int
     inputs: np.ndarray
     targets: np.ndarray
 
@@ -231,11 +230,19 @@ def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
 
 
 def fit_normalizer(ts: TimeSeries, bivariate: bool = False) -> NormalizationSpec:
-    """Per-channel min/max over the given (training) window only."""
+    """Per-channel min/max over the given (training) window only. A channel
+    that is constant over the window is a ConstantChannelError naming it."""
     if len(ts) < 2:
         raise DataError("need at least 2 observations to fit a normalizer")
     values = ts.channels(bivariate)
-    return NormalizationSpec(values.min(axis=0), values.max(axis=0))
+    mins, maxs = values.min(axis=0), values.max(axis=0)
+    for name, lo, hi in zip(("cases", "deaths"), mins, maxs):
+        if hi <= lo:
+            raise ConstantChannelError(
+                f"{name} is constant at {lo:.0f} over {ts.start}..{ts.end}, "
+                "so it cannot be normalized"
+            )
+    return NormalizationSpec(mins, maxs)
 
 
 def make_windows(values: np.ndarray, lookback: int) -> WindowedDataset:
@@ -251,4 +258,4 @@ def make_windows(values: np.ndarray, lookback: int) -> WindowedDataset:
         raise DataError(f"series of length {n} too short for lookback {lookback}")
     inputs = np.stack([values[k : k + lookback] for k in range(n - lookback)])
     targets = values[lookback:]
-    return WindowedDataset(lookback, inputs, targets)
+    return WindowedDataset(inputs, targets)

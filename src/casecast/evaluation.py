@@ -38,7 +38,11 @@ def ape_series(actuals, forecasts) -> np.ndarray:
 
 def summarize(forecasts, actuals, model: str, schema: str = "") -> ErrorReport:
     """Per-day APEs plus mean and population (divide-by-N) standard
-    deviation over the horizon."""
+    deviation over the horizon. A NaN or infinite input is a ValueError
+    naming the model."""
+    for label, values in (("forecast", forecasts), ("actual", actuals)):
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ValueError(f"non-finite {label} value for model {model!r}")
     apes = ape_series(actuals, forecasts)
     return ErrorReport(model, schema, apes, float(np.mean(apes)), float(np.std(apes)))
 
@@ -100,13 +104,16 @@ def emit_plot(
 ) -> None:
     """Static SVG 1.1 line chart: one polyline per named series over a shared
     x axis. The first series is drawn last (on top) in black when it is the
-    actuals trace named 'actual'."""
+    actuals trace named 'actual'. A NaN or infinite value is a ValueError
+    naming its series."""
     if not series:
         raise ValueError("nothing to plot")
     n = len(x_labels)
     for name, values in series:
         if len(values) != n:
             raise ValueError(f"series {name!r} length != axis length")
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ValueError(f"series {name!r} has a non-finite value")
     margin = 60
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin

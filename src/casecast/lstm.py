@@ -6,12 +6,20 @@ Gate layout: the four gate blocks are stacked row-wise in the order
 input, forget, output, candidate, so one matvec per source covers all
 gates. `forward` is the one implementation of the cell; callers that
 need a single gate slice the stacked arrays (block k is rows k*H..(k+1)*H).
+
+Member axis: `forward`, `bptt_gradient` and `adam_update` also take a stack
+of E independent models (`LstmParams.stack`) and advance all of them in one
+call, which is how `train` runs an ensemble in lockstep. Every stacked
+operation is a per-member matmul, a broadcast or an elementwise op, so row e
+of each result is bitwise what member e alone would give.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,8 +37,11 @@ SCHEMAS = ("u1", "u2", "u3")
 
 
 class TrainingDivergedError(Exception):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
+    def __init__(self, epoch: int, cfg: TrainConfig):
+        super().__init__(
+            f"non-finite training loss at epoch {epoch} "
+            f"(activation {cfg.activation}, seed {cfg.seed})"
+        )
         self.epoch = epoch
 
 
@@ -45,7 +56,8 @@ def elu(x):
 
 
 def _elu_grad(x, fx):
-    return np.where(np.asarray(x) > 0, 1.0, fx + 1.0)
+    # 1 where x > 0 (there fx + 1 = x + 1 > 1), else fx + 1 = exp(x) <= 1
+    return np.minimum(fx + 1.0, 1.0)
 
 
 def _tanh_grad(x, fx):
@@ -59,6 +71,33 @@ ACTIVATIONS = {
 }
 
 
+def _activation(g, members: int):
+    """(g, dg) for a stack of `members`: `g` is one activation name for all
+    of them or a sequence of names, one per member."""
+    if isinstance(g, str):
+        return ACTIVATIONS[g]
+    g = tuple(g)
+    if len(g) != members:
+        raise ValueError(f"{len(g)} activations for {members} members")
+    return ACTIVATIONS[g[0]] if len(set(g)) == 1 else _mixed_activation(g)
+
+
+@functools.lru_cache
+def _mixed_activation(names: tuple[str, ...]):
+    """Each activation is applied to every row, and np.where keeps each
+    member's own, so every row is exactly its activation's value."""
+    masks = {name: np.array([n == name for n in names])[:, None] for name in dict.fromkeys(names)}
+
+    def select(k, *args):
+        out = None
+        for name, mask in masks.items():
+            value = ACTIVATIONS[name][k](*args)
+            out = value if out is None else np.where(mask, value, out)
+        return out
+
+    return (lambda x: select(0, x)), (lambda x, fx: select(1, x, fx))
+
+
 # the doubles next to 0 and 1: 1 / (1 + exp(-x)) rounds to exactly 1.0 once
 # x > ~36.7 and to 0.0 once exp overflows (x < ~-709.8); sigmoid clamps to these
 # so a gate is never exactly shut or exactly open
@@ -66,11 +105,18 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function with values strictly inside (0, 1)."""
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-    return np.maximum(np.minimum(y, _SIGMOID_HI), _SIGMOID_LO)
+    return np.maximum(np.minimum(y, _SIGMOID_HI), _SIGMOID_LO, out=out)
+
+
+def _matvec(w, v):
+    """Row e is w[e] @ v[e]. Stacked np.matmul runs, per member, the same
+    BLAS kernel as the 2-D product of one model, also for a transposed w
+    (np.einsum does not)."""
+    return (w @ v[:, :, None])[:, :, 0]
 
 
 class LstmParams:
@@ -80,42 +126,60 @@ class LstmParams:
 
     wx (4H, D) input-to-gate, rows stacked i|f|o|c; wh (4H, H) hidden-to-gate;
     b (4H,); dense_w (D_out, H); dense_b (D_out,).
+
+    A stack of E models of one shape (`stack`) has `flat` of shape (E, P)
+    and the same views with a leading member axis: wx (E, 4H, D) and so on.
     """
 
     NAMES = ("wx", "wh", "b", "dense_w", "dense_b")
 
     def __init__(self, wx, wh, b, dense_w, dense_b):
         arrays = [np.asarray(a, dtype=float) for a in (wx, wh, b, dense_w, dense_b)]
-        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+
+    def _bind(self, flat, shapes):
+        """Point the named arrays at `flat`, (P,) or (E, P); `shapes` are
+        one model's."""
+        self.flat, self._shapes = flat, shapes
         start = 0
-        for name, a in zip(self.NAMES, arrays):
-            setattr(self, name, self.flat[start : start + a.size].reshape(a.shape))
-            start += a.size
+        for name, shape in zip(self.NAMES, shapes):
+            end = start + math.prod(shape)
+            setattr(self, name, flat[..., start:end].reshape(flat.shape[:-1] + shape))
+            start = end
+
+    def _on(self, flat):
+        """Parameters of this layout whose views lie on `flat`."""
+        params = object.__new__(LstmParams)
+        params._bind(flat, self._shapes)
+        return params
 
     @property
     def hidden(self) -> int:
-        return self.wh.shape[1]
+        return self.wh.shape[-1]
 
     @property
     def input_dim(self) -> int:
-        return self.wx.shape[1]
+        return self.wx.shape[-1]
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.NAMES}
 
     def zeros_like(self) -> "LstmParams":
         """Parameters of the same shapes, all zero (a gradient accumulator)."""
-        return LstmParams(**{k: np.zeros(a.shape) for k, a in self.arrays().items()})
+        return self._on(np.zeros(self.flat.shape))
 
     @classmethod
-    def zeros(cls, hidden: int, input_dim: int):
-        return cls(
-            wx=np.zeros((4 * hidden, input_dim)),
-            wh=np.zeros((4 * hidden, hidden)),
-            b=np.zeros(4 * hidden),
-            dense_w=np.zeros((input_dim, hidden)),
-            dense_b=np.zeros(input_dim),
-        )
+    def stack(cls, members: list["LstmParams"]) -> "LstmParams":
+        """E models of one shape as one stack, on a new (E, P) `flat`."""
+        return members[0]._on(np.stack([m.flat for m in members]))
+
+    def stacked(self) -> "LstmParams":
+        """One model as a stack of one member, sharing its storage."""
+        return self._on(self.flat[None])
+
+    def member(self, e: int) -> "LstmParams":
+        """Member e of a stack as one model, on a contiguous copy of its row."""
+        return self._on(self.flat[e].copy())
 
     @classmethod
     def glorot(cls, hidden: int, input_dim: int, rng: np.random.Generator):
@@ -134,7 +198,7 @@ class LstmParams:
         )
 
 
-def forward(params: LstmParams, inputs, g: str = "elu"):
+def forward(params: LstmParams, inputs, g="elu"):
     """Run the sequence from zero state and apply the linear head to the
     final hidden vector. Each step is
 
@@ -142,81 +206,103 @@ def forward(params: LstmParams, inputs, g: str = "elu"):
         c' = f*c + i*g(Wcx x + Wch h + bc); h' = o*g(c'),
 
     with the activation g applied both to the candidate and to the cell
-    output. Returns (y, cache); cache["steps"] holds one tuple
-    (x, h, c, i, f, o, a_c, g(a_c), c', g(c')) per step, everything
-    bptt_gradient needs for an exact reverse pass."""
-    gfun, _ = ACTIVATIONS[g]
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != params.input_dim:
-        raise ValueError(
-            f"input dim {inputs.shape[1]}, expected {params.input_dim}"
-        )
+    output. One model takes inputs (L, D) and returns y (D,); a stack of E
+    takes inputs (E, L, D), one activation name or one per member, and
+    returns y (E, D). Returns (y, cache). The cache holds, over L steps and
+    E members (E = 1 for one model), everything bptt_gradient needs for an
+    exact reverse pass: "x" (L, E, D); "h" and "c" (L+1, E, H), the states
+    before each step and after the last; "ifo" (L, E, 3H), the gates;
+    "a_c", "g_in" and "gc" (L, E, H): the candidate pre-activation, g of it
+    and g of the new cell state."""
+    inputs = np.asarray(inputs, dtype=float)
+    one = params.flat.ndim == 1
+    if one:
+        params, inputs = params.stacked(), np.atleast_2d(inputs)[None]
+    if inputs.shape[2] != params.input_dim:
+        raise ValueError(f"input dim {inputs.shape[2]}, expected {params.input_dim}")
+    members, steps = inputs.shape[:2]
+    gfun, _ = _activation(g, members)
     hdim = params.hidden
-    h = np.zeros(hdim)
-    c = np.zeros(hdim)
-    steps = []
-    for x in inputs:
-        a = params.wx @ x + params.wh @ h + params.b
-        ifo = sigmoid(a[: 3 * hdim])
-        i, f, o = ifo[:hdim], ifo[hdim : 2 * hdim], ifo[2 * hdim :]
-        a_c = a[3 * hdim :]
-        g_in = gfun(a_c)
-        c_new = f * c + i * g_in
-        gc = gfun(c_new)
-        steps.append((x, h, c, i, f, o, a_c, g_in, c_new, gc))
-        c = c_new
-        h = o * gc
-    y = params.dense_w @ h + params.dense_b
-    return y, {"steps": steps, "h_final": h, "g": g}
+    # the input term of every step in one matmul, still one product per
+    # (member, step), so each is the one a per-step matvec would give
+    xw = (params.wx[:, None] @ inputs[..., None])[..., 0]
+    h = np.zeros((steps + 1, members, hdim))
+    c = np.zeros((steps + 1, members, hdim))
+    ifo = np.empty((steps, members, 3 * hdim))
+    a_c, g_in, gc = np.empty((3, steps, members, hdim))
+    for t in range(steps):
+        # the state starts at zero: step 0 has no recurrent term
+        a = xw[:, t] + _matvec(params.wh, h[t]) + params.b if t else xw[:, t] + params.b
+        sigmoid(a[:, : 3 * hdim], out=ifo[t])
+        i, f, o = ifo[t, :, :hdim], ifo[t, :, hdim : 2 * hdim], ifo[t, :, 2 * hdim :]
+        a_c[t] = a[:, 3 * hdim :]
+        g_in[t] = gfun(a_c[t])
+        np.add(f * c[t], i * g_in[t], out=c[t + 1])
+        gc[t] = gfun(c[t + 1])
+        np.multiply(o, gc[t], out=h[t + 1])
+    y = _matvec(params.dense_w, h[steps]) + params.dense_b
+    cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "a_c": a_c,
+             "g_in": g_in, "gc": gc}
+    return (y[0] if one else y), cache
 
 
-def bptt_gradient(params: LstmParams, inputs, target, g: str = "elu"):
+def bptt_gradient(params: LstmParams, inputs, target, g="elu"):
     """Exact gradient of the squared error ||y - target||^2 with respect to
     every parameter array, by reverse-mode differentiation through the
-    unrolled recurrence. Returns (loss, grads), grads an LstmParams."""
-    _, dgfun = ACTIVATIONS[g]
+    unrolled recurrence. One model returns (loss, grads), grads an
+    LstmParams; a stack (inputs (E, L, D), targets (E, D)) returns the
+    losses (E,) and the stacked gradients."""
+    one = params.flat.ndim == 1
+    if one:
+        params = params.stacked()
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))[None]
+        target = np.asarray(target, dtype=float)[None]
     y, cache = forward(params, inputs, g)
-    target = np.asarray(target, dtype=float)
-    err = y - target
-    loss = float(err @ err)
+    _, dgfun = _activation(g, len(y))
+    err = y - np.asarray(target, dtype=float)
+    loss = (err[:, None, :] @ err[:, :, None])[:, 0, 0]
 
     hdim = params.hidden
+    x, h, c, ifo, g_in, gc = (cache[k] for k in ("x", "h", "c", "ifo", "g_in", "gc"))
+    # the factors that need no reverse-pass state, for every step at once
+    dgc, dga, not_ifo = dgfun(c[1:], gc), dgfun(cache["a_c"], g_in), 1.0 - ifo
     grads = params.zeros_like()
-    grads.dense_w += np.outer(2.0 * err, cache["h_final"])
+    grads.dense_w += (2.0 * err)[:, :, None] * h[-1][:, None, :]
     grads.dense_b += 2.0 * err
 
-    dh = params.dense_w.T @ (2.0 * err)
-    dc = np.zeros(hdim)
-    for x, h_prev, c_prev, i, f, o, a_c, g_in, c_new, gc in reversed(cache["steps"]):
-        do = dh * gc
-        dc = dc + dh * o * dgfun(c_new, gc)
-        di = dc * g_in
-        dg_in = dc * i
-        df = dc * c_prev
-        da = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg_in * dgfun(a_c, g_in),
-            ]
-        )
-        grads.wx += np.outer(da, x)
-        grads.wh += np.outer(da, h_prev)
+    dh = _matvec(params.dense_w.transpose(0, 2, 1), 2.0 * err)
+    dc = np.zeros(dh.shape)
+    d_ifo = np.empty((len(y), 3 * hdim))
+    da = np.empty((len(y), 4 * hdim))
+    for t in reversed(range(len(x))):
+        i, f, o = ifo[t, :, :hdim], ifo[t, :, hdim : 2 * hdim], ifo[t, :, 2 * hdim :]
+        np.multiply(dh, gc[t], out=d_ifo[:, 2 * hdim :])
+        dc = dc + dh * o * dgc[t]
+        np.multiply(dc, g_in[t], out=d_ifo[:, :hdim])
+        np.multiply(dc, c[t], out=d_ifo[:, hdim : 2 * hdim])
+        np.multiply(d_ifo * ifo[t], not_ifo[t], out=da[:, : 3 * hdim])
+        np.multiply(dc * i, dga[t], out=da[:, 3 * hdim :])
+        grads.wx += da[:, :, None] * x[t][:, None, :]
         grads.b += da
-        dh = params.wh.T @ da
-        dc = dc * f
+        if t:  # h[0] = 0 adds nothing to wh's gradient, and nothing flows past step 0
+            grads.wh += da[:, :, None] * h[t][:, None, :]
+            dh = _matvec(params.wh.transpose(0, 2, 1), da)
+            dc = dc * f
+    if one:
+        return float(loss[0]), grads.member(0)
     return loss, grads
 
 
 @dataclass
 class AdamState:
-    """Adam's moment estimates, flat vectors laid out like LstmParams.flat,
-    and the step count."""
+    """Adam's moment estimates, laid out like LstmParams.flat (one row per
+    member of a stack), the step count, and the spans of flat that Adam
+    steps: all of it unless some entries are known to get no gradient."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    live: tuple[slice, ...] = (slice(None),)
 
     @classmethod
     def like(cls, params: LstmParams):
@@ -232,17 +318,19 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """One Adam step with bias correction over the whole flat parameter
-    vector; updates params and state in place."""
+    """One Adam step with bias correction over the live spans of the flat
+    parameter vector, elementwise, so it steps every member of a stack at
+    once; updates params and state in place."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    grad, m, v = grads.flat, state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for span in state.live:
+        grad, m, v = grads.flat[..., span], state.m[..., span], state.v[..., span]
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        params.flat[..., span] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 @dataclass(frozen=True)
@@ -272,33 +360,57 @@ class LstmModel:
     epoch_losses: list[float]
 
 
-def train(dataset: WindowedDataset, cfg: TrainConfig) -> LstmModel:
-    """Batch-size-1 training: one Adam step per sample, sample order
-    reshuffled every epoch from the run's single seeded RNG (so the whole
-    run stays deterministic given the seed)."""
+def train(dataset: WindowedDataset, cfg: TrainConfig, *others: TrainConfig) -> list[LstmModel]:
+    """Batch-size-1 training of one model per config, all in lockstep: each
+    step takes one sample per member and one Adam step for all of them.
+
+    Each member draws its Glorot init and its per-epoch sample order from
+    its own np.random.default_rng(seed), so every returned model is bitwise
+    the one `train(dataset, its_config)` gives alone. Members may differ
+    only in seed and activation. If a mean epoch loss is non-finite,
+    TrainingDivergedError names the lowest-index member diverging at the
+    earliest such epoch."""
+    cfgs = (cfg, *others)
+    for other in others:
+        differ = [f.name for f in fields(TrainConfig)
+                  if getattr(other, f.name) != getattr(cfg, f.name)
+                  and f.name not in ("seed", "activation")]
+        if differ:
+            raise ValueError(
+                f"ensemble members may differ only in seed and activation, not in {differ}"
+            )
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    rng = np.random.default_rng(cfg.seed)
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
     input_dim = dataset.inputs.shape[2]
-    params = LstmParams.glorot(cfg.hidden, input_dim, rng)
+    params = LstmParams.stack([LstmParams.glorot(cfg.hidden, input_dim, rng) for rng in rngs])
+    activations = tuple(c.activation for c in cfgs)
     state = AdamState.like(params)
-    losses = []
+    if dataset.inputs.shape[1] == 1:
+        # one step from the zero state: wh gets no gradient, and Adam would
+        # move it by exactly 0, so only the entries around it are stepped
+        wx_end = params.wx[0].size
+        state.live = (slice(0, wx_end), slice(wx_end + params.wh[0].size, None))
     n = len(dataset)
-    for epoch in range(1, cfg.epochs + 1):
-        total = 0.0
-        for k in rng.permutation(n):
+    losses = np.empty((cfg.epochs, len(cfgs)))
+    for epoch in range(cfg.epochs):
+        total = np.zeros(len(cfgs))
+        # row j holds every member's j-th sample of this epoch
+        for ks in np.stack([rng.permutation(n) for rng in rngs], axis=1):
             loss, grads = bptt_gradient(
-                params, dataset.inputs[k], dataset.targets[k], cfg.activation
+                params, dataset.inputs[ks], dataset.targets[ks], activations
             )
             total += loss
             adam_update(
                 params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
             )
-        mean_loss = total / n
-        if not np.isfinite(mean_loss):
-            raise TrainingDivergedError(epoch)
-        losses.append(mean_loss)
-    return LstmModel(params, cfg, losses)
+        losses[epoch] = total / n
+        diverged = np.flatnonzero(~np.isfinite(losses[epoch]))
+        if diverged.size:
+            raise TrainingDivergedError(epoch + 1, cfgs[diverged[0]])
+    return [
+        LstmModel(params.member(e), c, losses[:, e].tolist()) for e, c in enumerate(cfgs)
+    ]
 
 
 def forecast_recursive(predict, seed_window: np.ndarray, horizon: int = 15):
@@ -339,6 +451,21 @@ def _schema_training_values(ts: TimeSeries, schema: str, train_start, train_end)
     return spec, spec.normalize(train_ts.channels(bivariate))
 
 
+def train_schema_models(
+    ts: TimeSeries,
+    schema: str,
+    cfgs: list[TrainConfig],
+    train_start: dt.date,
+    train_end: dt.date,
+    lookback: int = 1,
+) -> list[LstmModel]:
+    """Fit one model per config on the schema's training window, as one
+    lockstep ensemble (see `train`). u1 and u2 share the same (univariate)
+    training path; u3 is bivariate."""
+    _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
+    return train(make_windows(train_vals, lookback), *cfgs)
+
+
 def train_schema_model(
     ts: TimeSeries,
     schema: str,
@@ -347,10 +474,9 @@ def train_schema_model(
     train_end: dt.date,
     lookback: int = 1,
 ) -> LstmModel:
-    """Fit a model on the schema's training window. u1 and u2 share the same
-    (univariate) training path; u3 is bivariate."""
-    _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
-    return train(make_windows(train_vals, lookback), cfg)
+    """`train_schema_models` for one config."""
+    (model,) = train_schema_models(ts, schema, [cfg], train_start, train_end, lookback)
+    return model
 
 
 def run_schema(
@@ -377,7 +503,7 @@ def run_schema(
         raise WindowError("u1 needs observed values over the whole horizon")
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if model is None:
-        model = train(make_windows(train_vals, lookback), cfg)
+        (model,) = train(make_windows(train_vals, lookback), cfg)
     activation = model.config.activation
 
     def predict(window):

@@ -2,8 +2,8 @@
 
 Each test prints a single `[ACCEPTANCE] <name>: PASS|FAIL (...)` line with
 capture disabled, so the verdicts are visible in any pytest run, then asserts. The LSTM criteria share one session-scoped training matrix
-(5 seeds x 2 activations x {univariate, bivariate}) because full-scale
-training dominates the suite's runtime.
+(5 seeds x 2 activations x {univariate, bivariate}, trained as two lockstep
+ensembles) because full-scale training dominates the suite's runtime.
 """
 
 import itertools
@@ -21,7 +21,7 @@ from casecast.classical import (
     hw_forecast,
 )
 from casecast.evaluation import ape_series, summarize
-from casecast.lstm import run_schema, train_schema_model
+from casecast.lstm import run_schema, train_schema_model, train_schema_models
 from conftest import TRAIN_END, TRAIN_START
 from test_eval import HWAAS_COLUMN
 from test_lstm import max_relative_gradient_error
@@ -45,24 +45,29 @@ def train_cases(series):
 def lstm_matrix(series):
     """MAPEs for every (activation, schema, seed) cell at full scale.
 
-    u1 and u2 share one univariate model per (activation, seed); u3 trains
-    its own bivariate model. Also keeps each univariate loss curve.
+    The 20 models train as two lockstep ensembles of 10 (5 seeds x 2
+    activations), one per input dimension; each member is bitwise the model
+    its own `train` call would give. u1 and u2 share one univariate model per
+    (activation, seed); u3 has its own bivariate one. Also keeps each
+    univariate loss curve.
     """
+    cfgs = [
+        TrainConfig(activation=activation, seed=seed)
+        for activation, seed in itertools.product(("elu", "tanh"), SEEDS)
+    ]
     mapes = {}
     losses = {}
-    for activation, seed in itertools.product(("elu", "tanh"), SEEDS):
-        cfg = TrainConfig(activation=activation, seed=seed)
-        shared = train_schema_model(series, "u2", cfg, TRAIN_START, TRAIN_END)
-        losses[(activation, seed)] = shared.epoch_losses
-        for schema in ("u1", "u2"):
-            run = run_schema(
-                series, schema, cfg, TRAIN_START, TRAIN_END, HORIZON, model=shared
-            )
-            rep = summarize(run.forecasts, run.actuals, "lstm", schema)
-            mapes[(activation, schema, seed)] = rep.mape
-        run = run_schema(series, "u3", cfg, TRAIN_START, TRAIN_END, HORIZON)
-        rep = summarize(run.forecasts, run.actuals, "lstm", "u3")
-        mapes[(activation, "u3", seed)] = rep.mape
+    for trained, schemas in (("u2", ("u1", "u2")), ("u3", ("u3",))):
+        models = train_schema_models(series, trained, cfgs, TRAIN_START, TRAIN_END)
+        for cfg, model in zip(cfgs, models):
+            if trained == "u2":
+                losses[(cfg.activation, cfg.seed)] = model.epoch_losses
+            for schema in schemas:
+                run = run_schema(
+                    series, schema, cfg, TRAIN_START, TRAIN_END, HORIZON, model=model
+                )
+                rep = summarize(run.forecasts, run.actuals, "lstm", schema)
+                mapes[(cfg.activation, schema, cfg.seed)] = rep.mape
     return {"mapes": mapes, "losses": losses}
 
 

@@ -119,13 +119,24 @@ def _nan_dense_bias(monkeypatch):
     monkeypatch.setattr(cli, "train_schema_model", trained)
 
 
+def _nan_classical_forecast(monkeypatch):
+    """The HWAAS fit succeeds, then its forecast is NaN."""
+    real = cli.hw_forecast
+
+    def forecast(*args):
+        return np.full_like(real(*args), np.nan)
+
+    monkeypatch.setattr(cli, "hw_forecast", forecast)
+
+
 def _no_training(monkeypatch):
-    """Any training fails the test: the error must come before it."""
+    """Any training fails the test: the error must come before it. Every
+    model, alone or in a lockstep ensemble, is trained by `lstm.train`."""
 
     def refuse(*args):
         raise AssertionError("trained before the horizon was checked")
 
-    monkeypatch.setattr(cli, "train_schema_model", refuse)
+    monkeypatch.setattr(lstm, "train", refuse)
 
 
 class TestExitCodes:
@@ -152,13 +163,14 @@ class TestExitCodes:
              _no_training, EXIT_DATA),
             (["run", "--model", "hwaas", "--horizon", "1000000000"], None, EXIT_USAGE),
             (["validate", "--data", "{huge}"], None, EXIT_DATA),
+            (["run", "--model", "hwaas"], _nan_classical_forecast, EXIT_NUMERICAL),
         ],
         ids=[
             "bad-config-value", "out-is-a-file", "config-is-a-directory",
             "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
             "zero-actual-in-horizon", "training-diverges", "nan-dense-bias",
             "non-utf8-data", "u1-horizon-unobserved", "reproduce-horizon-unobserved",
-            "horizon-past-last-date", "count-exceeds-int64",
+            "horizon-past-last-date", "count-exceeds-int64", "nan-classical-forecast",
         ],
     )
     def test_failure_gives_documented_exit_code(self, tmp_path, monkeypatch, capsys,
@@ -184,6 +196,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(self.PREFIX[code]), err
         assert "Traceback" not in err
+
+    def test_constant_deaths_names_the_channel(self, tmp_path, capsys):
+        path = tmp_path / "flat-deaths.csv"
+        days = [dt.date(2020, 3, 11) + dt.timedelta(days=k) for k in range(59)]
+        path.write_text("date,total_cases,total_deaths\n"
+                        + "".join(f"{d},{100 + 10 * k},3\n" for k, d in enumerate(days)))
+        argv = ["run", "--model", "lstm-u3", "--epochs", "1", "--data", str(path),
+                "--out", str(tmp_path / "out")]
+        assert run_cli(*argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: deaths is constant at 3 over 2020-03-24..2020-04-23")
 
 
 @pytest.fixture(scope="module")

@@ -121,6 +121,15 @@ class TestNormalizer:
         with pytest.raises(ConstantChannelError):
             fit_normalizer(toy_series([5, 5, 5]))
 
+    def test_constant_channel_names_channel_value_and_window(self):
+        ts = toy_series([10, 20, 30])
+        ts = TimeSeries(ts.dates, ts.cases, np.array([7, 7, 7]))
+        assert fit_normalizer(ts).mins[0] == 10.0  # cases alone are not constant
+        with pytest.raises(
+            ConstantChannelError, match="deaths is constant at 7 over 2020-03-11..2020-03-13"
+        ):
+            fit_normalizer(ts, bivariate=True)
+
     def test_per_channel_independent(self, series):
         spec = fit_normalizer(series, bivariate=True)
         values = spec.normalize(series.channels(True))

@@ -75,6 +75,16 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(np.ones(3), np.ones(4), "m")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_the_model(self, bad):
+        values = np.full(15, 100.0)
+        broken = values.copy()
+        broken[4] = bad
+        with pytest.raises(ValueError, match="forecast value for model 'U2-elu'"):
+            summarize(broken, values, "U2-elu")
+        with pytest.raises(ValueError, match="actual value for model 'arima'"):
+            summarize(values, broken, "arima")
+
     def test_reference_column_recomputation(self):
         apes = np.array(HWAAS_COLUMN)
         assert round(float(np.mean(apes)), 2) == 0.47
@@ -147,3 +157,14 @@ class TestEmitPlot:
     def test_empty_input(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot([], [], str(tmp_path / "p.svg"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_names_the_series(self, tmp_path, bad):
+        path = tmp_path / "p.svg"
+        values = np.linspace(10, 20, 15)
+        broken = values.copy()
+        broken[7] = bad
+        with pytest.raises(ValueError, match="series 'U3' has a non-finite value"):
+            emit_plot([("actual", values), ("U3", broken)],
+                      [str(k) for k in range(15)], str(path))
+        assert not path.exists()

@@ -44,21 +44,34 @@ class TestSigmoid:
         assert y[2] == 0.5
 
 
+def zero_params(hidden, input_dim):
+    return LstmParams.glorot(hidden, input_dim, np.random.default_rng(0)).zeros_like()
+
+
 def gate_blocks(mat, hidden):
     """The input, forget, output and candidate blocks of a stacked array."""
     return [mat[k * hidden : (k + 1) * hidden] for k in range(4)]
 
 
 def cell_steps(params, inputs, g="elu"):
-    """forward's per-step cache as dicts keyed by the cell's quantities."""
+    """One model's forward cache as per-step dicts keyed by the cell's
+    quantities (the cache holds member 0 of a stack of one)."""
     _, cache = forward(params, inputs, g)
-    keys = ("x", "h", "c", "i", "f", "o", "a_c", "g_in", "c_new", "gc")
-    return [dict(zip(keys, step)) for step in cache["steps"]]
+    hdim = params.hidden
+    steps = []
+    for t in range(len(cache["x"])):
+        i, f, o = gate_blocks(cache["ifo"][t, 0], hdim)[:3]
+        steps.append({
+            "x": cache["x"][t, 0], "h": cache["h"][t, 0], "c": cache["c"][t, 0],
+            "i": i, "f": f, "o": o, "a_c": cache["a_c"][t, 0], "g_in": cache["g_in"][t, 0],
+            "c_new": cache["c"][t + 1, 0], "gc": cache["gc"][t, 0],
+        })
+    return steps
 
 
 class TestLstmStep:
     def test_all_zero_params(self):
-        params = LstmParams.zeros(hidden=3, input_dim=1)
+        params = zero_params(3, 1)
         for g in ("elu", "tanh"):
             (step,) = cell_steps(params, np.array([[0.7]]), g)
             np.testing.assert_allclose(step["i"], 0.5)
@@ -68,7 +81,7 @@ class TestLstmStep:
             np.testing.assert_allclose(step["o"] * step["gc"], 0.0)
 
     def test_saturated_forget_gate(self):
-        params = LstmParams.zeros(hidden=2, input_dim=1)
+        params = zero_params(2, 1)
         params.b[2:4] = 10.0  # forget-gate bias rows
         params.wx[6:8, 0] = [3.0, -0.5]  # candidate rows: step one writes the cell
         # step two sees x = 0 and (with wh = 0) a zero candidate, so only f acts
@@ -107,7 +120,7 @@ class TestLstmStep:
             assert abs((step["o"] * step["gc"])[0] - h) < 1e-12
 
     def test_dimension_mismatch(self):
-        params = LstmParams.zeros(hidden=2, input_dim=1)
+        params = zero_params(2, 1)
         with pytest.raises(ValueError):
             forward(params, np.array([1.0, 2.0]))
 
@@ -147,14 +160,14 @@ class TestLstmStep:
 
 class TestLstmParams:
     def test_write_through_a_view_shows_in_flat(self):
-        params = LstmParams.zeros(hidden=2, input_dim=1)
+        params = zero_params(2, 1)
         params.b[3] = 5.0
         offset = params.wx.size + params.wh.size
         assert params.flat[offset + 3] == 5.0
         assert np.count_nonzero(params.flat) == 1
 
     def test_views_lie_in_order_in_flat(self):
-        params = LstmParams.zeros(hidden=3, input_dim=2)
+        params = zero_params(3, 2)
         for k, a in enumerate(params.arrays().values()):
             a[...] = k + 1.0
         sizes = (4 * 3 * 2, 4 * 3 * 3, 4 * 3, 2 * 3, 2)  # wx, wh, b, dense_w, dense_b
@@ -175,7 +188,7 @@ class TestLstmParams:
 
 class TestForward:
     def test_zero_params_returns_dense_bias(self):
-        params = LstmParams.zeros(hidden=3, input_dim=1)
+        params = zero_params(3, 1)
         params.dense_b[:] = 4.25
         y, _ = forward(params, np.array([[0.1], [0.9]]))
         np.testing.assert_allclose(y, 4.25)
@@ -230,7 +243,7 @@ def max_relative_gradient_error(seed, hidden, lookback, g):
 
 class TestBptt:
     def test_zero_loss_gives_zero_gradient(self):
-        params = LstmParams.zeros(hidden=3, input_dim=1)
+        params = zero_params(3, 1)
         loss, grads = bptt_gradient(params, np.array([[0.5]]), np.array([0.0]))
         assert loss == 0.0
         np.testing.assert_array_equal(grads.flat, 0.0)
@@ -250,13 +263,13 @@ class TestBptt:
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = LstmParams.zeros(hidden=2, input_dim=1)
+        params = zero_params(2, 1)
         params.dense_b[:] = 3.0
         adam_update(params, params.zeros_like(), AdamState.like(params))
         np.testing.assert_array_equal(params.dense_b, 3.0)
 
     def test_first_step_with_unit_gradient(self):
-        params = LstmParams.zeros(hidden=1, input_dim=1)
+        params = zero_params(1, 1)
         grads = params.zeros_like()
         grads.dense_b[:] = 1.0
         adam_update(params, grads, AdamState.like(params), lr=1e-3)
@@ -266,7 +279,7 @@ class TestAdam:
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            params = LstmParams.zeros(hidden=2, input_dim=1)
+            params = zero_params(2, 1)
             grads = params.zeros_like()
             grads.flat[:] = 0.3
             state = AdamState.like(params)
@@ -307,17 +320,114 @@ class TestTrain:
     def test_reachable_targets_drive_loss_to_zero(self):
         inputs = np.full((5, 1, 1), 0.5)
         targets = np.full((5, 1), 0.5)
-        ds = WindowedDataset(1, inputs, targets)
-        model = train(ds, TrainConfig(epochs=400, hidden=8, seed=0))
+        ds = WindowedDataset(inputs, targets)
+        (model,) = train(ds, TrainConfig(epochs=400, hidden=8, seed=0))
         assert model.epoch_losses[-1] < 1e-6
 
     def test_same_seed_is_bitwise_identical(self):
         values = np.linspace(0.0, 1.0, 12)
         ds = make_windows(values, lookback=2)
         cfg = TrainConfig(epochs=5, hidden=4, seed=9)
-        m1, m2 = train(ds, cfg), train(ds, cfg)
+        (m1,), (m2,) = train(ds, cfg), train(ds, cfg)
         for k, a in m1.params.arrays().items():
             np.testing.assert_array_equal(a, m2.params.arrays()[k])
+
+
+def lockstep_dataset(input_dim, lookback):
+    values = np.cumsum(np.random.default_rng(input_dim).random((14, input_dim)), axis=0)
+    return make_windows(values / values.max(axis=0), lookback)
+
+
+MEMBERS = [("elu", 3), ("tanh", 4), ("elu", 5)]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("input_dim", [1, 2])
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_members_equal_their_serial_runs_bitwise(self, input_dim, lookback):
+        ds = lockstep_dataset(input_dim, lookback)
+        cfgs = [TrainConfig(epochs=4, hidden=5, activation=a, seed=s) for a, s in MEMBERS]
+        ensemble = train(ds, *cfgs)
+        assert [m.config for m in ensemble] == cfgs
+        for cfg, member in zip(cfgs, ensemble):
+            (alone,) = train(ds, cfg)
+            assert member.params.flat.tobytes() == alone.params.flat.tobytes()
+            assert member.epoch_losses == alone.epoch_losses
+            assert member.params.flat.flags.c_contiguous and member.params.flat.ndim == 1
+
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_one_member_equals_a_plain_bptt_and_adam_loop(self, lookback):
+        # the reference steps all of flat with Adam; at lookback 1 train skips wh
+        ds = lockstep_dataset(1, lookback)
+        cfg = TrainConfig(epochs=3, hidden=5, activation="tanh", seed=6)
+        rng = np.random.default_rng(cfg.seed)
+        params = LstmParams.glorot(cfg.hidden, 1, rng)
+        state = AdamState.like(params)
+        losses = []
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for k in rng.permutation(len(ds)):
+                loss, grads = bptt_gradient(params, ds.inputs[k], ds.targets[k], cfg.activation)
+                total += loss
+                adam_update(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2,
+                            cfg.epsilon)
+            losses.append(total / len(ds))
+        (model,) = train(ds, cfg)
+        assert model.params.flat.tobytes() == params.flat.tobytes()
+        assert model.epoch_losses == losses
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 6), ("epochs", 3), ("learning_rate", 2e-3),
+    ])
+    def test_members_may_differ_only_in_seed_and_activation(self, field, value):
+        base = TrainConfig(epochs=2, hidden=5)
+        other = TrainConfig(**{**base.__dict__, "seed": 7, "activation": "tanh", field: value})
+        with pytest.raises(ValueError, match=field):
+            train(lockstep_dataset(1, 1), base, other)
+
+    @pytest.mark.parametrize("nan_from, named", [
+        ({1: 1, 2: 1}, 1),  # two members at epoch 1: the lower index
+        ({0: 2, 2: 1}, 2),  # member 2 at epoch 1 comes before member 0 at epoch 2
+    ], ids=["lower-index-first", "earlier-epoch-first"])
+    def test_divergence_names_the_first_diverging_member(self, monkeypatch, nan_from, named):
+        ds = lockstep_dataset(1, 1)
+        cfgs = [TrainConfig(epochs=3, hidden=5, activation=a, seed=s) for a, s in MEMBERS]
+        real, calls = lstm.bptt_gradient, []
+
+        def nan_loss(*args):
+            loss, grads = real(*args)
+            epoch = len(calls) // len(ds) + 1
+            calls.append(epoch)
+            for member, first in nan_from.items():
+                if epoch >= first:
+                    loss[member] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(lstm, "bptt_gradient", nan_loss)
+        with pytest.raises(lstm.TrainingDivergedError) as info:
+            train(ds, *cfgs)
+        activation, seed = MEMBERS[named]
+        epoch = nan_from[named]
+        assert info.value.epoch == epoch and max(calls) == epoch
+        assert str(info.value) == (
+            f"non-finite training loss at epoch {epoch} (activation {activation}, seed {seed})"
+        )
+
+    def test_stack_views_share_flat_and_members_copy_their_row(self):
+        rng = np.random.default_rng(8)
+        singles = [LstmParams.glorot(3, 2, rng) for _ in range(2)]
+        stack = LstmParams.stack(singles)
+        assert stack.flat.shape == (2, singles[0].flat.size)
+        for name, a in stack.arrays().items():
+            assert a.shape == (2,) + singles[0].arrays()[name].shape
+            assert np.shares_memory(a, stack.flat)
+        stack.b[1, 0] = 9.0
+        member = stack.member(1)
+        assert member.b[0] == 9.0 and not np.shares_memory(member.flat, stack.flat)
+        assert member.flat.tobytes() == stack.flat[1].tobytes()
+        one = singles[0].stacked()
+        one.dense_b[0, :] = 4.0
+        np.testing.assert_array_equal(singles[0].dense_b, 4.0)
 
 
 def predict_last(window):
@@ -374,14 +484,14 @@ class TestRunSchema:
         oracle = iter(spec.normalize(test_actuals[:, None]))
         monkeypatch.setattr(lstm, "forward", lambda params, window, g="elu": (next(oracle), {}))
         cfg = TrainConfig(epochs=1, hidden=4)
-        model = LstmModel(LstmParams.zeros(hidden=4, input_dim=1), cfg, [])
+        model = LstmModel(zero_params(4, 1), cfg, [])
 
         run = run_schema(series, "u2", cfg, TRAIN_START, TRAIN_END, model=model)
         np.testing.assert_allclose(run.forecasts, test_actuals, rtol=1e-12)
 
     def test_non_finite_forecast_names_the_schema(self, series):
         cfg = TrainConfig(epochs=1, hidden=4)
-        params = LstmParams.zeros(hidden=4, input_dim=1)
+        params = zero_params(4, 1)
         params.dense_b[:] = np.nan
         model = LstmModel(params, cfg, [])
         with pytest.raises(NonFiniteForecastError, match="schema u2"):
