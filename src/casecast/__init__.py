@@ -22,23 +22,4 @@ from .lstm import (
     train_schema_model,
 )
 
-__all__ = [
-    "TimeSeries",
-    "NormalizationSpec",
-    "WindowedDataset",
-    "bundled_dataset_path",
-    "load_csv",
-    "slice_window",
-    "fit_normalizer",
-    "make_windows",
-    "LstmParams",
-    "LstmModel",
-    "TrainConfig",
-    "ForecastRun",
-    "train",
-    "forecast_recursive",
-    "run_schema",
-    "train_schema_model",
-]
-
 __version__ = "0.1.0"

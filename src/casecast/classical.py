@@ -23,7 +23,7 @@ class FitError(Exception):
 @dataclass(frozen=True)
 class ArimaFit:
     order: tuple[int, int, int]
-    intercept: float
+    intercept: float  # always 0.0: no intercept is fitted; kept in checkpoints
     coefficients: np.ndarray  # phi_1..phi_p
     residuals: np.ndarray  # in-sample one-step errors on the differenced scale
     condition_number: float
@@ -37,59 +37,40 @@ def difference(series) -> np.ndarray:
     return np.diff(series)
 
 
-def integrate(diffs, first_value: float) -> np.ndarray:
-    """Inverse of difference: cumulative sum prepended with the first value."""
-    return np.concatenate([[first_value], first_value + np.cumsum(diffs)])
-
-
-def fit_ar(diff_series, p: int = 6, intercept: bool = False) -> ArimaFit:
-    """OLS of y_t on (1, y_{t-1}, ..., y_{t-p}) over t = p+1..n.
+def fit_arima(series, p: int = 6) -> ArimaFit:
+    """Difference once to y, then OLS of y_t on (y_{t-1}, ..., y_{t-p})
+    over t = p+1..n, with no intercept.
 
     Conditional least squares; exact for models without MA terms.
     """
-    y = np.asarray(diff_series, dtype=float)
+    y = difference(series)
     n = len(y)
     if n < 2 * p + 2:
         raise FitError(f"need at least {2 * p + 2} differenced points, got {n}")
-    rows = np.column_stack([y[p - k - 1 : n - k - 1] for k in range(p)])
-    design = np.column_stack([np.ones(n - p), rows]) if intercept else rows
+    design = np.column_stack([y[p - k - 1 : n - k - 1] for k in range(p)])
     target = y[p:]
     cond = float(np.linalg.cond(design))
     if cond > 1e12:
         raise FitError(f"singular normal equations, condition number {cond:.3g}")
-    beta, *_ = np.linalg.lstsq(design, target, rcond=None)
-    if intercept:
-        c, phi = beta[0], beta[1:]
-    else:
-        c, phi = 0.0, beta
-    residuals = target - design @ beta
-    return ArimaFit((p, 1, 0), float(c), phi, residuals, cond)
+    phi, *_ = np.linalg.lstsq(design, target, rcond=None)
+    return ArimaFit((p, 1, 0), 0.0, phi, target - design @ phi, cond)
 
 
-def forecast_arima(fit: ArimaFit, last_diffs, last_level: float, horizon: int = 15):
-    """Iterate the AR recursion on the differenced scale, feeding forecasts
-    back, then integrate from the last observed level."""
+def forecast_arima_from_series(fit: ArimaFit, series, horizon: int = 15):
+    """Iterate the AR recursion on the differences of `series`, feeding
+    forecasts back, then integrate from its last observed level."""
+    series = np.asarray(series, dtype=float)
     p = fit.order[0]
-    hist = list(np.asarray(last_diffs, dtype=float)[-p:])
+    hist = list(difference(series)[-p:])
     if len(hist) < p:
         raise FitError(f"need the last {p} differences")
     steps = []
     for _ in range(horizon):
-        nxt = fit.intercept + float(np.dot(fit.coefficients, hist[::-1]))
+        nxt = float(np.dot(fit.coefficients, hist[::-1]))
         steps.append(nxt)
         hist.append(nxt)
         hist.pop(0)
-    return last_level + np.cumsum(steps)
-
-
-def fit_arima(series, p: int = 6, intercept: bool = False) -> ArimaFit:
-    """Difference once, then conditional least squares."""
-    return fit_ar(difference(series), p, intercept)
-
-
-def forecast_arima_from_series(fit: ArimaFit, series, horizon: int = 15):
-    series = np.asarray(series, dtype=float)
-    return forecast_arima(fit, difference(series), series[-1], horizon)
+    return series[-1] + np.cumsum(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +218,6 @@ def prophet_lite_fit(
 def prophet_lite_forecast(fit: ProphetLiteFit, horizon: int = 15) -> np.ndarray:
     """Extend the design matrix past the training range; the last trend
     segment extrapolates linearly, seasonality repeats."""
-    if horizon == 0:
-        return np.empty(0)
     t = np.arange(fit.n_train, fit.n_train + horizon, dtype=float)
     design = _prophet_design(t, fit.changepoints, fit.fourier_order)
     return design @ fit.coefficients
-
-
-def prophet_lite_fitted(fit: ProphetLiteFit) -> np.ndarray:
-    t = np.arange(fit.n_train, dtype=float)
-    return _prophet_design(t, fit.changepoints, fit.fourier_order) @ fit.coefficients

@@ -37,7 +37,7 @@ from .data import (
     load_csv,
     slice_window,
 )
-from .evaluation import emit_plot, emit_table, summarize, write_summary_csv
+from .evaluation import emit_plot, emit_table, summarize, write_lines, write_summary_csv
 from .lstm import (
     ACTIVATIONS,
     ForecastRun,
@@ -222,7 +222,7 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
         else:
             fit = prophet_lite_fit(y)
             forecasts = prophet_lite_forecast(fit, cfg.horizon)
-        run = ForecastRun("", cfg.train_start, cfg.train_end, dates, forecasts, actuals)
+        run = ForecastRun(dates, forecasts, actuals)
     if not np.all(np.isfinite(run.forecasts)):
         raise NonFiniteForecastError(f"non-finite forecast from {name}")
     if run.actuals is not None and (run.actuals <= 0).any():
@@ -235,8 +235,7 @@ def _write_forecast_csv(path, run: ForecastRun, seed):
     for k, d in enumerate(run.dates):
         actual = "" if run.actuals is None else repr(float(run.actuals[k]))
         lines.append(f"{d.isoformat()},{repr(float(run.forecasts[k]))},{actual}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def cmd_validate(args) -> int:
@@ -285,8 +284,7 @@ def cmd_reproduce(args) -> int:
     for name in ("arima", "hwaas", "prophet-lite"):
         runs[name], _ = _forecast(ts, cfg, name)
     reports = {
-        label: summarize(run.forecasts, run.actuals, label, run.schema)
-        for label, run in runs.items()
+        label: summarize(run.forecasts, run.actuals, label) for label, run in runs.items()
     }
 
     # table1: activation ablation (MAPE per schema x activation)
@@ -297,8 +295,7 @@ def cmd_reproduce(args) -> int:
             r = reports[f"{schema.upper()}-{activation}"]
             row.append(f"{r.mape:.2f}±{r.std:.2f}")
         lines.append(",".join(row))
-    with open(os.path.join(cfg.out, "table1.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(cfg.out, "table1.csv"), lines)
 
     table2_labels = ["U1-elu", "U2-elu", "U3-elu", "arima", "prophet-lite", "hwaas"]
     emit_table([reports[k] for k in table2_labels], os.path.join(cfg.out, "table2.csv"))
@@ -350,8 +347,7 @@ def cmd_reproduce(args) -> int:
         "Outputs: table1.csv (activation ablation), table2.csv (per-day errors),",
         "fig3.svg (LSTM schemas), fig4.svg (method comparison).",
     ]
-    with open(os.path.join(cfg.out, "summary.md"), "w", newline="\n") as fh:
-        fh.write("\n".join(summary) + "\n")
+    write_lines(os.path.join(cfg.out, "summary.md"), summary)
 
     for name, (label, ref, _, _) in REFERENCE.items():
         print(f"{name}: MAPE {reports[label].mape:.2f} % (reference {ref:.2f} %)")

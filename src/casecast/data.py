@@ -55,29 +55,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Daily cumulative counts: one mandatory channel (cases), one optional
-    (deaths). Dates are strictly consecutive calendar days."""
+    """Daily cumulative counts of two channels, cases and deaths. Dates are
+    strictly consecutive calendar days."""
 
     dates: tuple[dt.date, ...]
     cases: np.ndarray
-    deaths: np.ndarray | None = None
+    deaths: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "cases", _freeze(np.asarray(self.cases, dtype=np.int64)))
-        if len(self.dates) != len(self.cases):
-            raise DataError("dates and cases length mismatch")
         for a, b in zip(self.dates, self.dates[1:]):
             if b - a != DAY:
                 raise DateOrderError(f"dates not consecutive: {a} -> {b}")
-        if np.any(np.diff(self.cases) < 0):
-            raise NonMonotoneError("cases channel decreases")
-        if self.deaths is not None:
-            object.__setattr__(self, "deaths", _freeze(np.asarray(self.deaths, dtype=np.int64)))
-            if len(self.deaths) != len(self.cases):
-                raise DataError("deaths and cases length mismatch")
-            if np.any(np.diff(self.deaths) < 0):
-                raise NonMonotoneError("deaths channel decreases")
+        for name in ("cases", "deaths"):
+            values = _freeze(np.asarray(getattr(self, name), dtype=np.int64))
+            object.__setattr__(self, name, values)
+            if len(values) != len(self.dates):
+                raise DataError(f"dates and {name} length mismatch")
+            if np.any(np.diff(values) < 0):
+                raise NonMonotoneError(f"{name} channel decreases")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -93,8 +89,6 @@ class TimeSeries:
     def channels(self, bivariate: bool) -> np.ndarray:
         """Values as an (n, D) float array, D=2 when bivariate."""
         if bivariate:
-            if self.deaths is None:
-                raise DataError("bivariate view requested but no deaths channel")
             return np.column_stack([self.cases, self.deaths]).astype(float)
         return self.cases.astype(float)[:, None]
 
@@ -214,8 +208,7 @@ def slice_window(ts: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
         )
     i = (start - ts.start).days
     j = (end - ts.start).days + 1
-    deaths = ts.deaths[i:j] if ts.deaths is not None else None
-    return TimeSeries(ts.dates[i:j], ts.cases[i:j], deaths)
+    return TimeSeries(ts.dates[i:j], ts.cases[i:j], ts.deaths[i:j])
 
 
 def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):

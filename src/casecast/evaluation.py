@@ -19,14 +19,9 @@ class ErrorReport:
     std: float  # population (divide-by-N) standard deviation
 
 
-def ape(actual: float, forecast: float) -> float:
-    """|actual - forecast| / actual * 100."""
-    if actual <= 0:
-        raise ValueError(f"actual must be positive, got {actual}")
-    return abs(actual - forecast) / actual * 100.0
-
-
 def ape_series(actuals, forecasts) -> np.ndarray:
+    """Per-entry |actual - forecast| / actual * 100; every actual must be
+    positive."""
     actuals = np.asarray(actuals, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)
     if actuals.shape != forecasts.shape:
@@ -45,6 +40,13 @@ def summarize(forecasts, actuals, model: str, schema: str = "") -> ErrorReport:
             raise ValueError(f"non-finite {label} value for model {model!r}")
     apes = ape_series(actuals, forecasts)
     return ErrorReport(model, schema, apes, float(np.mean(apes)), float(np.std(apes)))
+
+
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write `lines` to `path` as UTF-8 text, each ending in LF, whatever
+    the locale, so an artifact's bytes do not depend on the machine."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_table(reports: list[ErrorReport], path: str) -> None:
@@ -70,8 +72,7 @@ def emit_table(reports: list[ErrorReport], path: str) -> None:
     for r in reports:
         row += [f"{r.mape:.2f}±{r.std:.2f}", repr(float(r.mape))]
     lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_summary_csv(reports: list[ErrorReport], path: str) -> None:
@@ -80,8 +81,7 @@ def write_summary_csv(reports: list[ErrorReport], path: str) -> None:
     lines = ["model,schema,mape,std,convention"]
     for r in reports:
         lines.append(f"{r.model},{r.schema},{r.mape!r},{r.std!r},population")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 _PALETTE = [
@@ -162,5 +162,4 @@ def emit_plot(
             f'text-anchor="end">{v:.0f}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts)

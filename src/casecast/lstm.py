@@ -52,7 +52,8 @@ class NonFiniteForecastError(Exception):
 def elu(x):
     """x for x > 0, exp(x) - 1 otherwise (alpha = 1)."""
     x = np.asarray(x, dtype=float)
-    return np.where(x > 0, x, np.expm1(x))
+    # expm1 only where x <= 0: on a large positive x it would overflow
+    return np.expm1(x, out=x.copy(), where=x <= 0)
 
 
 def _elu_grad(x, fx):
@@ -432,9 +433,6 @@ def forecast_recursive(predict, seed_window: np.ndarray, horizon: int = 15):
 
 @dataclass(frozen=True)
 class ForecastRun:
-    schema: str
-    train_start: dt.date
-    train_end: dt.date
     dates: tuple[dt.date, ...]
     forecasts: np.ndarray  # predicted total cases, original units
     actuals: np.ndarray | None  # observed total cases where available
@@ -525,4 +523,4 @@ def run_schema(
     forecasts = denorm[:, 0]
     if not np.all(np.isfinite(forecasts)):
         raise NonFiniteForecastError(f"non-finite forecast under schema {schema}")
-    return ForecastRun(schema, train_start, train_end, forecast_dates, forecasts, actuals)
+    return ForecastRun(forecast_dates, forecasts, actuals)

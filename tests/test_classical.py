@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casecast.classical import (
+    ArimaFit,
     FitError,
     HwFit,
     _hw_affine_pass,
     difference,
-    fit_ar,
     fit_arima,
-    forecast_arima,
     forecast_arima_from_series,
     hw_fit,
     hw_forecast,
-    integrate,
     prophet_lite_fit,
-    prophet_lite_fitted,
     prophet_lite_forecast,
 )
 from conftest import TRAIN_END, TRAIN_START
@@ -36,14 +33,6 @@ class TestDifference:
         with pytest.raises(FitError):
             difference([1.0])
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40))
-    def test_integrate_inverts(self, values):
-        series = np.array(values)
-        np.testing.assert_allclose(
-            integrate(difference(series), series[0]), series, rtol=1e-9, atol=1e-6
-        )
-
 
 def synth_ar(phi, n, seed=0):
     """Noiseless AR(p) trajectory from random initial conditions."""
@@ -56,12 +45,15 @@ def synth_ar(phi, n, seed=0):
 
 
 class TestFitAr:
+    """fit_arima on series whose first differences are the AR process."""
+
     def test_recovers_ar1_exactly(self):
-        y = [1.0]
+        d = [1.0]
         for _ in range(30):
-            y.append(0.5 * y[-1])
-        fit = fit_ar(np.array(y), p=1, intercept=False)
+            d.append(0.5 * d[-1])
+        fit = fit_arima(np.cumsum(d), p=1)
         assert abs(fit.coefficients[0] - 0.5) < 1e-10
+        assert fit.intercept == 0.0
 
     @pytest.mark.parametrize(
         "phi",
@@ -72,43 +64,62 @@ class TestFitAr:
         ],
     )
     def test_recovers_noiseless_coefficients(self, phi):
-        y = synth_ar(phi, 60)
-        fit = fit_ar(y, p=len(phi), intercept=False)
+        y = np.cumsum(synth_ar(phi, 60))
+        fit = fit_arima(y, p=len(phi))
         np.testing.assert_allclose(fit.coefficients, phi, atol=1e-8)
 
     def test_white_noise_gives_small_coefficients(self):
         rng = np.random.default_rng(123)
-        y = rng.standard_normal(400)
-        fit = fit_ar(y, p=6, intercept=True)
+        d = rng.standard_normal(400)
+        fit = fit_arima(np.cumsum(d), p=6)
         assert np.all(np.abs(fit.coefficients) < 0.15)
-        r2 = 1.0 - np.var(fit.residuals) / np.var(y[6:])
+        r2 = 1.0 - np.var(fit.residuals) / np.var(d[7:])
         assert r2 < 0.05
 
     def test_residual_variance_bounded_on_training_window(self, series):
         y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+        fit = fit_arima(y, p=6)
         d = difference(y)
-        fit = fit_ar(d, p=6, intercept=True)
         assert np.var(fit.residuals) <= np.var(d[6:]) + 1e-9
 
     def test_too_short(self):
         with pytest.raises(FitError):
-            fit_ar(np.arange(10.0), p=6)
+            fit_arima(np.arange(14.0), p=6)
 
 
 class TestForecastArima:
     def test_pure_drift(self):
-        from casecast.classical import ArimaFit
-
-        fit = ArimaFit((2, 1, 0), 7.0, np.zeros(2), np.zeros(1), 1.0)
-        out = forecast_arima(fit, [0.0, 0.0], last_level=100.0, horizon=4)
+        # phi = 1 on the differences carries the last difference forward
+        fit = ArimaFit((2, 1, 0), 0.0, np.array([1.0, 0.0]), np.zeros(1), 1.0)
+        out = forecast_arima_from_series(fit, [79.0, 86.0, 93.0, 100.0], horizon=4)
         np.testing.assert_allclose(out, [107.0, 114.0, 121.0, 128.0])
 
     def test_horizon_one_is_one_ar_step(self):
-        y = synth_ar([0.4, -0.3], 40, seed=2)
-        fit = fit_ar(y, p=2, intercept=False)
-        out = forecast_arima(fit, y, last_level=50.0, horizon=1)
-        expected = 50.0 + fit.coefficients[0] * y[-1] + fit.coefficients[1] * y[-2]
+        d = synth_ar([0.4, -0.3], 40, seed=2)
+        y = 50.0 + np.cumsum(d)
+        fit = fit_arima(y, p=2)
+        out = forecast_arima_from_series(fit, y, horizon=1)
+        expected = y[-1] + fit.coefficients[0] * d[-1] + fit.coefficients[1] * d[-2]
         assert abs(out[0] - expected) < 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-0.15, max_value=0.15), min_size=1, max_size=6),
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_continues_exact_ar_differences(self, phi, level, seed):
+        # a series whose differences follow an exact AR(p) is continued
+        # exactly: the forecast is the differences' own continuation,
+        # integrated from the last level
+        d = synth_ar(phi, 2 * len(phi) + 10, seed)
+        y = level + np.cumsum(d)
+        fit = ArimaFit((len(phi), 1, 0), 0.0, np.array(phi), np.zeros(1), 1.0)
+        expected = synth_ar(phi, len(d) + 8, seed)[len(d) :]
+        np.testing.assert_allclose(
+            forecast_arima_from_series(fit, y, 8), y[-1] + np.cumsum(expected),
+            rtol=1e-9, atol=1e-6,
+        )
 
     def test_full_scale_day_one(self, series, test_actuals):
         y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
@@ -223,8 +234,7 @@ class TestProphetLite:
         pattern = np.array([0.0, 2.0, -1.0, 3.0, -2.0, 1.0, -3.0])
         y = 50.0 + np.tile(pattern, 4)
         fit = prophet_lite_fit(y, ridge_lambda=1e-6)
-        fitted = prophet_lite_fitted(fit)
-        np.testing.assert_allclose(fitted, y, atol=1e-3)
+        np.testing.assert_allclose(prophet_lite_forecast(fit, 14), y[:14], atol=1e-3)
         assert abs(fit.coefficients[1]) < 1e-3  # trend stays flat
 
     def test_flat_series_flat_forecast(self):

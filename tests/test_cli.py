@@ -1,5 +1,8 @@
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -247,3 +250,20 @@ class TestReproduce:
         assert sorted(p.name for p in again.iterdir()) == sorted(names)
         for name in names:
             assert (again / name).read_bytes() == (repro_dir / name).read_bytes(), name
+
+    def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path):
+        # the C locale, neither coerced nor in UTF-8 mode, makes ASCII the
+        # default text encoding: the table1.csv "±" cannot be written in it
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        locales = {"utf8": ("1", {}), "ascii": ("0", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})}
+        for name, (utf8_mode, extra) in locales.items():
+            proc = subprocess.run(
+                [sys.executable, "-X", f"utf8={utf8_mode}", "-m", "casecast.cli", "reproduce",
+                 "--epochs", "1", "--out", str(tmp_path / name)],
+                env={**env, **extra}, capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+        for name in ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md"):
+            ascii_bytes = (tmp_path / "ascii" / name).read_bytes()
+            assert ascii_bytes == (tmp_path / "utf8" / name).read_bytes(), name
+        assert "±".encode() in (tmp_path / "ascii" / "table1.csv").read_bytes()

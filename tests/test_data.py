@@ -99,10 +99,11 @@ class TestSliceWindow:
             slice_window(series, dt.date(2020, 4, 2), dt.date(2020, 4, 1))
 
 
-def toy_series(cases):
+def toy_series(cases, deaths=None):
     start = dt.date(2020, 3, 11)
     dates = tuple(start + dt.timedelta(days=k) for k in range(len(cases)))
-    return TimeSeries(dates, np.array(cases))
+    deaths = np.zeros(len(cases)) if deaths is None else np.array(deaths)
+    return TimeSeries(dates, np.array(cases), deaths)
 
 
 class TestNormalizer:
@@ -122,8 +123,7 @@ class TestNormalizer:
             fit_normalizer(toy_series([5, 5, 5]))
 
     def test_constant_channel_names_channel_value_and_window(self):
-        ts = toy_series([10, 20, 30])
-        ts = TimeSeries(ts.dates, ts.cases, np.array([7, 7, 7]))
+        ts = toy_series([10, 20, 30], deaths=[7, 7, 7])
         assert fit_normalizer(ts).mins[0] == 10.0  # cases alone are not constant
         with pytest.raises(
             ConstantChannelError, match="deaths is constant at 7 over 2020-03-11..2020-03-13"

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from casecast.evaluation import (
     ErrorReport,
-    ape,
+    ape_series,
     emit_plot,
     emit_table,
     summarize,
@@ -22,17 +22,18 @@ HWAAS_COLUMN = [
 
 class TestApe:
     def test_exact_forecast(self):
-        assert ape(100.0, 100.0) == 0.0
+        assert ape_series([100.0], [100.0])[0] == 0.0
 
     def test_five_percent(self):
-        assert ape(200.0, 190.0) == 5.0
+        assert ape_series([200.0], [190.0])[0] == 5.0
 
     def test_zero_forecast(self):
-        assert ape(100.0, 0.0) == 100.0
+        assert ape_series([100.0], [0.0])[0] == 100.0
 
     def test_nonpositive_actual(self):
-        with pytest.raises(ValueError):
-            ape(0.0, 1.0)
+        for actual in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ape_series([100.0, actual], [1.0, 1.0])
 
     @given(
         st.floats(min_value=1e-3, max_value=1e9),
@@ -40,7 +41,9 @@ class TestApe:
         st.floats(min_value=1e-6, max_value=1e6),
     )
     def test_scale_invariance(self, actual, forecast, k):
-        assert np.isclose(ape(k * actual, k * forecast), ape(actual, forecast), rtol=1e-9)
+        np.testing.assert_allclose(
+            ape_series([k * actual], [k * forecast]), ape_series([actual], [forecast]), rtol=1e-9
+        )
 
 
 class TestSummarize:

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ class TestElu:
 
     def test_negative_branch(self):
         assert math.isclose(float(elu(-1.0)), math.exp(-1.0) - 1.0, rel_tol=1e-12)
+
+    def test_large_input_does_not_overflow(self):
+        x = np.array([800.0, -1.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        with np.errstate(over="ignore"):
+            expected = np.where(x > 0, x, np.expm1(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = elu(x)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestSigmoid:
@@ -496,12 +506,3 @@ class TestRunSchema:
         model = LstmModel(params, cfg, [])
         with pytest.raises(NonFiniteForecastError, match="schema u2"):
             run_schema(series, "u2", cfg, TRAIN_START, TRAIN_END, model=model)
-
-    def test_u3_requires_deaths_channel(self, series):
-        import casecast.data as data_mod
-
-        univariate = data_mod.TimeSeries(series.dates, series.cases)
-        with pytest.raises(data_mod.DataError):
-            run_schema(
-                univariate, "u3", TrainConfig(epochs=1, hidden=2), TRAIN_START, TRAIN_END
-            )
