@@ -254,10 +254,12 @@ def cmd_run(args) -> int:
         checkpoint.save_classical(fit, path)
     _write_forecast_csv(os.path.join(cfg.out, "forecast.csv"), run, cfg.seed)
     if run.actuals is not None:
-        report = summarize(run.forecasts, run.actuals, cfg.model)
+        schema = cfg.model.split("-", 1)[1] if cfg.model.startswith("lstm-") else ""
+        report = summarize(run.forecasts, run.actuals, cfg.model, schema)
         emit_table([report], os.path.join(cfg.out, "errors.csv"))
         write_summary_csv([report], os.path.join(cfg.out, "summary.csv"))
-        print(f"{cfg.model}: MAPE {report.mape:.2f} ± {report.std:.2f} %")
+        # ASCII only: stdout's encoding follows the locale, which may be ASCII
+        print(f"{cfg.model}: MAPE {report.mape:.2f} +/- {report.std:.2f} %")
     else:
         print(f"{cfg.model}: forecast written (no actuals over the horizon)")
     return EXIT_OK
@@ -270,17 +272,15 @@ def cmd_reproduce(args) -> int:
         raise WindowError("reproduce scores every model, so it needs observed values "
                           "over the whole horizon")
     runs = {}  # table label -> ForecastRun
-    tcfgs = [_train_config(cfg, activation) for activation in ("elu", "tanh")]
-    # one lockstep elu/tanh pair per input dimension; u1 and u2 train the
-    # same univariate model, so u1 reuses u2's
-    for trained, schemas in (("u2", ("u2", "u1")), ("u3", ("u3",))):
-        models = train_schema_models(
-            ts, trained, tcfgs, cfg.train_start, cfg.train_end, cfg.lookback
-        )
-        for model in models:
-            for schema in schemas:
-                label = f"{schema.upper()}-{model.config.activation}"
-                runs[label], _ = _forecast(ts, cfg, f"lstm-{schema}", model=model)
+    # one lockstep ensemble of elu and tanh at both input widths; u1 and u2
+    # train the same univariate model, so u1 reuses u2's
+    members = [(trained, _train_config(cfg, activation))
+               for trained in ("u2", "u3") for activation in ("elu", "tanh")]
+    models = train_schema_models(ts, members, cfg.train_start, cfg.train_end, cfg.lookback)
+    for (trained, _), model in zip(members, models):
+        for schema in ("u2", "u1") if trained == "u2" else ("u3",):
+            label = f"{schema.upper()}-{model.config.activation}"
+            runs[label], _ = _forecast(ts, cfg, f"lstm-{schema}", model=model)
     for name in ("arima", "hwaas", "prophet-lite"):
         runs[name], _ = _forecast(ts, cfg, name)
     reports = {

@@ -12,6 +12,13 @@ of E independent models (`LstmParams.stack`) and advance all of them in one
 call, which is how `train` runs an ensemble in lockstep. Every stacked
 operation is a per-member matmul, a broadcast or an elementwise op, so row e
 of each result is bitwise what member e alone would give.
+
+Members may differ in input width D: the stack zero-pads each to the widest.
+A padded entry adds only products with a zero to a sum, which leaves the sum
+exact, and gets a zero gradient, so Adam never moves it. The one exception
+is the dense head: numpy computes a one-row product with a different kernel
+than a two-row one, whose bits differ, so `forward` computes the head once
+per distinct width, each member at its own width.
 """
 
 from __future__ import annotations
@@ -128,30 +135,32 @@ class LstmParams:
     wx (4H, D) input-to-gate, rows stacked i|f|o|c; wh (4H, H) hidden-to-gate;
     b (4H,); dense_w (D_out, H); dense_b (D_out,).
 
-    A stack of E models of one shape (`stack`) has `flat` of shape (E, P)
-    and the same views with a leading member axis: wx (E, 4H, D) and so on.
+    A stack of E models of one hidden size (`stack`) has `flat` of shape
+    (E, P) and the same views with a leading member axis: wx (E, 4H, D) and
+    so on, D the widest member's input width. `widths` holds each member's
+    own width (None for one model).
     """
 
     NAMES = ("wx", "wh", "b", "dense_w", "dense_b")
 
     def __init__(self, wx, wh, b, dense_w, dense_b):
         arrays = [np.asarray(a, dtype=float) for a in (wx, wh, b, dense_w, dense_b)]
-        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays], None)
 
-    def _bind(self, flat, shapes):
+    def _bind(self, flat, shapes, widths):
         """Point the named arrays at `flat`, (P,) or (E, P); `shapes` are
         one model's."""
-        self.flat, self._shapes = flat, shapes
+        self.flat, self._shapes, self.widths = flat, shapes, widths
         start = 0
         for name, shape in zip(self.NAMES, shapes):
             end = start + math.prod(shape)
             setattr(self, name, flat[..., start:end].reshape(flat.shape[:-1] + shape))
             start = end
 
-    def _on(self, flat):
+    def _on(self, flat, widths):
         """Parameters of this layout whose views lie on `flat`."""
         params = object.__new__(LstmParams)
-        params._bind(flat, self._shapes)
+        params._bind(flat, self._shapes, widths)
         return params
 
     @property
@@ -167,20 +176,37 @@ class LstmParams:
 
     def zeros_like(self) -> "LstmParams":
         """Parameters of the same shapes, all zero (a gradient accumulator)."""
-        return self._on(np.zeros(self.flat.shape))
+        return self._on(np.zeros(self.flat.shape), self.widths)
+
+    def _widened(self, width: int) -> "LstmParams":
+        """This model with zero input columns, head rows and head biases
+        appended up to input width `width`."""
+        pad = width - self.input_dim
+        return LstmParams(
+            np.pad(self.wx, ((0, 0), (0, pad))), self.wh, self.b,
+            np.pad(self.dense_w, ((0, pad), (0, 0))), np.pad(self.dense_b, (0, pad)),
+        )
 
     @classmethod
     def stack(cls, members: list["LstmParams"]) -> "LstmParams":
-        """E models of one shape as one stack, on a new (E, P) `flat`."""
-        return members[0]._on(np.stack([m.flat for m in members]))
+        """E models of one hidden size as one stack, on a new (E, P) `flat`;
+        each is zero-padded to the widest input width."""
+        widths = tuple(m.input_dim for m in members)
+        padded = [m._widened(max(widths)) for m in members]
+        return padded[0]._on(np.stack([m.flat for m in padded]), widths)
 
     def stacked(self) -> "LstmParams":
         """One model as a stack of one member, sharing its storage."""
-        return self._on(self.flat[None])
+        return self._on(self.flat[None], (self.input_dim,))
 
     def member(self, e: int) -> "LstmParams":
-        """Member e of a stack as one model, on a contiguous copy of its row."""
-        return self._on(self.flat[e].copy())
+        """Member e of a stack as one model of its own input width, on new
+        contiguous storage."""
+        width = self.widths[e]
+        return LstmParams(
+            self.wx[e, :, :width], self.wh[e], self.b[e],
+            self.dense_w[e, :width], self.dense_b[e, :width],
+        )
 
     @classmethod
     def glorot(cls, hidden: int, input_dim: int, rng: np.random.Generator):
@@ -199,6 +225,15 @@ class LstmParams:
         )
 
 
+@functools.lru_cache
+def _width_groups(widths: tuple[int, ...]):
+    """(width, rows) for each distinct member width of a stack; rows selects
+    that width's members, and is every row when all share one width."""
+    if len(set(widths)) == 1:
+        return ((widths[0], slice(None)),)
+    return tuple((w, np.flatnonzero(np.array(widths) == w)) for w in dict.fromkeys(widths))
+
+
 def forward(params: LstmParams, inputs, g="elu"):
     """Run the sequence from zero state and apply the linear head to the
     final hidden vector. Each step is
@@ -209,7 +244,8 @@ def forward(params: LstmParams, inputs, g="elu"):
     with the activation g applied both to the candidate and to the cell
     output. One model takes inputs (L, D) and returns y (D,); a stack of E
     takes inputs (E, L, D), one activation name or one per member, and
-    returns y (E, D). Returns (y, cache). The cache holds, over L steps and
+    returns y (E, D), each member's inputs and outputs zero beyond its own
+    width. Returns (y, cache). The cache holds, over L steps and
     E members (E = 1 for one model), everything bptt_gradient needs for an
     exact reverse pass: "x" (L, E, D); "h" and "c" (L+1, E, H), the states
     before each step and after the last; "ifo" (L, E, 3H), the gates;
@@ -241,7 +277,11 @@ def forward(params: LstmParams, inputs, g="elu"):
         np.add(f * c[t], i * g_in[t], out=c[t + 1])
         gc[t] = gfun(c[t + 1])
         np.multiply(o, gc[t], out=h[t + 1])
-    y = _matvec(params.dense_w, h[steps]) + params.dense_b
+    y = np.zeros((members, params.input_dim))
+    for width, rows in _width_groups(params.widths):
+        y[rows, :width] = (
+            _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
+        )
     cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "a_c": a_c,
              "g_in": g_in, "gc": gc}
     return (y[0] if one else y), cache
@@ -361,18 +401,23 @@ class LstmModel:
     epoch_losses: list[float]
 
 
-def train(dataset: WindowedDataset, cfg: TrainConfig, *others: TrainConfig) -> list[LstmModel]:
-    """Batch-size-1 training of one model per config, all in lockstep: each
-    step takes one sample per member and one Adam step for all of them.
+def train(
+    dataset: WindowedDataset, cfg: TrainConfig, *others: tuple[WindowedDataset, TrainConfig]
+) -> list[LstmModel]:
+    """Batch-size-1 training of one model per (dataset, config) member, all
+    in lockstep: each step takes one sample per member and one Adam step for
+    all of them. The first member is (dataset, cfg); `others` are the rest.
 
     Each member draws its Glorot init and its per-epoch sample order from
     its own np.random.default_rng(seed), so every returned model is bitwise
-    the one `train(dataset, its_config)` gives alone. Members may differ
-    only in seed and activation. If a mean epoch loss is non-finite,
-    TrainingDivergedError names the lowest-index member diverging at the
-    earliest such epoch."""
-    cfgs = (cfg, *others)
-    for other in others:
+    the one `train(its_dataset, its_config)` gives alone. Members' datasets
+    must share the window count and the lookback and may differ in channel
+    count; their configs may differ only in seed and activation. If a mean
+    epoch loss is non-finite, TrainingDivergedError names the lowest-index
+    member diverging at the earliest such epoch."""
+    datasets = (dataset, *(d for d, _ in others))
+    cfgs = (cfg, *(c for _, c in others))
+    for other in cfgs[1:]:
         differ = [f.name for f in fields(TrainConfig)
                   if getattr(other, f.name) != getattr(cfg, f.name)
                   and f.name not in ("seed", "activation")]
@@ -380,11 +425,25 @@ def train(dataset: WindowedDataset, cfg: TrainConfig, *others: TrainConfig) -> l
             raise ValueError(
                 f"ensemble members may differ only in seed and activation, not in {differ}"
             )
+    for other in datasets[1:]:
+        if other.inputs.shape[:2] != dataset.inputs.shape[:2]:
+            raise ValueError(
+                "ensemble members must share the window count and the lookback, "
+                f"not {other.inputs.shape[:2]} and {dataset.inputs.shape[:2]}"
+            )
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    input_dim = dataset.inputs.shape[2]
-    params = LstmParams.stack([LstmParams.glorot(cfg.hidden, input_dim, rng) for rng in rngs])
+    params = LstmParams.stack([
+        LstmParams.glorot(cfg.hidden, d.inputs.shape[2], rng) for d, rng in zip(datasets, rngs)
+    ])
+    # (E, n, L, D) and (E, n, D), every member zero-padded to the widest
+    inputs = np.zeros((len(cfgs),) + dataset.inputs.shape[:2] + (params.input_dim,))
+    targets = np.zeros((len(cfgs), len(dataset), params.input_dim))
+    for e, d in enumerate(datasets):
+        inputs[e, ..., : d.inputs.shape[2]] = d.inputs
+        targets[e, :, : d.targets.shape[1]] = d.targets
+    members = np.arange(len(cfgs))
     activations = tuple(c.activation for c in cfgs)
     state = AdamState.like(params)
     if dataset.inputs.shape[1] == 1:
@@ -399,7 +458,7 @@ def train(dataset: WindowedDataset, cfg: TrainConfig, *others: TrainConfig) -> l
         # row j holds every member's j-th sample of this epoch
         for ks in np.stack([rng.permutation(n) for rng in rngs], axis=1):
             loss, grads = bptt_gradient(
-                params, dataset.inputs[ks], dataset.targets[ks], activations
+                params, inputs[members, ks], targets[members, ks], activations
             )
             total += loss
             adam_update(
@@ -451,17 +510,21 @@ def _schema_training_values(ts: TimeSeries, schema: str, train_start, train_end)
 
 def train_schema_models(
     ts: TimeSeries,
-    schema: str,
-    cfgs: list[TrainConfig],
+    members: list[tuple[str, TrainConfig]],
     train_start: dt.date,
     train_end: dt.date,
     lookback: int = 1,
 ) -> list[LstmModel]:
-    """Fit one model per config on the schema's training window, as one
-    lockstep ensemble (see `train`). u1 and u2 share the same (univariate)
-    training path; u3 is bivariate."""
-    _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
-    return train(make_windows(train_vals, lookback), *cfgs)
+    """Fit one model per (schema, config) member on its schema's training
+    window, all as one lockstep ensemble (see `train`). u1 and u2 share the
+    same (univariate) training path; u3 is bivariate."""
+    datasets = {}
+    for schema, _ in members:
+        if schema not in datasets:
+            _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
+            datasets[schema] = make_windows(train_vals, lookback)
+    (schema, cfg), *others = members
+    return train(datasets[schema], cfg, *((datasets[s], c) for s, c in others))
 
 
 def train_schema_model(
@@ -472,8 +535,8 @@ def train_schema_model(
     train_end: dt.date,
     lookback: int = 1,
 ) -> LstmModel:
-    """`train_schema_models` for one config."""
-    (model,) = train_schema_models(ts, schema, [cfg], train_start, train_end, lookback)
+    """`train_schema_models` for one member."""
+    (model,) = train_schema_models(ts, [(schema, cfg)], train_start, train_end, lookback)
     return model
 
 

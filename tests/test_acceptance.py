@@ -2,8 +2,8 @@
 
 Each test prints a single `[ACCEPTANCE] <name>: PASS|FAIL (...)` line with
 capture disabled, so the verdicts are visible in any pytest run, then asserts. The LSTM criteria share one session-scoped training matrix
-(5 seeds x 2 activations x {univariate, bivariate}, trained as two lockstep
-ensembles) because full-scale training dominates the suite's runtime.
+(5 seeds x 2 activations x {univariate, bivariate}, trained as one lockstep
+ensemble) because full-scale training dominates the suite's runtime.
 """
 
 import itertools
@@ -45,29 +45,26 @@ def train_cases(series):
 def lstm_matrix(series):
     """MAPEs for every (activation, schema, seed) cell at full scale.
 
-    The 20 models train as two lockstep ensembles of 10 (5 seeds x 2
-    activations), one per input dimension; each member is bitwise the model
-    its own `train` call would give. u1 and u2 share one univariate model per
+    The 20 models (5 seeds x 2 activations x {univariate, bivariate}) train
+    as one lockstep ensemble; each member is bitwise the model its own
+    `train` call would give. u1 and u2 share one univariate model per
     (activation, seed); u3 has its own bivariate one. Also keeps each
     univariate loss curve.
     """
-    cfgs = [
-        TrainConfig(activation=activation, seed=seed)
-        for activation, seed in itertools.product(("elu", "tanh"), SEEDS)
+    members = [
+        (trained, TrainConfig(activation=activation, seed=seed))
+        for trained, activation, seed in itertools.product(("u2", "u3"), ("elu", "tanh"), SEEDS)
     ]
+    models = train_schema_models(series, members, TRAIN_START, TRAIN_END)
     mapes = {}
     losses = {}
-    for trained, schemas in (("u2", ("u1", "u2")), ("u3", ("u3",))):
-        models = train_schema_models(series, trained, cfgs, TRAIN_START, TRAIN_END)
-        for cfg, model in zip(cfgs, models):
-            if trained == "u2":
-                losses[(cfg.activation, cfg.seed)] = model.epoch_losses
-            for schema in schemas:
-                run = run_schema(
-                    series, schema, cfg, TRAIN_START, TRAIN_END, HORIZON, model=model
-                )
-                rep = summarize(run.forecasts, run.actuals, "lstm", schema)
-                mapes[(cfg.activation, schema, cfg.seed)] = rep.mape
+    for (trained, cfg), model in zip(members, models):
+        if trained == "u2":
+            losses[(cfg.activation, cfg.seed)] = model.epoch_losses
+        for schema in ("u1", "u2") if trained == "u2" else ("u3",):
+            run = run_schema(series, schema, cfg, TRAIN_START, TRAIN_END, HORIZON, model=model)
+            rep = summarize(run.forecasts, run.actuals, "lstm", schema)
+            mapes[(cfg.activation, schema, cfg.seed)] = rep.mape
     return {"mapes": mapes, "losses": losses}
 
 

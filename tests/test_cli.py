@@ -1,15 +1,20 @@
+import contextlib
 import datetime as dt
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casecast import cli, lstm
-from casecast.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from casecast.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
 def run_cli(*argv):
@@ -53,6 +58,16 @@ class TestRun:
                            "--epochs", "3", "--out", str(out)) == EXIT_OK
             outs.append((out / "forecast.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("model, schema", [
+        ("lstm-u1", "u1"), ("lstm-u2", "u2"), ("lstm-u3", "u3"), ("hwaas", ""),
+    ])
+    def test_summary_csv_names_the_schema(self, tmp_path, model, schema):
+        out = tmp_path / "out"
+        assert run_cli("run", "--model", model, "--epochs", "1", "--out", str(out)) == EXIT_OK
+        header, row = (out / "summary.csv").read_text().splitlines()
+        assert header == "model,schema,mape,std,convention"
+        assert row.split(",")[:2] == [model, schema]
 
     def test_zero_horizon_is_config_error(self, capsys):
         assert run_cli("run", "--model", "hwaas", "--horizon", "0") == EXIT_USAGE
@@ -253,17 +268,106 @@ class TestReproduce:
 
     def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path):
         # the C locale, neither coerced nor in UTF-8 mode, makes ASCII the
-        # default text encoding: the table1.csv "±" cannot be written in it
+        # default text encoding: the table1.csv "±" cannot be written in it,
+        # nor printed to stdout
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
         locales = {"utf8": ("1", {}), "ascii": ("0", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})}
-        for name, (utf8_mode, extra) in locales.items():
-            proc = subprocess.run(
-                [sys.executable, "-X", f"utf8={utf8_mode}", "-m", "casecast.cli", "reproduce",
-                 "--epochs", "1", "--out", str(tmp_path / name)],
-                env={**env, **extra}, capture_output=True, text=True,
-            )
-            assert proc.returncode == EXIT_OK, proc.stderr
-        for name in ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md"):
-            ascii_bytes = (tmp_path / "ascii" / name).read_bytes()
-            assert ascii_bytes == (tmp_path / "utf8" / name).read_bytes(), name
-        assert "±".encode() in (tmp_path / "ascii" / "table1.csv").read_bytes()
+        commands = {
+            "reproduce": (["reproduce", "--epochs", "1"],
+                          ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md")),
+            "hwaas": (["run", "--model", "hwaas"],
+                      ("checkpoint.json", "forecast.csv", "errors.csv", "summary.csv")),
+        }
+        for command, (argv, artifacts) in commands.items():
+            for name, (utf8_mode, extra) in locales.items():
+                proc = subprocess.run(
+                    [sys.executable, "-X", f"utf8={utf8_mode}", "-m", "casecast.cli", *argv,
+                     "--out", str(tmp_path / command / name)],
+                    env={**env, **extra}, capture_output=True, text=True,
+                )
+                assert proc.returncode == EXIT_OK, proc.stderr
+                assert "Traceback" not in proc.stderr
+            for artifact in artifacts:
+                ascii_bytes = (tmp_path / command / "ascii" / artifact).read_bytes()
+                assert ascii_bytes == (tmp_path / command / "utf8" / artifact).read_bytes(), artifact
+        assert "±".encode() in (tmp_path / "reproduce" / "ascii" / "table1.csv").read_bytes()
+
+
+# Values that probe types and ranges: huge and negative ints, bools, floats,
+# nulls, strings and dates. No int is both valid and large, since a valid
+# horizon or epoch count of 10**6 would run for minutes. Valid values are
+# listed more than once, so that most draws get past the argument checks.
+INTS = st.sampled_from([1, 2, 3, 7, 15, 30, 1, 2, 3, 7, 15, 30, 31,
+                        -(2**70), -1, 0, 10**9, 2**63, 2**100])
+DATES = st.sampled_from(["2020-03-24", "2020-04-23", "2020-05-08", "2020-03-24", "2020-04-23",
+                         "2020-05-08", "2020-02-30", "9999-12-31", "0001-01-01", "24/03/2020"])
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                 st.lists(st.integers(), max_size=2))
+EPOCHS = st.sampled_from([1, 2] * 3 + [0, -1, "abc"])
+MODELS = st.sampled_from(["arima", "hwaas", "prophet-lite"] * 2
+                         + ["lstm-u1", "lstm-u2", "lstm-u3", "nope"])
+FLAGS = st.one_of(
+    st.tuples(st.just("--model"), MODELS),
+    st.tuples(st.sampled_from(["--horizon", "--lookback", "--seed"]),
+              st.one_of(INTS.map(str), st.sampled_from(["", "1.5", "abc", "1e3"]))),
+    st.tuples(st.just("--activation"), st.sampled_from(["elu", "tanh", "relu"])),
+    st.tuples(st.just("--train"), st.tuples(DATES, DATES).map(":".join)),
+    st.tuples(st.just("--data"), st.sampled_from([cli.bundled_dataset_path()] * 3
+                                                  + ["missing.csv", "."])),
+)
+CONFIG_VALUES = {
+    "data": st.sampled_from(["", "", "missing.csv", ".", None, 3]),
+    "model": st.one_of(MODELS, JUNK),
+    "train_start": st.one_of(DATES, JUNK),
+    "train_end": st.one_of(DATES, JUNK),
+    "horizon": st.one_of(INTS, JUNK),
+    "lookback": st.one_of(INTS, JUNK),
+    "activation": st.one_of(st.sampled_from(["elu", "tanh", "relu"]), JUNK),
+    "seed": st.one_of(INTS, JUNK),
+    "out": JUNK,  # --out always overrides it
+}
+assert set(CONFIG_VALUES) == {f.name for f in fields(RunConfig)} - {"epochs"}
+CONFIGS = st.one_of(
+    st.none(),  # no --config at all
+    st.fixed_dictionaries({}, optional=CONFIG_VALUES),
+    st.fixed_dictionaries({}, optional=CONFIG_VALUES),
+    st.fixed_dictionaries({"unknown": JUNK}, optional=CONFIG_VALUES),
+    st.one_of(JUNK, st.just("{not json")),  # a document that is not an object
+)
+
+
+class TestFuzzedContract:
+    """Whatever argv and config file `main` gets, it returns a documented exit
+    code and prints no traceback. Every draw sets the epoch count to at most
+    2, by flag or in the config file, so no example trains for long."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["run", "run", "run", "run", "validate", "reproduce"]),
+        flags=st.lists(FLAGS, max_size=4),
+        config=CONFIGS,
+        epochs=EPOCHS,
+        epochs_in_config=st.booleans(),
+    )
+    def test_exit_code_is_documented_and_no_traceback(
+        self, command, flags, config, epochs, epochs_in_config
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command] + [piece for flag in flags for piece in flag]
+            if command != "validate":  # validate takes --data only
+                epochs_set = isinstance(config, dict) and epochs_in_config
+                if config is not None:
+                    if epochs_set:
+                        config["epochs"] = epochs
+                    path = os.path.join(tmp, "config.json")
+                    with open(path, "w") as fh:
+                        fh.write(config if config == "{not json" else json.dumps(config))
+                    argv += ["--config", path]
+                if not epochs_set:
+                    argv += ["--epochs", str(epochs)]
+                argv += ["--out", os.path.join(tmp, "out")]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL), (argv, config)
+        assert "Traceback" not in stderr.getvalue(), (argv, config)

@@ -349,6 +349,17 @@ def lockstep_dataset(input_dim, lookback):
 
 
 MEMBERS = [("elu", 3), ("tanh", 4), ("elu", 5)]
+# (input width, activation, seed); the widths interleave, so neither width's
+# members form a contiguous block of the stack
+MIXED_WIDTHS = [(1, "elu", 3), (2, "tanh", 4), (1, "tanh", 5), (2, "elu", 6)]
+
+
+def mixed_width_members(lookback, epochs):
+    return [
+        (lockstep_dataset(width, lookback),
+         TrainConfig(epochs=epochs, hidden=5, activation=activation, seed=seed))
+        for width, activation, seed in MIXED_WIDTHS
+    ]
 
 
 class TestLockstep:
@@ -357,13 +368,56 @@ class TestLockstep:
     def test_members_equal_their_serial_runs_bitwise(self, input_dim, lookback):
         ds = lockstep_dataset(input_dim, lookback)
         cfgs = [TrainConfig(epochs=4, hidden=5, activation=a, seed=s) for a, s in MEMBERS]
-        ensemble = train(ds, *cfgs)
+        members = [(ds, cfg) for cfg in cfgs]
+        ensemble = train(*members[0], *members[1:])
         assert [m.config for m in ensemble] == cfgs
         for cfg, member in zip(cfgs, ensemble):
             (alone,) = train(ds, cfg)
             assert member.params.flat.tobytes() == alone.params.flat.tobytes()
             assert member.epoch_losses == alone.epoch_losses
             assert member.params.flat.flags.c_contiguous and member.params.flat.ndim == 1
+
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_members_of_mixed_widths_equal_their_serial_runs_bitwise(self, lookback):
+        members = mixed_width_members(lookback, epochs=4)
+        ensemble = train(*members[0], *members[1:])
+        for (ds, cfg), member in zip(members, ensemble):
+            (alone,) = train(ds, cfg)
+            assert member.params.flat.tobytes() == alone.params.flat.tobytes()
+            assert member.epoch_losses == alone.epoch_losses
+
+    def test_padded_entries_stay_zero_and_members_keep_their_width(self, monkeypatch):
+        members = mixed_width_members(lookback=1, epochs=3)
+        real, widths = lstm.adam_update, []
+
+        def checked(params, grads, *args):
+            real(params, grads, *args)
+            widths.append(params.widths)
+            for arrays in (params, grads):
+                for e, width in enumerate(params.widths):
+                    assert not arrays.wx[e, :, width:].any()
+                    assert not arrays.dense_w[e, width:].any()
+                    assert not arrays.dense_b[e, width:].any()
+
+        monkeypatch.setattr(lstm, "adam_update", checked)
+        models = train(*members[0], *members[1:])
+        assert len(widths) == 3 * len(members[0][0])
+        assert set(widths) == {tuple(w for w, _, _ in MIXED_WIDTHS)}
+        for (ds, cfg), model in zip(members, models):
+            width = ds.inputs.shape[2]
+            assert model.params.input_dim == width
+            assert model.params.wx.shape == (4 * cfg.hidden, width)
+            assert model.params.dense_w.shape == (width, cfg.hidden)
+            assert model.params.dense_b.shape == (width,)
+
+    @pytest.mark.parametrize("values, lookback", [
+        (np.linspace(0.0, 1.0, 16), 3),  # 13 windows, as lockstep_dataset(1, 1) has
+        (np.linspace(0.0, 1.0, 13), 1),
+    ], ids=["lookback", "window-count"])
+    def test_members_must_share_window_count_and_lookback(self, values, lookback):
+        cfg = TrainConfig(epochs=1, hidden=3)
+        with pytest.raises(ValueError, match="window count and the lookback"):
+            train(lockstep_dataset(1, 1), cfg, (make_windows(values, lookback), cfg))
 
     @pytest.mark.parametrize("lookback", [1, 3])
     def test_one_member_equals_a_plain_bptt_and_adam_loop(self, lookback):
@@ -393,7 +447,7 @@ class TestLockstep:
         base = TrainConfig(epochs=2, hidden=5)
         other = TrainConfig(**{**base.__dict__, "seed": 7, "activation": "tanh", field: value})
         with pytest.raises(ValueError, match=field):
-            train(lockstep_dataset(1, 1), base, other)
+            train(lockstep_dataset(1, 1), base, (lockstep_dataset(1, 1), other))
 
     @pytest.mark.parametrize("nan_from, named", [
         ({1: 1, 2: 1}, 1),  # two members at epoch 1: the lower index
@@ -415,7 +469,7 @@ class TestLockstep:
 
         monkeypatch.setattr(lstm, "bptt_gradient", nan_loss)
         with pytest.raises(lstm.TrainingDivergedError) as info:
-            train(ds, *cfgs)
+            train(ds, cfgs[0], *((ds, cfg) for cfg in cfgs[1:]))
         activation, seed = MEMBERS[named]
         epoch = nan_from[named]
         assert info.value.epoch == epoch and max(calls) == epoch
@@ -435,6 +489,12 @@ class TestLockstep:
         member = stack.member(1)
         assert member.b[0] == 9.0 and not np.shares_memory(member.flat, stack.flat)
         assert member.flat.tobytes() == stack.flat[1].tobytes()
+        narrow = LstmParams.glorot(3, 1, rng)
+        mixed = LstmParams.stack([narrow, singles[1]])
+        assert mixed.widths == (1, 2) and mixed.input_dim == 2
+        assert not mixed.wx[0, :, 1:].any() and not mixed.dense_w[0, 1:].any()
+        for e, single in enumerate([narrow, singles[1]]):
+            assert mixed.member(e).flat.tobytes() == single.flat.tobytes()
         one = singles[0].stacked()
         one.dense_b[0, :] = 4.0
         np.testing.assert_array_equal(singles[0].dense_b, 4.0)
