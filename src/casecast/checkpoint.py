@@ -16,6 +16,7 @@ from .classical import ArimaFit, HwFit, ProphetLiteFit
 from .lstm import LstmModel, LstmParams, TrainConfig
 
 FORMAT_VERSION = 1
+LSTM_KEYS = ("wx", "wh", "b", "dense_w", "dense_b")  # not LstmParams' memory order
 CLASSICAL_KINDS = {"arima": ArimaFit, "hwaas": HwFit, "prophet-lite": ProphetLiteFit}
 
 
@@ -35,7 +36,7 @@ def save_lstm(model: LstmModel, path: str) -> None:
         "format_version": FORMAT_VERSION,
         "kind": "lstm",
         "config": asdict(model.config),
-        "params": {k: _encode_array(v) for k, v in model.params.arrays().items()},
+        "params": {k: _encode_array(getattr(model.params, k)) for k in LSTM_KEYS},
         "epoch_losses": [repr(float(x)) for x in model.epoch_losses],
     }
     with open(path, "w", newline="\n") as fh:

@@ -272,6 +272,9 @@ def cmd_reproduce(args) -> int:
         raise WindowError("reproduce scores every model, so it needs observed values "
                           "over the whole horizon")
     runs = {}  # table label -> ForecastRun
+    # the classical fits first: they reject a window before seconds of training
+    for name in ("arima", "hwaas", "prophet-lite"):
+        runs[name], _ = _forecast(ts, cfg, name)
     # one lockstep ensemble of elu and tanh at both input widths; u1 and u2
     # train the same univariate model, so u1 reuses u2's
     members = [(trained, _train_config(cfg, activation))
@@ -281,8 +284,6 @@ def cmd_reproduce(args) -> int:
         for schema in ("u2", "u1") if trained == "u2" else ("u3",):
             label = f"{schema.upper()}-{model.config.activation}"
             runs[label], _ = _forecast(ts, cfg, f"lstm-{schema}", model=model)
-    for name in ("arima", "hwaas", "prophet-lite"):
-        runs[name], _ = _forecast(ts, cfg, name)
     reports = {
         label: summarize(run.forecasts, run.actuals, label) for label, run in runs.items()
     }

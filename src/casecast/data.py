@@ -150,7 +150,7 @@ def load_csv(path: str) -> TimeSeries:
     is one), date gap/order, decreasing cumulative value.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise MissingFileError(f"no such file: {path}") from exc
     except OSError as exc:

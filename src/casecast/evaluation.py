@@ -84,6 +84,8 @@ def write_summary_csv(reports: list[ErrorReport], path: str) -> None:
     write_lines(path, lines)
 
 
+_WIDTH, _HEIGHT = 800, 500  # the SVG canvas, in pixels
+
 _PALETTE = [
     "#1f77b4",
     "#d62728",
@@ -99,8 +101,6 @@ def emit_plot(
     series: list[tuple[str, np.ndarray]],
     x_labels: list[str],
     path: str,
-    width: int = 800,
-    height: int = 500,
 ) -> None:
     """Static SVG 1.1 line chart: one polyline per named series over a shared
     x axis. The first series is drawn last (on top) in black when it is the
@@ -115,8 +115,8 @@ def emit_plot(
         if not np.all(np.isfinite(np.asarray(values, dtype=float))):
             raise ValueError(f"series {name!r} has a non-finite value")
     margin = 60
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot_w = _WIDTH - 2 * margin
+    plot_h = _HEIGHT - 2 * margin
     all_values = np.concatenate([np.asarray(v, dtype=float) for _, v in series])
     lo, hi = float(all_values.min()), float(all_values.max())
     if hi == lo:
@@ -130,12 +130,12 @@ def emit_plot(
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<line x1="{margin}" y1="{_HEIGHT - margin}" x2="{_WIDTH - margin}" '
+        f'y2="{_HEIGHT - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
+        f'y2="{_HEIGHT - margin}" stroke="black"/>',
     ]
     for idx, (name, values) in enumerate(series):
         color = "black" if name == "actual" else _PALETTE[idx % len(_PALETTE)]
@@ -146,13 +146,13 @@ def emit_plot(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
         )
         parts.append(
-            f'<text x="{width - margin + 4}" y="{margin + 16 * idx + 10}" '
+            f'<text x="{_WIDTH - margin + 4}" y="{margin + 16 * idx + 10}" '
             f'font-size="12" fill="{color}">{name}</text>'
         )
     step = max(1, (n - 1) // 6)
     for i in range(0, n, step):
         parts.append(
-            f'<text x="{sx(i):.2f}" y="{height - margin + 16}" font-size="10" '
+            f'<text x="{sx(i):.2f}" y="{_HEIGHT - margin + 16}" font-size="10" '
             f'text-anchor="middle">{x_labels[i]}</text>'
         )
     for frac in (0.0, 0.5, 1.0):

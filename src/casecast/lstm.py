@@ -63,16 +63,16 @@ def elu(x):
     return np.expm1(x, out=x.copy(), where=x <= 0)
 
 
-def _elu_grad(x, fx):
+def _elu_grad(fx):
     # 1 where x > 0 (there fx + 1 = x + 1 > 1), else fx + 1 = exp(x) <= 1
     return np.minimum(fx + 1.0, 1.0)
 
 
-def _tanh_grad(x, fx):
+def _tanh_grad(fx):
     return 1.0 - fx * fx
 
 
-# name -> (g, dg); dg takes the pre-activation and the activation value
+# name -> (g, dg); dg takes the activation value fx = g(x)
 ACTIVATIONS = {
     "elu": (elu, _elu_grad),
     "tanh": (np.tanh, _tanh_grad),
@@ -96,14 +96,14 @@ def _mixed_activation(names: tuple[str, ...]):
     member's own, so every row is exactly its activation's value."""
     masks = {name: np.array([n == name for n in names])[:, None] for name in dict.fromkeys(names)}
 
-    def select(k, *args):
+    def select(k, x):
         out = None
         for name, mask in masks.items():
-            value = ACTIVATIONS[name][k](*args)
+            value = ACTIVATIONS[name][k](x)
             out = value if out is None else np.where(mask, value, out)
         return out
 
-    return (lambda x: select(0, x)), (lambda x, fx: select(1, x, fx))
+    return functools.partial(select, 0), functools.partial(select, 1)
 
 
 # the doubles next to 0 and 1: 1 / (1 + exp(-x)) rounds to exactly 1.0 once
@@ -132,8 +132,8 @@ class LstmParams:
     contiguous float64 vector `flat`. The five named arrays are reshaped views
     into it, laid out in the order of NAMES:
 
-    wx (4H, D) input-to-gate, rows stacked i|f|o|c; wh (4H, H) hidden-to-gate;
-    b (4H,); dense_w (D_out, H); dense_b (D_out,).
+    wx (4H, D) input-to-gate, rows stacked i|f|o|c; b (4H,); dense_w (D_out, H);
+    dense_b (D_out,); wh (4H, H) hidden-to-gate, last, so the rest is a prefix.
 
     A stack of E models of one hidden size (`stack`) has `flat` of shape
     (E, P) and the same views with a leading member axis: wx (E, 4H, D) and
@@ -141,10 +141,10 @@ class LstmParams:
     own width (None for one model).
     """
 
-    NAMES = ("wx", "wh", "b", "dense_w", "dense_b")
+    NAMES = ("wx", "b", "dense_w", "dense_b", "wh")
 
     def __init__(self, wx, wh, b, dense_w, dense_b):
-        arrays = [np.asarray(a, dtype=float) for a in (wx, wh, b, dense_w, dense_b)]
+        arrays = [np.asarray(a, dtype=float) for a in (wx, b, dense_w, dense_b, wh)]
         self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays], None)
 
     def _bind(self, flat, shapes, widths):
@@ -249,8 +249,8 @@ def forward(params: LstmParams, inputs, g="elu"):
     E members (E = 1 for one model), everything bptt_gradient needs for an
     exact reverse pass: "x" (L, E, D); "h" and "c" (L+1, E, H), the states
     before each step and after the last; "ifo" (L, E, 3H), the gates;
-    "a_c", "g_in" and "gc" (L, E, H): the candidate pre-activation, g of it
-    and g of the new cell state."""
+    "g_in" and "gc" (L, E, H): g of the candidate pre-activation and g of
+    the new cell state."""
     inputs = np.asarray(inputs, dtype=float)
     one = params.flat.ndim == 1
     if one:
@@ -266,14 +266,13 @@ def forward(params: LstmParams, inputs, g="elu"):
     h = np.zeros((steps + 1, members, hdim))
     c = np.zeros((steps + 1, members, hdim))
     ifo = np.empty((steps, members, 3 * hdim))
-    a_c, g_in, gc = np.empty((3, steps, members, hdim))
+    g_in, gc = np.empty((2, steps, members, hdim))
     for t in range(steps):
         # the state starts at zero: step 0 has no recurrent term
         a = xw[:, t] + _matvec(params.wh, h[t]) + params.b if t else xw[:, t] + params.b
         sigmoid(a[:, : 3 * hdim], out=ifo[t])
         i, f, o = ifo[t, :, :hdim], ifo[t, :, hdim : 2 * hdim], ifo[t, :, 2 * hdim :]
-        a_c[t] = a[:, 3 * hdim :]
-        g_in[t] = gfun(a_c[t])
+        g_in[t] = gfun(a[:, 3 * hdim :])
         np.add(f * c[t], i * g_in[t], out=c[t + 1])
         gc[t] = gfun(c[t + 1])
         np.multiply(o, gc[t], out=h[t + 1])
@@ -282,8 +281,7 @@ def forward(params: LstmParams, inputs, g="elu"):
         y[rows, :width] = (
             _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
         )
-    cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "a_c": a_c,
-             "g_in": g_in, "gc": gc}
+    cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "g_in": g_in, "gc": gc}
     return (y[0] if one else y), cache
 
 
@@ -306,7 +304,7 @@ def bptt_gradient(params: LstmParams, inputs, target, g="elu"):
     hdim = params.hidden
     x, h, c, ifo, g_in, gc = (cache[k] for k in ("x", "h", "c", "ifo", "g_in", "gc"))
     # the factors that need no reverse-pass state, for every step at once
-    dgc, dga, not_ifo = dgfun(c[1:], gc), dgfun(cache["a_c"], g_in), 1.0 - ifo
+    dgc, dga, not_ifo = dgfun(gc), dgfun(g_in), 1.0 - ifo
     grads = params.zeros_like()
     grads.dense_w += (2.0 * err)[:, :, None] * h[-1][:, None, :]
     grads.dense_b += 2.0 * err
@@ -337,13 +335,13 @@ def bptt_gradient(params: LstmParams, inputs, target, g="elu"):
 @dataclass
 class AdamState:
     """Adam's moment estimates, laid out like LstmParams.flat (one row per
-    member of a stack), the step count, and the spans of flat that Adam
-    steps: all of it unless some entries are known to get no gradient."""
+    member of a stack), the step count, and the end of the prefix of flat that
+    Adam steps: all of it (None) unless the entries past it get no gradient."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    live: tuple[slice, ...] = (slice(None),)
+    live: int | None = None
 
     @classmethod
     def like(cls, params: LstmParams):
@@ -359,19 +357,19 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """One Adam step with bias correction over the live spans of the flat
+    """One Adam step with bias correction over the live prefix of the flat
     parameter vector, elementwise, so it steps every member of a stack at
     once; updates params and state in place."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for span in state.live:
-        grad, m, v = grads.flat[..., span], state.m[..., span], state.v[..., span]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        params.flat[..., span] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    live = np.s_[..., : state.live]
+    grad, m, v = grads.flat[live], state.m[live], state.v[live]
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    params.flat[live] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 @dataclass(frozen=True)
@@ -448,9 +446,8 @@ def train(
     state = AdamState.like(params)
     if dataset.inputs.shape[1] == 1:
         # one step from the zero state: wh gets no gradient, and Adam would
-        # move it by exactly 0, so only the entries around it are stepped
-        wx_end = params.wx[0].size
-        state.live = (slice(0, wx_end), slice(wx_end + params.wh[0].size, None))
+        # move it by exactly 0, so only the prefix before it is stepped
+        state.live = params.flat.shape[-1] - params.wh[0].size
     n = len(dataset)
     losses = np.empty((cfg.epochs, len(cfgs)))
     for epoch in range(cfg.epochs):

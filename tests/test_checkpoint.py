@@ -32,6 +32,98 @@ def test_lstm_round_trip_is_bit_exact(tmp_path):
     assert loaded.epoch_losses == model.epoch_losses
 
 
+# save_lstm's output for the model in test_lstm_checkpoint_bytes_are_pinned; it
+# must not depend on the order of LstmParams' arrays in memory
+PINNED_LSTM_CHECKPOINT = """\
+{
+ "format_version": 1,
+ "kind": "lstm",
+ "config": {
+  "epochs": 2,
+  "hidden": 1,
+  "learning_rate": 0.001,
+  "beta1": 0.9,
+  "beta2": 0.999,
+  "epsilon": 1e-08,
+  "activation": "elu",
+  "seed": 3
+ },
+ "params": {
+  "wx": {
+   "shape": [
+    4,
+    1
+   ],
+   "data": [
+    "0.5",
+    "-0.25",
+    "0.125",
+    "1.5"
+   ]
+  },
+  "wh": {
+   "shape": [
+    4,
+    1
+   ],
+   "data": [
+    "-0.75",
+    "0.375",
+    "2.0",
+    "-1.0"
+   ]
+  },
+  "b": {
+   "shape": [
+    4
+   ],
+   "data": [
+    "0.0",
+    "1.0",
+    "-0.5",
+    "0.25"
+   ]
+  },
+  "dense_w": {
+   "shape": [
+    1,
+    1
+   ],
+   "data": [
+    "3.0"
+   ]
+  },
+  "dense_b": {
+   "shape": [
+    1
+   ],
+   "data": [
+    "-2.5"
+   ]
+  }
+ },
+ "epoch_losses": [
+  "0.75",
+  "0.1"
+ ]
+}"""
+
+
+def test_lstm_checkpoint_bytes_are_pinned(tmp_path):
+    params = LstmParams(
+        wx=np.array([[0.5], [-0.25], [0.125], [1.5]]),
+        wh=np.array([[-0.75], [0.375], [2.0], [-1.0]]),
+        b=np.array([0.0, 1.0, -0.5, 0.25]),
+        dense_w=np.array([[3.0]]),
+        dense_b=np.array([-2.5]),
+    )
+    model = LstmModel(params, TrainConfig(epochs=2, hidden=1, seed=3), [0.75, 0.1])
+    path = tmp_path / "model.json"
+    save_lstm(model, str(path))
+    assert list(json.loads(path.read_text())["params"]) == ["wx", "wh", "b", "dense_w", "dense_b"]
+    assert path.read_bytes() == PINNED_LSTM_CHECKPOINT.encode()
+
+
 def test_arima_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     y = np.cumsum(rng.uniform(1.0, 3.0, 30))

@@ -152,7 +152,7 @@ def _no_training(monkeypatch):
     model, alone or in a lockstep ensemble, is trained by `lstm.train`."""
 
     def refuse(*args):
-        raise AssertionError("trained before the horizon was checked")
+        raise AssertionError("trained before a check that rejects the run")
 
     monkeypatch.setattr(lstm, "train", refuse)
 
@@ -179,6 +179,7 @@ class TestExitCodes:
              _no_training, EXIT_DATA),
             (["reproduce", "--train", "2020-04-10:2020-05-01", "--epochs", "300"],
              _no_training, EXIT_DATA),
+            (["reproduce", "--train", "2020-04-10:2020-04-23"], _no_training, EXIT_DATA),
             (["run", "--model", "hwaas", "--horizon", "1000000000"], None, EXIT_USAGE),
             (["validate", "--data", "{huge}"], None, EXIT_DATA),
             (["run", "--model", "hwaas"], _nan_classical_forecast, EXIT_NUMERICAL),
@@ -188,6 +189,7 @@ class TestExitCodes:
             "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
             "zero-actual-in-horizon", "training-diverges", "nan-dense-bias",
             "non-utf8-data", "u1-horizon-unobserved", "reproduce-horizon-unobserved",
+            "reproduce-window-too-short-for-arima",
             "horizon-past-last-date", "count-exceeds-int64", "nan-classical-forecast",
         ],
     )

@@ -1,9 +1,12 @@
+import codecs
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from casecast import cli
 from casecast import (
     TimeSeries,
     bundled_dataset_path,
@@ -79,6 +82,21 @@ class TestLoadCsv:
         path.write_text("day,cases,deaths\n2020-03-24,1,0\n")
         with pytest.raises(MalformedRowError):
             load_csv(str(path))
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" begins the file with EF BB BF
+        plain = write_csv(tmp_path, ["2020-03-24,1872,44", "2020-03-25,2433,59"])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + Path(plain).read_bytes())
+        a, b = load_csv(plain), load_csv(str(marked))
+        assert a.dates == b.dates
+        np.testing.assert_array_equal(a.cases, b.cases)
+        np.testing.assert_array_equal(a.deaths, b.deaths)
+        # a UTF-16 file (its byte-order mark is FF FE) is still not UTF-8 text
+        utf16 = tmp_path / "utf16.csv"
+        utf16.write_bytes(Path(plain).read_text().encode("utf-16"))
+        assert cli.main(["validate", "--data", str(utf16)]) == cli.EXIT_DATA
+        assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 class TestSliceWindow:
