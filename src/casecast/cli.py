@@ -374,6 +374,10 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, NonFiniteForecastError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # reads map their own OSErrors, so this is an artifact write
+        path = f" {exc.filename}" if exc.filename else ""
+        print(f"config error: cannot write{path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

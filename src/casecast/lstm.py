@@ -7,11 +7,13 @@ input, forget, output, candidate, so one matvec per source covers all
 gates. `forward` is the one implementation of the cell; callers that
 need a single gate slice the stacked arrays (block k is rows k*H..(k+1)*H).
 
-Member axis: `forward`, `bptt_gradient` and `adam_update` also take a stack
-of E independent models (`LstmParams.stack`) and advance all of them in one
-call, which is how `train` runs an ensemble in lockstep. Every stacked
-operation is a per-member matmul, a broadcast or an elementwise op, so row e
-of each result is bitwise what member e alone would give.
+Member axis: `forward` and `bptt_gradient` take only a stack of E
+independent models (`LstmParams.stack`) and advance all of them in one call;
+one model is the stack `LstmParams.stack([params])`. `adam_update` is
+elementwise, so it steps a stack as it steps one model. `train` runs an
+ensemble in lockstep this way. Every stacked operation is a per-member
+matmul, a broadcast or an elementwise op, so row e of each result is bitwise
+what a stack of member e alone would give.
 
 Members may differ in input width D: the stack zero-pads each to the widest.
 A padded entry adds only products with a zero to a sum, which leaves the sum
@@ -171,33 +173,23 @@ class LstmParams:
     def input_dim(self) -> int:
         return self.wx.shape[-1]
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.NAMES}
-
     def zeros_like(self) -> "LstmParams":
         """Parameters of the same shapes, all zero (a gradient accumulator)."""
         return self._on(np.zeros(self.flat.shape), self.widths)
 
-    def _widened(self, width: int) -> "LstmParams":
-        """This model with zero input columns, head rows and head biases
-        appended up to input width `width`."""
-        pad = width - self.input_dim
-        return LstmParams(
-            np.pad(self.wx, ((0, 0), (0, pad))), self.wh, self.b,
-            np.pad(self.dense_w, ((0, pad), (0, 0))), np.pad(self.dense_b, (0, pad)),
-        )
-
     @classmethod
     def stack(cls, members: list["LstmParams"]) -> "LstmParams":
         """E models of one hidden size as one stack, on a new (E, P) `flat`;
-        each is zero-padded to the widest input width."""
+        each is zero-padded to the widest input width (its wx columns,
+        dense_w rows and dense_b entries past its own width stay zero)."""
         widths = tuple(m.input_dim for m in members)
-        padded = [m._widened(max(widths)) for m in members]
-        return padded[0]._on(np.stack([m.flat for m in padded]), widths)
-
-    def stacked(self) -> "LstmParams":
-        """One model as a stack of one member, sharing its storage."""
-        return self._on(self.flat[None], (self.input_dim,))
+        widest = members[widths.index(max(widths))]
+        stack = widest._on(np.zeros((len(members), widest.flat.size)), widths)
+        for e, member in enumerate(members):
+            for name in cls.NAMES:
+                a = getattr(member, name)
+                getattr(stack, name)[e][tuple(slice(n) for n in a.shape)] = a
+        return stack
 
     def member(self, e: int) -> "LstmParams":
         """Member e of a stack as one model of its own input width, on new
@@ -242,21 +234,17 @@ def forward(params: LstmParams, inputs, g="elu"):
         c' = f*c + i*g(Wcx x + Wch h + bc); h' = o*g(c'),
 
     with the activation g applied both to the candidate and to the cell
-    output. One model takes inputs (L, D) and returns y (D,); a stack of E
-    takes inputs (E, L, D), one activation name or one per member, and
-    returns y (E, D), each member's inputs and outputs zero beyond its own
-    width. Returns (y, cache). The cache holds, over L steps and
-    E members (E = 1 for one model), everything bptt_gradient needs for an
+    output. A stack of E models takes inputs (E, L, D) and one activation
+    name or one per member, and returns y (E, D), each member's inputs and
+    outputs zero beyond its own width. Returns (y, cache). The cache holds,
+    over L steps and E members, everything bptt_gradient needs for an
     exact reverse pass: "x" (L, E, D); "h" and "c" (L+1, E, H), the states
     before each step and after the last; "ifo" (L, E, 3H), the gates;
     "g_in" and "gc" (L, E, H): g of the candidate pre-activation and g of
     the new cell state."""
     inputs = np.asarray(inputs, dtype=float)
-    one = params.flat.ndim == 1
-    if one:
-        params, inputs = params.stacked(), np.atleast_2d(inputs)[None]
-    if inputs.shape[2] != params.input_dim:
-        raise ValueError(f"input dim {inputs.shape[2]}, expected {params.input_dim}")
+    if inputs.shape[2:] != (params.input_dim,):
+        raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
     members, steps = inputs.shape[:2]
     gfun, _ = _activation(g, members)
     hdim = params.hidden
@@ -282,20 +270,14 @@ def forward(params: LstmParams, inputs, g="elu"):
             _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
         )
     cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "g_in": g_in, "gc": gc}
-    return (y[0] if one else y), cache
+    return y, cache
 
 
 def bptt_gradient(params: LstmParams, inputs, target, g="elu"):
     """Exact gradient of the squared error ||y - target||^2 with respect to
     every parameter array, by reverse-mode differentiation through the
-    unrolled recurrence. One model returns (loss, grads), grads an
-    LstmParams; a stack (inputs (E, L, D), targets (E, D)) returns the
-    losses (E,) and the stacked gradients."""
-    one = params.flat.ndim == 1
-    if one:
-        params = params.stacked()
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))[None]
-        target = np.asarray(target, dtype=float)[None]
+    unrolled recurrence. A stack of E models takes inputs (E, L, D) and
+    targets (E, D), and returns the losses (E,) and the stacked gradients."""
     y, cache = forward(params, inputs, g)
     _, dgfun = _activation(g, len(y))
     err = y - np.asarray(target, dtype=float)
@@ -327,8 +309,6 @@ def bptt_gradient(params: LstmParams, inputs, target, g="elu"):
             grads.wh += da[:, :, None] * h[t][:, None, :]
             dh = _matvec(params.wh.transpose(0, 2, 1), da)
             dc = dc * f
-    if one:
-        return float(loss[0]), grads.member(0)
     return loss, grads
 
 
@@ -562,10 +542,10 @@ def run_schema(
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if model is None:
         (model,) = train(make_windows(train_vals, lookback), cfg)
-    activation = model.config.activation
+    params, activation = LstmParams.stack([model.params]), model.config.activation
 
     def predict(window):
-        return forward(model.params, window, activation)[0]
+        return forward(params, window[None], activation)[0][0]
 
     if schema == "u1":
         all_vals = spec.normalize(ts.channels(bivariate=False))

@@ -21,7 +21,7 @@ from casecast.classical import (
     hw_forecast,
 )
 from casecast.evaluation import ape_series, summarize
-from casecast.lstm import run_schema, train_schema_model, train_schema_models
+from casecast.lstm import LstmParams, run_schema, train_schema_model, train_schema_models
 from conftest import TRAIN_END, TRAIN_START
 from test_eval import HWAAS_COLUMN
 from test_lstm import max_relative_gradient_error
@@ -164,10 +164,10 @@ class TestLstm:
             run = run_schema(
                 series, "u2", cfg, TRAIN_START, TRAIN_END, HORIZON, model=model
             )
-            runs.append((model.params.arrays(), run.forecasts))
+            runs.append((model.params, run.forecasts))
         weights_equal = all(
-            np.array_equal(runs[0][0][name], runs[1][0][name])
-            for name in runs[0][0]
+            np.array_equal(getattr(runs[0][0], name), getattr(runs[1][0], name))
+            for name in LstmParams.NAMES
         )
         forecasts_equal = np.array_equal(runs[0][1], runs[1][1])
         report(

@@ -26,8 +26,8 @@ def test_lstm_round_trip_is_bit_exact(tmp_path):
     save_lstm(model, path)
     loaded = load(path)
     assert loaded.config == model.config
-    for name, arr in model.params.arrays().items():
-        np.testing.assert_array_equal(arr, loaded.params.arrays()[name])
+    for name in LstmParams.NAMES:
+        np.testing.assert_array_equal(getattr(loaded.params, name), getattr(model.params, name))
     np.testing.assert_array_equal(loaded.params.flat, model.params.flat)
     assert loaded.epoch_losses == model.epoch_losses
 

@@ -228,6 +228,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: deaths is constant at 3 over 2020-03-24..2020-04-23")
 
+    @pytest.mark.parametrize("argv, artifact", [
+        (["run", "--model", "hwaas"], "checkpoint.json"),
+        (["reproduce", "--epochs", "1"], "table1.csv"),
+    ], ids=["run-checkpoint-is-a-directory", "reproduce-table1-is-a-directory"])
+    def test_unwritable_artifact_names_its_path(self, tmp_path, capsys, argv, artifact):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / artifact}: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_write_error_without_a_path_gives_its_reason(self, tmp_path, monkeypatch, capsys):
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_lines", full)
+        assert run_cli("run", "--model", "hwaas", "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: cannot write: No space left on device\n"
+
 
 @pytest.fixture(scope="module")
 def repro_dir(tmp_path_factory):
@@ -373,3 +393,16 @@ class TestFuzzedContract:
                 code = main(argv)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL), (argv, config)
         assert "Traceback" not in stderr.getvalue(), (argv, config)
+
+
+def test_every_name_the_benchmark_tracer_patches_is_bound(monkeypatch):
+    """perfbench/tracer.py wraps casecast's layer boundaries by name, so each
+    must stay an attribute of its module; leaving the tracer restores them."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import tracer
+
+    main, forward = cli.main, lstm.forward
+    with tracer.Tracer() as spans:
+        tracer.install(spans)
+        assert cli.main is not main and lstm.forward is not forward
+    assert cli.main is main and lstm.forward is forward

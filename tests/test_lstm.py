@@ -64,9 +64,9 @@ def gate_blocks(mat, hidden):
 
 
 def cell_steps(params, inputs, g="elu"):
-    """One model's forward cache as per-step dicts keyed by the cell's
-    quantities (the cache holds member 0 of a stack of one)."""
-    _, cache = forward(params, inputs, g)
+    """The forward cache of one model on inputs (L, D), run as a stack of
+    one, as per-step dicts keyed by the cell's quantities."""
+    _, cache = forward(LstmParams.stack([params]), inputs[None], g)
     hdim = params.hidden
     steps = []
     for t in range(len(cache["x"])):
@@ -130,9 +130,11 @@ class TestLstmStep:
             assert abs((step["o"] * step["gc"])[0] - h) < 1e-12
 
     def test_dimension_mismatch(self):
-        params = zero_params(2, 1)
+        params = LstmParams.stack([zero_params(2, 1)])
         with pytest.raises(ValueError):
-            forward(params, np.array([1.0, 2.0]))
+            forward(params, np.array([[[1.0, 2.0]]]))
+        with pytest.raises(ValueError, match="expected"):  # one model's (L, D) is no stack
+            forward(params, np.array([[1.0]]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -177,8 +179,8 @@ class TestLstmParams:
 
     def test_views_lie_in_order_in_flat(self):
         params = zero_params(3, 2)
-        for k, a in enumerate(params.arrays().values()):
-            a[...] = k + 1.0
+        for k, name in enumerate(LstmParams.NAMES):
+            getattr(params, name)[...] = k + 1.0
         sizes = (4 * 3 * 2, 4 * 3, 2 * 3, 2, 4 * 3 * 3)  # wx, b, dense_w, dense_b, wh
         expected = np.concatenate([np.full(n, k + 1.0) for k, n in enumerate(sizes)])
         np.testing.assert_array_equal(params.flat, expected)
@@ -191,15 +193,16 @@ class TestLstmParams:
         np.testing.assert_array_equal(grads.flat[: -4 * 3 * 3], 0.0)
         np.testing.assert_array_equal(grads.flat[-4 * 3 * 3 :], 1.0)
         np.testing.assert_array_equal(params.flat, before)
-        for k, a in params.arrays().items():
-            assert grads.arrays()[k].shape == a.shape
+        for name in LstmParams.NAMES:
+            assert getattr(grads, name).shape == getattr(params, name).shape
 
 
 class TestForward:
     def test_zero_params_returns_dense_bias(self):
         params = zero_params(3, 1)
         params.dense_b[:] = 4.25
-        y, _ = forward(params, np.array([[0.1], [0.9]]))
+        y, _ = forward(LstmParams.stack([params]), np.array([[[0.1], [0.9]]]))
+        assert y.shape == (1, 1)
         np.testing.assert_allclose(y, 4.25)
 
     def test_length_one_equals_single_step(self):
@@ -208,59 +211,63 @@ class TestForward:
         x = np.array([0.3])
         i, f, o, a_c = gate_blocks(params.wx @ x + params.b, 4)
         h = sigmoid(o) * elu(sigmoid(i) * elu(a_c))
-        y, _ = forward(params, x[None, :])
-        np.testing.assert_array_equal(y, params.dense_w @ h + params.dense_b)
+        y, _ = forward(LstmParams.stack([params]), x[None, None, :])
+        np.testing.assert_array_equal(y[0], params.dense_w @ h + params.dense_b)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        params = LstmParams.glorot(4, 2, rng)
-        seq = rng.random((5, 2))
+        params = LstmParams.stack([LstmParams.glorot(4, 2, rng)])
+        seq = rng.random((1, 5, 2))
         y1, _ = forward(params, seq)
         y2, _ = forward(params, seq)
         np.testing.assert_array_equal(y1, y2)
 
 
 def finite_difference_grads(params, inputs, target, g, step=1e-5):
-    """Central differences of the squared-error loss over every coordinate
-    of params.flat, perturbed in place (the named arrays see each change)."""
+    """Central differences of each member's squared-error loss over every
+    coordinate of its row of the stack's flat (E, P), perturbed in place
+    (the named arrays see each change)."""
     flat = params.flat
     out = np.zeros_like(flat)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + step
+    for e, j in np.ndindex(flat.shape):
+        orig = flat[e, j]
+        flat[e, j] = orig + step
         lp, _ = bptt_gradient(params, inputs, target, g)
-        flat[j] = orig - step
+        flat[e, j] = orig - step
         lm, _ = bptt_gradient(params, inputs, target, g)
-        flat[j] = orig
-        out[j] = (lp - lm) / (2 * step)
+        flat[e, j] = orig
+        out[e, j] = (lp[e] - lm[e]) / (2 * step)
     return out
 
 
 def max_relative_gradient_error(seed, hidden, lookback, g):
     rng = np.random.default_rng(seed)
-    params = LstmParams.glorot(hidden, 1, rng)
-    inputs = rng.random((lookback, 1))
-    target = rng.random(1)
+    params = LstmParams.stack([LstmParams.glorot(hidden, 1, rng)])
+    inputs = rng.random((1, lookback, 1))
+    target = rng.random((1, 1))
     _, grads = bptt_gradient(params, inputs, target, g)
     numeric = finite_difference_grads(params, inputs, target, g)
     # bptt writes the named arrays, the differences perturb flat: read the
     # former so that a view which stops aliasing flat shows as an error
-    analytic = np.concatenate([a.ravel() for a in grads.arrays().values()])
+    analytic = np.concatenate(
+        [getattr(grads, name).reshape(len(grads.flat), -1) for name in LstmParams.NAMES], axis=1
+    )
     denom = np.maximum(np.abs(numeric), 1e-4)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 class TestBptt:
     def test_zero_loss_gives_zero_gradient(self):
-        params = zero_params(3, 1)
-        loss, grads = bptt_gradient(params, np.array([[0.5]]), np.array([0.0]))
-        assert loss == 0.0
+        params = LstmParams.stack([zero_params(3, 1)])
+        loss, grads = bptt_gradient(params, np.array([[[0.5]]]), np.array([[0.0]]))
+        np.testing.assert_array_equal(loss, [0.0])
         np.testing.assert_array_equal(grads.flat, 0.0)
+        assert grads.flat.shape == params.flat.shape
 
     def test_dense_bias_gradient_is_twice_the_error(self):
         rng = np.random.default_rng(11)
-        params = LstmParams.glorot(4, 1, rng)
-        inputs, target = rng.random((3, 1)), rng.random(1)
+        params = LstmParams.stack([LstmParams.glorot(4, 1, rng)])
+        inputs, target = rng.random((1, 3, 1)), rng.random((1, 1))
         y, _ = forward(params, inputs)
         _, grads = bptt_gradient(params, inputs, target)
         np.testing.assert_allclose(grads.dense_b, 2.0 * (y - target), rtol=1e-12)
@@ -303,17 +310,18 @@ class TestAdam:
         params = LstmParams.glorot(3, 2, rng)
         state = AdamState.like(params)
         # reference: Adam one named array at a time, moments in dicts
-        expected = {k: a.copy() for k, a in params.arrays().items()}
+        expected = {k: getattr(params, k).copy() for k in LstmParams.NAMES}
         m = {k: np.zeros_like(a) for k, a in expected.items()}
         v = {k: np.zeros_like(a) for k, a in expected.items()}
         for t in range(1, 4):
             grads = params.zeros_like()
-            for a in grads.arrays().values():  # written through the named views
+            for k in LstmParams.NAMES:  # written through the named views
+                a = getattr(grads, k)
                 a[...] = rng.standard_normal(a.shape)
             adam_update(params, grads, state, lr, beta1, beta2, eps)
             bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
             for k, arr in expected.items():
-                grad = grads.arrays()[k]
+                grad = getattr(grads, k)
                 m[k] *= beta1
                 m[k] += (1.0 - beta1) * grad
                 v[k] *= beta2
@@ -338,8 +346,8 @@ class TestTrain:
         ds = make_windows(values, lookback=2)
         cfg = TrainConfig(epochs=5, hidden=4, seed=9)
         (m1,), (m2,) = train(ds, cfg), train(ds, cfg)
-        for k, a in m1.params.arrays().items():
-            np.testing.assert_array_equal(a, m2.params.arrays()[k])
+        for k in LstmParams.NAMES:
+            np.testing.assert_array_equal(getattr(m1.params, k), getattr(m2.params, k))
 
 
 def lockstep_dataset(input_dim, lookback):
@@ -420,7 +428,8 @@ class TestLockstep:
 
     @pytest.mark.parametrize("lookback", [1, 3])
     def test_one_member_equals_a_plain_bptt_and_adam_loop(self, lookback):
-        # the reference steps all of flat with Adam; at lookback 1 train skips wh
+        # the reference steps all of flat with Adam; at lookback 1 train skips wh.
+        # It differentiates a stack of the one model and steps the model itself
         ds = lockstep_dataset(1, lookback)
         cfg = TrainConfig(epochs=3, hidden=5, activation="tanh", seed=6)
         rng = np.random.default_rng(cfg.seed)
@@ -430,10 +439,13 @@ class TestLockstep:
         for _ in range(cfg.epochs):
             total = 0.0
             for k in rng.permutation(len(ds)):
-                loss, grads = bptt_gradient(params, ds.inputs[k], ds.targets[k], cfg.activation)
-                total += loss
-                adam_update(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2,
-                            cfg.epsilon)
+                loss, grads = bptt_gradient(
+                    LstmParams.stack([params]), ds.inputs[k][None], ds.targets[k][None],
+                    cfg.activation,
+                )
+                total += loss[0]
+                adam_update(params, grads.member(0), state, cfg.learning_rate, cfg.beta1,
+                            cfg.beta2, cfg.epsilon)
             losses.append(total / len(ds))
         (model,) = train(ds, cfg)
         assert model.params.flat.tobytes() == params.flat.tobytes()
@@ -481,8 +493,9 @@ class TestLockstep:
         singles = [LstmParams.glorot(3, 2, rng) for _ in range(2)]
         stack = LstmParams.stack(singles)
         assert stack.flat.shape == (2, singles[0].flat.size)
-        for name, a in stack.arrays().items():
-            assert a.shape == (2,) + singles[0].arrays()[name].shape
+        for name in LstmParams.NAMES:
+            a = getattr(stack, name)
+            assert a.shape == (2,) + getattr(singles[0], name).shape
             assert np.shares_memory(a, stack.flat)
         stack.b[1, 0] = 9.0
         member = stack.member(1)
@@ -494,9 +507,6 @@ class TestLockstep:
         assert not mixed.wx[0, :, 1:].any() and not mixed.dense_w[0, 1:].any()
         for e, single in enumerate([narrow, singles[1]]):
             assert mixed.member(e).flat.tobytes() == single.flat.tobytes()
-        one = singles[0].stacked()
-        one.dense_b[0, :] = 4.0
-        np.testing.assert_array_equal(singles[0].dense_b, 4.0)
 
 
 def predict_last(window):
@@ -504,7 +514,8 @@ def predict_last(window):
 
 
 def lstm_predictor(params):
-    return lambda window: forward(params, window)[0]
+    stack = LstmParams.stack([params])
+    return lambda window: forward(stack, window[None])[0][0]
 
 
 class TestForecastRecursive:
@@ -517,8 +528,8 @@ class TestForecastRecursive:
         params = LstmParams.glorot(4, 1, rng)
         window = rng.random((3, 1))
         out = forecast_recursive(lstm_predictor(params), window, 1)
-        y, _ = forward(params, window)
-        np.testing.assert_array_equal(out[0], y)
+        y, _ = forward(LstmParams.stack([params]), window[None])
+        np.testing.assert_array_equal(out[0], y[0])
 
     def test_bivariate_stub_gives_arithmetic_progressions(self):
         delta = np.array([0.01, 0.001])
@@ -543,15 +554,16 @@ class TestRunSchema:
         cfg = TrainConfig(epochs=3, hidden=4, seed=2)
         m1 = train_schema_model(series, "u1", cfg, TRAIN_START, TRAIN_END)
         m2 = train_schema_model(series, "u2", cfg, TRAIN_START, TRAIN_END)
-        for k, a in m1.params.arrays().items():
-            np.testing.assert_array_equal(a, m2.params.arrays()[k])
+        for k in LstmParams.NAMES:
+            np.testing.assert_array_equal(getattr(m1.params, k), getattr(m2.params, k))
 
     def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
         from casecast.data import fit_normalizer, slice_window
 
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))
         oracle = iter(spec.normalize(test_actuals[:, None]))
-        monkeypatch.setattr(lstm, "forward", lambda params, window, g="elu": (next(oracle), {}))
+        # run_schema forecasts on a stack of one, so forward returns y (1, D)
+        monkeypatch.setattr(lstm, "forward", lambda params, x, g="elu": (next(oracle)[None], {}))
         cfg = TrainConfig(epochs=1, hidden=4)
         model = LstmModel(zero_params(4, 1), cfg, [])
 
