@@ -183,6 +183,19 @@ def _prepare(args):
     return cfg, ts
 
 
+def _check_writable(out: str, names) -> None:
+    """Fail before any fit, not after the training, when an artifact cannot
+    be written: open each of `names` in `out` for appending, which changes
+    no file, and remove the ones this created. The OSError names the path."""
+    for name in names:
+        path = os.path.join(out, name)
+        existed = os.path.lexists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _train_config(cfg: RunConfig, activation: str) -> TrainConfig:
     return TrainConfig(epochs=cfg.epochs, activation=activation, seed=cfg.seed)
 
@@ -246,6 +259,9 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, ts = _prepare(args)
+    _, actuals = forecast_horizon(ts, cfg.train_end, cfg.horizon)
+    scored = ("errors.csv", "summary.csv") if actuals is not None else ()
+    _check_writable(cfg.out, ("checkpoint.json", "forecast.csv") + scored)
     run, fit = _forecast(ts, cfg, cfg.model)
     path = os.path.join(cfg.out, "checkpoint.json")
     if cfg.model.startswith("lstm-"):
@@ -271,6 +287,7 @@ def cmd_reproduce(args) -> int:
     if actuals is None:  # fail before the first fit, not after training
         raise WindowError("reproduce scores every model, so it needs observed values "
                           "over the whole horizon")
+    _check_writable(cfg.out, ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md"))
     runs = {}  # table label -> ForecastRun
     # the classical fits first: they reject a window before seconds of training
     for name in ("arima", "hwaas", "prophet-lite"):

@@ -15,6 +15,14 @@ ensemble in lockstep this way. Every stacked operation is a per-member
 matmul, a broadcast or an elementwise op, so row e of each result is bitwise
 what a stack of member e alone would give.
 
+Contiguity: a step on a stack is some 75 small numpy calls, and a call on a
+strided operand costs two to three times one on a contiguous operand of the
+same size. So a stack's `flat` is name-major (every member's wx, then every
+member's b, ...), which makes each named array one contiguous block, and
+inside a step the gates are gate-major, (4, E, H), which makes each gate of
+all members one contiguous block. Neither layout changes a product's
+operands or an elementwise op's values, so neither changes a bit.
+
 Members may differ in input width D: the stack zero-pads each to the widest.
 A padded entry adds only products with a zero to a sum, which leaves the sum
 exact, and gets a zero gradient, so Adam never moves it. The one exception
@@ -28,7 +36,7 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -137,10 +145,12 @@ class LstmParams:
     wx (4H, D) input-to-gate, rows stacked i|f|o|c; b (4H,); dense_w (D_out, H);
     dense_b (D_out,); wh (4H, H) hidden-to-gate, last, so the rest is a prefix.
 
-    A stack of E models of one hidden size (`stack`) has `flat` of shape
-    (E, P) and the same views with a leading member axis: wx (E, 4H, D) and
-    so on, D the widest member's input width. `widths` holds each member's
-    own width (None for one model).
+    A stack of E models of one hidden size (`stack`) has the same views with a
+    leading member axis, wx (E, 4H, D) and so on, D the widest member's input
+    width. Its `flat` is one (E*P,) vector laid out name-major: the wx of
+    every member, then every b, dense_w, dense_b and wh, so each named array
+    is one C-contiguous block and the blocks before wh are again a prefix.
+    `widths` holds each member's own width (None for one model).
     """
 
     NAMES = ("wx", "b", "dense_w", "dense_b", "wh")
@@ -150,13 +160,14 @@ class LstmParams:
         self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays], None)
 
     def _bind(self, flat, shapes, widths):
-        """Point the named arrays at `flat`, (P,) or (E, P); `shapes` are
-        one model's."""
+        """Point the named arrays at the 1-D `flat`, name-major for a stack;
+        `shapes` are one model's."""
         self.flat, self._shapes, self.widths = flat, shapes, widths
+        lead = () if widths is None else (len(widths),)
         start = 0
         for name, shape in zip(self.NAMES, shapes):
-            end = start + math.prod(shape)
-            setattr(self, name, flat[..., start:end].reshape(flat.shape[:-1] + shape))
+            end = start + math.prod(lead + shape)
+            setattr(self, name, flat[start:end].reshape(lead + shape))
             start = end
 
     def _on(self, flat, widths):
@@ -179,12 +190,12 @@ class LstmParams:
 
     @classmethod
     def stack(cls, members: list["LstmParams"]) -> "LstmParams":
-        """E models of one hidden size as one stack, on a new (E, P) `flat`;
+        """E models of one hidden size as one stack, on a new (E*P,) `flat`;
         each is zero-padded to the widest input width (its wx columns,
         dense_w rows and dense_b entries past its own width stay zero)."""
         widths = tuple(m.input_dim for m in members)
         widest = members[widths.index(max(widths))]
-        stack = widest._on(np.zeros((len(members), widest.flat.size)), widths)
+        stack = widest._on(np.zeros(len(members) * widest.flat.size), widths)
         for e, member in enumerate(members):
             for name in cls.NAMES:
                 a = getattr(member, name)
@@ -220,10 +231,21 @@ class LstmParams:
 @functools.lru_cache
 def _width_groups(widths: tuple[int, ...]):
     """(width, rows) for each distinct member width of a stack; rows selects
-    that width's members, and is every row when all share one width."""
-    if len(set(widths)) == 1:
-        return ((widths[0], slice(None)),)
-    return tuple((w, np.flatnonzero(np.array(widths) == w)) for w in dict.fromkeys(widths))
+    that width's members, as a slice when they are adjacent in the stack (a
+    view) and as an index array otherwise (a copy)."""
+    groups = []
+    for width in dict.fromkeys(widths):
+        rows = np.flatnonzero(np.array(widths) == width)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        groups.append((width, rows))
+    return tuple(groups)
+
+
+def _gate_major(rows, hdim):
+    """E contiguous rows of the four gate blocks, (E, 4H) or (E, 4H, 1), as
+    a (4, E, H) view, gate k in [k]."""
+    return rows.reshape(len(rows), 4, hdim).transpose(1, 0, 2)
 
 
 def forward(params: LstmParams, inputs, g="elu"):
@@ -239,9 +261,10 @@ def forward(params: LstmParams, inputs, g="elu"):
     outputs zero beyond its own width. Returns (y, cache). The cache holds,
     over L steps and E members, everything bptt_gradient needs for an
     exact reverse pass: "x" (L, E, D); "h" and "c" (L+1, E, H), the states
-    before each step and after the last; "ifo" (L, E, 3H), the gates;
-    "g_in" and "gc" (L, E, H): g of the candidate pre-activation and g of
-    the new cell state."""
+    before each step and after the last; "ifo" (L, 3, E, H), the gates i, f
+    and o; "g" (L, 2, E, H), g of the candidate pre-activation and g of the
+    new cell state. A step holds its pre-activations gate-major too,
+    (4, E, H), so each gate of all members is one contiguous block."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[2:] != (params.input_dim,):
         raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
@@ -249,79 +272,108 @@ def forward(params: LstmParams, inputs, g="elu"):
     gfun, _ = _activation(g, members)
     hdim = params.hidden
     # the input term of every step in one matmul, still one product per
-    # (member, step), so each is the one a per-step matvec would give
-    xw = (params.wx[:, None] @ inputs[..., None])[..., 0]
+    # (member, step), so each is the one a per-step matvec would give;
+    # read gate-major, (L, 4, E, H)
+    xw = (params.wx[:, None] @ inputs[..., None]).reshape(members, steps, 4, hdim)
+    xw = xw.transpose(1, 2, 0, 3)
+    b = _gate_major(params.b, hdim)
     h = np.zeros((steps + 1, members, hdim))
     c = np.zeros((steps + 1, members, hdim))
-    ifo = np.empty((steps, members, 3 * hdim))
-    g_in, gc = np.empty((2, steps, members, hdim))
+    ifo = np.empty((steps, 3, members, hdim))
+    gv = np.empty((steps, 2, members, hdim))
+    a = np.empty((4, members, hdim))
+    hw = np.empty((members, 4 * hdim, 1))  # the recurrent term, one matvec per member
+    hw_gates = _gate_major(hw, hdim)
     for t in range(steps):
         # the state starts at zero: step 0 has no recurrent term
-        a = xw[:, t] + _matvec(params.wh, h[t]) + params.b if t else xw[:, t] + params.b
-        sigmoid(a[:, : 3 * hdim], out=ifo[t])
-        i, f, o = ifo[t, :, :hdim], ifo[t, :, hdim : 2 * hdim], ifo[t, :, 2 * hdim :]
-        g_in[t] = gfun(a[:, 3 * hdim :])
-        np.add(f * c[t], i * g_in[t], out=c[t + 1])
-        gc[t] = gfun(c[t + 1])
-        np.multiply(o, gc[t], out=h[t + 1])
+        if t:
+            np.matmul(params.wh, h[t, :, :, None], out=hw)
+            np.add(xw[t], hw_gates, out=a)
+            a += b
+        else:
+            np.add(xw[t], b, out=a)
+        sigmoid(a[:3], out=ifo[t])
+        gv[t, 0] = gfun(a[3])
+        np.add(ifo[t, 1] * c[t], ifo[t, 0] * gv[t, 0], out=c[t + 1])
+        gv[t, 1] = gfun(c[t + 1])
+        np.multiply(ifo[t, 2], gv[t, 1], out=h[t + 1])
     y = np.zeros((members, params.input_dim))
     for width, rows in _width_groups(params.widths):
         y[rows, :width] = (
             _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
         )
-    cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "g_in": g_in, "gc": gc}
+    cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "g": gv}
     return y, cache
 
 
-def bptt_gradient(params: LstmParams, inputs, target, g="elu"):
+def bptt_gradient(params: LstmParams, inputs, target, g="elu", out=None):
     """Exact gradient of the squared error ||y - target||^2 with respect to
     every parameter array, by reverse-mode differentiation through the
     unrolled recurrence. A stack of E models takes inputs (E, L, D) and
-    targets (E, D), and returns the losses (E,) and the stacked gradients."""
+    targets (E, D), and returns the losses (E,) and the stacked gradients.
+
+    The gradients go to a new stack, or into `out`, a stack of params'
+    layout, whose entries are zeroed first, but for wh at lookback 1: that
+    gradient is exactly zero (the state starts at zero), so it is neither
+    zeroed nor written, and a zeroed `out` reused over steps keeps it zero."""
     y, cache = forward(params, inputs, g)
     _, dgfun = _activation(g, len(y))
     err = y - np.asarray(target, dtype=float)
     loss = (err[:, None, :] @ err[:, :, None])[:, 0, 0]
 
     hdim = params.hidden
-    x, h, c, ifo, g_in, gc = (cache[k] for k in ("x", "h", "c", "ifo", "g_in", "gc"))
+    x, h, c, ifo, gv = (cache[k] for k in ("x", "h", "c", "ifo", "g"))
     # the factors that need no reverse-pass state, for every step at once
-    dgc, dga, not_ifo = dgfun(gc), dgfun(g_in), 1.0 - ifo
-    grads = params.zeros_like()
-    grads.dense_w += (2.0 * err)[:, :, None] * h[-1][:, None, :]
-    grads.dense_b += 2.0 * err
+    dg, not_ifo = dgfun(gv), 1.0 - ifo
+    if out is None:
+        grads = params.zeros_like()
+    else:
+        grads = out
+        grads.flat[: grads.flat.size - (grads.wh.size if len(x) == 1 else 0)] = 0.0
+    two_err = 2.0 * err
+    grads.dense_w += two_err[:, :, None] * h[-1][:, None, :]
+    grads.dense_b += two_err
 
-    dh = _matvec(params.dense_w.transpose(0, 2, 1), 2.0 * err)
+    dh = _matvec(params.dense_w.transpose(0, 2, 1), two_err)
     dc = np.zeros(dh.shape)
-    d_ifo = np.empty((len(y), 3 * hdim))
-    da = np.empty((len(y), 4 * hdim))
+    d_ifo = np.empty(ifo.shape[1:])
+    da = np.empty((4, len(y), hdim))
+    # da's rows, (E, 4H, 1), the layout of the products with wx, wh and b
+    da_rows = np.empty((len(y), 4 * hdim, 1))
+    da_gates = _gate_major(da_rows, hdim)
+    wh_t = params.wh.transpose(0, 2, 1)
     for t in reversed(range(len(x))):
-        i, f, o = ifo[t, :, :hdim], ifo[t, :, hdim : 2 * hdim], ifo[t, :, 2 * hdim :]
-        np.multiply(dh, gc[t], out=d_ifo[:, 2 * hdim :])
-        dc = dc + dh * o * dgc[t]
-        np.multiply(dc, g_in[t], out=d_ifo[:, :hdim])
-        np.multiply(dc, c[t], out=d_ifo[:, hdim : 2 * hdim])
-        np.multiply(d_ifo * ifo[t], not_ifo[t], out=da[:, : 3 * hdim])
-        np.multiply(dc * i, dga[t], out=da[:, 3 * hdim :])
-        grads.wx += da[:, :, None] * x[t][:, None, :]
-        grads.b += da
+        np.multiply(dh, gv[t, 1], out=d_ifo[2])
+        dc = dc + dh * ifo[t, 2] * dg[t, 1]
+        np.multiply(dc, gv[t, 0], out=d_ifo[0])
+        np.multiply(dc, c[t], out=d_ifo[1])
+        np.multiply(d_ifo * ifo[t], not_ifo[t], out=da[:3])
+        np.multiply(dc * ifo[t, 0], dg[t, 0], out=da[3])
+        da_gates[...] = da  # the step's one transposing copy
+        grads.wx += da_rows * x[t, :, None, :]
+        grads.b += da_rows[:, :, 0]
         if t:  # h[0] = 0 adds nothing to wh's gradient, and nothing flows past step 0
-            grads.wh += da[:, :, None] * h[t][:, None, :]
-            dh = _matvec(params.wh.transpose(0, 2, 1), da)
-            dc = dc * f
+            grads.wh += da_rows * h[t, :, None, :]
+            dh = (wh_t @ da_rows)[:, :, 0]
+            dc = dc * ifo[t, 1]
     return loss, grads
 
 
 @dataclass
 class AdamState:
-    """Adam's moment estimates, laid out like LstmParams.flat (one row per
-    member of a stack), the step count, and the end of the prefix of flat that
-    Adam steps: all of it (None) unless the entries past it get no gradient."""
+    """Adam's moment estimates, laid out like LstmParams.flat, the step
+    count, the end of the prefix of flat that Adam steps (all of it, None,
+    unless the entries past it get no gradient), and two scratch vectors of
+    flat's size that each step writes its temporaries into."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     live: int | None = None
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + self.m.shape)
 
     @classmethod
     def like(cls, params: LstmParams):
@@ -339,17 +391,27 @@ def adam_update(
 ):
     """One Adam step with bias correction over the live prefix of the flat
     parameter vector, elementwise, so it steps every member of a stack at
-    once; updates params and state in place."""
+    once; updates params and state in place. Each operation is the one of
+
+        m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
+        p -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
+
+    in that order, with the temporaries in `state.scratch`."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    live = np.s_[..., : state.live]
+    live = slice(state.live)
     grad, m, v = grads.flat[live], state.m[live], state.v[live]
+    step, denom = state.scratch[:, live]
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(1.0 - beta1, grad, out=step)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    params.flat[live] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(1.0 - beta2, grad, out=step)
+    v += np.multiply(step, grad, out=step)
+    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += eps
+    params.flat[live] -= np.divide(step, denom, out=step)
 
 
 @dataclass(frozen=True)
@@ -423,11 +485,12 @@ def train(
         targets[e, :, : d.targets.shape[1]] = d.targets
     members = np.arange(len(cfgs))
     activations = tuple(c.activation for c in cfgs)
+    grads = params.zeros_like()  # bptt_gradient refills it at every step
     state = AdamState.like(params)
     if dataset.inputs.shape[1] == 1:
         # one step from the zero state: wh gets no gradient, and Adam would
         # move it by exactly 0, so only the prefix before it is stepped
-        state.live = params.flat.shape[-1] - params.wh[0].size
+        state.live = params.flat.size - params.wh.size
     n = len(dataset)
     losses = np.empty((cfg.epochs, len(cfgs)))
     for epoch in range(cfg.epochs):
@@ -435,7 +498,7 @@ def train(
         # row j holds every member's j-th sample of this epoch
         for ks in np.stack([rng.permutation(n) for rng in rngs], axis=1):
             loss, grads = bptt_gradient(
-                params, inputs[members, ks], targets[members, ks], activations
+                params, inputs[members, ks], targets[members, ks], activations, grads
             )
             total += loss
             adam_update(

@@ -231,14 +231,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, artifact", [
         (["run", "--model", "hwaas"], "checkpoint.json"),
         (["reproduce", "--epochs", "1"], "table1.csv"),
-    ], ids=["run-checkpoint-is-a-directory", "reproduce-table1-is-a-directory"])
-    def test_unwritable_artifact_names_its_path(self, tmp_path, capsys, argv, artifact):
+        (["run", "--model", "lstm-u2"], "checkpoint.json"),
+        (["run", "--model", "lstm-u3"], "summary.csv"),
+        (["reproduce"], "summary.md"),
+    ], ids=["run-checkpoint-is-a-directory", "reproduce-table1-is-a-directory",
+            "lstm-run-checkpoint-is-a-directory", "lstm-run-summary-is-a-directory",
+            "reproduce-summary-is-a-directory"])
+    def test_unwritable_artifact_names_its_path(self, tmp_path, monkeypatch, capsys, argv,
+                                                artifact):
+        # the check comes before any fit: no LSTM trains, and the other
+        # artifacts are neither written nor left behind empty
+        trained = []
+        monkeypatch.setattr(lstm, "train", lambda *args: trained.append(args))
         out = tmp_path / "out"
         (out / artifact).mkdir(parents=True)
         assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {out / artifact}: "), err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not trained
+        assert [p.name for p in out.iterdir()] == [artifact]
 
     def test_write_error_without_a_path_gives_its_reason(self, tmp_path, monkeypatch, capsys):
         def full(*args):

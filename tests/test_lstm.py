@@ -67,14 +67,14 @@ def cell_steps(params, inputs, g="elu"):
     """The forward cache of one model on inputs (L, D), run as a stack of
     one, as per-step dicts keyed by the cell's quantities."""
     _, cache = forward(LstmParams.stack([params]), inputs[None], g)
-    hdim = params.hidden
     steps = []
     for t in range(len(cache["x"])):
-        i, f, o = gate_blocks(cache["ifo"][t, 0], hdim)[:3]
+        i, f, o = cache["ifo"][t, :, 0]  # gate-major: (3, E, H)
+        g_in, gc = cache["g"][t, :, 0]
         steps.append({
             "x": cache["x"][t, 0], "h": cache["h"][t, 0], "c": cache["c"][t, 0],
-            "i": i, "f": f, "o": o, "g_in": cache["g_in"][t, 0],
-            "c_new": cache["c"][t + 1, 0], "gc": cache["gc"][t, 0],
+            "i": i, "f": f, "o": o, "g_in": g_in,
+            "c_new": cache["c"][t + 1, 0], "gc": gc,
         })
     return steps
 
@@ -224,19 +224,24 @@ class TestForward:
 
 
 def finite_difference_grads(params, inputs, target, g, step=1e-5):
-    """Central differences of each member's squared-error loss over every
-    coordinate of its row of the stack's flat (E, P), perturbed in place
-    (the named arrays see each change)."""
+    """Central differences of the squared-error loss of the member that owns
+    each coordinate of the stack's flat, perturbed in place (the named arrays
+    see each change)."""
     flat = params.flat
+    # member e owns every coordinate of row e of each named array
+    owner = params.zeros_like()
+    for name in LstmParams.NAMES:
+        a = getattr(owner, name)
+        a[...] = np.arange(len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
     out = np.zeros_like(flat)
-    for e, j in np.ndindex(flat.shape):
-        orig = flat[e, j]
-        flat[e, j] = orig + step
+    for j, e in enumerate(owner.flat.astype(int)):
+        orig = flat[j]
+        flat[j] = orig + step
         lp, _ = bptt_gradient(params, inputs, target, g)
-        flat[e, j] = orig - step
+        flat[j] = orig - step
         lm, _ = bptt_gradient(params, inputs, target, g)
-        flat[e, j] = orig
-        out[e, j] = (lp[e] - lm[e]) / (2 * step)
+        flat[j] = orig
+        out[j] = (lp[e] - lm[e]) / (2 * step)
     return out
 
 
@@ -248,10 +253,9 @@ def max_relative_gradient_error(seed, hidden, lookback, g):
     _, grads = bptt_gradient(params, inputs, target, g)
     numeric = finite_difference_grads(params, inputs, target, g)
     # bptt writes the named arrays, the differences perturb flat: read the
-    # former so that a view which stops aliasing flat shows as an error
-    analytic = np.concatenate(
-        [getattr(grads, name).reshape(len(grads.flat), -1) for name in LstmParams.NAMES], axis=1
-    )
+    # former, in flat's name-major order, so that a view which stops
+    # aliasing flat shows as an error
+    analytic = np.concatenate([getattr(grads, name).ravel() for name in LstmParams.NAMES])
     denom = np.maximum(np.abs(numeric), 1e-4)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
@@ -275,6 +279,21 @@ class TestBptt:
     @pytest.mark.parametrize("g", ["elu", "tanh"])
     def test_matches_finite_differences(self, g):
         assert max_relative_gradient_error(42, hidden=4, lookback=3, g=g) < 1e-4
+
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_out_is_zeroed_and_filled_bitwise(self, lookback):
+        rng = np.random.default_rng(12)
+        params = LstmParams.stack([LstmParams.glorot(4, 2, rng) for _ in range(3)])
+        inputs, target = rng.random((3, lookback, 2)), rng.random((3, 2))
+        g = ("elu", "tanh", "elu")
+        loss, fresh = bptt_gradient(params, inputs, target, g)
+        out = params.zeros_like()
+        # stale values from an earlier step; wh gets no gradient at lookback 1
+        out.flat[: out.flat.size - (out.wh.size if lookback == 1 else 0)] = np.nan
+        again, grads = bptt_gradient(params, inputs, target, g, out=out)
+        assert grads is out
+        assert grads.flat.tobytes() == fresh.flat.tobytes()
+        assert again.tobytes() == loss.tobytes()
 
 
 class TestAdam:
@@ -359,14 +378,21 @@ MEMBERS = [("elu", 3), ("tanh", 4), ("elu", 5)]
 # (input width, activation, seed); the widths interleave, so neither width's
 # members form a contiguous block of the stack
 MIXED_WIDTHS = [(1, "elu", 3), (2, "tanh", 4), (1, "tanh", 5), (2, "elu", 6)]
+# each width's members adjacent, as `reproduce` and the acceptance fixture stack them
+ADJACENT_WIDTHS = [(1, "elu", 3), (1, "tanh", 4), (2, "elu", 5), (2, "tanh", 6)]
 
 
-def mixed_width_members(lookback, epochs):
+def mixed_width_members(lookback, epochs, widths=MIXED_WIDTHS):
     return [
         (lockstep_dataset(width, lookback),
          TrainConfig(epochs=epochs, hidden=5, activation=activation, seed=seed))
-        for width, activation, seed in MIXED_WIDTHS
+        for width, activation, seed in widths
     ]
+
+
+def offset(view, flat):
+    """Where `view` starts in `flat`, in entries."""
+    return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
 
 
 class TestLockstep:
@@ -392,6 +418,48 @@ class TestLockstep:
             (alone,) = train(ds, cfg)
             assert member.params.flat.tobytes() == alone.params.flat.tobytes()
             assert member.epoch_losses == alone.epoch_losses
+
+    @pytest.mark.parametrize("widths, kind", [
+        (MIXED_WIDTHS, np.ndarray), (ADJACENT_WIDTHS, slice),
+    ], ids=["interleaved", "adjacent"])
+    def test_dense_head_views_adjacent_width_groups_and_copies_the_rest(self, widths, kind):
+        groups = lstm._width_groups(tuple(w for w, _, _ in widths))
+        assert [w for w, _ in groups] == [1, 2]
+        assert all(isinstance(rows, kind) for _, rows in groups)
+
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_members_of_adjacent_widths_equal_their_serial_runs_bitwise(self, lookback):
+        members = mixed_width_members(lookback, epochs=4, widths=ADJACENT_WIDTHS)
+        ensemble = train(*members[0], *members[1:])
+        for (ds, cfg), member in zip(members, ensemble):
+            (alone,) = train(ds, cfg)
+            assert member.params.flat.tobytes() == alone.params.flat.tobytes()
+            assert member.epoch_losses == alone.epoch_losses
+
+    def test_stack_arrays_are_name_major_blocks_and_adam_steps_the_prefix(self, monkeypatch):
+        members = mixed_width_members(lookback=1, epochs=1, widths=ADJACENT_WIDTHS)
+        real, seen = lstm.adam_update, []
+
+        def spy(params, grads, state, *args):
+            seen.append((params, grads, state.live))
+            real(params, grads, state, *args)
+
+        monkeypatch.setattr(lstm, "adam_update", spy)
+        train(*members[0], *members[1:])
+        params, grads, live = seen[0]
+        assert {id(g) for _, g, _ in seen} == {id(grads)}  # one gradient stack, reused
+        for stack in (params, grads):
+            assert stack.flat.ndim == 1 and stack.flat.flags.c_contiguous
+            start = 0
+            for name in LstmParams.NAMES:
+                a = getattr(stack, name)
+                assert a.flags.c_contiguous and np.shares_memory(a, stack.flat)
+                assert len(a) == len(members) and offset(a, stack.flat) == start
+                start += a.size
+            assert start == stack.flat.size
+        # one step from the zero state: Adam steps exactly wx|b|dense_w|dense_b
+        assert live == sum(getattr(params, name).size for name in LstmParams.NAMES[:4])
+        assert live == offset(params.wh, params.flat)
 
     def test_padded_entries_stay_zero_and_members_keep_their_width(self, monkeypatch):
         members = mixed_width_members(lookback=1, epochs=3)
@@ -492,7 +560,7 @@ class TestLockstep:
         rng = np.random.default_rng(8)
         singles = [LstmParams.glorot(3, 2, rng) for _ in range(2)]
         stack = LstmParams.stack(singles)
-        assert stack.flat.shape == (2, singles[0].flat.size)
+        assert stack.flat.shape == (2 * singles[0].flat.size,)
         for name in LstmParams.NAMES:
             a = getattr(stack, name)
             assert a.shape == (2,) + getattr(singles[0], name).shape
@@ -500,7 +568,8 @@ class TestLockstep:
         stack.b[1, 0] = 9.0
         member = stack.member(1)
         assert member.b[0] == 9.0 and not np.shares_memory(member.flat, stack.flat)
-        assert member.flat.tobytes() == stack.flat[1].tobytes()
+        row = np.concatenate([getattr(stack, name)[1].ravel() for name in LstmParams.NAMES])
+        assert member.flat.tobytes() == row.tobytes()
         narrow = LstmParams.glorot(3, 1, rng)
         mixed = LstmParams.stack([narrow, singles[1]])
         assert mixed.widths == (1, 2) and mixed.input_dim == 2
