@@ -16,7 +16,6 @@ from .lstm import (
     LstmModel,
     LstmParams,
     TrainConfig,
-    forecast_recursive,
     run_schema,
     train,
     train_schema_model,

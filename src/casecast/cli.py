@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train", default=None, help="train window start:end")
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--lookback", type=int, default=None)
-        p.add_argument("--activation", choices=("elu", "tanh"), default=None)
+        p.add_argument("--activation", choices=tuple(ACTIVATIONS), default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)

@@ -55,8 +55,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Daily cumulative counts of two channels, cases and deaths. Dates are
-    strictly consecutive calendar days."""
+    """Daily cumulative counts of two channels, cases and deaths, on strictly
+    consecutive calendar days. Not checked here: `load_csv` checks, line by
+    line, that the dates are consecutive and that neither channel decreases."""
 
     dates: tuple[dt.date, ...]
     cases: np.ndarray
@@ -64,16 +65,11 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
-        for a, b in zip(self.dates, self.dates[1:]):
-            if b - a != DAY:
-                raise DateOrderError(f"dates not consecutive: {a} -> {b}")
         for name in ("cases", "deaths"):
             values = _freeze(np.asarray(getattr(self, name), dtype=np.int64))
             object.__setattr__(self, name, values)
             if len(values) != len(self.dates):
                 raise DataError(f"dates and {name} length mismatch")
-            if np.any(np.diff(values) < 0):
-                raise NonMonotoneError(f"{name} channel decreases")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -99,6 +95,8 @@ class NormalizationSpec:
 
     Values outside the fitted window may map outside [0, 1]; that is fine and
     expected for later actuals and recursive model outputs.
+    Max exceeds min for every channel, which is not checked here:
+    `fit_normalizer` checks it and names the channel, its value and the window.
     """
 
     mins: np.ndarray
@@ -107,8 +105,6 @@ class NormalizationSpec:
     def __post_init__(self):
         object.__setattr__(self, "mins", _freeze(np.asarray(self.mins, dtype=float)))
         object.__setattr__(self, "maxs", _freeze(np.asarray(self.maxs, dtype=float)))
-        if np.any(self.maxs <= self.mins):
-            raise ConstantChannelError("max must exceed min for every channel")
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=float) - self.mins) / (self.maxs - self.mins)
@@ -213,10 +209,10 @@ def slice_window(ts: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
 
 def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
     """The `horizon` days after `train_end` and the cases observed on them,
-    as floats (None when the series ends before the last of them).
+    as floats (None unless the series covers every one of them).
     Returns (dates, actuals)."""
     dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
-    if dates[-1] > ts.end:
+    if dates[0] < ts.start or dates[-1] > ts.end:
         return dates, None
     i = (dates[0] - ts.start).days
     return dates, ts.cases[i : i + horizon].astype(float)

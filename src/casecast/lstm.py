@@ -513,23 +513,6 @@ def train(
     ]
 
 
-def forecast_recursive(predict, seed_window: np.ndarray, horizon: int = 15):
-    """Predict `horizon` steps by feeding each output back into the window:
-    predict, append, drop the oldest, repeat. All channels are fed back.
-
-    `predict(window) -> vector` maps a (lookback, channels) window to the
-    next step."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    window = np.atleast_2d(np.asarray(seed_window, dtype=float)).copy()
-    outputs = []
-    for _ in range(horizon):
-        y = np.atleast_1d(np.asarray(predict(window), dtype=float))
-        outputs.append(y)
-        window = np.vstack([window[1:], y])
-    return np.array(outputs).reshape(horizon, -1) if horizon else np.empty((0, window.shape[1]))
-
-
 @dataclass(frozen=True)
 class ForecastRun:
     dates: tuple[dt.date, ...]
@@ -592,38 +575,35 @@ def run_schema(
 ) -> ForecastRun:
     """Execute one of the forecasting protocols over the test horizon.
 
-    u1: one step ahead per test day from the most recent observed values.
-    u2: recursive 15-day forecast, cases only, no access to test actuals.
+    Every schema starts from the last `lookback` normalised training days,
+    forecasts one day, appends a day to the window and drops the oldest:
+
+    u1: appends the observed day, so each forecast is one step ahead of
+        observed history;
+    u2: appends its own forecast, cases only, no access to test actuals;
     u3: like u2 with (cases, deaths) as input and output; cases are scored.
 
-    Without `model`, one is trained with `cfg` first; with it, the model's
-    own configuration (its activation) is used.
+    A training window shorter than `lookback` is a WindowError. Without
+    `model`, one is trained with `cfg` first; with it, the model's own
+    configuration (its activation) is used.
     """
     forecast_dates, actuals = forecast_horizon(ts, train_end, horizon)
     if schema == "u1" and actuals is None:
         raise WindowError("u1 needs observed values over the whole horizon")
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
+    if len(train_vals) < lookback:
+        raise WindowError("not enough history before the first test day")
     if model is None:
         (model,) = train(make_windows(train_vals, lookback), cfg)
     params, activation = LstmParams.stack([model.params]), model.config.activation
+    preds = np.empty((horizon, train_vals.shape[1]))
+    fed_back = spec.normalize(actuals[:, None]) if schema == "u1" else preds
+    window = train_vals[-lookback:]
+    for k in range(horizon):
+        preds[k] = forward(params, window[None], activation)[0][0]
+        window = np.vstack([window[1:], fed_back[k]])
 
-    def predict(window):
-        return forward(params, window[None], activation)[0][0]
-
-    if schema == "u1":
-        all_vals = spec.normalize(ts.channels(bivariate=False))
-        preds = []
-        for date in forecast_dates:
-            j = (date - ts.start).days
-            if j < lookback:
-                raise WindowError("not enough history before the first test day")
-            preds.append(predict(all_vals[j - lookback : j]))
-        preds = np.array(preds)
-    else:
-        preds = forecast_recursive(predict, train_vals[-lookback:], horizon)
-
-    denorm = spec.denormalize(preds)
-    forecasts = denorm[:, 0]
+    forecasts = spec.denormalize(preds)[:, 0]
     if not np.all(np.isfinite(forecasts)):
         raise NonFiniteForecastError(f"non-finite forecast under schema {schema}")
     return ForecastRun(forecast_dates, forecasts, actuals)

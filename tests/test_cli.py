@@ -180,6 +180,9 @@ class TestExitCodes:
             (["reproduce", "--train", "2020-04-10:2020-05-01", "--epochs", "300"],
              _no_training, EXIT_DATA),
             (["reproduce", "--train", "2020-04-10:2020-04-23"], _no_training, EXIT_DATA),
+            (["run", "--model", "lstm-u1", "--train", "2020-03-01:2020-03-08"],
+             _no_training, EXIT_DATA),
+            (["reproduce", "--train", "2020-03-01:2020-03-08"], _no_training, EXIT_DATA),
             (["run", "--model", "hwaas", "--horizon", "1000000000"], None, EXIT_USAGE),
             (["validate", "--data", "{huge}"], None, EXIT_DATA),
             (["run", "--model", "hwaas"], _nan_classical_forecast, EXIT_NUMERICAL),
@@ -189,7 +192,8 @@ class TestExitCodes:
             "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
             "zero-actual-in-horizon", "training-diverges", "nan-dense-bias",
             "non-utf8-data", "u1-horizon-unobserved", "reproduce-horizon-unobserved",
-            "reproduce-window-too-short-for-arima",
+            "reproduce-window-too-short-for-arima", "u1-horizon-before-series",
+            "reproduce-horizon-before-series",
             "horizon-past-last-date", "count-exceeds-int64", "nan-classical-forecast",
         ],
     )

@@ -16,6 +16,7 @@ from casecast import (
     slice_window,
 )
 from casecast.data import (
+    DAY,
     ConstantChannelError,
     DataError,
     DateOrderError,
@@ -24,6 +25,7 @@ from casecast.data import (
     NonMonotoneError,
     NormalizationSpec,
     WindowError,
+    forecast_horizon,
 )
 
 
@@ -115,6 +117,23 @@ class TestSliceWindow:
     def test_reversed_range(self, series):
         with pytest.raises(WindowError):
             slice_window(series, dt.date(2020, 4, 2), dt.date(2020, 4, 1))
+
+
+class TestForecastHorizon:
+    # the series runs 2020-03-11..2020-05-08
+    @pytest.mark.parametrize("train_end", [
+        dt.date(2020, 2, 1), dt.date(2020, 3, 5), dt.date(2020, 3, 9), dt.date(2020, 4, 24),
+    ])
+    def test_a_day_outside_the_series_leaves_no_actuals(self, series, train_end):
+        dates, actuals = forecast_horizon(series, train_end, 15)
+        assert dates == tuple(train_end + k * DAY for k in range(1, 16))
+        assert actuals is None
+
+    @pytest.mark.parametrize("train_end", [dt.date(2020, 3, 10), dt.date(2020, 4, 23)])
+    def test_a_covered_horizon_reads_its_own_days(self, series, train_end):
+        _, actuals = forecast_horizon(series, train_end, 15)
+        i = series.dates.index(train_end + DAY)
+        assert actuals.tobytes() == series.cases[i : i + 15].astype(float).tobytes()
 
 
 def toy_series(cases, deaths=None):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casecast import TrainConfig, forecast_recursive, train, train_schema_model
-from casecast.data import make_windows, WindowedDataset
+from casecast import TrainConfig, train, train_schema_model
+from casecast.data import WindowedDataset, WindowError, fit_normalizer, make_windows, slice_window
 from casecast import lstm
 from casecast.lstm import (
     ACTIVATIONS,
+    SCHEMAS,
     AdamState,
     LstmModel,
     LstmParams,
@@ -25,6 +26,7 @@ from casecast.lstm import (
 
 TRAIN_START = dt.date(2020, 3, 24)
 TRAIN_END = dt.date(2020, 4, 23)
+TEST_START = dt.date(2020, 4, 24)
 
 
 class TestElu:
@@ -578,44 +580,36 @@ class TestLockstep:
             assert mixed.member(e).flat.tobytes() == single.flat.tobytes()
 
 
-def predict_last(window):
-    return window[-1]
+def width(schema):
+    return 2 if schema == "u3" else 1
 
 
-def lstm_predictor(params):
-    stack = LstmParams.stack([params])
-    return lambda window: forward(stack, window[None])[0][0]
+def stub_model(schema):
+    return LstmModel(zero_params(4, width(schema)), TrainConfig(epochs=1, hidden=4), [])
 
 
-class TestForecastRecursive:
-    def test_identity_stub_is_a_fixed_point(self):
-        out = forecast_recursive(predict_last, np.array([[0.2], [0.4]]), 15)
-        np.testing.assert_array_equal(out.ravel(), np.full(15, 0.4))
+def glorot_model(schema, rng):
+    return LstmModel(LstmParams.glorot(4, width(schema), rng), TrainConfig(epochs=1, hidden=4), [])
 
-    def test_horizon_one_equals_single_forward(self):
-        rng = np.random.default_rng(21)
-        params = LstmParams.glorot(4, 1, rng)
-        window = rng.random((3, 1))
-        out = forecast_recursive(lstm_predictor(params), window, 1)
-        y, _ = forward(LstmParams.stack([params]), window[None])
-        np.testing.assert_array_equal(out[0], y[0])
 
-    def test_bivariate_stub_gives_arithmetic_progressions(self):
-        delta = np.array([0.01, 0.001])
-        seed = np.array([[0.5, 0.1]])
-        out = forecast_recursive(lambda window: window[-1] + delta, seed, 15)
-        np.testing.assert_allclose(out[:, 0], 0.5 + 0.01 * np.arange(1, 16), rtol=1e-12)
-        np.testing.assert_allclose(out[:, 1], 0.1 + 0.001 * np.arange(1, 16), rtol=1e-12)
+def forecast(series, schema, model, days=None, **kwargs):
+    """run_schema with `model` on the paper split, or on its last `days`."""
+    start = TRAIN_START if days is None else TRAIN_END - dt.timedelta(days=days - 1)
+    return run_schema(series, schema, model.config, start, TRAIN_END, model=model, **kwargs)
 
-    def test_recursion_is_consistent_under_splitting(self):
-        rng = np.random.default_rng(13)
-        predict = lstm_predictor(LstmParams.glorot(4, 1, rng))
-        window = rng.random((2, 1))
-        full = forecast_recursive(predict, window, 6)
-        part1 = forecast_recursive(predict, window, 4)
-        appended = np.vstack([window, part1])[-2:]
-        part2 = forecast_recursive(predict, appended, 2)
-        np.testing.assert_array_equal(np.vstack([part1, part2]), full)
+
+def stub_forward(monkeypatch, step):
+    """Make lstm.forward return `step(window)`, the next normalised day, and
+    record every (lookback, D) window it is given."""
+    windows = []
+
+    def fake(params, x, g="elu"):
+        # run_schema forecasts on a stack of one: x (1, L, D), y (1, D)
+        windows.append(x[0].copy())
+        return step(x[0])[None], {}
+
+    monkeypatch.setattr(lstm, "forward", fake)
+    return windows
 
 
 class TestRunSchema:
@@ -627,8 +621,6 @@ class TestRunSchema:
             np.testing.assert_array_equal(getattr(m1.params, k), getattr(m2.params, k))
 
     def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
-        from casecast.data import fit_normalizer, slice_window
-
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))
         oracle = iter(spec.normalize(test_actuals[:, None]))
         # run_schema forecasts on a stack of one, so forward returns y (1, D)
@@ -646,3 +638,64 @@ class TestRunSchema:
         model = LstmModel(params, cfg, [])
         with pytest.raises(NonFiniteForecastError, match="schema u2"):
             run_schema(series, "u2", cfg, TRAIN_START, TRAIN_END, model=model)
+
+    def test_identity_stub_is_a_fixed_point(self, series, monkeypatch):
+        stub_forward(monkeypatch, lambda window: window[-1])
+        last = series.cases[series.dates.index(TRAIN_END)]
+        for schema in ("u2", "u3"):
+            run = forecast(series, schema, stub_model(schema), lookback=2)
+            np.testing.assert_array_equal(run.forecasts, np.full(15, run.forecasts[0]))
+            np.testing.assert_allclose(run.forecasts[0], last, rtol=1e-12)
+
+    def test_horizon_one_equals_single_forward(self, series):
+        rng = np.random.default_rng(21)
+        for schema in SCHEMAS:
+            model = glorot_model(schema, rng)
+            run = forecast(series, schema, model, horizon=1, lookback=3)
+            train_ts = slice_window(series, TRAIN_START, TRAIN_END)
+            spec = fit_normalizer(train_ts, schema == "u3")
+            window = spec.normalize(train_ts.channels(schema == "u3"))[-3:]
+            y, _ = forward(LstmParams.stack([model.params]), window[None])
+            assert run.forecasts.tobytes() == spec.denormalize(y)[:, 0].tobytes(), schema
+
+    def test_bivariate_stub_gives_arithmetic_progressions(self, series, monkeypatch):
+        delta = np.array([0.01, 0.001])
+        windows = stub_forward(monkeypatch, lambda window: window[-1] + delta)
+        run = forecast(series, "u3", stub_model("u3"))
+        spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END), bivariate=True)
+        last = spec.normalize(series.channels(True)[series.dates.index(TRAIN_END)])
+        steps = np.arange(15)[:, None]
+        # both channels of each forecast are fed back as the next window
+        np.testing.assert_allclose(np.vstack(windows), last + delta * steps, rtol=1e-12)
+        expected = spec.denormalize(last + delta * (steps + 1))[:, 0]
+        np.testing.assert_allclose(run.forecasts, expected, rtol=1e-12)
+
+    def test_short_horizon_is_a_prefix_of_a_longer_one(self, series):
+        rng = np.random.default_rng(13)
+        for schema in SCHEMAS:
+            model = glorot_model(schema, rng)
+            full = forecast(series, schema, model, horizon=6, lookback=2).forecasts
+            part = forecast(series, schema, model, horizon=4, lookback=2).forecasts
+            assert part.tobytes() == full[:4].tobytes(), schema
+
+    def test_u1_feeds_back_the_observed_days(self, series, monkeypatch):
+        # the stub forecasts 0 every day, so only u1's windows hold observed days
+        windows = stub_forward(monkeypatch, lambda window: np.zeros(1))
+        forecast(series, "u1", stub_model("u1"), lookback=3)
+        spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))
+        observed = spec.normalize(series.channels(False))
+        first = series.dates.index(TEST_START)
+        assert len(windows) == 15
+        for k, window in enumerate(windows):
+            assert window.tobytes() == observed[first + k - 3 : first + k].tobytes(), k
+        windows.clear()
+        forecast(series, "u2", stub_model("u2"), lookback=3)
+        assert not windows[3].any()
+
+    def test_window_shorter_than_lookback_is_a_window_error(self, series):
+        for schema in SCHEMAS:
+            model = stub_model(schema)
+            forecast(series, schema, model, lookback=7, days=7)
+            for days in (4, 6):
+                with pytest.raises(WindowError, match="^not enough history before the first"):
+                    forecast(series, schema, model, lookback=7, days=days)

@@ -1,8 +1,9 @@
 """Metamorphic properties of the one forecast path, `cli._forecast`: changes
-to the input that must leave every forecast bitwise unchanged. A change that
-reads counts past the training window, fits the normaliser beyond it, or
-reads a calendar date fails here. The LSTMs train for 2 epochs only: the
-properties hold for any weights, and each draw trains three of them twice.
+to the input that must leave every forecast bitwise unchanged, or scale it
+exactly. A change that reads counts past the training window, fits the
+normaliser beyond it, reads a calendar date or adds an absolute tolerance
+fails here. The LSTMs train for 2 epochs only: the properties hold for any
+weights, and each draw trains at most three of them twice.
 """
 
 import dataclasses
@@ -22,6 +23,9 @@ EPOCHS = 2
 SHIFT = dt.timedelta(days=400)
 # lstm-u1 forecasts each test day from the observed day before it, by design
 BLIND_TO_THE_FUTURE = ("lstm-u2", "lstm-u3", "arima", "hwaas", "prophet-lite")
+# the bundled series peaks at 135 569 cases, below 2**18, so every count
+# times 2**k stays below 2**53, where float64 holds each integer exactly
+MAX_SCALE_BITS = 53 - 18
 
 
 def outcome(ts, cfg, name):
@@ -37,7 +41,7 @@ def outcome(ts, cfg, name):
 @pytest.fixture(scope="module")
 def paper_split(series):
     cfg = cli.RunConfig(epochs=EPOCHS, train_start=TRAIN_START, train_end=TRAIN_END)
-    return cfg, {name: outcome(series, cfg, name) for name in BLIND_TO_THE_FUTURE}
+    return cfg, {name: outcome(series, cfg, name) for name in cli.MODELS}
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -70,3 +74,14 @@ def test_shifting_every_date_does_not_move_a_forecast(series, last, days):
                                 train_end=cfg.train_end + SHIFT)
     for name in cli.MODELS:
         assert outcome(shifted, moved, name) == outcome(series, cfg, name), name
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, MAX_SCALE_BITS))
+def test_scaling_every_count_by_a_power_of_two_scales_every_forecast(series, paper_split, k):
+    assert int(series.cases.max()) << k < 2**53
+    cfg, expected = paper_split
+    scaled = TimeSeries(series.dates, series.cases << k, series.deaths << k)
+    for name in cli.MODELS:
+        scaled_forecast = np.frombuffer(expected[name]) * 2.0**k
+        assert outcome(scaled, cfg, name) == scaled_forecast.tobytes(), name

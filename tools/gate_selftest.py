@@ -49,9 +49,9 @@ def test_head_against_head_shows_no_difference():
             sides.append(bitwise_gate.run_side(src, Path(tmp) / side))
     if bitwise_gate.differing(*sides):
         raise AssertionError(bitwise_gate.differing(*sides))
-    # every command exited 0 and wrote its artifacts: 57 files and 10 exit codes
+    # every command exited 0 and wrote its artifacts: 69 files and 12 exit codes
     success = hashlib.sha256(b"0").hexdigest()
-    if len(sides[0]) != 67 or any(sides[0][f"{name}/exit"] != success
+    if len(sides[0]) != 81 or any(sides[0][f"{name}/exit"] != success
                                   for name in bitwise_gate.COMMANDS):
         raise AssertionError(sorted(sides[0]))
 
