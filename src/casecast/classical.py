@@ -2,6 +2,11 @@
 squares), Holt-Winters additive with damped trend, and a simplified
 Prophet-style regressor (piecewise-linear trend + weekly Fourier terms
 with ridge). All fitters are deterministic functions of their inputs.
+
+scipy is imported only when a Holt-Winters fit runs (`hw_fit`, through
+`minimize`). Importing this module, the other fitters, forecasting from a
+fit and loading a checkpoint need numpy alone, so every command that fits
+no Holt-Winters model starts without paying for scipy's import.
 """
 
 from __future__ import annotations
@@ -9,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class FitError(Exception):
@@ -118,6 +122,14 @@ def _hw_affine_pass(y, alpha, beta, gamma, m, phi):
         states[0], states[1] = new_level, new_trend
     seasonals = np.roll(states[2:], -(n % m), axis=0)
     return predictions[:, :k], predictions[:, k], np.vstack([states[:2], seasonals])
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call. `hw_fit` looks
+    it up here by name, so a caller can wrap it to count evaluations."""
+    from scipy import optimize
+
+    return optimize.minimize(*args, **kwargs)
 
 
 def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:

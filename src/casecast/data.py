@@ -47,6 +47,10 @@ class ConstantChannelError(DataError):
     """A channel is constant over the fit window; min == max."""
 
 
+class HorizonError(DataError):
+    """A forecast horizon shorter than one day."""
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     a.setflags(write=False)
@@ -210,7 +214,9 @@ def slice_window(ts: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
 def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
     """The `horizon` days after `train_end` and the cases observed on them,
     as floats (None unless the series covers every one of them).
-    Returns (dates, actuals)."""
+    Returns (dates, actuals). A horizon below 1 is a HorizonError."""
+    if horizon < 1:
+        raise HorizonError(f"horizon must be at least 1 day, got {horizon}")
     dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
     if dates[0] < ts.start or dates[-1] > ts.end:
         return dates, None

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casecast import cli, lstm
+from casecast import classical, cli, lstm, slice_window
 from casecast.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
+from conftest import TRAIN_END, TRAIN_START
 
 
 def run_cli(*argv):
@@ -411,9 +412,10 @@ class TestFuzzedContract:
         assert "Traceback" not in stderr.getvalue(), (argv, config)
 
 
-def test_every_name_the_benchmark_tracer_patches_is_bound(monkeypatch):
+def test_every_name_the_benchmark_tracer_patches_is_bound(monkeypatch, series):
     """perfbench/tracer.py wraps casecast's layer boundaries by name, so each
-    must stay an attribute of its module; leaving the tracer restores them."""
+    must stay an attribute of its module, and a Holt-Winters fit must call
+    `minimize` through `classical`; leaving the tracer restores them."""
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
     import tracer
 
@@ -421,4 +423,51 @@ def test_every_name_the_benchmark_tracer_patches_is_bound(monkeypatch):
     with tracer.Tracer() as spans:
         tracer.install(spans)
         assert cli.main is not main and lstm.forward is not forward
+        classical.hw_fit(slice_window(series, TRAIN_START, TRAIN_END).cases)
     assert cli.main is main and lstm.forward is forward
+    # the benchmark's HW counters are read from these notes: one fit, and
+    # one record per optimizer start
+    (_, starts), = spans.notes["hw.fits"]
+    assert len(starts) == 4
+    for nfev, _, _ in starts:
+        assert type(nfev) is int and nfev > 0
+
+
+# Run one command through cli.main, or load one checkpoint, in a fresh
+# interpreter; print the exit code and whether scipy's optimizer was imported.
+STARTUP_PROBE = """
+import sys
+from casecast import checkpoint, cli
+if sys.argv[1] == "load":
+    checkpoint.load(sys.argv[2])
+    code = 0
+else:
+    code = cli.main(sys.argv[1:])
+print(code, "scipy.optimize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, imports_scipy", [
+    (["--help"], False),
+    (["validate"], False),
+    (["run", "--model", "arima"], False),
+    (["run", "--model", "prophet-lite"], False),
+    (["run", "--model", "lstm-u2"], False),
+    (["load", "arima"], False),
+    (["load", "hwaas"], False),
+    (["run", "--model", "hwaas"], True),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_only_a_holt_winters_fit_imports_scipy(tmp_path, command, imports_scipy):
+    """scipy serves only hw_fit's optimizer, so every other command, and
+    loading any checkpoint, starts without paying for its import."""
+    if command[0] == "load":
+        out = tmp_path / "fit"
+        assert run_cli("run", "--model", command[1], "--out", str(out)) == EXIT_OK
+        command = ["load", str(out / "checkpoint.json")]
+    elif command[0] == "run":
+        command = [*command, "--epochs", "1", "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *command],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == [str(EXIT_OK), str(imports_scipy)], proc.stdout

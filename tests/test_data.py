@@ -20,6 +20,7 @@ from casecast.data import (
     ConstantChannelError,
     DataError,
     DateOrderError,
+    HorizonError,
     MalformedRowError,
     MissingFileError,
     NonMonotoneError,
@@ -134,6 +135,11 @@ class TestForecastHorizon:
         _, actuals = forecast_horizon(series, train_end, 15)
         i = series.dates.index(train_end + DAY)
         assert actuals.tobytes() == series.cases[i : i + 15].astype(float).tobytes()
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_a_horizon_below_one_day_is_a_horizon_error(self, series, horizon):
+        with pytest.raises(HorizonError, match=f"^horizon must be at least 1 day, got {horizon}$"):
+            forecast_horizon(series, dt.date(2020, 4, 23), horizon)
 
 
 def toy_series(cases, deaths=None):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casecast import TrainConfig, train, train_schema_model
-from casecast.data import WindowedDataset, WindowError, fit_normalizer, make_windows, slice_window
+from casecast.data import (
+    HorizonError,
+    WindowedDataset,
+    WindowError,
+    fit_normalizer,
+    make_windows,
+    slice_window,
+)
 from casecast import lstm
 from casecast.lstm import (
     ACTIVATIONS,
@@ -699,3 +706,8 @@ class TestRunSchema:
             for days in (4, 6):
                 with pytest.raises(WindowError, match="^not enough history before the first"):
                     forecast(series, schema, model, lookback=7, days=days)
+
+    def test_horizon_zero_is_a_horizon_error(self, series):
+        for schema in SCHEMAS:
+            with pytest.raises(HorizonError, match="got 0$"):
+                forecast(series, schema, stub_model(schema), horizon=0)
