@@ -31,16 +31,15 @@ from .classical import (
 from .data import (
     DAY,
     DataError,
-    WindowError,
     bundled_dataset_path,
     forecast_horizon,
     load_csv,
+    observed_horizon,
     slice_window,
 )
 from .evaluation import emit_plot, emit_table, summarize, write_lines, write_summary_csv
 from .lstm import (
     ACTIVATIONS,
-    ForecastRun,
     NonFiniteForecastError,
     TrainConfig,
     TrainingDivergedError,
@@ -85,26 +84,24 @@ class RunConfig:
     out: str = "out"
 
     def validate(self):
-        """Check the type and range of every field; raise ValueError."""
+        """Check the type and range of every field; raise ValueError. The
+        training settings are checked by the TrainConfig they make."""
         for name, expected in typing.get_type_hints(RunConfig).items():
             value = getattr(self, name)
             if not isinstance(value, expected) or isinstance(value, bool):
                 raise ValueError(f"{name} must be of type {expected.__name__}, got {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}")
-        for name in ("horizon", "lookback", "epochs"):
+        for name in ("horizon", "lookback"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         try:
             self.train_end + self.horizon * DAY
         except OverflowError:
             raise ValueError(f"horizon {self.horizon} runs past the last representable date") from None
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if not self.out:
             raise ValueError("out must be a non-empty path")
+        _train_config(self, self.activation)
 
 
 def _parse_train_window(text: str):
@@ -172,15 +169,22 @@ def _merge_config(args) -> RunConfig:
 
 
 def _prepare(args):
-    """Merge the configuration, load the data and create `--out`.
-    Returns (cfg, ts)."""
+    """Merge the configuration, load the data, create `--out`, and find and
+    check the horizon before any fit: `reproduce` and u1 need all of it
+    observed, and an observed case must be positive to score its APE.
+    Returns (cfg, ts, dates, actuals)."""
     cfg = _merge_config(args)
     ts = load_csv(cfg.data)
     try:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out}: {exc.strerror}") from exc
-    return cfg, ts
+    observed = args.command == "reproduce" or cfg.model == "lstm-u1"
+    horizon_of = observed_horizon if observed else forecast_horizon
+    dates, actuals = horizon_of(ts, cfg.train_end, cfg.horizon)
+    if actuals is not None and (actuals <= 0).any():
+        raise DataError("observed cases over the horizon must be positive to score APE")
+    return cfg, ts, dates, actuals
 
 
 def _check_writable(out: str, names) -> None:
@@ -205,13 +209,11 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
 
     An `lstm-*` name trains its schema's LSTM with `cfg`, unless `model` is
     given, and runs the schema; a classical name fits on the cases of the
-    window. Returns (ForecastRun, fit): the fit is the LstmModel or the
+    window. Returns (forecasts, fit): the fit is the LstmModel or the
     classical fit, which is what a checkpoint stores. A forecast with a NaN
-    or an infinity is a NonFiniteForecastError, whatever the model.
+    or an infinity is a NonFiniteForecastError, whatever the model. The
+    horizon is checked before (`_prepare`), not here.
     """
-    dates, actuals = forecast_horizon(ts, cfg.train_end, cfg.horizon)
-    if name == "lstm-u1" and actuals is None:  # u1 reads them: fail before training
-        raise WindowError("u1 needs observed values over the whole horizon")
     if name.startswith("lstm-"):
         schema = name.split("-", 1)[1]
         if model is None:
@@ -219,10 +221,10 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
                 ts, schema, _train_config(cfg, cfg.activation),
                 cfg.train_start, cfg.train_end, cfg.lookback,
             )
-        run = run_schema(
+        forecasts = run_schema(
             ts, schema, model.config, cfg.train_start, cfg.train_end,
             cfg.horizon, cfg.lookback, model=model,
-        )
+        ).forecasts
         fit = model
     else:
         y = slice_window(ts, cfg.train_start, cfg.train_end).cases.astype(float)
@@ -235,19 +237,16 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
         else:
             fit = prophet_lite_fit(y)
             forecasts = prophet_lite_forecast(fit, cfg.horizon)
-        run = ForecastRun(dates, forecasts, actuals)
-    if not np.all(np.isfinite(run.forecasts)):
-        raise NonFiniteForecastError(f"non-finite forecast from {name}")
-    if run.actuals is not None and (run.actuals <= 0).any():
-        raise DataError("observed cases over the horizon must be positive to score APE")
-    return run, fit
+        if not np.all(np.isfinite(forecasts)):  # run_schema checks an LSTM's
+            raise NonFiniteForecastError(f"non-finite forecast from {name}")
+    return forecasts, fit
 
 
-def _write_forecast_csv(path, run: ForecastRun, seed):
+def _write_forecast_csv(path, dates, forecasts, actuals, seed):
     lines = [f"# seed={seed}", "date,forecast,actual"]
-    for k, d in enumerate(run.dates):
-        actual = "" if run.actuals is None else repr(float(run.actuals[k]))
-        lines.append(f"{d.isoformat()},{repr(float(run.forecasts[k]))},{actual}")
+    for k, d in enumerate(dates):
+        actual = "" if actuals is None else repr(float(actuals[k]))
+        lines.append(f"{d.isoformat()},{repr(float(forecasts[k]))},{actual}")
     write_lines(path, lines)
 
 
@@ -258,20 +257,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, ts = _prepare(args)
-    _, actuals = forecast_horizon(ts, cfg.train_end, cfg.horizon)
+    cfg, ts, dates, actuals = _prepare(args)
     scored = ("errors.csv", "summary.csv") if actuals is not None else ()
     _check_writable(cfg.out, ("checkpoint.json", "forecast.csv") + scored)
-    run, fit = _forecast(ts, cfg, cfg.model)
+    forecasts, fit = _forecast(ts, cfg, cfg.model)
     path = os.path.join(cfg.out, "checkpoint.json")
     if cfg.model.startswith("lstm-"):
         checkpoint.save_lstm(fit, path)
     else:
         checkpoint.save_classical(fit, path)
-    _write_forecast_csv(os.path.join(cfg.out, "forecast.csv"), run, cfg.seed)
-    if run.actuals is not None:
+    _write_forecast_csv(os.path.join(cfg.out, "forecast.csv"), dates, forecasts, actuals,
+                        cfg.seed)
+    if actuals is not None:
         schema = cfg.model.split("-", 1)[1] if cfg.model.startswith("lstm-") else ""
-        report = summarize(run.forecasts, run.actuals, cfg.model, schema)
+        report = summarize(forecasts, actuals, cfg.model, schema)
         emit_table([report], os.path.join(cfg.out, "errors.csv"))
         write_summary_csv([report], os.path.join(cfg.out, "summary.csv"))
         # ASCII only: stdout's encoding follows the locale, which may be ASCII
@@ -282,13 +281,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cfg, ts = _prepare(args)
-    dates, actuals = forecast_horizon(ts, cfg.train_end, cfg.horizon)
-    if actuals is None:  # fail before the first fit, not after training
-        raise WindowError("reproduce scores every model, so it needs observed values "
-                          "over the whole horizon")
+    cfg, ts, dates, actuals = _prepare(args)
     _check_writable(cfg.out, ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md"))
-    runs = {}  # table label -> ForecastRun
+    runs = {}  # table label -> forecasts
     # the classical fits first: they reject a window before seconds of training
     for name in ("arima", "hwaas", "prophet-lite"):
         runs[name], _ = _forecast(ts, cfg, name)
@@ -301,9 +296,7 @@ def cmd_reproduce(args) -> int:
         for schema in ("u2", "u1") if trained == "u2" else ("u3",):
             label = f"{schema.upper()}-{model.config.activation}"
             runs[label], _ = _forecast(ts, cfg, f"lstm-{schema}", model=model)
-    reports = {
-        label: summarize(run.forecasts, run.actuals, label) for label, run in runs.items()
-    }
+    reports = {label: summarize(forecasts, actuals, label) for label, forecasts in runs.items()}
 
     # table1: activation ablation (MAPE per schema x activation)
     lines = ["activation,u1,u2,u3"]
@@ -321,17 +314,17 @@ def cmd_reproduce(args) -> int:
     x_labels = [d.isoformat() for d in dates]
     emit_plot(
         [("actual", actuals)]
-        + [(s, runs[f"{s.upper()}-elu"].forecasts) for s in ("u1", "u2", "u3")],
+        + [(s, runs[f"{s.upper()}-elu"]) for s in ("u1", "u2", "u3")],
         x_labels,
         os.path.join(cfg.out, "fig3.svg"),
     )
     emit_plot(
         [
             ("actual", actuals),
-            ("U2", runs["U2-elu"].forecasts),
-            ("ARIMA", runs["arima"].forecasts),
-            ("HWAAS", runs["hwaas"].forecasts),
-            ("prophet-lite", runs["prophet-lite"].forecasts),
+            ("U2", runs["U2-elu"]),
+            ("ARIMA", runs["arima"]),
+            ("HWAAS", runs["hwaas"]),
+            ("prophet-lite", runs["prophet-lite"]),
         ],
         x_labels,
         os.path.join(cfg.out, "fig4.svg"),

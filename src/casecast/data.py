@@ -224,6 +224,16 @@ def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
     return dates, ts.cases[i : i + horizon].astype(float)
 
 
+def observed_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
+    """`forecast_horizon` for a caller that reads or scores the observed
+    days: a horizon the series does not cover is a WindowError."""
+    dates, actuals = forecast_horizon(ts, train_end, horizon)
+    if actuals is None:
+        raise WindowError(f"observed values over the whole horizon {dates[0]}..{dates[-1]} "
+                          f"are needed, but the series covers {ts.start}..{ts.end}")
+    return dates, actuals
+
+
 def fit_normalizer(ts: TimeSeries, bivariate: bool = False) -> NormalizationSpec:
     """Per-channel min/max over the given (training) window only. A channel
     that is constant over the window is a ConstantChannelError naming it."""

@@ -47,6 +47,7 @@ from .data import (
     fit_normalizer,
     forecast_horizon,
     make_windows,
+    observed_horizon,
     slice_window,
 )
 
@@ -380,23 +381,17 @@ class AdamState:
         return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_update(
-    params: LstmParams,
-    grads: LstmParams,
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: TrainConfig):
     """One Adam step with bias correction over the live prefix of the flat
     parameter vector, elementwise, so it steps every member of a stack at
-    once; updates params and state in place. Each operation is the one of
+    once; updates params and state in place. With lr, beta1, beta2 and eps
+    the learning rate, betas and epsilon of `cfg`, each operation is the one of
 
         m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
 
     in that order, with the temporaries in `state.scratch`."""
+    lr, beta1, beta2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -431,7 +426,9 @@ class TrainConfig:
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("betas must lie in (0, 1)")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -501,9 +498,7 @@ def train(
                 params, inputs[members, ks], targets[members, ks], activations, grads
             )
             total += loss
-            adam_update(
-                params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
-            )
+            adam_update(params, grads, state, cfg)
         losses[epoch] = total / n
         diverged = np.flatnonzero(~np.isfinite(losses[epoch]))
         if diverged.size:
@@ -571,9 +566,11 @@ def run_schema(
     train_end: dt.date,
     horizon: int = 15,
     lookback: int = 1,
-    model: LstmModel | None = None,
+    *,
+    model: LstmModel,
 ) -> ForecastRun:
-    """Execute one of the forecasting protocols over the test horizon.
+    """Execute one of the forecasting protocols over the test horizon with
+    a trained `model`, under the model's own configuration (its activation).
 
     Every schema starts from the last `lookback` normalised training days,
     forecasts one day, appends a day to the window and drops the oldest:
@@ -583,18 +580,15 @@ def run_schema(
     u2: appends its own forecast, cases only, no access to test actuals;
     u3: like u2 with (cases, deaths) as input and output; cases are scored.
 
-    A training window shorter than `lookback` is a WindowError. Without
-    `model`, one is trained with `cfg` first; with it, the model's own
-    configuration (its activation) is used.
+    A training window shorter than `lookback`, or a u1 horizon the series
+    does not cover, is a WindowError. `cfg` is not read; the benchmark still
+    passes it by position.
     """
-    forecast_dates, actuals = forecast_horizon(ts, train_end, horizon)
-    if schema == "u1" and actuals is None:
-        raise WindowError("u1 needs observed values over the whole horizon")
+    horizon_of = observed_horizon if schema == "u1" else forecast_horizon
+    forecast_dates, actuals = horizon_of(ts, train_end, horizon)
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if len(train_vals) < lookback:
         raise WindowError("not enough history before the first test day")
-    if model is None:
-        (model,) = train(make_windows(train_vals, lookback), cfg)
     params, activation = LstmParams.stack([model.params]), model.config.activation
     preds = np.empty((horizon, train_vals.shape[1]))
     fed_back = spec.normalize(actuals[:, None]) if schema == "u1" else preds

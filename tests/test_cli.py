@@ -98,11 +98,12 @@ class TestRun:
             ([], {"horizon": "15"}),
             ([], {"train_start": 5}),
             (["--seed", "-1"], None),
+            ([], {"activation": "relu"}),
             (["--out", ""], None),
         ],
         ids=[
             "epochs-zero", "epochs-string", "horizon-string", "train-start-int",
-            "seed-negative", "out-empty",
+            "seed-negative", "activation-unknown", "out-empty",
         ],
     )
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, flags, doc):
@@ -158,48 +159,59 @@ def _no_training(monkeypatch):
     monkeypatch.setattr(lstm, "train", refuse)
 
 
+# stderr names a horizon, 2020-{} to 2020-{}, that the bundled series does not cover
+UNOBSERVED = ("observed values over the whole horizon 2020-{}..2020-{} are needed, "
+              "but the series covers 2020-03-11..2020-05-08")
+
+
 class TestExitCodes:
     PREFIX = {EXIT_USAGE: "config error:", EXIT_DATA: "data error:",
               EXIT_NUMERICAL: "numerical failure:"}
 
+    # says: what stderr must name, when a row checks more than the prefix
     @pytest.mark.parametrize(
-        "argv, patch, code",
+        "argv, patch, code, says",
         [
-            (["run", "--model", "hwaas", "--horizon", "0"], None, EXIT_USAGE),
-            (["run", "--model", "hwaas", "--out", "{file}"], None, EXIT_USAGE),
-            (["run", "--model", "hwaas", "--config", "{dir}"], None, EXIT_USAGE),
-            (["validate", "--data", "{dir}"], None, EXIT_DATA),
-            (["run", "--model", "hwaas", "--data", "{dir}"], None, EXIT_DATA),
-            (["run", "--model", "hwaas", "--train", "2020-03-24:2020-03-30"], None, EXIT_DATA),
+            (["run", "--model", "hwaas", "--horizon", "0"], None, EXIT_USAGE, None),
+            (["run", "--model", "hwaas", "--out", "{file}"], None, EXIT_USAGE, None),
+            (["run", "--model", "hwaas", "--config", "{dir}"], None, EXIT_USAGE, None),
+            (["validate", "--data", "{dir}"], None, EXIT_DATA, None),
+            (["run", "--model", "hwaas", "--data", "{dir}"], None, EXIT_DATA, None),
+            (["run", "--model", "hwaas", "--train", "2020-03-24:2020-03-30"], None, EXIT_DATA,
+             None),
             (["run", "--model", "prophet-lite", "--data", "{zeros}",
-              "--train", "2020-01-01:2020-01-31"], None, EXIT_DATA),
-            (["run", "--model", "lstm-u2", "--epochs", "1"], _diverge, EXIT_NUMERICAL),
-            (["run", "--model", "lstm-u2", "--epochs", "1"], _nan_dense_bias, EXIT_NUMERICAL),
-            (["validate", "--data", "{binary}"], None, EXIT_DATA),
+              "--train", "2020-01-01:2020-01-31"], None, EXIT_DATA, "must be positive"),
+            (["reproduce", "--data", "{zeros}", "--train", "2020-01-01:2020-01-31"],
+             _no_training, EXIT_DATA, "observed cases over the horizon must be positive"),
+            (["run", "--model", "lstm-u2", "--epochs", "1"], _diverge, EXIT_NUMERICAL, None),
+            (["run", "--model", "lstm-u2", "--epochs", "1"], _nan_dense_bias, EXIT_NUMERICAL,
+             None),
+            (["validate", "--data", "{binary}"], None, EXIT_DATA, None),
             (["run", "--model", "lstm-u1", "--train", "2020-04-01:2020-05-01"],
-             _no_training, EXIT_DATA),
+             _no_training, EXIT_DATA, UNOBSERVED.format("05-02", "05-16")),
             (["reproduce", "--train", "2020-04-10:2020-05-01", "--epochs", "300"],
-             _no_training, EXIT_DATA),
-            (["reproduce", "--train", "2020-04-10:2020-04-23"], _no_training, EXIT_DATA),
+             _no_training, EXIT_DATA, UNOBSERVED.format("05-02", "05-16")),
+            (["reproduce", "--train", "2020-04-10:2020-04-23"], _no_training, EXIT_DATA, None),
             (["run", "--model", "lstm-u1", "--train", "2020-03-01:2020-03-08"],
-             _no_training, EXIT_DATA),
-            (["reproduce", "--train", "2020-03-01:2020-03-08"], _no_training, EXIT_DATA),
-            (["run", "--model", "hwaas", "--horizon", "1000000000"], None, EXIT_USAGE),
-            (["validate", "--data", "{huge}"], None, EXIT_DATA),
-            (["run", "--model", "hwaas"], _nan_classical_forecast, EXIT_NUMERICAL),
+             _no_training, EXIT_DATA, UNOBSERVED.format("03-09", "03-23")),
+            (["reproduce", "--train", "2020-03-01:2020-03-08"], _no_training, EXIT_DATA,
+             UNOBSERVED.format("03-09", "03-23")),
+            (["run", "--model", "hwaas", "--horizon", "1000000000"], None, EXIT_USAGE, None),
+            (["validate", "--data", "{huge}"], None, EXIT_DATA, None),
+            (["run", "--model", "hwaas"], _nan_classical_forecast, EXIT_NUMERICAL, None),
         ],
         ids=[
             "bad-config-value", "out-is-a-file", "config-is-a-directory",
             "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
-            "zero-actual-in-horizon", "training-diverges", "nan-dense-bias",
-            "non-utf8-data", "u1-horizon-unobserved", "reproduce-horizon-unobserved",
-            "reproduce-window-too-short-for-arima", "u1-horizon-before-series",
-            "reproduce-horizon-before-series",
+            "zero-actual-in-horizon", "reproduce-zero-actual-in-horizon", "training-diverges",
+            "nan-dense-bias", "non-utf8-data", "u1-horizon-unobserved",
+            "reproduce-horizon-unobserved", "reproduce-window-too-short-for-arima",
+            "u1-horizon-before-series", "reproduce-horizon-before-series",
             "horizon-past-last-date", "count-exceeds-int64", "nan-classical-forecast",
         ],
     )
     def test_failure_gives_documented_exit_code(self, tmp_path, monkeypatch, capsys,
-                                                argv, patch, code):
+                                                argv, patch, code, says):
         existing = tmp_path / "a-file"
         existing.write_text("")
         zeros = tmp_path / "zeros.csv"
@@ -220,6 +232,7 @@ class TestExitCodes:
         assert run_cli(*argv) == code
         err = capsys.readouterr().err
         assert err.startswith(self.PREFIX[code]), err
+        assert says is None or says in err, err
         assert "Traceback" not in err
 
     def test_constant_deaths_names_the_channel(self, tmp_path, capsys):

@@ -27,6 +27,7 @@ from casecast.data import (
     NormalizationSpec,
     WindowError,
     forecast_horizon,
+    observed_horizon,
 )
 
 
@@ -129,17 +130,25 @@ class TestForecastHorizon:
         dates, actuals = forecast_horizon(series, train_end, 15)
         assert dates == tuple(train_end + k * DAY for k in range(1, 16))
         assert actuals is None
+        with pytest.raises(WindowError, match=(
+            f"^observed values over the whole horizon {dates[0]}..{dates[-1]} are needed, "
+            "but the series covers 2020-03-11..2020-05-08$"
+        )):
+            observed_horizon(series, train_end, 15)
 
     @pytest.mark.parametrize("train_end", [dt.date(2020, 3, 10), dt.date(2020, 4, 23)])
     def test_a_covered_horizon_reads_its_own_days(self, series, train_end):
-        _, actuals = forecast_horizon(series, train_end, 15)
+        dates, actuals = forecast_horizon(series, train_end, 15)
         i = series.dates.index(train_end + DAY)
         assert actuals.tobytes() == series.cases[i : i + 15].astype(float).tobytes()
+        observed_dates, observed = observed_horizon(series, train_end, 15)
+        assert observed_dates == dates and observed.tobytes() == actuals.tobytes()
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_a_horizon_below_one_day_is_a_horizon_error(self, series, horizon):
         with pytest.raises(HorizonError, match=f"^horizon must be at least 1 day, got {horizon}$"):
             forecast_horizon(series, dt.date(2020, 4, 23), horizon)
+
 
 
 def toy_series(cases, deaths=None):

@@ -309,14 +309,14 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = zero_params(2, 1)
         params.dense_b[:] = 3.0
-        adam_update(params, params.zeros_like(), AdamState.like(params))
+        adam_update(params, params.zeros_like(), AdamState.like(params), TrainConfig())
         np.testing.assert_array_equal(params.dense_b, 3.0)
 
     def test_first_step_with_unit_gradient(self):
         params = zero_params(1, 1)
         grads = params.zeros_like()
         grads.dense_b[:] = 1.0
-        adam_update(params, grads, AdamState.like(params), lr=1e-3)
+        adam_update(params, grads, AdamState.like(params), TrainConfig(learning_rate=1e-3))
         # bias-corrected first step: -lr * 1 / (1 + eps)
         assert abs(params.dense_b[0] + 1e-3) < 1e-10
 
@@ -328,12 +328,13 @@ class TestAdam:
             grads.flat[:] = 0.3
             state = AdamState.like(params)
             for _ in range(3):
-                adam_update(params, grads, state)
+                adam_update(params, grads, state, TrainConfig())
             results.append(params.dense_w.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_matches_per_array_reference_bitwise(self):
         lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        cfg = TrainConfig(learning_rate=lr, beta1=beta1, beta2=beta2, epsilon=eps)
         rng = np.random.default_rng(5)
         params = LstmParams.glorot(3, 2, rng)
         state = AdamState.like(params)
@@ -346,7 +347,7 @@ class TestAdam:
             for k in LstmParams.NAMES:  # written through the named views
                 a = getattr(grads, k)
                 a[...] = rng.standard_normal(a.shape)
-            adam_update(params, grads, state, lr, beta1, beta2, eps)
+            adam_update(params, grads, state, cfg)
             bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
             for k, arr in expected.items():
                 grad = getattr(grads, k)
@@ -362,6 +363,14 @@ class TestAdam:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("setting, message", [
+        ({"seed": -1}, "^seed must be >= 0$"),
+        ({"activation": "relu"}, r"^activation must be one of \('elu', 'tanh'\)$"),
+    ], ids=["seed-negative", "activation-unknown"])
+    def test_config_rejects_a_setting_out_of_range(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**setting)
+
     def test_reachable_targets_drive_loss_to_zero(self):
         inputs = np.full((5, 1, 1), 0.5)
         targets = np.full((5, 1), 0.5)
@@ -521,8 +530,7 @@ class TestLockstep:
                     cfg.activation,
                 )
                 total += loss[0]
-                adam_update(params, grads.member(0), state, cfg.learning_rate, cfg.beta1,
-                            cfg.beta2, cfg.epsilon)
+                adam_update(params, grads.member(0), state, cfg)
             losses.append(total / len(ds))
         (model,) = train(ds, cfg)
         assert model.params.flat.tobytes() == params.flat.tobytes()

@@ -32,10 +32,10 @@ def outcome(ts, cfg, name):
     """The forecast's bytes, or the kind of documented error `_forecast`
     raised, which both sides of a property must then agree on."""
     try:
-        run, _ = cli._forecast(ts, cfg, name)
+        forecasts, _ = cli._forecast(ts, cfg, name)
     except (DataError, FitError, NonFiniteForecastError, TrainingDivergedError) as exc:
         return type(exc).__name__
-    return run.forecasts.tobytes()
+    return forecasts.tobytes()
 
 
 @pytest.fixture(scope="module")

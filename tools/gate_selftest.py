@@ -49,10 +49,17 @@ def test_head_against_head_shows_no_difference():
             sides.append(bitwise_gate.run_side(src, Path(tmp) / side))
     if bitwise_gate.differing(*sides):
         raise AssertionError(bitwise_gate.differing(*sides))
-    # every command exited 0 and wrote its artifacts: 69 files and 12 exit codes
-    success = hashlib.sha256(b"0").hexdigest()
-    if len(sides[0]) != 81 or any(sides[0][f"{name}/exit"] != success
-                                  for name in bitwise_gate.COMMANDS):
+    # twelve commands wrote their artifacts and the four failures only their
+    # stdout and stderr: 77 files and 16 exit codes
+    expected = {name: 0 for name in bitwise_gate.COMMANDS} | {
+        "fail-run-lstm-u1-unobserved": 2, "fail-reproduce-unobserved": 2,
+        "fail-run-hwaas-7-days": 2, "fail-run-lstm-u2-seed": 1,
+    }
+    exits = {name: sides[0][f"{name}/exit"] for name in bitwise_gate.COMMANDS}
+    if exits != {name: hashlib.sha256(str(code).encode()).hexdigest()
+                 for name, code in expected.items()}:
+        raise AssertionError(exits)
+    if len(sides[0]) != 93:
         raise AssertionError(sorted(sides[0]))
 
 
