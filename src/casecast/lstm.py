@@ -23,6 +23,23 @@ inside a step the gates are gate-major, (4, E, H), which makes each gate of
 all members one contiguous block. Neither layout changes a product's
 operands or an elementwise op's values, so neither changes a bit.
 
+Workspace: such a step is limited by the fixed cost of each numpy call, not
+by its arithmetic, so a step writes into arrays allocated once. `train`
+builds one `Workspace` for its stack's (E, L, D, H) and activations, and
+every array a step writes lies in it: the forward cache and the step's
+temporaries, the reverse pass's dc, d_ifo and da, a store of every step's da
+rows, and the gradient stack. `forward` and `bptt_gradient` build a fresh
+one when called without one. What they return lies in the workspace, so a
+cache from `forward`, like the losses and gradients, is valid until the
+workspace's next call. The reverse loop carries only the recurrence and
+fills the store; the wx, b and wh gradients are then each one product and
+one np.add.reduce over the store's step axis. That sum is bitwise the
+per-step one: the store runs in the loop's order, t = L-1 first, and numpy
+adds a non-innermost axis in index order, so each sum adds the same terms in
+the same order. Only the sign of a zero sum may differ, -0.0 where
+accumulating into a zeroed stack gave +0.0, and Adam, whose moments start at
++0.0, steps both to the same bits.
+
 Members may differ in input width D: the stack zero-pads each to the widest.
 A padded entry adds only products with a zero to a sum, which leaves the sum
 exact, and gets a zero gradient, so Adam never moves it. The one exception
@@ -67,23 +84,30 @@ class NonFiniteForecastError(Exception):
     """A trained model forecast a NaN or an infinity."""
 
 
-def elu(x):
-    """x for x > 0, exp(x) - 1 otherwise (alpha = 1)."""
+def elu(x, out=None):
+    """x for x > 0, exp(x) - 1 otherwise (alpha = 1), into `out` if given."""
     x = np.asarray(x, dtype=float)
+    if out is None:
+        out = x.copy()
+    else:
+        np.copyto(out, x)
     # expm1 only where x <= 0: on a large positive x it would overflow
-    return np.expm1(x, out=x.copy(), where=x <= 0)
+    return np.expm1(x, out=out, where=x <= 0)
 
 
-def _elu_grad(fx):
+def _elu_grad(fx, out=None):
     # 1 where x > 0 (there fx + 1 = x + 1 > 1), else fx + 1 = exp(x) <= 1
-    return np.minimum(fx + 1.0, 1.0)
+    out = np.add(fx, 1.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
-def _tanh_grad(fx):
-    return 1.0 - fx * fx
+def _tanh_grad(fx, out=None):
+    out = np.multiply(fx, fx, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
-# name -> (g, dg); dg takes the activation value fx = g(x)
+# name -> (g, dg); dg takes the activation value fx = g(x). Each is called
+# as f(x, out=None) and returns out, a new array when out is None
 ACTIVATIONS = {
     "elu": (elu, _elu_grad),
     "tanh": (np.tanh, _tanh_grad),
@@ -103,15 +127,16 @@ def _activation(g, members: int):
 
 @functools.lru_cache
 def _mixed_activation(names: tuple[str, ...]):
-    """Each activation is applied to every row, and np.where keeps each
-    member's own, so every row is exactly its activation's value."""
-    masks = {name: np.array([n == name for n in names])[:, None] for name in dict.fromkeys(names)}
+    """The first activation writes every row, and each other one copies its
+    value into its own members' rows, so every row is exactly its
+    activation's value."""
+    first, *rest = dict.fromkeys(names)
+    masks = [(name, np.array([n == name for n in names])[:, None]) for name in rest]
 
-    def select(k, x):
-        out = None
-        for name, mask in masks.items():
-            value = ACTIVATIONS[name][k](x)
-            out = value if out is None else np.where(mask, value, out)
+    def select(k, x, out=None):
+        out = ACTIVATIONS[first][k](x, out)
+        for name, mask in masks:
+            np.copyto(out, ACTIVATIONS[name][k](x), where=mask)
         return out
 
     return functools.partial(select, 0), functools.partial(select, 1)
@@ -124,11 +149,18 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid(x, out=None):
+def sigmoid(x):
     """Logistic function with values strictly inside (0, 1)."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-    return np.maximum(np.minimum(y, _SIGMOID_HI), _SIGMOID_LO, out=out)
+        return _sigmoid(x, np.empty(x.shape))
+
+
+def _sigmoid(x, out):
+    """sigmoid into `out`, for a caller that ignores exp's overflow."""
+    np.exp(np.negative(x, out=out), out=out)
+    np.divide(1.0, np.add(1.0, out, out=out), out=out)
+    return np.maximum(np.minimum(out, _SIGMOID_HI, out=out), _SIGMOID_LO, out=out)
 
 
 def _matvec(w, v):
@@ -249,7 +281,70 @@ def _gate_major(rows, hdim):
     return rows.reshape(len(rows), 4, hdim).transpose(1, 0, 2)
 
 
-def forward(params: LstmParams, inputs, g="elu"):
+class Workspace:
+    """Every array that `forward` and `bptt_gradient` write for a stack of E
+    members of hidden size H and widest input width D, run over L steps under
+    the activations g (one name, or one per member):
+
+    - the forward cache: "h" and "c" (L+1, E, H), whose row 0 is the zero
+      state and stays zero, "ifo" (L, 3, E, H) and "g" (L, 2, E, H), and the
+      output y (E, D), whose entries past a member's own width stay zero;
+    - the forward step's temporaries: the input terms of all steps, the
+      recurrent term, the pre-activations and one (E, H) product;
+    - the reverse pass's error and losses, the activation derivatives and
+      1 - ifo of all steps, dh, dc, d_ifo and da, and `store`, every
+      step's da rows (L, E, 4H, 1) in the order the reverse loop visits
+      them, t = L-1 first;
+    - the products of the store with x and with h that the weight gradients
+      sum, and `grads`, the gradient stack, of params' layout.
+
+    A call writes each of these it uses whole, but for the fixed zeros above
+    and wh's gradient at lookback 1, which is exactly zero (the state starts
+    at zero) and so is never written."""
+
+    def __init__(self, params: LstmParams, steps: int, g="elu"):
+        members, hdim, width = len(params.widths), params.hidden, params.input_dim
+        self.gfun, self.dgfun = _activation(g, members)
+        gates = 4 * hdim
+        self.xw = np.empty((members, steps, gates, 1))
+        # read gate-major, (L, 4, E, H)
+        self.xw_gates = self.xw.reshape(members, steps, 4, hdim).transpose(1, 2, 0, 3)
+        self.h = np.zeros((steps + 1, members, hdim))
+        self.c = np.zeros((steps + 1, members, hdim))
+        self.ifo = np.empty((steps, 3, members, hdim))
+        self.g = np.empty((steps, 2, members, hdim))
+        self.a = np.empty((4, members, hdim))
+        self.hw = np.empty((members, gates, 1))  # the recurrent term, one matvec per member
+        self.hw_gates = _gate_major(self.hw, hdim)
+        self.tmp = np.empty((members, hdim))
+        self.y = np.zeros((members, width))
+        self.cache = {"x": None, "h": self.h, "c": self.c, "ifo": self.ifo, "g": self.g}
+
+        self.err = np.empty((members, width))
+        self.loss = np.empty((members, 1, 1))
+        self.dg = np.empty(self.g.shape)
+        self.not_ifo = np.empty(self.ifo.shape)
+        self.dh = np.empty((members, hdim, 1))
+        self.dc = np.empty((members, hdim))
+        self.d_ifo = np.empty((3, members, hdim))
+        self.da = np.empty((4, members, hdim))
+        # da's rows, the layout of the products with wx, wh and b; step s of
+        # the reverse loop is t = L-1-s
+        self.store = np.empty((steps, members, gates, 1))
+        self.store_gates = self.store.reshape(steps, members, 4, hdim).transpose(0, 2, 1, 3)
+        # the store's products with x and with h, which the wx and wh
+        # gradients sum; they are formed one after the other, so on one buffer
+        terms = np.empty(steps * members * gates * max(width, hdim))
+        self.x_terms = terms[: steps * members * gates * width].reshape(
+            steps, members, gates, width
+        )
+        self.h_terms = terms[: (steps - 1) * members * gates * hdim].reshape(
+            steps - 1, members, gates, hdim
+        )
+        self.grads = params.zeros_like()
+
+
+def forward(params: LstmParams, inputs, g="elu", ws: Workspace | None = None):
     """Run the sequence from zero state and apply the linear head to the
     final hidden vector. Each step is
 
@@ -265,99 +360,95 @@ def forward(params: LstmParams, inputs, g="elu"):
     before each step and after the last; "ifo" (L, 3, E, H), the gates i, f
     and o; "g" (L, 2, E, H), g of the candidate pre-activation and g of the
     new cell state. A step holds its pre-activations gate-major too,
-    (4, E, H), so each gate of all members is one contiguous block."""
+    (4, E, H), so each gate of all members is one contiguous block.
+
+    y and the cache lie in `ws`, a Workspace built for this stack, L and g
+    (g is then not read), or in a new one; they hold until its next call."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[2:] != (params.input_dim,):
         raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
-    members, steps = inputs.shape[:2]
-    gfun, _ = _activation(g, members)
-    hdim = params.hidden
+    steps = inputs.shape[1]
+    if ws is None:
+        ws = Workspace(params, steps, g)
+    gfun, h, c, ifo, gv, a, tmp = ws.gfun, ws.h, ws.c, ws.ifo, ws.g, ws.a, ws.tmp
     # the input term of every step in one matmul, still one product per
-    # (member, step), so each is the one a per-step matvec would give;
-    # read gate-major, (L, 4, E, H)
-    xw = (params.wx[:, None] @ inputs[..., None]).reshape(members, steps, 4, hdim)
-    xw = xw.transpose(1, 2, 0, 3)
-    b = _gate_major(params.b, hdim)
-    h = np.zeros((steps + 1, members, hdim))
-    c = np.zeros((steps + 1, members, hdim))
-    ifo = np.empty((steps, 3, members, hdim))
-    gv = np.empty((steps, 2, members, hdim))
-    a = np.empty((4, members, hdim))
-    hw = np.empty((members, 4 * hdim, 1))  # the recurrent term, one matvec per member
-    hw_gates = _gate_major(hw, hdim)
-    for t in range(steps):
-        # the state starts at zero: step 0 has no recurrent term
-        if t:
-            np.matmul(params.wh, h[t, :, :, None], out=hw)
-            np.add(xw[t], hw_gates, out=a)
-            a += b
-        else:
-            np.add(xw[t], b, out=a)
-        sigmoid(a[:3], out=ifo[t])
-        gv[t, 0] = gfun(a[3])
-        np.add(ifo[t, 1] * c[t], ifo[t, 0] * gv[t, 0], out=c[t + 1])
-        gv[t, 1] = gfun(c[t + 1])
-        np.multiply(ifo[t, 2], gv[t, 1], out=h[t + 1])
-    y = np.zeros((members, params.input_dim))
+    # (member, step), so each is the one a per-step matvec would give
+    np.matmul(params.wx[:, None], inputs[..., None], out=ws.xw)
+    xw = ws.xw_gates
+    b = _gate_major(params.b, params.hidden)
+    # sigmoid's exp overflows, harmlessly, on a pre-activation below ~-709.8
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            # the state starts at zero: step 0 has no recurrent term
+            if t:
+                np.matmul(params.wh, h[t, :, :, None], out=ws.hw)
+                np.add(xw[t], ws.hw_gates, out=a)
+                a += b
+            else:
+                np.add(xw[t], b, out=a)
+            _sigmoid(a[:3], ifo[t])
+            gfun(a[3], gv[t, 0])
+            np.multiply(ifo[t, 1], c[t], out=c[t + 1])
+            c[t + 1] += np.multiply(ifo[t, 0], gv[t, 0], out=tmp)
+            gfun(c[t + 1], gv[t, 1])
+            np.multiply(ifo[t, 2], gv[t, 1], out=h[t + 1])
+    y = ws.y
     for width, rows in _width_groups(params.widths):
         y[rows, :width] = (
             _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
         )
-    cache = {"x": inputs.transpose(1, 0, 2), "h": h, "c": c, "ifo": ifo, "g": gv}
-    return y, cache
+    ws.cache["x"] = inputs.transpose(1, 0, 2)
+    return y, ws.cache
 
 
-def bptt_gradient(params: LstmParams, inputs, target, g="elu", out=None):
+def bptt_gradient(params: LstmParams, inputs, target, g="elu", ws: Workspace | None = None):
     """Exact gradient of the squared error ||y - target||^2 with respect to
     every parameter array, by reverse-mode differentiation through the
     unrolled recurrence. A stack of E models takes inputs (E, L, D) and
     targets (E, D), and returns the losses (E,) and the stacked gradients.
 
-    The gradients go to a new stack, or into `out`, a stack of params'
-    layout, whose entries are zeroed first, but for wh at lookback 1: that
-    gradient is exactly zero (the state starts at zero), so it is neither
-    zeroed nor written, and a zeroed `out` reused over steps keeps it zero."""
-    y, cache = forward(params, inputs, g)
-    _, dgfun = _activation(g, len(y))
-    err = y - np.asarray(target, dtype=float)
-    loss = (err[:, None, :] @ err[:, :, None])[:, 0, 0]
-
-    hdim = params.hidden
+    Both lie in `ws`, as `forward`'s results do, or in a new Workspace. The
+    reverse loop carries only the recurrence, dh and dc, and stores each
+    step's da; after it, the wx, b and wh gradients are each summed over the
+    store in one reduction."""
+    if ws is None:
+        ws = Workspace(params, np.shape(inputs)[1], g)
+    y, cache = forward(params, inputs, g, ws)
     x, h, c, ifo, gv = (cache[k] for k in ("x", "h", "c", "ifo", "g"))
     # the factors that need no reverse-pass state, for every step at once
-    dg, not_ifo = dgfun(gv), 1.0 - ifo
-    if out is None:
-        grads = params.zeros_like()
-    else:
-        grads = out
-        grads.flat[: grads.flat.size - (grads.wh.size if len(x) == 1 else 0)] = 0.0
-    two_err = 2.0 * err
-    grads.dense_w += two_err[:, :, None] * h[-1][:, None, :]
-    grads.dense_b += two_err
+    dg = ws.dgfun(gv, ws.dg)
+    not_ifo = np.subtract(1.0, ifo, out=ws.not_ifo)
+    err = np.subtract(y, target, out=ws.err)
+    np.matmul(err[:, None, :], err[:, :, None], out=ws.loss)
 
-    dh = _matvec(params.dense_w.transpose(0, 2, 1), two_err)
-    dc = np.zeros(dh.shape)
-    d_ifo = np.empty(ifo.shape[1:])
-    da = np.empty((4, len(y), hdim))
-    # da's rows, (E, 4H, 1), the layout of the products with wx, wh and b
-    da_rows = np.empty((len(y), 4 * hdim, 1))
-    da_gates = _gate_major(da_rows, hdim)
+    grads, steps = ws.grads, len(x)
+    two_err = np.multiply(2.0, err, out=grads.dense_b)
+    np.multiply(two_err[:, :, None], h[-1][:, None, :], out=grads.dense_w)
+    np.matmul(params.dense_w.transpose(0, 2, 1), two_err[:, :, None], out=ws.dh)
+    dh, dc, d_ifo, da, tmp = ws.dh[:, :, 0], ws.dc, ws.d_ifo, ws.da, ws.tmp
+    store = ws.store
+    dc.fill(0.0)
     wh_t = params.wh.transpose(0, 2, 1)
-    for t in reversed(range(len(x))):
+    for s, t in enumerate(reversed(range(steps))):
         np.multiply(dh, gv[t, 1], out=d_ifo[2])
-        dc = dc + dh * ifo[t, 2] * dg[t, 1]
+        dc += np.multiply(np.multiply(dh, ifo[t, 2], out=tmp), dg[t, 1], out=tmp)
         np.multiply(dc, gv[t, 0], out=d_ifo[0])
         np.multiply(dc, c[t], out=d_ifo[1])
-        np.multiply(d_ifo * ifo[t], not_ifo[t], out=da[:3])
-        np.multiply(dc * ifo[t, 0], dg[t, 0], out=da[3])
-        da_gates[...] = da  # the step's one transposing copy
-        grads.wx += da_rows * x[t, :, None, :]
-        grads.b += da_rows[:, :, 0]
-        if t:  # h[0] = 0 adds nothing to wh's gradient, and nothing flows past step 0
-            grads.wh += da_rows * h[t, :, None, :]
-            dh = (wh_t @ da_rows)[:, :, 0]
-            dc = dc * ifo[t, 1]
-    return loss, grads
+        np.multiply(np.multiply(d_ifo, ifo[t], out=d_ifo), not_ifo[t], out=da[:3])
+        np.multiply(np.multiply(dc, ifo[t, 0], out=da[3]), dg[t, 0], out=da[3])
+        ws.store_gates[s] = da  # the step's one transposing copy
+        if t:  # nothing flows past step 0
+            np.matmul(wh_t, store[s], out=ws.dh)
+            dc *= ifo[t, 1]
+    # numpy reduces a non-innermost axis in index order, which is the loop's
+    # order, so each sum adds its terms as a per-step accumulation would
+    np.multiply(store, x[::-1, :, None, :], out=ws.x_terms)
+    np.add.reduce(ws.x_terms, axis=0, out=grads.wx)
+    np.add.reduce(store[..., 0], axis=0, out=grads.b)
+    if steps > 1:  # h[0] = 0 adds nothing to wh's gradient
+        np.multiply(store[:-1], h[-2:0:-1, :, None, :], out=ws.h_terms)
+        np.add.reduce(ws.h_terms, axis=0, out=grads.wh)
+    return ws.loss[:, 0, 0], grads
 
 
 @dataclass
@@ -482,7 +573,7 @@ def train(
         targets[e, :, : d.targets.shape[1]] = d.targets
     members = np.arange(len(cfgs))
     activations = tuple(c.activation for c in cfgs)
-    grads = params.zeros_like()  # bptt_gradient refills it at every step
+    ws = Workspace(params, dataset.inputs.shape[1], activations)
     state = AdamState.like(params)
     if dataset.inputs.shape[1] == 1:
         # one step from the zero state: wh gets no gradient, and Adam would
@@ -493,10 +584,9 @@ def train(
     for epoch in range(cfg.epochs):
         total = np.zeros(len(cfgs))
         # row j holds every member's j-th sample of this epoch
-        for ks in np.stack([rng.permutation(n) for rng in rngs], axis=1):
-            loss, grads = bptt_gradient(
-                params, inputs[members, ks], targets[members, ks], activations, grads
-            )
+        order = np.stack([rng.permutation(n) for rng in rngs], axis=1)
+        for x, y in zip(inputs[members, order], targets[members, order]):
+            loss, grads = bptt_gradient(params, x, y, activations, ws)
             total += loss
             adam_update(params, grads, state, cfg)
         losses[epoch] = total / n

@@ -1,8 +1,9 @@
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casecast.evaluation import (
     ErrorReport,
@@ -35,15 +36,26 @@ class TestApe:
             with pytest.raises(ValueError):
                 ape_series([100.0, actual], [1.0, 1.0])
 
+    @settings(derandomize=True)
     @given(
         st.floats(min_value=1e-3, max_value=1e9),
         st.floats(min_value=-1e9, max_value=1e9),
-        st.floats(min_value=1e-6, max_value=1e6),
+        st.one_of(st.integers(-19, 19).map(lambda j: 2.0**j), st.floats(1e-6, 1e6)),
     )
+    # actual and forecast nearly cancel, so the scaled APE differs in its 9th digit
+    @example(999998444.0, 999998478.9999999, 3.0)
     def test_scale_invariance(self, actual, forecast, k):
-        np.testing.assert_allclose(
-            ape_series([k * actual], [k * forecast]), ape_series([actual], [forecast]), rtol=1e-9
-        )
+        scaled = ape_series([k * actual], [k * forecast])
+        ape = ape_series([actual], [forecast])
+        if math.frexp(k)[0] == 0.5 or actual == forecast:
+            # a power of two scales without rounding; equal inputs give 0 exactly
+            assert scaled.tobytes() == ape.tobytes()
+        else:
+            # each of the two products is rounded, and |a - f| magnifies their
+            # error by (|a| + |f|) / |a - f|; six more roundings follow
+            u = 2.0**-53
+            rtol = 2 * u * ((abs(actual) + abs(forecast)) / abs(actual - forecast) + 6)
+            np.testing.assert_allclose(scaled, ape, rtol=rtol, atol=0)
 
 
 class TestSummarize:

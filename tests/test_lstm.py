@@ -156,10 +156,14 @@ class TestLstmStep:
 
     def test_identity_activation_exposes_affine_structure(self):
         # with g = identity the cell is c' = f c + i * a_c and h = o * c'
-        ACTIVATIONS["identity"] = (
-            lambda x: np.asarray(x, dtype=float),
-            lambda fx: np.ones_like(np.asarray(fx, dtype=float)),
-        )
+        # an activation pair is called as f(x, out=None) and returns out
+        def identity(x, out=None):
+            return np.positive(x, out=out)
+
+        def one(fx, out=None):
+            return np.power(fx, 0.0, out=out)  # fx**0 is 1 for every fx
+
+        ACTIVATIONS["identity"] = (identity, one)
         try:
             rng = np.random.default_rng(7)
             params = LstmParams.glorot(3, 1, rng)
@@ -291,19 +295,60 @@ class TestBptt:
 
     @pytest.mark.parametrize("lookback", [1, 3])
     def test_out_is_zeroed_and_filled_bitwise(self, lookback):
+        # a workspace holds what its last call wrote; the next call must give
+        # what a fresh workspace gives, across activations and input widths
         rng = np.random.default_rng(12)
-        params = LstmParams.stack([LstmParams.glorot(4, 2, rng) for _ in range(3)])
-        inputs, target = rng.random((3, lookback, 2)), rng.random((3, 2))
-        g = ("elu", "tanh", "elu")
-        loss, fresh = bptt_gradient(params, inputs, target, g)
-        out = params.zeros_like()
-        # stale values from an earlier step; wh gets no gradient at lookback 1
-        out.flat[: out.flat.size - (out.wh.size if lookback == 1 else 0)] = np.nan
-        again, grads = bptt_gradient(params, inputs, target, g, out=out)
-        assert grads is out
-        assert grads.flat.tobytes() == fresh.flat.tobytes()
-        assert again.tobytes() == loss.tobytes()
+        widths, g = (2, 1, 2), ("elu", "tanh", "elu")
+        params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in widths])
 
+        def sample():
+            inputs, target = rng.random((3, lookback, 2)), rng.random((3, 2))
+            for e, width in enumerate(widths):
+                inputs[e, :, width:] = target[e, width:] = 0.0
+            return inputs, target
+
+        ws = lstm.Workspace(params, lookback, g)
+        for array in [a for a in vars(ws).values() if isinstance(a, np.ndarray)]:
+            array[...] = np.nan
+        ws.grads.flat[:] = np.nan
+        # all but what no call writes: the zero state, the outputs past a
+        # member's width and, at lookback 1, wh's gradient, which is exactly 0
+        ws.h[0] = ws.c[0] = 0.0
+        for e, width in enumerate(widths):
+            ws.y[e, width:] = 0.0
+        if lookback == 1:
+            ws.grads.wh[...] = 0.0
+        for inputs, target in (sample(), sample()):
+            loss, fresh = bptt_gradient(params, inputs, target, g)
+            again, grads = bptt_gradient(params, inputs, target, g, ws)
+            assert grads is ws.grads
+            assert grads.flat.tobytes() == fresh.flat.tobytes()
+            assert again.tobytes() == loss.tobytes()
+
+    @pytest.mark.parametrize("members, hidden, width", [(1, 1, 1), (3, 4, 2), (20, 32, 2)])
+    def test_weight_gradients_sum_the_store_in_step_order(self, members, hidden, width):
+        # bptt sums each weight gradient over the store's step axis with one
+        # np.add.reduce, which equals a per-step accumulation bitwise only if
+        # numpy adds that axis in index order. On this column pairwise
+        # summation, which numpy uses along an innermost axis, gives 0
+        column = np.tile([1e16, 1.0, -1e16, 1.0], 4)
+        assert np.add.reduce(column) == 0.0
+        in_order = 0.0
+        for term in column:
+            in_order += term
+        assert in_order == 1.0
+        rng = np.random.default_rng(0)
+        params = LstmParams.stack([LstmParams.glorot(hidden, width, rng) for _ in range(members)])
+        ws = lstm.Workspace(params, len(column), "elu")
+        grads = ws.grads
+        # the store's rows (L, E, 4H) and its products with x and h, (L, E, 4H, D|H)
+        steps = ws.store.shape[:-1]
+        for shape, out in ((steps, grads.b), (steps + (width,), grads.wx),
+                           (steps + (hidden,), grads.wh)):
+            terms = np.zeros(shape)
+            terms[(slice(None),) + (-1,) * out.ndim] = column
+            np.add.reduce(terms, axis=0, out=out)
+            assert out[(-1,) * out.ndim] == in_order
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
