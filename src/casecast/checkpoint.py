@@ -32,11 +32,13 @@ def _decode_array(obj: dict) -> np.ndarray:
 
 
 def save_lstm(model: LstmModel, path: str) -> None:
+    """Write a model, a stack of one, as its one member's arrays; `load`
+    reads them back through the LstmParams constructor, a stack of one."""
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "lstm",
         "config": asdict(model.config),
-        "params": {k: _encode_array(getattr(model.params, k)) for k in LSTM_KEYS},
+        "params": {k: _encode_array(a) for k in LSTM_KEYS for (a,) in [getattr(model.params, k)]},
         "epoch_losses": [repr(float(x)) for x in model.epoch_losses],
     }
     with open(path, "w", newline="\n") as fh:

@@ -7,13 +7,12 @@ input, forget, output, candidate, so one matvec per source covers all
 gates. `forward` is the one implementation of the cell; callers that
 need a single gate slice the stacked arrays (block k is rows k*H..(k+1)*H).
 
-Member axis: `forward` and `bptt_gradient` take only a stack of E
-independent models (`LstmParams.stack`) and advance all of them in one call;
-one model is the stack `LstmParams.stack([params])`. `adam_update` is
-elementwise, so it steps a stack as it steps one model. `train` runs an
-ensemble in lockstep this way. Every stacked operation is a per-member
-matmul, a broadcast or an elementwise op, so row e of each result is bitwise
-what a stack of member e alone would give.
+Member axis: every `LstmParams` is a stack of E independent models, and one
+model is a stack of one (E = 1). `forward` and `bptt_gradient` advance all
+members in one call. `adam_update` is elementwise, so it steps a stack of
+any size alike. `train` runs an ensemble in lockstep this way. Every stacked
+operation is a per-member matmul, a broadcast or an elementwise op, so row e
+of each result is bitwise what a stack of member e alone would give.
 
 Contiguity: a step on a stack is some 75 small numpy calls, and a call on a
 strided operand costs two to three times one on a contiguous operand of the
@@ -28,15 +27,16 @@ by its arithmetic, so a step writes into arrays allocated once. `train`
 builds one `Workspace` for its stack's (E, L, D, H) and activations, and
 every array a step writes lies in it: the forward cache and the step's
 temporaries, the reverse pass's dc, d_ifo and da, a store of every step's da
-rows, and the gradient stack. `forward` and `bptt_gradient` build a fresh
-one when called without one. What they return lies in the workspace, so a
-cache from `forward`, like the losses and gradients, is valid until the
-workspace's next call. The reverse loop carries only the recurrence and
-fills the store; the wx, b and wh gradients are then each one product and
-one np.add.reduce over the store's step axis. That sum is bitwise the
-per-step one: the store runs in the loop's order, t = L-1 first, and numpy
-adds a non-innermost axis in index order, so each sum adds the same terms in
-the same order. Only the sign of a zero sum may differ, -0.0 where
+rows, and the gradient stack. `forward` and `bptt_gradient` take the
+workspace as an argument, and it alone carries the activations; `run_schema`
+builds one per forecast and reuses it on every day. What they return lies
+in the workspace, so a cache from `forward`, like the losses and gradients,
+is valid until the workspace's next call. The reverse loop carries only the
+recurrence and fills the store; the wx, b and wh gradients are then each one
+product and one np.add.reduce over the store's step axis. That sum is
+bitwise the per-step one: the store runs in the loop's order, t = L-1 first,
+and numpy adds a non-innermost axis in index order, so each sum adds the
+same terms in the same order. Only the sign of a zero sum may differ, -0.0 where
 accumulating into a zeroed stack gave +0.0, and Adam, whose moments start at
 +0.0, steps both to the same bits.
 
@@ -171,36 +171,39 @@ def _matvec(w, v):
 
 
 class LstmParams:
-    """All weights of one LSTM layer plus the linear dense head, stored in one
-    contiguous float64 vector `flat`. The five named arrays are reshaped views
-    into it, laid out in the order of NAMES:
+    """All weights of a stack of E LSTM layers of one hidden size, each with
+    its linear dense head, stored in one contiguous float64 vector `flat`.
+    The five named arrays are reshaped views into it, each with a leading
+    member axis, laid out in the order of NAMES:
 
-    wx (4H, D) input-to-gate, rows stacked i|f|o|c; b (4H,); dense_w (D_out, H);
-    dense_b (D_out,); wh (4H, H) hidden-to-gate, last, so the rest is a prefix.
+    wx (E, 4H, D) input-to-gate, rows stacked i|f|o|c; b (E, 4H);
+    dense_w (E, D_out, H); dense_b (E, D_out); wh (E, 4H, H) hidden-to-gate,
+    last, so the rest is a prefix.
 
-    A stack of E models of one hidden size (`stack`) has the same views with a
-    leading member axis, wx (E, 4H, D) and so on, D the widest member's input
-    width. Its `flat` is one (E*P,) vector laid out name-major: the wx of
-    every member, then every b, dense_w, dense_b and wh, so each named array
-    is one C-contiguous block and the blocks before wh are again a prefix.
-    `widths` holds each member's own width (None for one model).
+    D is the widest member's input width, and `widths` holds each member's
+    own. `flat` is one (E*P,) vector laid out name-major: the wx of every
+    member, then every b, dense_w, dense_b and wh, so each named array is one
+    C-contiguous block and the blocks before wh are again a prefix. The
+    constructor and `glorot` take one model's arrays and give a stack of one,
+    whose `flat` is those arrays concatenated in the order of NAMES.
     """
 
     NAMES = ("wx", "b", "dense_w", "dense_b", "wh")
 
     def __init__(self, wx, wh, b, dense_w, dense_b):
         arrays = [np.asarray(a, dtype=float) for a in (wx, b, dense_w, dense_b, wh)]
-        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays], None)
+        flat = np.concatenate([a.ravel() for a in arrays])
+        self._bind(flat, [a.shape for a in arrays], (arrays[0].shape[-1],))
 
     def _bind(self, flat, shapes, widths):
-        """Point the named arrays at the 1-D `flat`, name-major for a stack;
-        `shapes` are one model's."""
+        """Point the named arrays at the 1-D `flat`, name-major; `shapes` are
+        one member's."""
         self.flat, self._shapes, self.widths = flat, shapes, widths
-        lead = () if widths is None else (len(widths),)
         start = 0
         for name, shape in zip(self.NAMES, shapes):
-            end = start + math.prod(lead + shape)
-            setattr(self, name, flat[start:end].reshape(lead + shape))
+            shape = (len(widths),) + shape
+            end = start + math.prod(shape)
+            setattr(self, name, flat[start:end].reshape(shape))
             start = end
 
     def _on(self, flat, widths):
@@ -223,20 +226,21 @@ class LstmParams:
 
     @classmethod
     def stack(cls, members: list["LstmParams"]) -> "LstmParams":
-        """E models of one hidden size as one stack, on a new (E*P,) `flat`;
-        each is zero-padded to the widest input width (its wx columns,
-        dense_w rows and dense_b entries past its own width stay zero)."""
+        """Stacks of one of one hidden size as one stack, on a new (E*P,)
+        `flat`; each is zero-padded to the widest input width (its wx
+        columns, dense_w rows and dense_b entries past its own width stay
+        zero)."""
         widths = tuple(m.input_dim for m in members)
         widest = members[widths.index(max(widths))]
         stack = widest._on(np.zeros(len(members) * widest.flat.size), widths)
         for e, member in enumerate(members):
             for name in cls.NAMES:
-                a = getattr(member, name)
+                (a,) = getattr(member, name)
                 getattr(stack, name)[e][tuple(slice(n) for n in a.shape)] = a
         return stack
 
     def member(self, e: int) -> "LstmParams":
-        """Member e of a stack as one model of its own input width, on new
+        """Member e as a stack of one of its own input width, on new
         contiguous storage."""
         width = self.widths[e]
         return LstmParams(
@@ -246,7 +250,8 @@ class LstmParams:
 
     @classmethod
     def glorot(cls, hidden: int, input_dim: int, rng: np.random.Generator):
-        """Glorot-uniform weights per matrix, all biases zero."""
+        """One model of Glorot-uniform weights per matrix and all biases
+        zero, as a stack of one."""
 
         def uni(rows, cols):
             limit = np.sqrt(6.0 / (rows + cols))
@@ -284,7 +289,8 @@ def _gate_major(rows, hdim):
 class Workspace:
     """Every array that `forward` and `bptt_gradient` write for a stack of E
     members of hidden size H and widest input width D, run over L steps under
-    the activations g (one name, or one per member):
+    the activations g (one name, or one per member), which the kernels read
+    only from here:
 
     - the forward cache: "h" and "c" (L+1, E, H), whose row 0 is the zero
       state and stays zero, "ifo" (L, 3, E, H) and "g" (L, 2, E, H), and the
@@ -302,7 +308,7 @@ class Workspace:
     and wh's gradient at lookback 1, which is exactly zero (the state starts
     at zero) and so is never written."""
 
-    def __init__(self, params: LstmParams, steps: int, g="elu"):
+    def __init__(self, params: LstmParams, steps: int, g):
         members, hdim, width = len(params.widths), params.hidden, params.input_dim
         self.gfun, self.dgfun = _activation(g, members)
         gates = 4 * hdim
@@ -344,7 +350,7 @@ class Workspace:
         self.grads = params.zeros_like()
 
 
-def forward(params: LstmParams, inputs, g="elu", ws: Workspace | None = None):
+def forward(params: LstmParams, inputs, ws: Workspace):
     """Run the sequence from zero state and apply the linear head to the
     final hidden vector. Each step is
 
@@ -352,24 +358,23 @@ def forward(params: LstmParams, inputs, g="elu", ws: Workspace | None = None):
         c' = f*c + i*g(Wcx x + Wch h + bc); h' = o*g(c'),
 
     with the activation g applied both to the candidate and to the cell
-    output. A stack of E models takes inputs (E, L, D) and one activation
-    name or one per member, and returns y (E, D), each member's inputs and
-    outputs zero beyond its own width. Returns (y, cache). The cache holds,
-    over L steps and E members, everything bptt_gradient needs for an
-    exact reverse pass: "x" (L, E, D); "h" and "c" (L+1, E, H), the states
-    before each step and after the last; "ifo" (L, 3, E, H), the gates i, f
-    and o; "g" (L, 2, E, H), g of the candidate pre-activation and g of the
-    new cell state. A step holds its pre-activations gate-major too,
-    (4, E, H), so each gate of all members is one contiguous block.
+    output. A stack of E models takes inputs (E, L, D) and returns y (E, D),
+    each member's inputs and outputs zero beyond its own width. Returns
+    (y, cache). The cache holds, over L steps and E members, everything
+    bptt_gradient needs for an exact reverse pass: "x" (L, E, D); "h" and
+    "c" (L+1, E, H), the states before each step and after the last; "ifo"
+    (L, 3, E, H), the gates i, f and o; "g" (L, 2, E, H), g of the candidate
+    pre-activation and g of the new cell state. A step holds its
+    pre-activations gate-major too, (4, E, H), so each gate of all members
+    is one contiguous block.
 
-    y and the cache lie in `ws`, a Workspace built for this stack, L and g
-    (g is then not read), or in a new one; they hold until its next call."""
+    `ws` is a Workspace built for this stack and L, and its activations are
+    the g of each member. y and the cache lie in it and hold until its next
+    call."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[2:] != (params.input_dim,):
         raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
     steps = inputs.shape[1]
-    if ws is None:
-        ws = Workspace(params, steps, g)
     gfun, h, c, ifo, gv, a, tmp = ws.gfun, ws.h, ws.c, ws.ifo, ws.g, ws.a, ws.tmp
     # the input term of every step in one matmul, still one product per
     # (member, step), so each is the one a per-step matvec would give
@@ -401,19 +406,17 @@ def forward(params: LstmParams, inputs, g="elu", ws: Workspace | None = None):
     return y, ws.cache
 
 
-def bptt_gradient(params: LstmParams, inputs, target, g="elu", ws: Workspace | None = None):
+def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     """Exact gradient of the squared error ||y - target||^2 with respect to
     every parameter array, by reverse-mode differentiation through the
     unrolled recurrence. A stack of E models takes inputs (E, L, D) and
     targets (E, D), and returns the losses (E,) and the stacked gradients.
 
-    Both lie in `ws`, as `forward`'s results do, or in a new Workspace. The
-    reverse loop carries only the recurrence, dh and dc, and stores each
-    step's da; after it, the wx, b and wh gradients are each summed over the
-    store in one reduction."""
-    if ws is None:
-        ws = Workspace(params, np.shape(inputs)[1], g)
-    y, cache = forward(params, inputs, g, ws)
+    Both lie in `ws`, as `forward`'s results do. The reverse loop carries
+    only the recurrence, dh and dc, and stores each step's da; after it, the
+    wx, b and wh gradients are each summed over the store in one
+    reduction."""
+    y, cache = forward(params, inputs, ws)
     x, h, c, ifo, gv = (cache[k] for k in ("x", "h", "c", "ifo", "g"))
     # the factors that need no reverse-pass state, for every step at once
     dg = ws.dgfun(gv, ws.dg)
@@ -572,8 +575,7 @@ def train(
         inputs[e, ..., : d.inputs.shape[2]] = d.inputs
         targets[e, :, : d.targets.shape[1]] = d.targets
     members = np.arange(len(cfgs))
-    activations = tuple(c.activation for c in cfgs)
-    ws = Workspace(params, dataset.inputs.shape[1], activations)
+    ws = Workspace(params, dataset.inputs.shape[1], tuple(c.activation for c in cfgs))
     state = AdamState.like(params)
     if dataset.inputs.shape[1] == 1:
         # one step from the zero state: wh gets no gradient, and Adam would
@@ -586,7 +588,7 @@ def train(
         # row j holds every member's j-th sample of this epoch
         order = np.stack([rng.permutation(n) for rng in rngs], axis=1)
         for x, y in zip(inputs[members, order], targets[members, order]):
-            loss, grads = bptt_gradient(params, x, y, activations, ws)
+            loss, grads = bptt_gradient(params, x, y, ws)
             total += loss
             adam_update(params, grads, state, cfg)
         losses[epoch] = total / n
@@ -600,7 +602,6 @@ def train(
 
 @dataclass(frozen=True)
 class ForecastRun:
-    dates: tuple[dt.date, ...]
     forecasts: np.ndarray  # predicted total cases, original units
     actuals: np.ndarray | None  # observed total cases where available
 
@@ -675,19 +676,19 @@ def run_schema(
     passes it by position.
     """
     horizon_of = observed_horizon if schema == "u1" else forecast_horizon
-    forecast_dates, actuals = horizon_of(ts, train_end, horizon)
+    _, actuals = horizon_of(ts, train_end, horizon)
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if len(train_vals) < lookback:
         raise WindowError("not enough history before the first test day")
-    params, activation = LstmParams.stack([model.params]), model.config.activation
+    ws = Workspace(model.params, lookback, model.config.activation)
     preds = np.empty((horizon, train_vals.shape[1]))
     fed_back = spec.normalize(actuals[:, None]) if schema == "u1" else preds
     window = train_vals[-lookback:]
     for k in range(horizon):
-        preds[k] = forward(params, window[None], activation)[0][0]
+        preds[k] = forward(model.params, window[None], ws)[0][0]
         window = np.vstack([window[1:], fed_back[k]])
 
     forecasts = spec.denormalize(preds)[:, 0]
     if not np.all(np.isfinite(forecasts)):
         raise NonFiniteForecastError(f"non-finite forecast under schema {schema}")
-    return ForecastRun(forecast_dates, forecasts, actuals)
+    return ForecastRun(forecasts, actuals)

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from casecast import TrainConfig
+from casecast import TrainConfig, cli
 from casecast.checkpoint import load, save_classical, save_lstm
 from casecast.classical import (
     ArimaFit,
@@ -14,7 +15,8 @@ from casecast.classical import (
     prophet_lite_fit,
     prophet_lite_forecast,
 )
-from casecast.lstm import LstmModel, LstmParams
+from casecast.lstm import LstmModel, LstmParams, run_schema
+from conftest import TRAIN_END, TRAIN_START
 
 
 def test_lstm_round_trip_is_bit_exact(tmp_path):
@@ -122,6 +124,19 @@ def test_lstm_checkpoint_bytes_are_pinned(tmp_path):
     save_lstm(model, str(path))
     assert list(json.loads(path.read_text())["params"]) == ["wx", "wh", "b", "dense_w", "dense_b"]
     assert path.read_bytes() == PINNED_LSTM_CHECKPOINT.encode()
+
+
+@pytest.mark.parametrize("model, lookback", [("lstm-u3", 3), ("lstm-u1", 1)])
+def test_reloaded_lstm_checkpoint_forecasts_what_run_wrote(tmp_path, series, model, lookback):
+    out = tmp_path / "out"
+    argv = ["run", "--model", model, "--epochs", "2", "--lookback", str(lookback),
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    loaded = load(str(out / "checkpoint.json"))
+    run = run_schema(series, model.split("-")[1], loaded.config, TRAIN_START, TRAIN_END,
+                     15, lookback, model=loaded)
+    written = [line.split(",")[1] for line in (out / "forecast.csv").read_text().splitlines()[2:]]
+    assert written == [repr(float(v)) for v in run.forecasts]
 
 
 def test_arima_round_trip(tmp_path):

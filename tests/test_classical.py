@@ -102,7 +102,7 @@ class TestForecastArima:
         expected = y[-1] + fit.coefficients[0] * d[-1] + fit.coefficients[1] * d[-2]
         assert abs(out[0] - expected) < 1e-10
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(
         st.lists(st.floats(min_value=-0.15, max_value=0.15), min_size=1, max_size=6),
         st.floats(min_value=-1e6, max_value=1e6),

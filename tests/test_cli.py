@@ -8,10 +8,11 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casecast import classical, cli, lstm, slice_window
 from casecast.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
@@ -423,6 +424,75 @@ class TestFuzzedContract:
                 code = main(argv)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL), (argv, config)
         assert "Traceback" not in stderr.getvalue(), (argv, config)
+
+
+BUNDLED_ROWS = Path(cli.bundled_dataset_path()).read_text(encoding="utf-8").splitlines()
+# tokens a hand-edited or truncated export may hold in place of a field
+TOKENS = st.sampled_from(["", " ", "x", "-1", "0", "1.5", "1e3", "nan", "9" * 18, str(2**63),
+                          "9" * 30, "2020-02-30", "2020-05-09", "\ufeff1", "1,2", '"3"'])
+ROW = st.integers(min_value=0, max_value=len(BUNDLED_ROWS) - 1)
+# a row at either end, where a deletion leaves consecutive dates: the data
+# then loads, and the commands get as far as a fit
+END_ROW = st.sampled_from([1, -1])  # the first and the last day
+MUTATIONS = st.one_of(
+    st.tuples(st.just("delete"), END_ROW),
+    st.tuples(st.just("token"), ROW, st.integers(min_value=0, max_value=2), TOKENS),
+    st.tuples(st.just("delete"), ROW),
+    st.tuples(st.just("duplicate"), ROW),
+)
+DATA_COMMANDS = (
+    ["validate"],
+    ["run", "--model", "hwaas"],
+    ["run", "--model", "lstm-u3", "--epochs", "1"],
+)
+
+
+def mutate(rows, mutations):
+    """A copy of `rows` with each (kind, row, ...) mutation applied in turn:
+    one field replaced by a token, a row deleted or a row duplicated."""
+    rows = list(rows)
+    for kind, k, *rest in mutations:
+        k %= len(rows)  # an earlier deletion shortens the file
+        if kind == "token":
+            field, token = rest
+            values = rows[k].split(",")
+            values[field % len(values)] = token
+            rows[k] = ",".join(values)
+        elif kind == "delete":
+            del rows[k]
+        else:
+            rows.insert(k, rows[k])
+    return rows
+
+
+class TestFuzzedData:
+    """Whatever a `--data` file derived from the bundled one holds, `main`
+    returns a documented exit code and prints no traceback, for `validate`,
+    a classical `run` and a one-epoch LSTM `run`."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(mutations=st.lists(MUTATIONS, min_size=1, max_size=2))
+    # files that still load, so that each command runs its fit: the first
+    # day deleted, the last day deleted (no actuals over the horizon), a huge
+    # last count and a zero first count
+    @example(mutations=[("delete", 1)])
+    @example(mutations=[("delete", -1)])
+    @example(mutations=[("token", -1, 1, "9" * 18)])
+    @example(mutations=[("token", 1, 1, "0")])
+    def test_exit_code_is_documented_and_no_traceback(self, mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\n".join(mutate(BUNDLED_ROWS, mutations)) + "\n")
+            for k, command in enumerate(DATA_COMMANDS):
+                argv = command + ["--data", path]
+                if command[0] == "run":
+                    argv += ["--out", os.path.join(tmp, f"out{k}")]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL), (argv, mutations)
+                assert "Traceback" not in stderr.getvalue(), (argv, mutations)
 
 
 def test_every_name_the_benchmark_tracer_patches_is_bound(monkeypatch, series):
