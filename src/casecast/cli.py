@@ -204,6 +204,11 @@ def _train_config(cfg: RunConfig, activation: str) -> TrainConfig:
     return TrainConfig(epochs=cfg.epochs, activation=activation, seed=cfg.seed)
 
 
+def _schema(name: str) -> str:
+    """The LSTM schema of model `name`, "" for a classical model."""
+    return name.split("-", 1)[1] if name.startswith("lstm-") else ""
+
+
 def _forecast(ts, cfg: RunConfig, name: str, model=None):
     """Fit model `name` on the configured window and forecast the horizon.
 
@@ -214,8 +219,8 @@ def _forecast(ts, cfg: RunConfig, name: str, model=None):
     or an infinity is a NonFiniteForecastError, whatever the model. The
     horizon is checked before (`_prepare`), not here.
     """
-    if name.startswith("lstm-"):
-        schema = name.split("-", 1)[1]
+    schema = _schema(name)
+    if schema:
         if model is None:
             model = train_schema_model(
                 ts, schema, _train_config(cfg, cfg.activation),
@@ -260,16 +265,13 @@ def cmd_run(args) -> int:
     cfg, ts, dates, actuals = _prepare(args)
     scored = ("errors.csv", "summary.csv") if actuals is not None else ()
     _check_writable(cfg.out, ("checkpoint.json", "forecast.csv") + scored)
+    schema = _schema(cfg.model)
     forecasts, fit = _forecast(ts, cfg, cfg.model)
-    path = os.path.join(cfg.out, "checkpoint.json")
-    if cfg.model.startswith("lstm-"):
-        checkpoint.save_lstm(fit, path)
-    else:
-        checkpoint.save_classical(fit, path)
+    save = checkpoint.save_lstm if schema else checkpoint.save_classical
+    save(fit, os.path.join(cfg.out, "checkpoint.json"))
     _write_forecast_csv(os.path.join(cfg.out, "forecast.csv"), dates, forecasts, actuals,
                         cfg.seed)
     if actuals is not None:
-        schema = cfg.model.split("-", 1)[1] if cfg.model.startswith("lstm-") else ""
         report = summarize(forecasts, actuals, cfg.model, schema)
         emit_table([report], os.path.join(cfg.out, "errors.csv"))
         write_summary_csv([report], os.path.join(cfg.out, "summary.csv"))

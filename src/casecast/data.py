@@ -26,9 +26,16 @@ class MissingFileError(DataError):
 
 
 class MalformedRowError(DataError):
+    """A CSV line, counted from 1, that does not parse, or a missing header
+    or data row. Its args are its constructor's, so it pickles."""
+
     def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(line_number, message)
         self.line_number = line_number
+
+    def __str__(self):
+        line_number, message = self.args
+        return f"line {line_number}: {message}"
 
 
 class DateOrderError(DataError):
@@ -254,8 +261,8 @@ def make_windows(values: np.ndarray, lookback: int) -> WindowedDataset:
     """Slide a length-`lookback` window over a normalized (n, D) array,
     pairing each block with the next day's vector."""
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
+    if values.ndim != 2:
+        raise DataError(f"values of shape {values.shape}, expected (n, D)")
     n = len(values)
     if lookback < 1:
         raise DataError("lookback must be >= 1")

@@ -24,16 +24,18 @@ operands or an elementwise op's values, so neither changes a bit.
 
 Workspace: such a step is limited by the fixed cost of each numpy call, not
 by its arithmetic, so a step writes into arrays allocated once. `train`
-builds one `Workspace` for its stack's (E, L, D, H) and activations, and
-every array a step writes lies in it: the forward cache and the step's
-temporaries, the reverse pass's dc, d_ifo and da, a store of every step's da
-rows, and the gradient stack. `forward` and `bptt_gradient` take the
-workspace as an argument, and it alone carries the activations; `run_schema`
-builds one per forecast and reuses it on every day. What they return lies
-in the workspace, so a cache from `forward`, like the losses and gradients,
-is valid until the workspace's next call. The reverse loop carries only the
-recurrence and fills the store; the wx, b and wh gradients are then each one
-product and one np.add.reduce over the store's step axis. That sum is
+builds one `Workspace` for its stack's (E, L, D, H) and activations. Besides
+the parameters and Adam's moments, every array a training step writes lies
+in the workspace, or, for Adam's temporaries, in `AdamState.scratch`. The
+workspace holds the states, gates and activation values of every step,
+which the reverse pass reads, the forward step's temporaries and output, the
+reverse pass's dc, d_ifo and da, a store of every step's da rows, and the
+gradient stack. `forward` and `bptt_gradient` take the workspace as an
+argument, and it alone carries the activations; `run_schema` builds one per
+forecast and reuses it on every day. What they return lies in the workspace
+and is valid until the workspace's next call. The reverse loop carries only
+the recurrence and fills the store; the wx, b and wh gradients are then each
+one product and one np.add.reduce over the store's step axis. That sum is
 bitwise the per-step one: the store runs in the loop's order, t = L-1 first,
 and numpy adds a non-innermost axis in index order, so each sum adds the
 same terms in the same order. Only the sign of a zero sum may differ, -0.0 where
@@ -72,12 +74,17 @@ SCHEMAS = ("u1", "u2", "u3")
 
 
 class TrainingDivergedError(Exception):
+    """A mean epoch loss turned non-finite at `epoch` (from 1) of the member
+    trained with `cfg`. Its args are its constructor's, so it pickles."""
+
     def __init__(self, epoch: int, cfg: TrainConfig):
-        super().__init__(
-            f"non-finite training loss at epoch {epoch} "
-            f"(activation {cfg.activation}, seed {cfg.seed})"
-        )
+        super().__init__(epoch, cfg)
         self.epoch = epoch
+
+    def __str__(self):
+        epoch, cfg = self.args
+        return (f"non-finite training loss at epoch {epoch} "
+                f"(activation {cfg.activation}, seed {cfg.seed})")
 
 
 class NonFiniteForecastError(Exception):
@@ -114,18 +121,16 @@ ACTIVATIONS = {
 }
 
 
-def _activation(g, members: int):
-    """(g, dg) for a stack of `members`: `g` is one activation name for all
-    of them or a sequence of names, one per member."""
-    if isinstance(g, str):
-        return ACTIVATIONS[g]
-    g = tuple(g)
-    if len(g) != members:
-        raise ValueError(f"{len(g)} activations for {members} members")
-    return ACTIVATIONS[g[0]] if len(set(g)) == 1 else _mixed_activation(g)
+def _activation(names, members: int):
+    """(g, dg) for a stack of `members`, from a sequence of activation names,
+    one per member."""
+    names = tuple(names)
+    if len(names) != members or not set(names) <= ACTIVATIONS.keys():
+        raise ValueError(f"activations {names} for {members} members: "
+                         f"expected one of {tuple(ACTIVATIONS)} per member")
+    return ACTIVATIONS[names[0]] if len(set(names)) == 1 else _mixed_activation(names)
 
 
-@functools.lru_cache
 def _mixed_activation(names: tuple[str, ...]):
     """The first activation writes every row, and each other one copies its
     value into its own members' rows, so every row is exactly its
@@ -143,21 +148,15 @@ def _mixed_activation(names: tuple[str, ...]):
 
 
 # the doubles next to 0 and 1: 1 / (1 + exp(-x)) rounds to exactly 1.0 once
-# x > ~36.7 and to 0.0 once exp overflows (x < ~-709.8); sigmoid clamps to these
-# so a gate is never exactly shut or exactly open
+# x > ~36.7 and to 0.0 once exp overflows (x < ~-709.8); _sigmoid clamps to
+# these so a gate is never exactly shut or exactly open
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid(x):
-    """Logistic function with values strictly inside (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        return _sigmoid(x, np.empty(x.shape))
-
-
 def _sigmoid(x, out):
-    """sigmoid into `out`, for a caller that ignores exp's overflow."""
+    """The logistic function into `out`, with values strictly inside (0, 1),
+    for a caller that ignores exp's overflow."""
     np.exp(np.negative(x, out=out), out=out)
     np.divide(1.0, np.add(1.0, out, out=out), out=out)
     return np.maximum(np.minimum(out, _SIGMOID_HI, out=out), _SIGMOID_LO, out=out)
@@ -266,7 +265,6 @@ class LstmParams:
         )
 
 
-@functools.lru_cache
 def _width_groups(widths: tuple[int, ...]):
     """(width, rows) for each distinct member width of a stack; rows selects
     that width's members, as a slice when they are adjacent in the stack (a
@@ -289,12 +287,16 @@ def _gate_major(rows, hdim):
 class Workspace:
     """Every array that `forward` and `bptt_gradient` write for a stack of E
     members of hidden size H and widest input width D, run over L steps under
-    the activations g (one name, or one per member), which the kernels read
-    only from here:
+    `activations`, one name per member. The kernels read the activations and
+    the dense head's width groups only from here:
 
-    - the forward cache: "h" and "c" (L+1, E, H), whose row 0 is the zero
-      state and stays zero, "ifo" (L, 3, E, H) and "g" (L, 2, E, H), and the
-      output y (E, D), whose entries past a member's own width stay zero;
+    - what `forward` leaves for the reverse pass: `x`, its inputs step-major
+      (L, E, D), a view that each call sets; `h` and `c` (L+1, E, H), the
+      states before each step and after the last, whose row 0 is the zero
+      state and stays zero; `ifo` (L, 3, E, H), the gates i, f and o; `g`
+      (L, 2, E, H), g of the candidate pre-activation and g of the new cell
+      state; and the output `y` (E, D), whose entries past a member's own
+      width stay zero;
     - the forward step's temporaries: the input terms of all steps, the
       recurrent term, the pre-activations and one (E, H) product;
     - the reverse pass's error and losses, the activation derivatives and
@@ -308,10 +310,12 @@ class Workspace:
     and wh's gradient at lookback 1, which is exactly zero (the state starts
     at zero) and so is never written."""
 
-    def __init__(self, params: LstmParams, steps: int, g):
+    def __init__(self, params: LstmParams, steps: int, activations):
         members, hdim, width = len(params.widths), params.hidden, params.input_dim
-        self.gfun, self.dgfun = _activation(g, members)
+        self.gfun, self.dgfun = _activation(activations, members)
+        self.groups = _width_groups(params.widths)
         gates = 4 * hdim
+        self.x = None
         self.xw = np.empty((members, steps, gates, 1))
         # read gate-major, (L, 4, E, H)
         self.xw_gates = self.xw.reshape(members, steps, 4, hdim).transpose(1, 2, 0, 3)
@@ -324,7 +328,6 @@ class Workspace:
         self.hw_gates = _gate_major(self.hw, hdim)
         self.tmp = np.empty((members, hdim))
         self.y = np.zeros((members, width))
-        self.cache = {"x": None, "h": self.h, "c": self.c, "ifo": self.ifo, "g": self.g}
 
         self.err = np.empty((members, width))
         self.loss = np.empty((members, 1, 1))
@@ -359,18 +362,14 @@ def forward(params: LstmParams, inputs, ws: Workspace):
 
     with the activation g applied both to the candidate and to the cell
     output. A stack of E models takes inputs (E, L, D) and returns y (E, D),
-    each member's inputs and outputs zero beyond its own width. Returns
-    (y, cache). The cache holds, over L steps and E members, everything
-    bptt_gradient needs for an exact reverse pass: "x" (L, E, D); "h" and
-    "c" (L+1, E, H), the states before each step and after the last; "ifo"
-    (L, 3, E, H), the gates i, f and o; "g" (L, 2, E, H), g of the candidate
-    pre-activation and g of the new cell state. A step holds its
-    pre-activations gate-major too, (4, E, H), so each gate of all members
-    is one contiguous block.
+    each member's inputs and outputs zero beyond its own width. A step holds
+    its pre-activations gate-major, (4, E, H), so each gate of all members is
+    one contiguous block.
 
     `ws` is a Workspace built for this stack and L, and its activations are
-    the g of each member. y and the cache lie in it and hold until its next
-    call."""
+    the g of each member. y is `ws.y`, and the call leaves in `ws` all that
+    `bptt_gradient` reads for an exact reverse pass: `ws.x`, `ws.h`, `ws.c`,
+    `ws.ifo` and `ws.g`. Each holds until the workspace's next call."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[2:] != (params.input_dim,):
         raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
@@ -398,12 +397,12 @@ def forward(params: LstmParams, inputs, ws: Workspace):
             gfun(c[t + 1], gv[t, 1])
             np.multiply(ifo[t, 2], gv[t, 1], out=h[t + 1])
     y = ws.y
-    for width, rows in _width_groups(params.widths):
+    for width, rows in ws.groups:
         y[rows, :width] = (
             _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
         )
-    ws.cache["x"] = inputs.transpose(1, 0, 2)
-    return y, ws.cache
+    ws.x = inputs.transpose(1, 0, 2)
+    return y
 
 
 def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
@@ -412,12 +411,12 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     unrolled recurrence. A stack of E models takes inputs (E, L, D) and
     targets (E, D), and returns the losses (E,) and the stacked gradients.
 
-    Both lie in `ws`, as `forward`'s results do. The reverse loop carries
-    only the recurrence, dh and dc, and stores each step's da; after it, the
-    wx, b and wh gradients are each summed over the store in one
-    reduction."""
-    y, cache = forward(params, inputs, ws)
-    x, h, c, ifo, gv = (cache[k] for k in ("x", "h", "c", "ifo", "g"))
+    Both lie in `ws`, as `forward`'s results do; the reverse pass reads what
+    `forward` left there. The reverse loop carries only the recurrence, dh
+    and dc, and stores each step's da; after it, the wx, b and wh gradients
+    are each summed over the store in one reduction."""
+    y = forward(params, inputs, ws)
+    x, h, c, ifo, gv = ws.x, ws.h, ws.c, ws.ifo, ws.g
     # the factors that need no reverse-pass state, for every step at once
     dg = ws.dgfun(gv, ws.dg)
     not_ifo = np.subtract(1.0, ifo, out=ws.not_ifo)
@@ -603,7 +602,6 @@ def train(
 @dataclass(frozen=True)
 class ForecastRun:
     forecasts: np.ndarray  # predicted total cases, original units
-    actuals: np.ndarray | None  # observed total cases where available
 
 
 def _schema_training_values(ts: TimeSeries, schema: str, train_start, train_end):
@@ -680,15 +678,15 @@ def run_schema(
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if len(train_vals) < lookback:
         raise WindowError("not enough history before the first test day")
-    ws = Workspace(model.params, lookback, model.config.activation)
+    ws = Workspace(model.params, lookback, (model.config.activation,))
     preds = np.empty((horizon, train_vals.shape[1]))
     fed_back = spec.normalize(actuals[:, None]) if schema == "u1" else preds
     window = train_vals[-lookback:]
     for k in range(horizon):
-        preds[k] = forward(model.params, window[None], ws)[0][0]
+        preds[k] = forward(model.params, window[None], ws)[0]
         window = np.vstack([window[1:], fed_back[k]])
 
     forecasts = spec.denormalize(preds)[:, 0]
     if not np.all(np.isfinite(forecasts)):
         raise NonFiniteForecastError(f"non-finite forecast under schema {schema}")
-    return ForecastRun(forecasts, actuals)
+    return ForecastRun(forecasts)

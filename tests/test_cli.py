@@ -1,8 +1,11 @@
 import contextlib
 import datetime as dt
+import importlib
 import io
 import json
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from casecast import classical, cli, lstm, slice_window
+import casecast
+from casecast import classical, cli, data, lstm, slice_window
 from casecast.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from conftest import TRAIN_END, TRAIN_START
 
@@ -278,6 +282,36 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "write_lines", full)
         assert run_cli("run", "--model", "hwaas", "--out", str(tmp_path / "out")) == EXIT_USAGE
         assert capsys.readouterr().err == "config error: cannot write: No space left on device\n"
+
+
+def casecast_exceptions():
+    """Every exception class that a module of casecast defines."""
+    modules = [importlib.import_module(f"casecast.{m.name}")
+               for m in pkgutil.iter_modules(casecast.__path__)]
+    return [obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__]
+
+
+# the arguments of each exception whose constructor takes more than a message
+EXCEPTION_ARGS = {lstm.TrainingDivergedError: (3, lstm.TrainConfig()),
+                  data.MalformedRowError: (4, "x")}
+
+
+@pytest.mark.parametrize("cls", casecast_exceptions(), ids=lambda cls: cls.__name__)
+def test_every_exception_survives_pickling(cls):
+    # an error raised in a worker process reaches the parent pickled, and
+    # `main` maps it to its exit code by its type
+    error = cls(*EXCEPTION_ARGS.get(cls, ("a message",)))
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is cls and str(again) == str(error)
+    assert vars(again) == vars(error)  # the epoch or the line number
+
+
+def test_the_pickling_test_finds_the_exceptions_of_every_module():
+    found = casecast_exceptions()
+    assert set(EXCEPTION_ARGS) <= set(found)
+    assert {cli.ConfigError, classical.FitError, data.DataError} <= set(found)
 
 
 @pytest.fixture(scope="module")

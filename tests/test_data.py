@@ -203,23 +203,28 @@ class TestNormalizer:
 
 class TestMakeWindows:
     def test_tiny_example(self):
-        ds = make_windows(np.array([0.0, 0.5, 1.0]), lookback=1)
+        ds = make_windows(np.array([[0.0], [0.5], [1.0]]), lookback=1)
         assert len(ds) == 2
         np.testing.assert_allclose(ds.inputs.ravel(), [0.0, 0.5])
         np.testing.assert_allclose(ds.targets.ravel(), [0.5, 1.0])
 
     def test_sample_count(self):
-        ds = make_windows(np.linspace(0, 1, 31), lookback=3)
+        ds = make_windows(np.linspace(0, 1, 31)[:, None], lookback=3)
         assert len(ds) == 28
 
     def test_too_short(self):
         with pytest.raises(DataError):
-            make_windows(np.array([0.0, 0.5, 1.0]), lookback=3)
+            make_windows(np.array([[0.0], [0.5], [1.0]]), lookback=3)
+
+    def test_values_must_be_n_by_d(self):
+        for values in (np.linspace(0, 1, 10), np.zeros((10, 1, 1))):
+            with pytest.raises(DataError, match=r"expected \(n, D\)"):
+                make_windows(values, lookback=1)
 
     def test_targets_cover_series_tail(self):
-        values = np.arange(20, dtype=float)
+        values = np.arange(20, dtype=float)[:, None]
         ds = make_windows(values, lookback=4)
-        np.testing.assert_array_equal(ds.targets.ravel(), values[4:])
+        np.testing.assert_array_equal(ds.targets, values[4:])
 
     def test_blocks_are_contiguous_slices(self):
         rng = np.random.default_rng(0)

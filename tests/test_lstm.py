@@ -28,7 +28,6 @@ from casecast.lstm import (
     elu,
     forward,
     run_schema,
-    sigmoid,
 )
 
 TRAIN_START = dt.date(2020, 3, 24)
@@ -56,6 +55,13 @@ class TestElu:
         assert out.tobytes() == expected.tobytes()
 
 
+def sigmoid(x):
+    """The cell's gate function on a new array."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        return lstm._sigmoid(x, np.empty(x.shape))
+
+
 class TestSigmoid:
     def test_stays_inside_open_interval_at_extremes(self):
         y = sigmoid(np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0]))
@@ -72,23 +78,25 @@ def gate_blocks(mat, hidden):
     return [mat[k * hidden : (k + 1) * hidden] for k in range(4)]
 
 
-def fresh_forward(params, inputs, g="elu"):
+def fresh_forward(params, inputs, activations=("elu",)):
     """forward on a fresh workspace."""
-    return forward(params, inputs, lstm.Workspace(params, inputs.shape[1], g))
+    return forward(params, inputs, lstm.Workspace(params, inputs.shape[1], activations))
 
 
 def cell_steps(params, inputs, g="elu"):
-    """The forward cache of a stack of one on inputs (L, D), as per-step
-    dicts keyed by the cell's quantities."""
-    _, cache = fresh_forward(params, inputs[None], g)
+    """What forward leaves in its workspace for a stack of one on inputs
+    (L, D) under activation g, as per-step dicts keyed by the cell's
+    quantities."""
+    ws = lstm.Workspace(params, len(inputs), (g,))
+    forward(params, inputs[None], ws)
     steps = []
-    for t in range(len(cache["x"])):
-        i, f, o = cache["ifo"][t, :, 0]  # gate-major: (3, E, H)
-        g_in, gc = cache["g"][t, :, 0]
+    for t in range(len(ws.x)):
+        i, f, o = ws.ifo[t, :, 0]  # gate-major: (3, E, H)
+        g_in, gc = ws.g[t, :, 0]
         steps.append({
-            "x": cache["x"][t, 0], "h": cache["h"][t, 0], "c": cache["c"][t, 0],
+            "x": ws.x[t, 0], "h": ws.h[t, 0], "c": ws.c[t, 0],
             "i": i, "f": f, "o": o, "g_in": g_in,
-            "c_new": cache["c"][t + 1, 0], "gc": gc,
+            "c_new": ws.c[t + 1, 0], "gc": gc,
         })
     return steps
 
@@ -145,11 +153,20 @@ class TestLstmStep:
 
     def test_dimension_mismatch(self):
         params = zero_params(2, 1)
-        ws = lstm.Workspace(params, 1, "elu")
+        ws = lstm.Workspace(params, 1, ("elu",))
         with pytest.raises(ValueError):
             forward(params, np.array([[[1.0, 2.0]]]), ws)
         with pytest.raises(ValueError, match="expected"):  # one model's (L, D) is no stack
             forward(params, np.array([[1.0]]), ws)
+
+    @pytest.mark.parametrize("members, activations", [
+        (1, "elu"), (3, "elu"), (4, "tanh"),  # a bare name, also one of as many letters
+        (2, ("elu",)), (1, ("elu", "elu")), (2, ("elu", "relu")),
+    ])
+    def test_workspace_takes_one_known_activation_per_member(self, members, activations):
+        params = LstmParams.stack([zero_params(2, 1)] * members)
+        with pytest.raises(ValueError, match="expected one of"):
+            lstm.Workspace(params, 1, activations)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -220,7 +237,7 @@ class TestForward:
     def test_zero_params_returns_dense_bias(self):
         params = zero_params(3, 1)
         params.dense_b[:] = 4.25
-        y, _ = fresh_forward(params, np.array([[[0.1], [0.9]]]))
+        y = fresh_forward(params, np.array([[[0.1], [0.9]]]))
         assert y.shape == (1, 1)
         np.testing.assert_allclose(y, 4.25)
 
@@ -230,24 +247,26 @@ class TestForward:
         x = np.array([0.3])
         i, f, o, a_c = gate_blocks(params.wx[0] @ x + params.b[0], 4)
         h = sigmoid(o) * elu(sigmoid(i) * elu(a_c))
-        y, _ = fresh_forward(params, x[None, None, :])
+        y = fresh_forward(params, x[None, None, :])
         np.testing.assert_array_equal(y[0], params.dense_w[0] @ h + params.dense_b[0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         params = LstmParams.glorot(4, 2, rng)
         seq = rng.random((1, 5, 2))
-        y1, _ = fresh_forward(params, seq)
-        y2, _ = fresh_forward(params, seq)
+        y1 = fresh_forward(params, seq)
+        y2 = fresh_forward(params, seq)
         np.testing.assert_array_equal(y1, y2)
 
 
-def fresh_gradient(params, inputs, target, g="elu"):
+def fresh_gradient(params, inputs, target, activations=("elu",)):
     """bptt_gradient on a fresh workspace."""
-    return bptt_gradient(params, inputs, target, lstm.Workspace(params, inputs.shape[1], g))
+    return bptt_gradient(
+        params, inputs, target, lstm.Workspace(params, inputs.shape[1], activations)
+    )
 
 
-def finite_difference_grads(params, inputs, target, g, step=1e-5):
+def finite_difference_grads(params, inputs, target, activations, step=1e-5):
     """Central differences of the squared-error loss of the member that owns
     each coordinate of the stack's flat, perturbed in place (the named arrays
     see each change)."""
@@ -261,9 +280,9 @@ def finite_difference_grads(params, inputs, target, g, step=1e-5):
     for j, e in enumerate(owner.flat.astype(int)):
         orig = flat[j]
         flat[j] = orig + step
-        lp, _ = fresh_gradient(params, inputs, target, g)
+        lp, _ = fresh_gradient(params, inputs, target, activations)
         flat[j] = orig - step
-        lm, _ = fresh_gradient(params, inputs, target, g)
+        lm, _ = fresh_gradient(params, inputs, target, activations)
         flat[j] = orig
         out[j] = (lp[e] - lm[e]) / (2 * step)
     return out
@@ -274,8 +293,8 @@ def max_relative_gradient_error(seed, hidden, lookback, g):
     params = LstmParams.glorot(hidden, 1, rng)
     inputs = rng.random((1, lookback, 1))
     target = rng.random((1, 1))
-    _, grads = fresh_gradient(params, inputs, target, g)
-    numeric = finite_difference_grads(params, inputs, target, g)
+    _, grads = fresh_gradient(params, inputs, target, (g,))
+    numeric = finite_difference_grads(params, inputs, target, (g,))
     # bptt writes the named arrays, the differences perturb flat: read the
     # former, in flat's name-major order, so that a view which stops
     # aliasing flat shows as an error
@@ -296,7 +315,7 @@ class TestBptt:
         rng = np.random.default_rng(11)
         params = LstmParams.glorot(4, 1, rng)
         inputs, target = rng.random((1, 3, 1)), rng.random((1, 1))
-        y, _ = fresh_forward(params, inputs)
+        y = fresh_forward(params, inputs)
         _, grads = fresh_gradient(params, inputs, target)
         np.testing.assert_allclose(grads.dense_b, 2.0 * (y - target), rtol=1e-12)
 
@@ -350,7 +369,7 @@ class TestBptt:
         assert in_order == 1.0
         rng = np.random.default_rng(0)
         params = LstmParams.stack([LstmParams.glorot(hidden, width, rng) for _ in range(members)])
-        ws = lstm.Workspace(params, len(column), "elu")
+        ws = lstm.Workspace(params, len(column), ("elu",) * members)
         grads = ws.grads
         # the store's rows (L, E, 4H) and its products with x and h, (L, E, 4H, D|H)
         steps = ws.store.shape[:-1]
@@ -435,7 +454,7 @@ class TestTrain:
         assert model.epoch_losses[-1] < 1e-6
 
     def test_same_seed_is_bitwise_identical(self):
-        values = np.linspace(0.0, 1.0, 12)
+        values = np.linspace(0.0, 1.0, 12)[:, None]
         ds = make_windows(values, lookback=2)
         cfg = TrainConfig(epochs=5, hidden=4, seed=9)
         (m1,), (m2,) = train(ds, cfg), train(ds, cfg)
@@ -560,8 +579,8 @@ class TestLockstep:
             assert model.params.dense_b.shape == (1, width)
 
     @pytest.mark.parametrize("values, lookback", [
-        (np.linspace(0.0, 1.0, 16), 3),  # 13 windows, as lockstep_dataset(1, 1) has
-        (np.linspace(0.0, 1.0, 13), 1),
+        (np.linspace(0.0, 1.0, 16)[:, None], 3),  # 13 windows, as lockstep_dataset(1, 1) has
+        (np.linspace(0.0, 1.0, 13)[:, None], 1),
     ], ids=["lookback", "window-count"])
     def test_members_must_share_window_count_and_lookback(self, values, lookback):
         cfg = TrainConfig(epochs=1, hidden=3)
@@ -581,7 +600,7 @@ class TestLockstep:
             total = 0.0
             for k in rng.permutation(len(ds)):
                 loss, grads = fresh_gradient(
-                    params, ds.inputs[k][None], ds.targets[k][None], cfg.activation
+                    params, ds.inputs[k][None], ds.targets[k][None], (cfg.activation,)
                 )
                 total += loss[0]
                 adam_update(params, grads, state, cfg)
@@ -675,7 +694,7 @@ def stub_forward(monkeypatch, step):
     def fake(params, x, ws):
         # run_schema forecasts on a stack of one: x (1, L, D), y (1, D)
         windows.append(x[0].copy())
-        return step(x[0])[None], {}
+        return step(x[0])[None]
 
     monkeypatch.setattr(lstm, "forward", fake)
     return windows
@@ -693,7 +712,7 @@ class TestRunSchema:
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))
         oracle = iter(spec.normalize(test_actuals[:, None]))
         # run_schema forecasts on a stack of one, so forward returns y (1, D)
-        monkeypatch.setattr(lstm, "forward", lambda params, x, ws: (next(oracle)[None], {}))
+        monkeypatch.setattr(lstm, "forward", lambda params, x, ws: next(oracle)[None])
         cfg = TrainConfig(epochs=1, hidden=4)
         model = LstmModel(zero_params(4, 1), cfg, [])
 
@@ -724,7 +743,7 @@ class TestRunSchema:
             train_ts = slice_window(series, TRAIN_START, TRAIN_END)
             spec = fit_normalizer(train_ts, schema == "u3")
             window = spec.normalize(train_ts.channels(schema == "u3"))[-3:]
-            y, _ = fresh_forward(model.params, window[None])
+            y = fresh_forward(model.params, window[None])
             assert run.forecasts.tobytes() == spec.denormalize(y)[:, 0].tobytes(), schema
 
     @pytest.mark.parametrize("lookback", [1, 3])
@@ -735,16 +754,16 @@ class TestRunSchema:
         real, days = lstm.forward, []
 
         def recording(params, x, ws):
-            y, cache = real(params, x, ws)
+            y = real(params, x, ws)
             days.append((x.copy(), y.copy(), ws))
-            return y, cache
+            return y
 
         monkeypatch.setattr(lstm, "forward", recording)
         model = glorot_model(schema, np.random.default_rng(31))
         forecast(series, schema, model, lookback=lookback)
         assert len(days) == 15 and len({id(ws) for _, _, ws in days}) == 1
         for k, (x, y, _) in enumerate(days):
-            assert y.tobytes() == fresh_forward(model.params, x)[0].tobytes(), k
+            assert y.tobytes() == fresh_forward(model.params, x).tobytes(), k
 
     def test_bivariate_stub_gives_arithmetic_progressions(self, series, monkeypatch):
         delta = np.array([0.01, 0.001])

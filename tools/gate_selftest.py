@@ -7,6 +7,7 @@ that is no commit must give exit 2.
 
 The file name keeps it out of the repository's default pytest collection:
 it needs a git revision and runs the command list twice (about 20 s).
+`tests/test_tools.py` collects the two fast checks.
 """
 
 from __future__ import annotations
