@@ -43,9 +43,9 @@ from .lstm import (
     NonFiniteForecastError,
     TrainConfig,
     TrainingDivergedError,
+    forecast_schemas,
     run_schema,
     train_schema_model,
-    train_schema_models,
 )
 
 EXIT_OK = 0
@@ -131,11 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train", default=None, help="train window start:end")
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--lookback", type=int, default=None)
-        p.add_argument("--activation", choices=tuple(ACTIVATIONS), default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
     p_run.add_argument("--model", choices=MODELS, default=None)
+    # reproduce trains every activation
+    p_run.add_argument("--activation", choices=tuple(ACTIVATIONS), default=None)
     return parser
 
 
@@ -209,28 +210,23 @@ def _schema(name: str) -> str:
     return name.split("-", 1)[1] if name.startswith("lstm-") else ""
 
 
-def _forecast(ts, cfg: RunConfig, name: str, model=None):
+def _forecast(ts, cfg: RunConfig, name: str):
     """Fit model `name` on the configured window and forecast the horizon.
 
-    An `lstm-*` name trains its schema's LSTM with `cfg`, unless `model` is
-    given, and runs the schema; a classical name fits on the cases of the
-    window. Returns (forecasts, fit): the fit is the LstmModel or the
-    classical fit, which is what a checkpoint stores. A forecast with a NaN
-    or an infinity is a NonFiniteForecastError, whatever the model. The
-    horizon is checked before (`_prepare`), not here.
+    An `lstm-*` name trains one LSTM with `cfg` (`train_schema_model`) and
+    runs its schema: `run`'s path, while `reproduce` gets its LSTMs from
+    `forecast_schemas`. A classical name fits on the cases of the window.
+    Returns (forecasts, fit): the fit is the LstmModel or the classical
+    fit, which is what a checkpoint stores. A forecast with a NaN or an
+    infinity is a NonFiniteForecastError, whatever the model. The horizon
+    is checked before (`_prepare`), not here.
     """
     schema = _schema(name)
     if schema:
-        if model is None:
-            model = train_schema_model(
-                ts, schema, _train_config(cfg, cfg.activation),
-                cfg.train_start, cfg.train_end, cfg.lookback,
-            )
-        forecasts = run_schema(
-            ts, schema, model.config, cfg.train_start, cfg.train_end,
-            cfg.horizon, cfg.lookback, model=model,
-        ).forecasts
-        fit = model
+        fit = train_schema_model(ts, schema, _train_config(cfg, cfg.activation),
+                                 cfg.train_start, cfg.train_end, cfg.lookback)
+        forecasts = run_schema(ts, schema, fit.config, cfg.train_start, cfg.train_end,
+                               cfg.horizon, cfg.lookback, model=fit).forecasts
     else:
         y = slice_window(ts, cfg.train_start, cfg.train_end).cases.astype(float)
         if name == "arima":
@@ -289,15 +285,10 @@ def cmd_reproduce(args) -> int:
     # the classical fits first: they reject a window before seconds of training
     for name in ("arima", "hwaas", "prophet-lite"):
         runs[name], _ = _forecast(ts, cfg, name)
-    # one lockstep ensemble of elu and tanh at both input widths; u1 and u2
-    # train the same univariate model, so u1 reuses u2's
-    members = [(trained, _train_config(cfg, activation))
-               for trained in ("u2", "u3") for activation in ("elu", "tanh")]
-    models = train_schema_models(ts, members, cfg.train_start, cfg.train_end, cfg.lookback)
-    for (trained, _), model in zip(members, models):
-        for schema in ("u2", "u1") if trained == "u2" else ("u3",):
-            label = f"{schema.upper()}-{model.config.activation}"
-            runs[label], _ = _forecast(ts, cfg, f"lstm-{schema}", model=model)
+    lstms = forecast_schemas(ts, [_train_config(cfg, a) for a in ("elu", "tanh")],
+                             cfg.train_start, cfg.train_end, cfg.horizon, cfg.lookback)
+    for (schema, train_cfg), (_, forecasts) in lstms.items():
+        runs[f"{schema.upper()}-{train_cfg.activation}"] = forecasts
     reports = {label: summarize(forecasts, actuals, label) for label, forecasts in runs.items()}
 
     # table1: activation ablation (MAPE per schema x activation)

@@ -615,25 +615,6 @@ def _schema_training_values(ts: TimeSeries, schema: str, train_start, train_end)
     return spec, spec.normalize(train_ts.channels(bivariate))
 
 
-def train_schema_models(
-    ts: TimeSeries,
-    members: list[tuple[str, TrainConfig]],
-    train_start: dt.date,
-    train_end: dt.date,
-    lookback: int = 1,
-) -> list[LstmModel]:
-    """Fit one model per (schema, config) member on its schema's training
-    window, all as one lockstep ensemble (see `train`). u1 and u2 share the
-    same (univariate) training path; u3 is bivariate."""
-    datasets = {}
-    for schema, _ in members:
-        if schema not in datasets:
-            _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
-            datasets[schema] = make_windows(train_vals, lookback)
-    (schema, cfg), *others = members
-    return train(datasets[schema], cfg, *((datasets[s], c) for s, c in others))
-
-
 def train_schema_model(
     ts: TimeSeries,
     schema: str,
@@ -642,9 +623,38 @@ def train_schema_model(
     train_end: dt.date,
     lookback: int = 1,
 ) -> LstmModel:
-    """`train_schema_models` for one member."""
-    (model,) = train_schema_models(ts, [(schema, cfg)], train_start, train_end, lookback)
+    """Fit one model with `cfg` on `schema`'s normalised training window:
+    the cases alone, or (cases, deaths) for u3."""
+    _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
+    (model,) = train(make_windows(train_vals, lookback), cfg)
     return model
+
+
+def forecast_schemas(
+    ts: TimeSeries, cfgs: list[TrainConfig], train_start: dt.date, train_end: dt.date,
+    horizon: int = 15, lookback: int = 1,
+) -> dict[tuple[str, TrainConfig], tuple[LstmModel, np.ndarray]]:
+    """Train and forecast the study's matrix: every protocol under every
+    config in `cfgs`. u1 reuses u2's univariate model, and u3 has a
+    bivariate one. The univariate members (in `cfgs`' order), then the
+    bivariate ones, train as one lockstep ensemble (see `train`), so each
+    model is bitwise its `train_schema_model` fit. Each model then forecasts
+    through `run_schema`, u2 before u1.
+    Returns {(schema, config): (model, forecasts)}."""
+    groups = (("u2", "u1"), ("u3",))
+    members = []
+    for schemas in groups:
+        _, train_vals = _schema_training_values(ts, schemas[0], train_start, train_end)
+        dataset = make_windows(train_vals, lookback)
+        members += [(dataset, cfg) for cfg in cfgs]
+    models = train(*members[0], *members[1:])
+    results = {}
+    for schemas, model in zip([s for s in groups for _ in cfgs], models):
+        for schema in schemas:
+            run = run_schema(ts, schema, model.config, train_start, train_end, horizon, lookback,
+                             model=model)
+            results[schema, model.config] = model, run.forecasts
+    return results
 
 
 def run_schema(

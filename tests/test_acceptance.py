@@ -21,7 +21,7 @@ from casecast.classical import (
     hw_forecast,
 )
 from casecast.evaluation import ape_series, summarize
-from casecast.lstm import LstmParams, run_schema, train_schema_model, train_schema_models
+from casecast.lstm import LstmParams, forecast_schemas, run_schema, train_schema_model
 from conftest import TRAIN_END, TRAIN_START
 from test_eval import HWAAS_COLUMN
 from test_lstm import max_relative_gradient_error
@@ -45,26 +45,20 @@ def train_cases(series):
 def lstm_matrix(series, test_actuals):
     """MAPEs for every (activation, schema, seed) cell at full scale.
 
-    The 20 models (5 seeds x 2 activations x {univariate, bivariate}) train
-    as one lockstep ensemble; each member is bitwise the model its own
-    `train` call would give. u1 and u2 share one univariate model per
-    (activation, seed); u3 has its own bivariate one. Also keeps each
-    univariate loss curve.
+    `forecast_schemas` trains the 20 models (5 seeds x 2 activations x
+    {univariate, bivariate}) as one lockstep ensemble, as `reproduce` does
+    for its one seed. Also keeps each univariate loss curve.
     """
-    members = [
-        (trained, TrainConfig(activation=activation, seed=seed))
-        for trained, activation, seed in itertools.product(("u2", "u3"), ("elu", "tanh"), SEEDS)
-    ]
-    models = train_schema_models(series, members, TRAIN_START, TRAIN_END)
+    cfgs = [TrainConfig(activation=activation, seed=seed)
+            for activation, seed in itertools.product(("elu", "tanh"), SEEDS)]
+    matrix = forecast_schemas(series, cfgs, TRAIN_START, TRAIN_END, HORIZON)
     mapes = {}
     losses = {}
-    for (trained, cfg), model in zip(members, models):
-        if trained == "u2":
+    for (schema, cfg), (model, forecasts) in matrix.items():
+        if schema == "u2":
             losses[(cfg.activation, cfg.seed)] = model.epoch_losses
-        for schema in ("u1", "u2") if trained == "u2" else ("u3",):
-            run = run_schema(series, schema, cfg, TRAIN_START, TRAIN_END, HORIZON, model=model)
-            rep = summarize(run.forecasts, test_actuals, "lstm", schema)
-            mapes[(cfg.activation, schema, cfg.seed)] = rep.mape
+        rep = summarize(forecasts, test_actuals, "lstm", schema)
+        mapes[(cfg.activation, schema, cfg.seed)] = rep.mape
     return {"mapes": mapes, "losses": losses}
 
 

@@ -133,15 +133,16 @@ def _diverge(monkeypatch):
 
 
 def _nan_dense_bias(monkeypatch):
-    """Training succeeds, then the model's output bias is NaN."""
-    real = cli.train_schema_model
+    """Training succeeds, then every model's output bias is NaN."""
+    real = lstm.train
 
     def trained(*args):
-        model = real(*args)
-        model.params.dense_b[:] = np.nan
-        return model
+        models = real(*args)
+        for model in models:
+            model.params.dense_b[:] = np.nan
+        return models
 
-    monkeypatch.setattr(cli, "train_schema_model", trained)
+    monkeypatch.setattr(lstm, "train", trained)
 
 
 def _nan_classical_forecast(monkeypatch):
@@ -191,6 +192,8 @@ class TestExitCodes:
             (["run", "--model", "lstm-u2", "--epochs", "1"], _diverge, EXIT_NUMERICAL, None),
             (["run", "--model", "lstm-u2", "--epochs", "1"], _nan_dense_bias, EXIT_NUMERICAL,
              None),
+            (["reproduce", "--epochs", "1"], _diverge, EXIT_NUMERICAL, None),
+            (["reproduce", "--epochs", "1"], _nan_dense_bias, EXIT_NUMERICAL, None),
             (["validate", "--data", "{binary}"], None, EXIT_DATA, None),
             (["run", "--model", "lstm-u1", "--train", "2020-04-01:2020-05-01"],
              _no_training, EXIT_DATA, UNOBSERVED.format("05-02", "05-16")),
@@ -209,7 +212,8 @@ class TestExitCodes:
             "bad-config-value", "out-is-a-file", "config-is-a-directory",
             "validate-data-is-a-directory", "run-data-is-a-directory", "hwaas-7-day-train",
             "zero-actual-in-horizon", "reproduce-zero-actual-in-horizon", "training-diverges",
-            "nan-dense-bias", "non-utf8-data", "u1-horizon-unobserved",
+            "nan-dense-bias", "reproduce-training-diverges", "reproduce-nan-dense-bias",
+            "non-utf8-data", "u1-horizon-unobserved",
             "reproduce-horizon-unobserved", "reproduce-window-too-short-for-arima",
             "u1-horizon-before-series", "reproduce-horizon-before-series",
             "horizon-past-last-date", "count-exceeds-int64", "nan-classical-forecast",
@@ -344,6 +348,15 @@ class TestReproduce:
     def test_summary_written(self, repro_dir):
         text = (repro_dir / "summary.md").read_text()
         assert "hwaas" in text and "prophet-lite" in text
+
+    def test_activation_flag_is_a_usage_error(self, tmp_path, capsys):
+        # reproduce trains both activations, so it takes no --activation
+        out = tmp_path / "out"
+        assert run_cli("reproduce", "--activation", "tanh", "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: casecast"), err
+        assert "unrecognized arguments: --activation tanh" in err
+        assert "Traceback" not in err
 
     def test_artifacts_are_byte_deterministic(self, repro_dir, tmp_path):
         again = tmp_path / "again"

@@ -708,6 +708,21 @@ class TestRunSchema:
         for k in LstmParams.NAMES:
             np.testing.assert_array_equal(getattr(m1.params, k), getattr(m2.params, k))
 
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_forecast_schemas_is_bitwise_the_one_model_path(self, series, lookback):
+        # what `reproduce` tabulates is what `run --model lstm-uX` gives
+        cfgs = [TrainConfig(epochs=3, hidden=4, activation="elu", seed=1),
+                TrainConfig(epochs=3, hidden=4, activation="tanh", seed=2)]
+        matrix = lstm.forecast_schemas(series, cfgs, TRAIN_START, TRAIN_END, 15, lookback)
+        assert list(matrix) == ([(s, c) for c in cfgs for s in ("u2", "u1")]
+                                + [("u3", c) for c in cfgs])
+        for (schema, cfg), (model, forecasts) in matrix.items():
+            alone = train_schema_model(series, schema, cfg, TRAIN_START, TRAIN_END, lookback)
+            run = run_schema(series, schema, cfg, TRAIN_START, TRAIN_END, 15, lookback,
+                             model=alone)
+            assert model.params.flat.tobytes() == alone.params.flat.tobytes(), (schema, cfg)
+            assert forecasts.tobytes() == run.forecasts.tobytes(), (schema, cfg)
+
     def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))
         oracle = iter(spec.normalize(test_actuals[:, None]))

@@ -33,6 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # name -> argv; seed 42 and the paper split are the defaults
 COMMANDS = {
     "reproduce": ["reproduce", "--epochs", "5"],
+    # the ensemble at a lookback above 1, where wh trains and the window rolls
+    "reproduce-lookback3": ["reproduce", "--epochs", "5", "--lookback", "3"],
     "run-lstm-u1": ["run", "--model", "lstm-u1", "--epochs", "20"],
     "run-lstm-u2": ["run", "--model", "lstm-u2", "--epochs", "20"],
     "run-lstm-u2-tanh": ["run", "--model", "lstm-u2", "--epochs", "20", "--activation", "tanh"],
