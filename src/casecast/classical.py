@@ -104,24 +104,42 @@ def _hw_affine_pass(y, alpha, beta, gamma, m, phi):
     design @ u + offset, and `states` holds the final level, trend and the
     last m seasonals (oldest first, so forecast step h uses seasonal
     (h-1) mod m) as rows; their values are states @ np.append(u, 1.0).
+
+    Every step is elementwise across the k + 1 columns of a row, so each
+    column runs its own recursion: the constant column sees y_t, every
+    coefficient column sees 0.0. The pass runs them one at a time on
+    Python floats, which round add, subtract and multiply exactly as
+    numpy's float64 does; with the operations in the row form's order and
+    grouping ((1 - b) phi is one factor) the output is that form's, bit
+    for bit, signed zeros included, at a fraction of its per-call cost.
+    `predictions` stays one (n, k + 1) C-order array so `design` is the
+    same strided view: another layout changes the BLAS summation order of
+    `design @ u` and with it the last digits of the SSE.
     """
+    # Python floats: np.float64 scalars give the same bits, more slowly
+    alpha, beta, gamma, phi = float(alpha), float(beta), float(gamma), float(phi)
+    y = np.asarray(y, dtype=float).tolist()
     n, k = len(y), m + 1
-    states = np.zeros((m + 2, k + 1))  # level, trend, seasonals by t mod m
-    states[:k, :k] = np.eye(k)
-    states[k, 2:k] = -1.0
-    observed = np.zeros(k + 1)  # y_t as a row: no coefficients, constant y_t
+    keep_level, keep_trend, keep_season = 1 - alpha, (1 - beta) * phi, 1 - gamma
     predictions = np.empty((n, k + 1))
-    for t in range(n):
-        level, trend, season = states[0], states[1], states[2 + t % m]
-        observed[k] = y[t]
-        damped = level + phi * trend
-        predictions[t] = damped + season
-        new_level = alpha * (observed - season) + (1 - alpha) * damped
-        new_trend = beta * (new_level - level) + (1 - beta) * phi * trend
-        states[2 + t % m] = gamma * (observed - damped) + (1 - gamma) * season
-        states[0], states[1] = new_level, new_trend
-    seasonals = np.roll(states[2:], -(n % m), axis=0)
-    return predictions[:, :k], predictions[:, k], np.vstack([states[:2], seasonals])
+    states = np.empty((m + 2, k + 1))  # level, trend, last m seasonals
+    for j in range(k + 1):
+        level, trend = float(j == 0), float(j == 1)
+        # seasonals by t mod m: s0..s_{m-2}, then -(their sum); +0.0 where j has no weight
+        seasons = [float(i == j) for i in range(2, k)] + [-1.0 if 2 <= j < k else 0.0]
+        observed = y if j == k else [0.0] * n
+        column = []
+        for t, obs in enumerate(observed):
+            season = seasons[t % m]
+            damped = level + phi * trend
+            column.append(damped + season)
+            new_level = alpha * (obs - season) + keep_level * damped
+            trend = beta * (new_level - level) + keep_trend * trend
+            seasons[t % m] = gamma * (obs - damped) + keep_season * season
+            level = new_level
+        predictions[:, j] = column
+        states[:, j] = [level, trend] + seasons[n % m:] + seasons[: n % m]
+    return predictions[:, :k], predictions[:, k], states
 
 
 def minimize(*args, **kwargs):

@@ -640,7 +640,10 @@ def forecast_schemas(
     bivariate ones, train as one lockstep ensemble (see `train`), so each
     model is bitwise its `train_schema_model` fit. Each model then forecasts
     through `run_schema`, u2 before u1.
-    Returns {(schema, config): (model, forecasts)}."""
+    Returns {(schema, config): (model, forecasts)}; an empty `cfgs` is a
+    ValueError."""
+    if not cfgs:
+        raise ValueError("forecast_schemas needs at least one config")
     groups = (("u2", "u1"), ("u3",))
     members = []
     for schemas in groups:

@@ -221,6 +221,79 @@ class TestHoltWinters:
         assert fit.sse <= grid_best * (1.0 + 1e-6)
 
 
+def _row_wise_affine_pass(y, alpha, beta, gamma, m, phi):
+    """The row form of `_hw_affine_pass`: every state a numpy row
+    [coefficients on u | constant], updated a day at a time. Kept as the
+    oracle that the column-by-column pass must match bit for bit."""
+    n, k = len(y), m + 1
+    states = np.zeros((m + 2, k + 1))  # level, trend, seasonals by t mod m
+    states[:k, :k] = np.eye(k)
+    states[k, 2:k] = -1.0
+    observed = np.zeros(k + 1)  # y_t as a row: no coefficients, constant y_t
+    predictions = np.empty((n, k + 1))
+    for t in range(n):
+        level, trend, season = states[0], states[1], states[2 + t % m]
+        observed[k] = y[t]
+        damped = level + phi * trend
+        predictions[t] = damped + season
+        new_level = alpha * (observed - season) + (1 - alpha) * damped
+        new_trend = beta * (new_level - level) + (1 - beta) * phi * trend
+        states[2 + t % m] = gamma * (observed - damped) + (1 - gamma) * season
+        states[0], states[1] = new_level, new_trend
+    seasonals = np.roll(states[2:], -(n % m), axis=0)
+    return predictions[:, :k], predictions[:, k], np.vstack([states[:2], seasonals])
+
+
+def _oracle_series(ts):
+    """(name, y, m): the paper split, every 5th window of the 465-window
+    backtest pool, and a short synthetic series at m = 1 and m = 2."""
+    cases = ts.cases.astype(float)
+    n_days = len(cases)
+    pool = [(start, length) for length in range(15, n_days - 15 + 1)
+            for start in range(n_days - 15 - length + 1)]
+    assert len(pool) == 465
+    yield "paper-split", slice_window(ts, TRAIN_START, TRAIN_END).cases.astype(float), 7
+    for start, length in pool[::5]:
+        yield f"window-{start}-{length}", cases[start : start + length], 7
+    synthetic = np.array([3.0, -1.5, 4.25, 0.0, 7.0, 2.5, -3.0, 6.0])
+    yield "synthetic-m1", synthetic, 1
+    yield "synthetic-m2", synthetic, 2
+
+
+class TestAffinePassOracle:
+    THETAS = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 0.1, 0.1), (0.9, 0.9, 0.1),
+              tuple(np.random.default_rng(11).uniform(0.0, 1.0, 3)),
+              tuple(np.random.default_rng(12).uniform(0.0, 1.0, 3))]
+
+    def test_column_pass_is_bitwise_the_row_pass(self, series):
+        checked = 0
+        for name, y, m in _oracle_series(series):
+            for theta in self.THETAS:
+                got = _hw_affine_pass(y, *theta, m, 0.96)
+                want = _row_wise_affine_pass(y, *theta, m, 0.96)
+                for part, a, b in zip(("design", "offset", "states"), got, want):
+                    where = (name, theta, part)
+                    assert a.shape == b.shape and a.strides == b.strides, where
+                    assert a.tobytes() == b.tobytes(), where
+                    assert np.signbit(a).tobytes() == np.signbit(b).tobytes(), where
+                checked += 1
+        assert checked == 96 * len(self.THETAS)
+
+    def test_paper_split_sse_is_pinned(self, series):
+        # the digits the row form gave; LAPACK's summation order (the BLAS
+        # build) sets the last of them, the pass must not move any
+        y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+        assert repr(hw_fit(y, m=7, phi=0.96).sse) == "4169410.702786425"
+
+    def test_the_one_interior_optimum_is_pinned(self, series):
+        # 2020-04-02..2020-04-16, the one backtest window whose fit leaves
+        # the (1, 1, 1) corner: gamma lands one ulp below 1
+        y = series.cases[22:37].astype(float)
+        assert series.start + dt.timedelta(days=22) == dt.date(2020, 4, 2)
+        fit = hw_fit(y, m=7, phi=0.96)
+        assert (fit.alpha, fit.beta, fit.gamma) == (1.0, 1.0, 1.0 - 2.0**-53)
+
+
 class TestProphetLite:
     def test_recovers_pure_line(self):
         y = 3.0 * np.arange(31) + 2.0

@@ -723,6 +723,10 @@ class TestRunSchema:
             assert model.params.flat.tobytes() == alone.params.flat.tobytes(), (schema, cfg)
             assert forecasts.tobytes() == run.forecasts.tobytes(), (schema, cfg)
 
+    def test_forecast_schemas_needs_a_config(self, series):
+        with pytest.raises(ValueError, match="at least one config"):
+            lstm.forecast_schemas(series, [], TRAIN_START, TRAIN_END)
+
     def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))
         oracle = iter(spec.normalize(test_actuals[:, None]))

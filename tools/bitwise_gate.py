@@ -44,6 +44,8 @@ COMMANDS = {
     "run-lstm-u2-lookback3": ["run", "--model", "lstm-u2", "--epochs", "20", "--lookback", "3"],
     "run-arima": ["run", "--model", "arima"],
     "run-hwaas": ["run", "--model", "hwaas"],
+    # the one backtest window whose HW fit is interior: gamma = 1 - 2**-53
+    "run-hwaas-interior": ["run", "--model", "hwaas", "--train", "2020-04-02:2020-04-16"],
     "run-prophet-lite": ["run", "--model", "prophet-lite"],
     # a window whose horizon runs past the series: no actuals, no scores
     "run-prophet-lite-late": ["run", "--model", "prophet-lite", "--train", "2020-04-01:2020-05-08"],
