@@ -78,11 +78,18 @@ def _decode_fit(cls, encoded: dict):
 
 def load(path: str):
     """Load any checkpoint as the model it was saved from: an LstmModel,
-    ArimaFit, HwFit or ProphetLiteFit, each ready to forecast."""
+    ArimaFit, HwFit or ProphetLiteFit, each ready to forecast. A file that
+    is no checkpoint of a known version and kind is a ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    for key in ("format_version", "kind"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"not a casecast checkpoint: no {key!r}")
     if doc["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc['format_version']}")
+    kinds = ("lstm", *CLASSICAL_KINDS)
+    if doc["kind"] not in kinds:
+        raise ValueError(f"unknown checkpoint kind {doc['kind']!r}, expected one of {kinds}")
     if doc["kind"] == "lstm":
         params = LstmParams(**{k: _decode_array(v) for k, v in doc["params"].items()})
         cfg = TrainConfig(**doc["config"])

@@ -30,12 +30,15 @@ in the workspace, or, for Adam's temporaries, in `AdamState.scratch`. The
 workspace holds the states, gates and activation values of every step,
 which the reverse pass reads, the forward step's temporaries and output, the
 reverse pass's dc, d_ifo and da, a store of every step's da rows, and the
-gradient stack. `forward` and `bptt_gradient` take the workspace as an
-argument, and it alone carries the activations; `run_schema` builds one per
-forecast and reuses it on every day. What they return lies in the workspace
-and is valid until the workspace's next call. The reverse loop carries only
-the recurrence and fills the store; the wx, b and wh gradients are then each
-one product and one np.add.reduce over the store's step axis. That sum is
+gradient stack. It allocates each of these itself, one buffer of its exact
+shape per array, or holds it as a view of one that it allocated, and holds
+no view of a caller's array. `forward` and `bptt_gradient` take the
+workspace as an argument, and it alone carries the activations;
+`run_schema` builds one per forecast and reuses it on every day. What they
+return lies in the workspace and is valid until the workspace's next call.
+The reverse loop carries only the recurrence and fills the store; the wx, b
+and wh gradients are then each one product and one np.add.reduce over the
+store's step axis. That sum is
 bitwise the per-step one: the store runs in the loop's order, t = L-1 first,
 and numpy adds a non-innermost axis in index order, so each sum adds the
 same terms in the same order. Only the sign of a zero sum may differ, -0.0 where
@@ -290,13 +293,12 @@ class Workspace:
     `activations`, one name per member. The kernels read the activations and
     the dense head's width groups only from here:
 
-    - what `forward` leaves for the reverse pass: `x`, its inputs step-major
-      (L, E, D), a view that each call sets; `h` and `c` (L+1, E, H), the
-      states before each step and after the last, whose row 0 is the zero
-      state and stays zero; `ifo` (L, 3, E, H), the gates i, f and o; `g`
-      (L, 2, E, H), g of the candidate pre-activation and g of the new cell
-      state; and the output `y` (E, D), whose entries past a member's own
-      width stay zero;
+    - what `forward` leaves for the reverse pass: `h` and `c` (L+1, E, H),
+      the states before each step and after the last, whose row 0 is the
+      zero state and stays zero; `ifo` (L, 3, E, H), the gates i, f and o;
+      `g` (L, 2, E, H), g of the candidate pre-activation and g of the new
+      cell state; and the output `y` (E, D), whose entries past a member's
+      own width stay zero;
     - the forward step's temporaries: the input terms of all steps, the
       recurrent term, the pre-activations and one (E, H) product;
     - the reverse pass's error and losses, the activation derivatives and
@@ -304,18 +306,20 @@ class Workspace:
       step's da rows (L, E, 4H, 1) in the order the reverse loop visits
       them, t = L-1 first;
     - the products of the store with x and with h that the weight gradients
-      sum, and `grads`, the gradient stack, of params' layout.
+      sum, `x_terms` (L, E, 4H, D) and `h_terms` (L-1, E, 4H, H), and
+      `grads`, the gradient stack, of params' layout.
 
-    A call writes each of these it uses whole, but for the fixed zeros above
-    and wh's gradient at lookback 1, which is exactly zero (the state starts
-    at zero) and so is never written."""
+    Each array is a buffer of its own, but for `xw_gates`, `hw_gates` and
+    `store_gates`, gate-major views of `xw`, `hw` and `store`. A call writes
+    each of these it uses whole, but for the fixed zeros above and wh's
+    gradient at lookback 1, which is exactly zero (the state starts at zero)
+    and so is never written."""
 
     def __init__(self, params: LstmParams, steps: int, activations):
         members, hdim, width = len(params.widths), params.hidden, params.input_dim
         self.gfun, self.dgfun = _activation(activations, members)
         self.groups = _width_groups(params.widths)
         gates = 4 * hdim
-        self.x = None
         self.xw = np.empty((members, steps, gates, 1))
         # read gate-major, (L, 4, E, H)
         self.xw_gates = self.xw.reshape(members, steps, 4, hdim).transpose(1, 2, 0, 3)
@@ -342,14 +346,9 @@ class Workspace:
         self.store = np.empty((steps, members, gates, 1))
         self.store_gates = self.store.reshape(steps, members, 4, hdim).transpose(0, 2, 1, 3)
         # the store's products with x and with h, which the wx and wh
-        # gradients sum; they are formed one after the other, so on one buffer
-        terms = np.empty(steps * members * gates * max(width, hdim))
-        self.x_terms = terms[: steps * members * gates * width].reshape(
-            steps, members, gates, width
-        )
-        self.h_terms = terms[: (steps - 1) * members * gates * hdim].reshape(
-            steps - 1, members, gates, hdim
-        )
+        # gradients sum; h[0] = 0 adds nothing, so one step fewer for h
+        self.x_terms = np.empty((steps, members, gates, width))
+        self.h_terms = np.empty((steps - 1, members, gates, hdim))
         self.grads = params.zeros_like()
 
 
@@ -367,9 +366,10 @@ def forward(params: LstmParams, inputs, ws: Workspace):
     one contiguous block.
 
     `ws` is a Workspace built for this stack and L, and its activations are
-    the g of each member. y is `ws.y`, and the call leaves in `ws` all that
-    `bptt_gradient` reads for an exact reverse pass: `ws.x`, `ws.h`, `ws.c`,
-    `ws.ifo` and `ws.g`. Each holds until the workspace's next call."""
+    the g of each member. y is `ws.y`, and the call leaves in `ws` only what
+    it computes, which with the inputs is all that `bptt_gradient` reads for
+    an exact reverse pass: `ws.h`, `ws.c`, `ws.ifo` and `ws.g`. Each holds
+    until the workspace's next call."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[2:] != (params.input_dim,):
         raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
@@ -401,7 +401,6 @@ def forward(params: LstmParams, inputs, ws: Workspace):
         y[rows, :width] = (
             _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
         )
-    ws.x = inputs.transpose(1, 0, 2)
     return y
 
 
@@ -412,11 +411,13 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     targets (E, D), and returns the losses (E,) and the stacked gradients.
 
     Both lie in `ws`, as `forward`'s results do; the reverse pass reads what
-    `forward` left there. The reverse loop carries only the recurrence, dh
-    and dc, and stores each step's da; after it, the wx, b and wh gradients
-    are each summed over the store in one reduction."""
+    `forward` left there and `inputs`, converted once here and read
+    step-major. The reverse loop carries only the recurrence, dh and dc,
+    and stores each step's da; after it, the wx, b and wh gradients are
+    each summed over the store in one reduction."""
+    inputs = np.asarray(inputs, dtype=float)
     y = forward(params, inputs, ws)
-    x, h, c, ifo, gv = ws.x, ws.h, ws.c, ws.ifo, ws.g
+    x, h, c, ifo, gv = inputs.transpose(1, 0, 2), ws.h, ws.c, ws.ifo, ws.g
     # the factors that need no reverse-pass state, for every step at once
     dg = ws.dgfun(gv, ws.dg)
     not_ifo = np.subtract(1.0, ifo, out=ws.not_ifo)
@@ -516,6 +517,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        for name in ("learning_rate", "epsilon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a positive finite number")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("betas must lie in (0, 1)")
         if self.activation not in ACTIVATIONS:

@@ -190,3 +190,33 @@ def test_stored_keys_the_fit_lacks_are_ignored(tmp_path):
     np.testing.assert_array_equal(
         prophet_lite_forecast(loaded, 15), prophet_lite_forecast(fit, 15)
     )
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"kind": "sarima"},
+     r"^unknown checkpoint kind 'sarima', expected one of "
+     r"\('lstm', 'arima', 'hwaas', 'prophet-lite'\)$"),
+    ({"format_version": None}, "^not a casecast checkpoint: no 'format_version'$"),
+    ({"kind": None}, "^not a casecast checkpoint: no 'kind'$"),
+    ({"format_version": 2}, "^unsupported checkpoint version 2$"),
+], ids=["kind-unknown", "format-version-missing", "kind-missing", "format-version-2"])
+def test_a_file_that_is_no_checkpoint_is_a_value_error(tmp_path, edit, message):
+    path = tmp_path / "prophet.json"
+    save_classical(prophet_lite_fit(np.cumsum(np.linspace(1.0, 4.0, 31))), str(path))
+    doc = json.loads(path.read_text())
+    for key, value in edit.items():
+        if value is None:  # the file lacks the key
+            del doc[key]
+        else:
+            doc[key] = value
+    path.write_text(json.dumps(doc, indent=1))
+    with pytest.raises(ValueError, match=message):
+        load(str(path))
+
+
+@pytest.mark.parametrize("text", ["3", "null", "[]", '"format_version"'])
+def test_a_json_document_that_is_no_object_is_a_value_error(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^not a casecast checkpoint: no 'format_version'$"):
+        load(str(path))

@@ -90,11 +90,11 @@ def cell_steps(params, inputs, g="elu"):
     ws = lstm.Workspace(params, len(inputs), (g,))
     forward(params, inputs[None], ws)
     steps = []
-    for t in range(len(ws.x)):
+    for t in range(len(inputs)):
         i, f, o = ws.ifo[t, :, 0]  # gate-major: (3, E, H)
         g_in, gc = ws.g[t, :, 0]
         steps.append({
-            "x": ws.x[t, 0], "h": ws.h[t, 0], "c": ws.c[t, 0],
+            "x": inputs[t], "h": ws.h[t, 0], "c": ws.c[t, 0],
             "i": i, "f": f, "o": o, "g_in": g_in,
             "c_new": ws.c[t + 1, 0], "gc": gc,
         })
@@ -380,6 +380,29 @@ class TestBptt:
             np.add.reduce(terms, axis=0, out=out)
             assert out[(-1,) * out.ndim] == in_order
 
+    @pytest.mark.parametrize("widths, lookback", [((1, 1, 2, 2), 1), ((2,), 7), ((1, 2, 1), 3)],
+                             ids=["reproduce", "fit-seq7", "interleaved-lookback3"])
+    def test_workspace_owns_every_array_it_holds(self, widths, lookback):
+        # every array is the workspace's own buffer or a view of one: none is
+        # a view of the caller's inputs, and none aliases an unlisted buffer
+        rng = np.random.default_rng(lookback)
+        params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in widths])
+        members, width = len(widths), params.input_dim
+        ws = lstm.Workspace(params, lookback, [("elu", "tanh")[e % 2] for e in range(members)])
+        inputs = rng.random((members, lookback, width))
+        bptt_gradient(params, inputs, rng.random((members, width)), ws)
+        assert ws.x_terms.shape == (lookback, members, 16, width)
+        assert ws.h_terms.shape == (lookback - 1, members, 16, 4)
+        arrays = {name: a for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        strays = []
+        for name, root in arrays.items():
+            while root.base is not None:
+                root = root.base
+            if not any(root is a for a in arrays.values()):
+                strays.append(name)
+        assert strays == []
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = zero_params(2, 1)
@@ -441,7 +464,20 @@ class TestTrain:
     @pytest.mark.parametrize("setting, message", [
         ({"seed": -1}, "^seed must be >= 0$"),
         ({"activation": "relu"}, r"^activation must be one of \('elu', 'tanh'\)$"),
-    ], ids=["seed-negative", "activation-unknown"])
+        ({"hidden": 0}, "^hidden must be >= 1$"),
+        ({"hidden": -2}, "^hidden must be >= 1$"),
+        ({"learning_rate": -1.0}, "^learning_rate must be a positive finite number$"),
+        ({"learning_rate": 0.0}, "^learning_rate must be a positive finite number$"),
+        ({"learning_rate": math.inf}, "^learning_rate must be a positive finite number$"),
+        ({"learning_rate": math.nan}, "^learning_rate must be a positive finite number$"),
+        ({"epsilon": 0.0}, "^epsilon must be a positive finite number$"),
+        ({"epsilon": -1e-8}, "^epsilon must be a positive finite number$"),
+        ({"epsilon": math.inf}, "^epsilon must be a positive finite number$"),
+        ({"epsilon": math.nan}, "^epsilon must be a positive finite number$"),
+    ], ids=["seed-negative", "activation-unknown", "hidden-zero", "hidden-negative",
+            "learning-rate-negative", "learning-rate-zero", "learning-rate-inf",
+            "learning-rate-nan", "epsilon-zero", "epsilon-negative", "epsilon-inf",
+            "epsilon-nan"])
     def test_config_rejects_a_setting_out_of_range(self, setting, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**setting)

@@ -35,6 +35,8 @@ COMMANDS = {
     "reproduce": ["reproduce", "--epochs", "5"],
     # the ensemble at a lookback above 1, where wh trains and the window rolls
     "reproduce-lookback3": ["reproduce", "--epochs", "5", "--lookback", "3"],
+    # the widest workspace: both gradient-term buffers at their largest
+    "reproduce-lookback7": ["reproduce", "--epochs", "5", "--lookback", "7"],
     "run-lstm-u1": ["run", "--model", "lstm-u1", "--epochs", "20"],
     "run-lstm-u2": ["run", "--model", "lstm-u2", "--epochs", "20"],
     "run-lstm-u2-tanh": ["run", "--model", "lstm-u2", "--epochs", "20", "--activation", "tanh"],

@@ -50,8 +50,8 @@ def test_head_against_head_shows_no_difference():
             sides.append(bitwise_gate.run_side(src, Path(tmp) / side))
     if bitwise_gate.differing(*sides):
         raise AssertionError(bitwise_gate.differing(*sides))
-    # fourteen commands wrote their artifacts and the four failures only their
-    # stdout and stderr: 90 files and 18 exit codes
+    # fifteen commands wrote their artifacts and the four failures only their
+    # stdout and stderr: 97 files and 19 exit codes
     expected = {name: 0 for name in bitwise_gate.COMMANDS} | {
         "fail-run-lstm-u1-unobserved": 2, "fail-reproduce-unobserved": 2,
         "fail-run-hwaas-7-days": 2, "fail-run-lstm-u2-seed": 1,
@@ -60,7 +60,7 @@ def test_head_against_head_shows_no_difference():
     if exits != {name: hashlib.sha256(str(code).encode()).hexdigest()
                  for name, code in expected.items()}:
         raise AssertionError(exits)
-    if len(sides[0]) != 108:
+    if len(sides[0]) != 116:
         raise AssertionError(sorted(sides[0]))
 
 
