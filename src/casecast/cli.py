@@ -101,6 +101,15 @@ class RunConfig:
             raise ValueError(f"horizon {self.horizon} runs past the last representable date") from None
         if not self.out:
             raise ValueError("out must be a non-empty path")
+        for name in ("data", "out"):  # a config file may name what no path can
+            path = getattr(self, name)
+            if "\0" in path:
+                raise ValueError(f"{name} must not hold a NUL character")
+            try:
+                os.fsencode(path)
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"{name} {exc.object!r} cannot be a path in the file system's "
+                                 f"encoding, {exc.encoding}") from None
         _train_config(self, self.activation)
 
 
@@ -144,7 +153,7 @@ def _merge_config(args) -> RunConfig:
     cfg = RunConfig()
     try:
         if getattr(args, "config", None):
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
             if not isinstance(doc, dict):
                 raise ValueError("config file must hold a JSON object")
@@ -223,8 +232,8 @@ def _forecast(ts, cfg: RunConfig, name: str):
     """
     schema = _schema(name)
     if schema:
-        fit = train_schema_model(ts, schema, _train_config(cfg, cfg.activation),
-                                 cfg.train_start, cfg.train_end, cfg.lookback)
+        (fit,) = train_schema_model(ts, [(schema, _train_config(cfg, cfg.activation))],
+                                    cfg.train_start, cfg.train_end, cfg.lookback)
         forecasts = run_schema(ts, schema, fit.config, cfg.train_start, cfg.train_end,
                                cfg.horizon, cfg.lookback, model=fit).forecasts
     else:

@@ -546,9 +546,9 @@ def train(
 
     Each member draws its Glorot init and its per-epoch sample order from
     its own np.random.default_rng(seed), so every returned model is bitwise
-    the one `train(its_dataset, its_config)` gives alone. Members' datasets
-    must share the window count and the lookback and may differ in channel
-    count; their configs may differ only in seed and activation. If a mean
+    the one a one-member `train` call gives. Members' datasets must share
+    the window count and the lookback and may differ in channel count;
+    their configs may differ only in seed and activation. If a mean
     epoch loss is non-finite, TrainingDivergedError names the lowest-index
     member diverging at the earliest such epoch."""
     datasets = (dataset, *(d for d, _ in others))
@@ -622,18 +622,19 @@ def _schema_training_values(ts: TimeSeries, schema: str, train_start, train_end)
 
 
 def train_schema_model(
-    ts: TimeSeries,
-    schema: str,
-    cfg: TrainConfig,
-    train_start: dt.date,
-    train_end: dt.date,
-    lookback: int = 1,
-) -> LstmModel:
-    """Fit one model with `cfg` on `schema`'s normalised training window:
-    the cases alone, or (cases, deaths) for u3."""
-    _, train_vals = _schema_training_values(ts, schema, train_start, train_end)
-    (model,) = train(make_windows(train_vals, lookback), cfg)
-    return model
+    ts: TimeSeries, members: list[tuple[str, TrainConfig]], train_start: dt.date,
+    train_end: dt.date, lookback: int = 1,
+) -> list[LstmModel]:
+    """Fit one model per (schema, config) member on the schema's normalised
+    training window: the cases alone, or (cases, deaths) for u3. All members
+    train as one lockstep ensemble (see `train`), so each model is bitwise
+    its one-member fit. No members is a ValueError."""
+    if not members:
+        raise ValueError("train_schema_model needs at least one config")
+    windows = {s: make_windows(_schema_training_values(ts, s, train_start, train_end)[1],
+                               lookback) for s, _ in members}
+    pairs = [(windows[schema], cfg) for schema, cfg in members]
+    return train(*pairs[0], *pairs[1:])
 
 
 def forecast_schemas(
@@ -643,23 +644,15 @@ def forecast_schemas(
     """Train and forecast the study's matrix: every protocol under every
     config in `cfgs`. u1 reuses u2's univariate model, and u3 has a
     bivariate one. The univariate members (in `cfgs`' order), then the
-    bivariate ones, train as one lockstep ensemble (see `train`), so each
-    model is bitwise its `train_schema_model` fit. Each model then forecasts
-    through `run_schema`, u2 before u1.
+    bivariate ones, train in one `train_schema_model` call. Each model then
+    forecasts through `run_schema`, u2 before u1.
     Returns {(schema, config): (model, forecasts)}; an empty `cfgs` is a
     ValueError."""
-    if not cfgs:
-        raise ValueError("forecast_schemas needs at least one config")
-    groups = (("u2", "u1"), ("u3",))
-    members = []
-    for schemas in groups:
-        _, train_vals = _schema_training_values(ts, schemas[0], train_start, train_end)
-        dataset = make_windows(train_vals, lookback)
-        members += [(dataset, cfg) for cfg in cfgs]
-    models = train(*members[0], *members[1:])
+    members = [("u2", cfg) for cfg in cfgs] + [("u3", cfg) for cfg in cfgs]
+    models = train_schema_model(ts, members, train_start, train_end, lookback)
     results = {}
-    for schemas, model in zip([s for s in groups for _ in cfgs], models):
-        for schema in schemas:
+    for (trained, _), model in zip(members, models):
+        for schema in ("u2", "u1") if trained == "u2" else ("u3",):
             run = run_schema(ts, schema, model.config, train_start, train_end, horizon, lookback,
                              model=model)
             results[schema, model.config] = model, run.forecasts

@@ -157,7 +157,7 @@ class TestLstm:
         runs = []
         for _ in range(2):
             cfg = TrainConfig(seed=42)
-            model = train_schema_model(series, "u2", cfg, TRAIN_START, TRAIN_END)
+            (model,) = train_schema_model(series, [("u2", cfg)], TRAIN_START, TRAIN_END)
             run = run_schema(
                 series, "u2", cfg, TRAIN_START, TRAIN_END, HORIZON, model=model
             )

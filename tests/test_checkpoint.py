@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from casecast import TrainConfig, cli
+from casecast import TrainConfig, cli, slice_window
 from casecast.checkpoint import load, save_classical, save_lstm
 from casecast.classical import (
     ArimaFit,
@@ -220,3 +221,139 @@ def test_a_json_document_that_is_no_object_is_a_value_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError, match="^not a casecast checkpoint: no 'format_version'$"):
         load(str(path))
+
+
+def _checkpoints(tmp_path, series):
+    """One small checkpoint of each kind, and an LSTM of either input
+    width: {name: path}."""
+    y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+    rng = np.random.default_rng(3)
+    lstms = {}
+    for name, width, activation in (("lstm-u2", 1, "elu"), ("lstm-u3", 2, "tanh")):
+        params = LstmParams.glorot(3, width, rng)
+        params.b[:] = rng.standard_normal(params.b.size)
+        cfg = TrainConfig(epochs=2, hidden=3, activation=activation)
+        lstms[name] = LstmModel(params, cfg, [0.5, 0.25])
+    fits = {
+        **lstms,
+        "arima": fit_arima(y, p=6),
+        "hwaas": HwFit(0.5, 0.1, 0.1, 0.96, 7, 100.0, 3.0, np.arange(7.0) - 3.0, 12.5),
+        "prophet-lite": prophet_lite_fit(y),
+    }
+    saved = {}
+    for name, fit in fits.items():
+        saved[name] = tmp_path / f"{name}.json"
+        (save_lstm if isinstance(fit, LstmModel) else save_classical)(fit, str(saved[name]))
+    return saved
+
+
+def _forecast(fit, series):
+    """The horizon forecast of any loaded fit, as bytes."""
+    y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+    if isinstance(fit, LstmModel):
+        schema = "u3" if fit.params.input_dim == 2 else "u2"
+        forecasts = run_schema(series, schema, fit.config, TRAIN_START, TRAIN_END, 15, 1,
+                               model=fit).forecasts
+    elif isinstance(fit, ArimaFit):
+        forecasts = forecast_arima_from_series(fit, y, 15)
+    elif isinstance(fit, HwFit):
+        forecasts = hw_forecast(fit, 15)
+    else:
+        forecasts = prophet_lite_forecast(fit, 15)
+    return forecasts.tobytes()
+
+
+def _set(doc, path, value):
+    """Replace the entry at `path` (keys and indices) in `doc`."""
+    for step in path[:-1]:
+        doc = doc[step]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("hwaas", ["fields"], {}, "^checkpoint field 'fields.alpha' is missing$"),
+    ("lstm-u3", ["params"], ..., "^checkpoint field 'params' is missing$"),
+    ("lstm-u3", ["config", "hidden"], "3", "^checkpoint field 'config.hidden' must be int, not str$"),
+    ("lstm-u3", ["config", "dropout"], 0.5, "^unknown checkpoint field 'config.dropout'$"),
+    ("lstm-u3", ["config", "hidden"], 0, "^checkpoint field 'config': hidden must be >= 1$"),
+    ("lstm-u3", ["epoch_losses"], None, "'epoch_losses' must be list, not NoneType"),
+    ("lstm-u3", ["config", "hidden"], 4, r"'params.wx' has shape \[12, 2\], but hidden 4 .* \[16, 2\]"),
+    ("lstm-u3", ["params", "wx", "data"], ["0.5"] * 23, r"'params.wx.data' holds 23 values, .* 24"),
+    ("lstm-u3", ["params", "b", "data", 0], 0.5, "'params.b.data' must hold floats written as"),
+    ("hwaas", ["fields", "seasonals"], "x", "'fields.seasonals' must be dict, not str"),
+    ("hwaas", ["fields", "season_length"], True, "'fields.season_length' must be int, not bool"),
+    ("hwaas", ["fields", "season_length"], 6, "'seasonals' must hold 'season_length'"),
+    ("arima", ["fields", "order"], [7, 1, 0], "'coefficients' must hold p values"),
+    ("arima", ["fields", "order"], "abc", "'fields.order' must be list, not str"),
+    ("arima", ["fields", "coefficients", "shape"], [2, 3], "'fields.coefficients' must be 1-D"),
+    ("prophet-lite", ["fields", "fourier_order"], 2, "'coefficients' must hold 2 \\+"),
+], ids=lambda v: None if isinstance(v, (list, dict)) else str(v)[:24])
+def test_a_malformed_body_is_a_value_error_naming_the_field(tmp_path, series, name, path,
+                                                            value, message):
+    saved = _checkpoints(tmp_path, series)[name]
+    doc = json.loads(saved.read_text())
+    if value is ...:  # the file lacks the entry
+        del doc[path[0]]
+    else:
+        _set(doc, path, value)
+    saved.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load(str(saved))
+
+
+def _entries(node, path=()):
+    """The path of every entry in a JSON document; of a list, only the first
+    and the last entry, so the long data lists do not crowd out the rest."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = sorted({0, len(node) - 1}) if node else []
+    else:
+        return []
+    return [p for k in keys for p in [(*path, k), *_entries(node[k], (*path, k))]]
+
+
+# a value of each JSON type; a retype puts one of another type in an entry
+RETYPES = [None, False, 7, 2.5, "7", "x", [], ["7"], {}]
+
+
+class TestFuzzedCheckpoint:
+    """Whatever single entry of a checkpoint is dropped, retyped or
+    truncated, `load` raises a ValueError or returns a fit whose forecast is
+    bitwise the original's."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory, series):
+        saved = _checkpoints(tmp_path_factory.mktemp("checkpoints"), series)
+        return {name: (path.read_text(), _forecast(load(str(path)), series))
+                for name, path in saved.items()}
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_raises_a_value_error_or_forecasts_the_same(self, originals, series,
+                                                            tmp_path, data):
+        name = data.draw(st.sampled_from(sorted(originals)), label="name")
+        text, forecast = originals[name]
+        doc = json.loads(text)
+        path = data.draw(st.sampled_from(_entries(doc)), label="path")
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        value = parent[path[-1]]
+        hows = ["drop", "retype"] + (["truncate"] if isinstance(value, list) and value else [])
+        how = data.draw(st.sampled_from(hows), label="how")
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "retype":
+            parent[path[-1]] = data.draw(st.sampled_from(
+                [v for v in RETYPES if type(v) is not type(value)]), label="value")
+        else:
+            parent[path[-1]] = value[:data.draw(st.integers(0, len(value) - 1), label="length")]
+        target = tmp_path / f"{name}.json"
+        target.write_text(json.dumps(doc, indent=1))
+        try:
+            fit = load(str(target))
+        except ValueError:
+            return
+        assert _forecast(fit, series) == forecast

@@ -105,10 +105,11 @@ class TestRun:
             (["--seed", "-1"], None),
             ([], {"activation": "relu"}),
             (["--out", ""], None),
+            ([], {"data": "a\0b"}),
         ],
         ids=[
             "epochs-zero", "epochs-string", "horizon-string", "train-start-int",
-            "seed-negative", "activation-unknown", "out-empty",
+            "seed-negative", "activation-unknown", "out-empty", "data-nul",
         ],
     )
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, flags, doc):
@@ -391,6 +392,39 @@ class TestReproduce:
                 ascii_bytes = (tmp_path / command / "ascii" / artifact).read_bytes()
                 assert ascii_bytes == (tmp_path / command / "utf8" / artifact).read_bytes(), artifact
         assert "±".encode() in (tmp_path / "reproduce" / "ascii" / "table1.csv").read_bytes()
+
+
+def test_config_is_utf8_whatever_the_locale(tmp_path):
+    # a non-ASCII value, and a UTF-8 byte-order mark as `--data` accepts, in
+    # the C locale (ASCII) and in UTF-8 mode; `--out` overrides the "out" key
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    locales = {"utf8": ("1", {}), "ascii": ("0", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})}
+    text = json.dumps({"out": "résultats", "horizon": 7}, ensure_ascii=False)
+    configs = {"plain": text.encode(), "bom": b"\xef\xbb\xbf" + text.encode()}
+    artifacts = ("checkpoint.json", "forecast.csv", "errors.csv", "summary.csv")
+    outs = []
+    for config, body in configs.items():
+        (tmp_path / f"{config}.json").write_bytes(body)
+        for name, (utf8_mode, extra) in locales.items():
+            outs.append(tmp_path / config / name)
+            proc = subprocess.run(
+                [sys.executable, "-X", f"utf8={utf8_mode}", "-m", "casecast.cli", "run",
+                 "--model", "arima", "--config", str(tmp_path / f"{config}.json"),
+                 "--out", str(outs[-1])],
+                env={**env, **extra}, capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_OK, (config, name, proc.stderr)
+    assert len((outs[0] / "forecast.csv").read_text().splitlines()) == 2 + 7
+    for artifact in artifacts:
+        assert len({(out / artifact).read_bytes() for out in outs}) == 1, artifact
+    # without `--out`, an ASCII file system cannot name "résultats"
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "casecast.cli", "run", "--model", "arima",
+         "--config", str(tmp_path / "plain.json")],
+        cwd=tmp_path, env={**env, **locales["ascii"][1]}, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("config error: out 'r") and "Traceback" not in proc.stderr
 
 
 # Values that probe types and ranges: huge and negative ints, bools, floats,

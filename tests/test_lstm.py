@@ -739,8 +739,8 @@ def stub_forward(monkeypatch, step):
 class TestRunSchema:
     def test_u1_u2_share_training_path(self, series):
         cfg = TrainConfig(epochs=3, hidden=4, seed=2)
-        m1 = train_schema_model(series, "u1", cfg, TRAIN_START, TRAIN_END)
-        m2 = train_schema_model(series, "u2", cfg, TRAIN_START, TRAIN_END)
+        (m1,) = train_schema_model(series, [("u1", cfg)], TRAIN_START, TRAIN_END)
+        (m2,) = train_schema_model(series, [("u2", cfg)], TRAIN_START, TRAIN_END)
         for k in LstmParams.NAMES:
             np.testing.assert_array_equal(getattr(m1.params, k), getattr(m2.params, k))
 
@@ -753,7 +753,8 @@ class TestRunSchema:
         assert list(matrix) == ([(s, c) for c in cfgs for s in ("u2", "u1")]
                                 + [("u3", c) for c in cfgs])
         for (schema, cfg), (model, forecasts) in matrix.items():
-            alone = train_schema_model(series, schema, cfg, TRAIN_START, TRAIN_END, lookback)
+            (alone,) = train_schema_model(series, [(schema, cfg)], TRAIN_START, TRAIN_END,
+                                          lookback)
             run = run_schema(series, schema, cfg, TRAIN_START, TRAIN_END, 15, lookback,
                              model=alone)
             assert model.params.flat.tobytes() == alone.params.flat.tobytes(), (schema, cfg)
@@ -762,6 +763,38 @@ class TestRunSchema:
     def test_forecast_schemas_needs_a_config(self, series):
         with pytest.raises(ValueError, match="at least one config"):
             lstm.forecast_schemas(series, [], TRAIN_START, TRAIN_END)
+
+    def test_train_schema_model_needs_a_member(self, series):
+        with pytest.raises(ValueError, match="at least one config"):
+            train_schema_model(series, [], TRAIN_START, TRAIN_END)
+
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_mixed_members_are_each_their_one_member_fit(self, series, lookback):
+        members = [("u3", TrainConfig(epochs=3, hidden=4, activation="tanh", seed=5)),
+                   ("u1", TrainConfig(epochs=3, hidden=4, activation="elu", seed=1)),
+                   ("u2", TrainConfig(epochs=3, hidden=4, activation="tanh", seed=2))]
+        models = train_schema_model(series, members, TRAIN_START, TRAIN_END, lookback)
+        assert len(models) == len(members)
+        for member, model in zip(members, models):
+            (alone,) = train_schema_model(series, [member], TRAIN_START, TRAIN_END, lookback)
+            assert model.config == member[1]
+            assert model.params.flat.tobytes() == alone.params.flat.tobytes(), member
+            assert model.epoch_losses == alone.epoch_losses, member
+
+    def test_forecast_schemas_trains_one_lockstep_ensemble(self, series, monkeypatch):
+        # the study's wall time rests on one `train` call for every member
+        calls = []
+        real_train = lstm.train
+
+        def spy(dataset, cfg, *others):
+            calls.append(1 + len(others))
+            return real_train(dataset, cfg, *others)
+
+        monkeypatch.setattr(lstm, "train", spy)
+        cfgs = [TrainConfig(epochs=2, hidden=4, activation=a, seed=s)
+                for a, s in (("elu", 1), ("tanh", 2), ("elu", 3))]
+        lstm.forecast_schemas(series, cfgs, TRAIN_START, TRAIN_END)
+        assert calls == [2 * len(cfgs)]
 
     def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))

@@ -11,6 +11,7 @@ from code_lines import code_lines  # noqa: E402
 from gate_selftest import (  # noqa: E402,F401  collected here as tests
     test_a_name_that_is_no_commit_is_a_usage_error,
     test_differing_lists_changed_missing_and_extra_entries,
+    test_every_command_has_a_known_kind,
 )
 
 SOURCE = '''"""A module docstring

@@ -37,6 +37,9 @@ COMMANDS = {
     "reproduce-lookback3": ["reproduce", "--epochs", "5", "--lookback", "3"],
     # the widest workspace: both gradient-term buffers at their largest
     "reproduce-lookback7": ["reproduce", "--epochs", "5", "--lookback", "7"],
+    # the study on a 24-day window with a 7-day horizon, off the paper split
+    "reproduce-short": ["reproduce", "--epochs", "5", "--horizon", "7",
+                        "--train", "2020-03-24:2020-04-16"],
     "run-lstm-u1": ["run", "--model", "lstm-u1", "--epochs", "20"],
     "run-lstm-u2": ["run", "--model", "lstm-u2", "--epochs", "20"],
     "run-lstm-u2-tanh": ["run", "--model", "lstm-u2", "--epochs", "20", "--activation", "tanh"],
