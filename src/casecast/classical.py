@@ -47,6 +47,8 @@ def fit_arima(series, p: int = 6) -> ArimaFit:
 
     Conditional least squares; exact for models without MA terms.
     """
+    if p < 1:
+        raise FitError(f"AR order must be at least 1, got {p}")
     y = difference(series)
     n = len(y)
     if n < 2 * p + 2:
@@ -161,17 +163,28 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
     (a, b, g) minimise the in-sample one-step SSE by multi-start L-BFGS-B
     on [0,1]^3. For fixed weights the recursions are linear in the initial
     states, so level/trend/seasonal starts are solved exactly by least
-    squares inside the objective.
+    squares inside the objective. The initial states are solved once for
+    each distinct candidate (a, b, g) in a fit: the starts and their
+    finite differences revisit points, and the winner reuses its solve.
     """
+    if m < 1:
+        raise FitError(f"season length must be at least 1, got {m}")
     y = np.asarray(series, dtype=float)
     if len(y) < 2 * m:
         raise FitError(f"need at least two seasons ({2 * m} points), got {len(y)}")
 
+    # theta's exact bits -> (sse, u, states); a tuple key would take -0.0 for
+    # +0.0. Lives for this call only: each distinct theta is solved once
+    solved = {}
+
     def solve_init(theta):
-        design, offset, states = _hw_affine_pass(y, *theta, m, phi)
-        u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
-        residuals = y - offset - design @ u
-        return float(residuals @ residuals), states @ np.append(u, 1.0)
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key not in solved:
+            design, offset, states = _hw_affine_pass(y, *theta, m, phi)
+            u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
+            residuals = y - offset - design @ u
+            solved[key] = float(residuals @ residuals), u, states
+        return solved[key]
 
     best = None
     for start in ([0.5, 0.1, 0.1], [0.9, 0.9, 0.1], [1.0, 1.0, 1.0], [0.3, 0.1, 0.5]):
@@ -184,7 +197,8 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
         if best is None or result.fun < best.fun:
             best = result
     alpha, beta, gamma = (float(w) for w in best.x)
-    sse, final = solve_init((alpha, beta, gamma))
+    sse, u, states = solve_init((alpha, beta, gamma))
+    final = states @ np.append(u, 1.0)
     return HwFit(alpha, beta, gamma, phi, m, float(final[0]), float(final[1]), final[2:], sse)
 
 

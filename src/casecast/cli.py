@@ -35,6 +35,7 @@ from .data import (
     forecast_horizon,
     load_csv,
     observed_horizon,
+    shown_path,
     slice_window,
 )
 from .evaluation import emit_plot, emit_table, summarize, write_lines, write_summary_csv
@@ -188,7 +189,8 @@ def _prepare(args):
     try:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.out}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot create output directory {shown_path(cfg.out)}: "
+                          f"{exc.strerror}") from exc
     observed = args.command == "reproduce" or cfg.model == "lstm-u1"
     horizon_of = observed_horizon if observed else forecast_horizon
     dates, actuals = horizon_of(ts, cfg.train_end, cfg.horizon)
@@ -387,7 +389,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:  # reads map their own OSErrors, so this is an artifact write
-        path = f" {exc.filename}" if exc.filename else ""
+        path = f" {shown_path(exc.filename)}" if exc.filename else ""
         print(f"config error: cannot write{path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 

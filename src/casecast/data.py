@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -149,6 +151,14 @@ def bundled_dataset_path() -> str:
     return str(resources.files("casecast").joinpath("turkey_covid19.csv"))
 
 
+def shown_path(path) -> str:
+    """`path` as a message names it: its bytes in the file system's encoding,
+    decoded back with each byte that does not decode written as `\\xhh`. So
+    the C locale shows `donn\\xc3\\xa9es.csv` for a name typed in UTF-8, a
+    UTF-8 locale shows `données.csv`, and no lone surrogate is printed."""
+    return os.fsencode(path).decode(sys.getfilesystemencoding(), "backslashreplace")
+
+
 def load_csv(path: str) -> TimeSeries:
     """Parse a `date,total_cases,total_deaths` CSV into a TimeSeries.
 
@@ -159,14 +169,14 @@ def load_csv(path: str) -> TimeSeries:
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError as exc:
-        raise MissingFileError(f"no such file: {path}") from exc
+        raise MissingFileError(f"no such file: {shown_path(path)}") from exc
     except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+        raise DataError(f"cannot open {shown_path(path)}: {exc.strerror}") from exc
     with fh:
         try:
             rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not UTF-8 text") from exc
+            raise DataError(f"{shown_path(path)} is not UTF-8 text") from exc
     if not rows:
         raise MalformedRowError(1, "empty file")
     if [h.strip() for h in rows[0]] != ["date", "total_cases", "total_deaths"]:

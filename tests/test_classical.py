@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casecast import classical
 from casecast.classical import (
     ArimaFit,
     FitError,
@@ -85,6 +86,12 @@ class TestFitAr:
     def test_too_short(self):
         with pytest.raises(FitError):
             fit_arima(np.arange(14.0), p=6)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_order_below_one_is_a_fit_error(self, p):
+        # the rule a checkpoint's ArimaFit must meet on load
+        with pytest.raises(FitError, match="AR order must be at least 1"):
+            fit_arima(np.cumsum(np.arange(40.0)), p=p)
 
 
 class TestForecastArima:
@@ -192,6 +199,12 @@ class TestHoltWinters:
         with pytest.raises(FitError):
             hw_fit(np.arange(10.0), m=7)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_season_length_below_one_is_a_fit_error(self, m):
+        # the rule a checkpoint's HwFit must meet on load
+        with pytest.raises(FitError, match="season length must be at least 1"):
+            hw_fit(np.arange(30.0), m=m)
+
     @pytest.mark.parametrize(
         "window",
         [None, (24, 17), (16, 15)],
@@ -292,6 +305,66 @@ class TestAffinePassOracle:
         assert series.start + dt.timedelta(days=22) == dt.date(2020, 4, 2)
         fit = hw_fit(y, m=7, phi=0.96)
         assert (fit.alpha, fit.beta, fit.gamma) == (1.0, 1.0, 1.0 - 2.0**-53)
+
+
+def _memo_free_hw_fit(y, m, phi):
+    """`hw_fit` with no memo: every objective call runs the pass and the
+    least squares, and the winner is solved once more. Kept as the oracle
+    that the memoised fit must match bit for bit."""
+
+    def solve_init(theta):
+        design, offset, states = _hw_affine_pass(y, *theta, m, phi)
+        u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
+        residuals = y - offset - design @ u
+        return float(residuals @ residuals), states @ np.append(u, 1.0)
+
+    best = None
+    for start in ([0.5, 0.1, 0.1], [0.9, 0.9, 0.1], [1.0, 1.0, 1.0], [0.3, 0.1, 0.5]):
+        result = classical.minimize(
+            lambda theta: solve_init(theta)[0],
+            x0=np.array(start),
+            method="L-BFGS-B",
+            bounds=[(0.0, 1.0)] * 3,
+        )
+        if best is None or result.fun < best.fun:
+            best = result
+    alpha, beta, gamma = (float(w) for w in best.x)
+    sse, final = solve_init((alpha, beta, gamma))
+    return HwFit(alpha, beta, gamma, phi, m, float(final[0]), float(final[1]), final[2:], sse)
+
+
+class TestSolveOncePerTheta:
+    def test_fit_is_bitwise_the_memo_free_fit(self, series):
+        checked = 0
+        for name, y, m in _oracle_series(series):
+            got, want = hw_fit(y, m=m, phi=0.96), _memo_free_hw_fit(y, m, 0.96)
+            for field in ("alpha", "beta", "gamma", "level", "trend", "sse"):
+                assert repr(getattr(got, field)) == repr(getattr(want, field)), (name, field)
+            assert got.seasonals.tobytes() == want.seasonals.tobytes(), name
+            checked += 1
+        assert checked == 96
+
+    def test_paper_split_solves_each_theta_once(self, series, monkeypatch):
+        # scipy asks the same 28 questions; 8 of them repeat a theta, and
+        # the winner's states come from its earlier solve
+        y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+        thetas, nfevs = [], []
+        affine_pass, minimize = classical._hw_affine_pass, classical.minimize
+
+        def spy_pass(y, alpha, beta, gamma, m, phi):
+            thetas.append(np.array([alpha, beta, gamma], dtype=float).tobytes())
+            return affine_pass(y, alpha, beta, gamma, m, phi)
+
+        def spy_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            nfevs.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(classical, "_hw_affine_pass", spy_pass)
+        monkeypatch.setattr(classical, "minimize", spy_minimize)
+        hw_fit(y, m=7, phi=0.96)
+        assert len(nfevs) == 4 and sum(nfevs) == 28
+        assert len(thetas) == len(set(thetas)) == 20
 
 
 class TestProphetLite:

@@ -394,6 +394,43 @@ class TestReproduce:
         assert "±".encode() in (tmp_path / "reproduce" / "ascii" / "table1.csv").read_bytes()
 
 
+def test_paths_in_messages_are_readable_whatever_the_locale(tmp_path):
+    # the C locale, neither coerced nor in UTF-8 mode, decodes the UTF-8
+    # bytes of "é" in argv to two lone surrogates; every message that names
+    # a path shows those bytes escaped instead. Names are made and passed as
+    # bytes, so the test's own locale does not matter
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+           "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    root = os.fsencode(tmp_path)
+    latin1 = os.path.join(root, "latin1-é.csv".encode())
+    with open(latin1, "wb") as fh:
+        fh.write("date,total_cases,total_deaths\n2020-03-11,1,0\nété\n".encode("latin-1"))
+    os.mkdir(os.path.join(root, "dossier-é".encode()))
+    with open(os.path.join(root, "fichier-é".encode()), "wb"):
+        pass
+    os.makedirs(os.path.join(root, "sortie-é/checkpoint.json".encode()))
+    cases = {
+        ("validate", "--data", "données.csv"):
+            (EXIT_DATA, "data error: no such file: donn\\xc3\\xa9es.csv"),
+        ("validate", "--data", "dossier-é"):
+            (EXIT_DATA, "data error: cannot open dossier-\\xc3\\xa9: Is a directory"),
+        ("validate", "--data", "latin1-é.csv"):
+            (EXIT_DATA, "data error: latin1-\\xc3\\xa9.csv is not UTF-8 text"),
+        ("run", "--model", "arima", "--out", "fichier-é/sortie"):
+            (EXIT_USAGE, "config error: cannot create output directory fichier-\\xc3\\xa9/sortie: "
+                         "Not a directory"),
+        ("run", "--model", "arima", "--out", "sortie-é"):
+            (EXIT_USAGE, "config error: cannot write sortie-\\xc3\\xa9/checkpoint.json: "
+                         "Is a directory"),
+    }
+    for argv, (code, message) in cases.items():
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "casecast.cli", *(a.encode() for a in argv)],
+            cwd=root, env=env, capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (code, message.encode() + b"\n"), argv
+
+
 def test_config_is_utf8_whatever_the_locale(tmp_path):
     # a non-ASCII value, and a UTF-8 byte-order mark as `--data` accepts, in
     # the C locale (ASCII) and in UTF-8 mode; `--out` overrides the "out" key

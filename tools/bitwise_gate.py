@@ -51,6 +51,8 @@ COMMANDS = {
     "run-hwaas": ["run", "--model", "hwaas"],
     # the one backtest window whose HW fit is interior: gamma = 1 - 2**-53
     "run-hwaas-interior": ["run", "--model", "hwaas", "--train", "2020-04-02:2020-04-16"],
+    # the shortest window hw_fit accepts: two seasons, 14 days
+    "run-hwaas-two-seasons": ["run", "--model", "hwaas", "--train", "2020-03-24:2020-04-06"],
     "run-prophet-lite": ["run", "--model", "prophet-lite"],
     # a window whose horizon runs past the series: no actuals, no scores
     "run-prophet-lite-late": ["run", "--model", "prophet-lite", "--train", "2020-04-01:2020-05-08"],
