@@ -38,7 +38,14 @@ from .data import (
     shown_path,
     slice_window,
 )
-from .evaluation import emit_plot, emit_table, summarize, write_lines, write_summary_csv
+from .evaluation import (
+    emit_plot,
+    emit_table,
+    study_report,
+    summarize,
+    write_lines,
+    write_summary_csv,
+)
 from .lstm import (
     ACTIVATIONS,
     NonFiniteForecastError,
@@ -55,17 +62,6 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 MODELS = ("lstm-u1", "lstm-u2", "lstm-u3", "arima", "hwaas", "prophet-lite")
-
-# published reference results and the tolerance band `reproduce` checks:
-# model -> (table label, reference mape, reference std, band)
-REFERENCE = {
-    "lstm-u1": ("U1-elu", 0.70, 0.30, 2.0),
-    "lstm-u2": ("U2-elu", 1.69, 1.35, 5.0),
-    "lstm-u3": ("U3-elu", 0.99, 0.51, 5.0),
-    "arima": ("arima", 3.24, 1.56, 1.5),
-    "hwaas": ("hwaas", 0.47, 0.28, 0.5),
-}
-
 
 class ConfigError(Exception):
     """A configuration file, value or output directory that cannot be used."""
@@ -301,73 +297,22 @@ def cmd_reproduce(args) -> int:
     for (schema, train_cfg), (_, forecasts) in lstms.items():
         runs[f"{schema.upper()}-{train_cfg.activation}"] = forecasts
     reports = {label: summarize(forecasts, actuals, label) for label, forecasts in runs.items()}
-
-    # table1: activation ablation (MAPE per schema x activation)
-    lines = ["activation,u1,u2,u3"]
-    for activation in ("tanh", "elu"):
-        row = [activation]
-        for schema in ("u1", "u2", "u3"):
-            r = reports[f"{schema.upper()}-{activation}"]
-            row.append(f"{r.mape:.2f}±{r.std:.2f}")
-        lines.append(",".join(row))
-    write_lines(os.path.join(cfg.out, "table1.csv"), lines)
-
+    texts, stdout = study_report(reports, seed=cfg.seed, train_start=cfg.train_start,
+                                 train_end=cfg.train_end, horizon=cfg.horizon,
+                                 lookback=cfg.lookback, epochs=cfg.epochs)
+    for name, lines in texts.items():
+        write_lines(os.path.join(cfg.out, name), lines)
     table2_labels = ["U1-elu", "U2-elu", "U3-elu", "arima", "prophet-lite", "hwaas"]
     emit_table([reports[k] for k in table2_labels], os.path.join(cfg.out, "table2.csv"))
-
+    # each figure: the actuals, then (legend name, table label) per curve
+    figures = {"fig3.svg": [("u1", "U1-elu"), ("u2", "U2-elu"), ("u3", "U3-elu")],
+               "fig4.svg": [("U2", "U2-elu"), ("ARIMA", "arima"), ("HWAAS", "hwaas"),
+                            ("prophet-lite", "prophet-lite")]}
     x_labels = [d.isoformat() for d in dates]
-    emit_plot(
-        [("actual", actuals)]
-        + [(s, runs[f"{s.upper()}-elu"]) for s in ("u1", "u2", "u3")],
-        x_labels,
-        os.path.join(cfg.out, "fig3.svg"),
-    )
-    emit_plot(
-        [
-            ("actual", actuals),
-            ("U2", runs["U2-elu"]),
-            ("ARIMA", runs["arima"]),
-            ("HWAAS", runs["hwaas"]),
-            ("prophet-lite", runs["prophet-lite"]),
-        ],
-        x_labels,
-        os.path.join(cfg.out, "fig4.svg"),
-    )
-
-    summary = [
-        "# Reproduction summary",
-        "",
-        f"Seed: {cfg.seed}; train window {cfg.train_start}..{cfg.train_end}; "
-        f"horizon {cfg.horizon}; lookback {cfg.lookback}; epochs {cfg.epochs}.",
-        "",
-        "| model | MAPE (this run) | reference | within band |",
-        "|-------|-----------------|-----------|-------------|",
-    ]
-    for name, (label, ref, ref_std, band) in REFERENCE.items():
-        r = reports[label]
-        if name in ("hwaas", "arima"):
-            ok = abs(r.mape - ref) <= band
-        else:
-            ok = r.mape <= band
-        summary.append(
-            f"| {name} | {r.mape:.2f}±{r.std:.2f} | {ref:.2f}±{ref_std:.2f} | "
-            f"{'yes' if ok else 'NO'} |"
-        )
-    pl = reports["prophet-lite"]
-    summary += [
-        "",
-        f"prophet-lite MAPE {pl.mape:.2f}±{pl.std:.2f} % (qualitative check only: "
-        "horizon-growth pattern, not an equality target).",
-        "",
-        "Outputs: table1.csv (activation ablation), table2.csv (per-day errors),",
-        "fig3.svg (LSTM schemas), fig4.svg (method comparison).",
-    ]
-    write_lines(os.path.join(cfg.out, "summary.md"), summary)
-
-    for name, (label, ref, _, _) in REFERENCE.items():
-        print(f"{name}: MAPE {reports[label].mape:.2f} % (reference {ref:.2f} %)")
-    print(f"prophet-lite: MAPE {pl.mape:.2f} % (qualitative only)")
-    print(f"artifacts written to {cfg.out}/")
+    for name, curves in figures.items():
+        series = [("actual", actuals)] + [(shown, runs[label]) for shown, label in curves]
+        emit_plot(series, x_labels, os.path.join(cfg.out, name))
+    print(*stdout, f"artifacts written to {cfg.out}/", sep="\n")
     return EXIT_OK
 
 

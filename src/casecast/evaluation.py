@@ -1,6 +1,7 @@
-"""Per-day absolute-percentage-error reports, table emission, and
-plot-ready SVG artifacts. Pure functions; table and plot output is
-byte-deterministic for identical inputs.
+"""Per-day absolute-percentage-error reports, the text `reproduce` reports,
+and the CSV and SVG artifacts. `summarize`, `mape_cell` and `study_report`
+are pure; `write_lines`, `write_summary_csv` and the `emit_*` functions
+write files. Every artifact is byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -42,6 +43,67 @@ def summarize(forecasts, actuals, model: str, schema: str = "") -> ErrorReport:
     return ErrorReport(model, schema, apes, float(np.mean(apes)), float(np.std(apes)))
 
 
+# published reference results and the tolerance band `reproduce` checks:
+# model -> (table label, reference mape, reference std, band)
+REFERENCE = {
+    "lstm-u1": ("U1-elu", 0.70, 0.30, 2.0),
+    "lstm-u2": ("U2-elu", 1.69, 1.35, 5.0),
+    "lstm-u3": ("U3-elu", 0.99, 0.51, 5.0),
+    "arima": ("arima", 3.24, 1.56, 1.5),
+    "hwaas": ("hwaas", 0.47, 0.28, 0.5),
+}
+
+
+def mape_cell(mape: float, std: float) -> str:
+    """The one table cell format of a MAPE and its standard deviation."""
+    return f"{mape:.2f}±{std:.2f}"
+
+
+def study_report(reports: dict[str, ErrorReport], *, seed: int, train_start, train_end,
+                 horizon: int, lookback: int, epochs: int,
+                 ) -> tuple[dict[str, list[str]], list[str]]:
+    """The text `reproduce` reports, from its ErrorReports by table label
+    ("U1-elu" ... "U3-tanh", "arima", "hwaas", "prophet-lite") and the
+    run's settings. Writes nothing.
+
+    Returns ({"table1.csv": lines, "summary.md": lines}, stdout lines).
+    Table 1 is the activation ablation. Each REFERENCE row gets one band
+    verdict: a classical model must lie within `band` of its reference
+    MAPE, an LSTM at or below `band`. Stdout is ASCII.
+    """
+    table1 = ["activation,u1,u2,u3"]
+    for activation in ("tanh", "elu"):
+        row = [reports[f"{schema}-{activation}"] for schema in ("U1", "U2", "U3")]
+        table1.append(",".join([activation] + [mape_cell(r.mape, r.std) for r in row]))
+    summary = [
+        "# Reproduction summary",
+        "",
+        f"Seed: {seed}; train window {train_start}..{train_end}; "
+        f"horizon {horizon}; lookback {lookback}; epochs {epochs}.",
+        "",
+        "| model | MAPE (this run) | reference | within band |",
+        "|-------|-----------------|-----------|-------------|",
+    ]
+    stdout = []
+    for name, (label, ref, ref_std, band) in REFERENCE.items():
+        r = reports[label]
+        ok = abs(r.mape - ref) <= band if name in ("arima", "hwaas") else r.mape <= band
+        summary.append(f"| {name} | {mape_cell(r.mape, r.std)} | {mape_cell(ref, ref_std)} | "
+                       f"{'yes' if ok else 'NO'} |")
+        stdout.append(f"{name}: MAPE {r.mape:.2f} % (reference {ref:.2f} %)")
+    pl = reports["prophet-lite"]
+    summary += [
+        "",
+        f"prophet-lite MAPE {mape_cell(pl.mape, pl.std)} % (qualitative check only: "
+        "horizon-growth pattern, not an equality target).",
+        "",
+        "Outputs: table1.csv (activation ablation), table2.csv (per-day errors),",
+        "fig3.svg (LSTM schemas), fig4.svg (method comparison).",
+    ]
+    stdout.append(f"prophet-lite: MAPE {pl.mape:.2f} % (qualitative only)")
+    return {"table1.csv": table1, "summary.md": summary}, stdout
+
+
 def write_lines(path: str, lines: list[str]) -> None:
     """Write `lines` to `path` as UTF-8 text, each ending in LF, whatever
     the locale, so an artifact's bytes do not depend on the machine."""
@@ -53,12 +115,12 @@ def emit_table(reports: list[ErrorReport], path: str) -> None:
     """Day-by-day APE CSV, one column per model, plus a MAPE row.
 
     Cells are 2-decimal percentages with a full-precision companion column
-    per model.
+    per model. No report, or reports of unequal horizons, is a ValueError.
     """
-    horizon = len(reports[0].apes)
-    for r in reports:
-        if len(r.apes) != horizon:
-            raise ValueError("reports disagree on horizon length")
+    horizons = sorted({len(r.apes) for r in reports})
+    if len(horizons) != 1:
+        raise ValueError(f"emit_table needs reports of one horizon, got horizons {horizons}")
+    (horizon,) = horizons
     header = ["day"]
     for r in reports:
         header += [r.model, f"{r.model}_raw"]
@@ -70,7 +132,7 @@ def emit_table(reports: list[ErrorReport], path: str) -> None:
         lines.append(",".join(row))
     row = ["MAPE"]
     for r in reports:
-        row += [f"{r.mape:.2f}±{r.std:.2f}", repr(float(r.mape))]
+        row += [mape_cell(r.mape, r.std), repr(float(r.mape))]
     lines.append(",".join(row))
     write_lines(path, lines)
 
@@ -103,9 +165,9 @@ def emit_plot(
     path: str,
 ) -> None:
     """Static SVG 1.1 line chart: one polyline per named series over a shared
-    x axis. The first series is drawn last (on top) in black when it is the
-    actuals trace named 'actual'. A NaN or infinite value is a ValueError
-    naming its series."""
+    x axis, drawn in list order, so the first series lies underneath the
+    rest. A series named 'actual' is drawn in black. A NaN or infinite value
+    is a ValueError naming its series."""
     if not series:
         raise ValueError("nothing to plot")
     n = len(x_labels)

@@ -646,8 +646,10 @@ def forecast_schemas(
     bivariate one. The univariate members (in `cfgs`' order), then the
     bivariate ones, train in one `train_schema_model` call. Each model then
     forecasts through `run_schema`, u2 before u1.
-    Returns {(schema, config): (model, forecasts)}; an empty `cfgs` is a
-    ValueError."""
+    Returns {(schema, config): (model, forecasts)}; an empty `cfgs`, or a
+    config given twice, whose entries would collide, is a ValueError."""
+    if len(set(cfgs)) < len(cfgs):
+        raise ValueError(f"forecast_schemas got config {max(cfgs, key=cfgs.count)} twice")
     members = [("u2", cfg) for cfg in cfgs] + [("u3", cfg) for cfg in cfgs]
     models = train_schema_model(ts, members, train_start, train_end, lookback)
     results = {}

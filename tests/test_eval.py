@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 import xml.etree.ElementTree as ET
 
@@ -10,6 +11,8 @@ from casecast.evaluation import (
     ape_series,
     emit_plot,
     emit_table,
+    mape_cell,
+    study_report,
     summarize,
     write_summary_csv,
 )
@@ -142,6 +145,93 @@ class TestEmitTable:
         path = tmp_path / "s.csv"
         write_summary_csv([zero_report()], str(path))
         assert path.read_text().startswith("model,schema,mape,std,convention")
+
+
+    def test_no_report_is_a_value_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="one horizon, got horizons \\[\\]"):
+            emit_table([], str(path))
+        assert not path.exists()
+
+    def test_unequal_horizons_are_a_value_error(self, tmp_path):
+        short = ErrorReport("short", "", np.zeros(7), 0.0, 0.0)
+        with pytest.raises(ValueError, match="got horizons \\[7, 15\\]"):
+            emit_table([zero_report(), short], str(tmp_path / "t.csv"))
+
+    def test_mape_row_uses_the_one_cell_format(self, tmp_path):
+        path = tmp_path / "t.csv"
+        report = ErrorReport("m", "", np.array([1.0, 3.0]), 2.0, 1.0)
+        emit_table([report], str(path))
+        assert path.read_text().splitlines()[-1] == f"MAPE,{mape_cell(2.0, 1.0)},2.0"
+        assert mape_cell(2.0, 1.0) == "2.00±1.00"
+
+
+def hand_report(label, mape, std=0.25):
+    """An ErrorReport made by hand, with no forecast behind it."""
+    return ErrorReport(label, "", np.array([mape - std, mape + std]), mape, std)
+
+
+class TestStudyReport:
+    # the four band branches: an LSTM at its band (U1, yes) and above it
+    # (U2, NO); a classical model within its band (hwaas, yes) and below it
+    # (arima, NO)
+    REPORTS = {
+        "U1-elu": hand_report("U1-elu", 2.0), "U2-elu": hand_report("U2-elu", 5.5),
+        "U3-elu": hand_report("U3-elu", 0.99), "U1-tanh": hand_report("U1-tanh", 1.5),
+        "U2-tanh": hand_report("U2-tanh", 3.25), "U3-tanh": hand_report("U3-tanh", 12.0),
+        "arima": hand_report("arima", 0.74), "hwaas": hand_report("hwaas", 0.37),
+        "prophet-lite": hand_report("prophet-lite", 1.18),
+    }
+    SETTINGS = dict(seed=7, train_start=dt.date(2020, 3, 24), train_end=dt.date(2020, 4, 23),
+                    horizon=2, lookback=3, epochs=5)
+
+    def test_exact_lines(self):
+        texts, stdout = study_report(self.REPORTS, **self.SETTINGS)
+        assert texts == {
+            "table1.csv": [
+                "activation,u1,u2,u3",
+                "tanh,1.50±0.25,3.25±0.25,12.00±0.25",
+                "elu,2.00±0.25,5.50±0.25,0.99±0.25",
+            ],
+            "summary.md": [
+                "# Reproduction summary",
+                "",
+                "Seed: 7; train window 2020-03-24..2020-04-23; horizon 2; lookback 3; epochs 5.",
+                "",
+                "| model | MAPE (this run) | reference | within band |",
+                "|-------|-----------------|-----------|-------------|",
+                "| lstm-u1 | 2.00±0.25 | 0.70±0.30 | yes |",
+                "| lstm-u2 | 5.50±0.25 | 1.69±1.35 | NO |",
+                "| lstm-u3 | 0.99±0.25 | 0.99±0.51 | yes |",
+                "| arima | 0.74±0.25 | 3.24±1.56 | NO |",
+                "| hwaas | 0.37±0.25 | 0.47±0.28 | yes |",
+                "",
+                "prophet-lite MAPE 1.18±0.25 % (qualitative check only: "
+                "horizon-growth pattern, not an equality target).",
+                "",
+                "Outputs: table1.csv (activation ablation), table2.csv (per-day errors),",
+                "fig3.svg (LSTM schemas), fig4.svg (method comparison).",
+            ],
+        }
+        assert stdout == [
+            "lstm-u1: MAPE 2.00 % (reference 0.70 %)",
+            "lstm-u2: MAPE 5.50 % (reference 1.69 %)",
+            "lstm-u3: MAPE 0.99 % (reference 0.99 %)",
+            "arima: MAPE 0.74 % (reference 3.24 %)",
+            "hwaas: MAPE 0.37 % (reference 0.47 %)",
+            "prophet-lite: MAPE 1.18 % (qualitative only)",
+        ]
+        assert all(line.isascii() for line in stdout)
+
+    def test_a_classical_model_above_its_band_is_no(self):
+        reports = self.REPORTS | {"arima": hand_report("arima", 4.75)}
+        texts, _ = study_report(reports, **self.SETTINGS)
+        assert "| arima | 4.75±0.25 | 3.24±1.56 | NO |" in texts["summary.md"]
+
+    def test_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        study_report(self.REPORTS, **self.SETTINGS)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEmitPlot:

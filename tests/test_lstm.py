@@ -764,6 +764,18 @@ class TestRunSchema:
         with pytest.raises(ValueError, match="at least one config"):
             lstm.forecast_schemas(series, [], TRAIN_START, TRAIN_END)
 
+    def test_forecast_schemas_rejects_a_repeated_config_before_training(self, series,
+                                                                        monkeypatch):
+        # a repeated config would train twice and collide on its (schema, config) keys
+        def no_training(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(lstm, "train", no_training)
+        cfg = TrainConfig(epochs=1, hidden=2)
+        with pytest.raises(ValueError, match=r"config TrainConfig\(epochs=1, hidden=2,.* twice"):
+            lstm.forecast_schemas(series, [cfg, TrainConfig(seed=1), cfg], TRAIN_START,
+                                  TRAIN_END)
+
     def test_train_schema_model_needs_a_member(self, series):
         with pytest.raises(ValueError, match="at least one config"):
             train_schema_model(series, [], TRAIN_START, TRAIN_END)

@@ -40,6 +40,9 @@ COMMANDS = {
     # the study on a 24-day window with a 7-day horizon, off the paper split
     "reproduce-short": ["reproduce", "--epochs", "5", "--horizon", "7",
                         "--train", "2020-03-24:2020-04-16"],
+    # a one-day horizon: one-point figure axes, a one-row table2, and the
+    # one summary.md with a classical row outside its band
+    "reproduce-horizon1": ["reproduce", "--epochs", "5", "--horizon", "1"],
     "run-lstm-u1": ["run", "--model", "lstm-u1", "--epochs", "20"],
     "run-lstm-u2": ["run", "--model", "lstm-u2", "--epochs", "20"],
     "run-lstm-u2-tanh": ["run", "--model", "lstm-u2", "--epochs", "20", "--activation", "tanh"],
