@@ -7,10 +7,20 @@ scipy is imported only when a Holt-Winters fit runs (`hw_fit`, through
 `minimize`). Importing this module, the other fitters, forecasting from a
 fit and loading a checkpoint need numpy alone, so every command that fits
 no Holt-Winters model starts without paying for scipy's import.
+
+The module holds one piece of state, `_UNIT_COLUMNS`: the data-free
+columns of the Holt-Winters affine pass at each weight vector the latest
+`hw_fit` solved. Those columns see 0.0 for every observation, so they are
+a function of (alpha, beta, gamma, phi, m) alone, and they are keyed by the
+exact bits of those five. A stored column holds the very floats a fresh
+pass computes, so no fit's result depends on the fits that ran before it;
+consecutive fits (the windows of a backtest) revisit most weight vectors
+and skip all but one column of each pass.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +28,15 @@ import numpy as np
 
 class FitError(Exception):
     pass
+
+
+def _finite(series) -> np.ndarray:
+    """`series` as a float array; a NaN or an infinity is a FitError, before
+    any least squares or optimizer sees it."""
+    y = np.asarray(series, dtype=float)
+    if not np.isfinite(y).all():
+        raise FitError("series has a non-finite value")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +66,7 @@ def fit_arima(series, p: int = 6) -> ArimaFit:
 
     Conditional least squares; exact for models without MA terms.
     """
+    series = _finite(series)
     if p < 1:
         raise FitError(f"AR order must be at least 1, got {p}")
     y = difference(series)
@@ -96,6 +116,44 @@ class HwFit:
     sse: float
 
 
+def _hw_column(observed, level, trend, seasons, alpha, beta, gamma, phi):
+    """One column of `_hw_affine_pass`: the recursions from `level`, `trend`
+    and the m initial `seasons`, run over `observed` on Python floats.
+
+    Returns the one-step predictions, the level and the trend before day 0
+    and after each day, and `seasons` extended in place by every seasonal
+    written. Day t reads seasons[t], the one written at t - m, or an initial
+    one when t < m, so the seasonals held after day t - 1 are
+    seasons[t : t + m], oldest first.
+    """
+    keep_level, keep_trend, keep_season = 1 - alpha, (1 - beta) * phi, 1 - gamma
+    predictions, levels, trends = [], [level], [trend]
+    for t, obs in enumerate(observed):
+        season = seasons[t]
+        damped = level + phi * trend
+        predictions.append(damped + season)
+        new_level = alpha * (obs - season) + keep_level * damped
+        trend = beta * (new_level - level) + keep_trend * trend
+        seasons.append(gamma * (obs - damped) + keep_season * season)
+        level = new_level
+        levels.append(level)
+        trends.append(trend)
+    return predictions, levels, trends, seasons
+
+
+def _theta_key(alpha, beta, gamma, m, phi):
+    """The exact bits of (alpha, beta, gamma, phi), and m: a float key would
+    take -0.0 for +0.0."""
+    return struct.pack("4d", alpha, beta, gamma, phi), m
+
+
+# _theta_key -> the m + 1 unit columns of a pass at that theta, as arrays
+# with one row per column: predictions (per day), levels and trends (before
+# day 0 and after each day), seasonals (initial ones, then each written).
+# They see 0.0 for every observation, so they depend on the theta alone.
+_UNIT_COLUMNS = {}
+
+
 def _hw_affine_pass(y, alpha, beta, gamma, m, phi):
     """Run the recursions of `hw_fit` with every state kept affine in the
     initial states u = (l0, b0, s0..s_{m-2}): a state is one row
@@ -108,39 +166,50 @@ def _hw_affine_pass(y, alpha, beta, gamma, m, phi):
     (h-1) mod m) as rows; their values are states @ np.append(u, 1.0).
 
     Every step is elementwise across the k + 1 columns of a row, so each
-    column runs its own recursion: the constant column sees y_t, every
-    coefficient column sees 0.0. The pass runs them one at a time on
-    Python floats, which round add, subtract and multiply exactly as
-    numpy's float64 does; with the operations in the row form's order and
-    grouping ((1 - b) phi is one factor) the output is that form's, bit
-    for bit, signed zeros included, at a fraction of its per-call cost.
-    `predictions` stays one (n, k + 1) C-order array so `design` is the
-    same strided view: another layout changes the BLAS summation order of
-    `design @ u` and with it the last digits of the SSE.
+    column runs its own recursion (`_hw_column`): the constant column sees
+    y_t, every coefficient column sees 0.0. Python floats round add,
+    subtract and multiply exactly as numpy's float64 does; with the
+    operations in the row form's order and grouping ((1 - b) phi is one
+    factor) the output is that form's, bit for bit, signed zeros included.
+    The k coefficient columns depend on (alpha, beta, gamma, phi, m) alone,
+    so they come from `_UNIT_COLUMNS` when a pass at that theta already ran
+    them for at least len(y) days: a column's first n days do not depend on
+    the days after them, so its rows [:n] and its states after day n - 1
+    are what a pass of length n computes. Only the constant column runs
+    again. `predictions` stays one (n, k + 1) C-order array, filled by copy,
+    so `design` is the same strided view: another layout changes the BLAS
+    summation order of `design @ u` and with it the last digits of the SSE.
+    No returned array shares memory with the memo.
     """
     # Python floats: np.float64 scalars give the same bits, more slowly
     alpha, beta, gamma, phi = float(alpha), float(beta), float(gamma), float(phi)
     y = np.asarray(y, dtype=float).tolist()
     n, k = len(y), m + 1
-    keep_level, keep_trend, keep_season = 1 - alpha, (1 - beta) * phi, 1 - gamma
+    key = _theta_key(alpha, beta, gamma, m, phi)
+    units = _UNIT_COLUMNS.get(key)
+    if units is None or units[0].shape[1] < n:
+        columns = (
+            _hw_column([0.0] * n, float(j == 0), float(j == 1),
+                       # s0..s_{m-2}, then -(their sum); +0.0 where j has no weight
+                       [float(i == j) for i in range(2, k)] + [-1.0 if j >= 2 else 0.0],
+                       alpha, beta, gamma, phi)
+            for j in range(k)
+        )
+        # struct packs Python floats several times faster than np.array reads them
+        rows = np.frombuffer(b"".join(struct.pack(f"{4 * n + m + 2}d", *p, *lv, *tr, *s)
+                                      for p, lv, tr, s in columns)).reshape(k, -1)
+        units = _UNIT_COLUMNS[key] = (rows[:, :n], rows[:, n : 2 * n + 1],
+                                      rows[:, 2 * n + 1 : 3 * n + 2], rows[:, 3 * n + 2 :])
+    unit_predictions, unit_levels, unit_trends, unit_seasons = units
     predictions = np.empty((n, k + 1))
     states = np.empty((m + 2, k + 1))  # level, trend, last m seasonals
-    for j in range(k + 1):
-        level, trend = float(j == 0), float(j == 1)
-        # seasonals by t mod m: s0..s_{m-2}, then -(their sum); +0.0 where j has no weight
-        seasons = [float(i == j) for i in range(2, k)] + [-1.0 if 2 <= j < k else 0.0]
-        observed = y if j == k else [0.0] * n
-        column = []
-        for t, obs in enumerate(observed):
-            season = seasons[t % m]
-            damped = level + phi * trend
-            column.append(damped + season)
-            new_level = alpha * (obs - season) + keep_level * damped
-            trend = beta * (new_level - level) + keep_trend * trend
-            seasons[t % m] = gamma * (obs - damped) + keep_season * season
-            level = new_level
-        predictions[:, j] = column
-        states[:, j] = [level, trend] + seasons[n % m:] + seasons[: n % m]
+    predictions[:, :k] = unit_predictions[:, :n].T
+    states[0, :k], states[1, :k] = unit_levels[:, n], unit_trends[:, n]
+    states[2:, :k] = unit_seasons[:, n : n + m].T
+    column, levels, trends, seasons = _hw_column(y, 0.0, 0.0, [0.0] * m,
+                                                 alpha, beta, gamma, phi)
+    predictions[:, k] = column
+    states[:, k] = [levels[-1], trends[-1]] + seasons[n:]
     return predictions[:, :k], predictions[:, k], states
 
 
@@ -166,19 +235,21 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
     squares inside the objective. The initial states are solved once for
     each distinct candidate (a, b, g) in a fit: the starts and their
     finite differences revisit points, and the winner reuses its solve.
+    When it returns, `_UNIT_COLUMNS` holds the unit columns of this fit's
+    candidates and no others, ready for the next fit.
     """
+    y = _finite(series)
     if m < 1:
         raise FitError(f"season length must be at least 1, got {m}")
-    y = np.asarray(series, dtype=float)
     if len(y) < 2 * m:
         raise FitError(f"need at least two seasons ({2 * m} points), got {len(y)}")
 
-    # theta's exact bits -> (sse, u, states); a tuple key would take -0.0 for
-    # +0.0. Lives for this call only: each distinct theta is solved once
+    # _theta_key -> (sse, u, states). Lives for this call only: each distinct
+    # theta is solved once
     solved = {}
 
     def solve_init(theta):
-        key = np.asarray(theta, dtype=float).tobytes()
+        key = _theta_key(*theta, m, phi)
         if key not in solved:
             design, offset, states = _hw_affine_pass(y, *theta, m, phi)
             u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
@@ -198,6 +269,9 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
             best = result
     alpha, beta, gamma = (float(w) for w in best.x)
     sse, u, states = solve_init((alpha, beta, gamma))
+    # keep this fit's unit columns only: the next fit revisits most of them
+    for key in _UNIT_COLUMNS.keys() - solved.keys():
+        _UNIT_COLUMNS.pop(key, None)
     final = states @ np.append(u, 1.0)
     return HwFit(alpha, beta, gamma, phi, m, float(final[0]), float(final[1]), final[2:], sse)
 
@@ -241,7 +315,7 @@ def prophet_lite_fit(
     of the training range, so the trend stays continuous) plus order-3 weekly
     Fourier terms, solved by ridge least squares. Intercept and base slope
     are left unpenalized."""
-    y = np.asarray(series, dtype=float)
+    y = _finite(series)
     n = len(y)
     if n < 14:
         raise FitError(f"need at least 14 daily observations, got {n}")

@@ -273,6 +273,13 @@ def _oracle_series(ts):
     yield "synthetic-m2", synthetic, 2
 
 
+def _assert_same_pass(got, want, where):
+    for part, a, b in zip(("design", "offset", "states"), got, want):
+        assert a.shape == b.shape and a.strides == b.strides, (where, part)
+        assert a.tobytes() == b.tobytes(), (where, part)
+        assert np.signbit(a).tobytes() == np.signbit(b).tobytes(), (where, part)
+
+
 class TestAffinePassOracle:
     THETAS = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 0.1, 0.1), (0.9, 0.9, 0.1),
               tuple(np.random.default_rng(11).uniform(0.0, 1.0, 3)),
@@ -292,6 +299,42 @@ class TestAffinePassOracle:
                 checked += 1
         assert checked == 96 * len(self.THETAS)
 
+    def test_warm_memo_is_bitwise_the_row_pass(self, series, monkeypatch):
+        # (window, theta, m, phi, columns the pass runs): all m + 2 when the
+        # memo has no unit columns that long at that theta, else only y's
+        cases = series.cases.astype(float)
+        theta, other, signed = self.THETAS[4], self.THETAS[5], (0.5, -0.0, 0.5)
+        steps = [
+            # a longer window, then a shorter one
+            (cases[0:44], theta, 7, 0.96, 9), (cases[10:25], theta, 7, 0.96, 1),
+            # a shorter window, then longer ones: the entry is rerun longer
+            (cases[3:18], theta, 7, 1.0, 9), (cases[1:41], theta, 7, 1.0, 9),
+            (cases[4:34], theta, 7, 1.0, 1),
+            # one theta under m = 1, 2 and 7 and phi = 0.96 and 1.0
+            *[(cases[5:35], other, m, phi, 1 if warm else m + 2) for warm in (False, True)
+              for m, phi in [(1, 0.96), (2, 0.96), (2, 1.0), (7, 0.96), (7, 1.0)]],
+            # -0.0 and +0.0 are two keys
+            (cases[0:30], signed, 7, 0.96, 9), (cases[0:30], np.abs(signed), 7, 0.96, 9),
+            (cases[0:30], signed, 7, 0.96, 1),
+        ]
+        runs, column = [], classical._hw_column
+
+        def spy_column(*args):
+            runs.append(1)
+            return column(*args)
+
+        monkeypatch.setattr(classical, "_hw_column", spy_column)
+        monkeypatch.setattr(classical, "_UNIT_COLUMNS", {})
+        for step, (y, theta, m, phi, columns) in enumerate(steps):
+            runs.clear()
+            got = _hw_affine_pass(y, *theta, m, phi)
+            want = _row_wise_affine_pass(y, *theta, m, phi)
+            assert len(runs) == columns, step
+            _assert_same_pass(got, want, step)
+            for part in got:  # nothing returned reaches the memo
+                part[...] = np.nan
+            _assert_same_pass(_hw_affine_pass(y, *theta, m, phi), want, step)
+
     def test_paper_split_sse_is_pinned(self, series):
         # the digits the row form gave; LAPACK's summation order (the BLAS
         # build) sets the last of them, the pass must not move any
@@ -308,12 +351,13 @@ class TestAffinePassOracle:
 
 
 def _memo_free_hw_fit(y, m, phi):
-    """`hw_fit` with no memo: every objective call runs the pass and the
-    least squares, and the winner is solved once more. Kept as the oracle
-    that the memoised fit must match bit for bit."""
+    """`hw_fit` with no memo: every objective call runs the row-wise pass,
+    which stores nothing between calls, and the least squares, and the
+    winner is solved once more. Kept as the oracle that the memoised fit
+    must match bit for bit."""
 
     def solve_init(theta):
-        design, offset, states = _hw_affine_pass(y, *theta, m, phi)
+        design, offset, states = _row_wise_affine_pass(y, *theta, m, phi)
         u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
         residuals = y - offset - design @ u
         return float(residuals @ residuals), states @ np.append(u, 1.0)
@@ -333,16 +377,55 @@ def _memo_free_hw_fit(y, m, phi):
     return HwFit(alpha, beta, gamma, phi, m, float(final[0]), float(final[1]), final[2:], sse)
 
 
+@pytest.fixture(scope="module")
+def memo_free_fits(series):
+    """`_memo_free_hw_fit` of every `_oracle_series` input, by name."""
+    return {name: _memo_free_hw_fit(y, m, 0.96) for name, y, m in _oracle_series(series)}
+
+
+def _assert_same_fit(got, want, name):
+    for field in ("alpha", "beta", "gamma", "level", "trend", "sse"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), (name, field)
+    assert got.seasonals.tobytes() == want.seasonals.tobytes(), name
+
+
 class TestSolveOncePerTheta:
-    def test_fit_is_bitwise_the_memo_free_fit(self, series):
+    def test_fit_is_bitwise_the_memo_free_fit(self, series, memo_free_fits):
         checked = 0
         for name, y, m in _oracle_series(series):
-            got, want = hw_fit(y, m=m, phi=0.96), _memo_free_hw_fit(y, m, 0.96)
+            got, want = hw_fit(y, m=m, phi=0.96), memo_free_fits[name]
             for field in ("alpha", "beta", "gamma", "level", "trend", "sse"):
                 assert repr(getattr(got, field)) == repr(getattr(want, field)), (name, field)
             assert got.seasonals.tobytes() == want.seasonals.tobytes(), name
             checked += 1
         assert checked == 96
+
+    def test_fit_order_does_not_move_a_bit(self, series, memo_free_fits):
+        # each fit starts from the unit columns the previous one left, so
+        # ascending, descending and shuffled runs meet different warm memos
+        windows = [(name, y) for name, y, _ in _oracle_series(series)
+                   if name.startswith("window-")]
+        shuffled = [windows[i] for i in np.random.default_rng(24).permutation(len(windows))]
+        for order in (windows, windows[::-1], shuffled):
+            for name, y in order:
+                _assert_same_fit(hw_fit(y, m=7, phi=0.96), memo_free_fits[name], name)
+        assert len(windows) == 93
+
+    @pytest.mark.parametrize("last_m", [7, 2])
+    def test_memo_holds_only_the_last_fits_thetas(self, series, monkeypatch, last_m):
+        cases = series.cases.astype(float)
+        for start, length in [(0, 20), (5, 30), (10, 15), (2, 40)]:
+            hw_fit(cases[start : start + length], m=7, phi=0.96)
+        keys, affine_pass = set(), classical._hw_affine_pass
+
+        def spy_pass(y, alpha, beta, gamma, m, phi):
+            keys.add(classical._theta_key(alpha, beta, gamma, m, phi))
+            return affine_pass(y, alpha, beta, gamma, m, phi)
+
+        monkeypatch.setattr(classical, "_hw_affine_pass", spy_pass)
+        hw_fit(cases[30:44], m=last_m, phi=0.96)
+        assert set(classical._UNIT_COLUMNS) == keys
+        assert len(keys) >= 10
 
     def test_paper_split_solves_each_theta_once(self, series, monkeypatch):
         # scipy asks the same 28 questions; 8 of them repeat a theta, and
@@ -408,3 +491,14 @@ class TestProphetLite:
         # qualitative horizon-growth pattern only, not an equality target
         assert apes[14] > apes[0]
         assert np.polyfit(np.arange(15), apes, 1)[0] > 0
+
+
+@pytest.mark.parametrize("fitter", [hw_fit, prophet_lite_fit, fit_arima],
+                         ids=["hw_fit", "prophet_lite_fit", "fit_arima"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_series_is_a_fit_error(fitter, bad, capfd, monkeypatch):
+    # raised before any solve: no LAPACK warning, no optimizer call
+    monkeypatch.setattr(classical, "minimize", None)
+    with pytest.raises(FitError, match="^series has a non-finite value$"):
+        fitter(np.r_[np.arange(19.0), bad])
+    assert capfd.readouterr() == ("", "")

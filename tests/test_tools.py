@@ -1,5 +1,5 @@
 """The repository's tools: the bitwise gate's fast self-checks and the code
-line count. The gate's HEAD-against-HEAD run (about 20 s) stays in
+line count. The gate's HEAD-against-HEAD run (about 25 s) stays in
 `tools/gate_selftest.py`."""
 
 import sys

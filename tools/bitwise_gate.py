@@ -3,7 +3,10 @@
 Runs one fixed list of `casecast` commands on the `src/` of a git revision
 and on the `src/` of the working tree, hashes (SHA-256) every artifact, the
 stdout, the stderr and the exit code of each command, and lists every entry
-that differs between the two sides.
+that differs between the two sides. Each command runs in a fresh process;
+an entry whose argv is a `.py` file runs that script of the working tree's
+`tools/` on each side's package instead, for behaviour that only shows
+within one process (state one call leaves for the next).
 
     python3 tools/bitwise_gate.py REV    # REV against the working tree
     python3 tools/gate_selftest.py       # HEAD against HEAD
@@ -67,6 +70,9 @@ COMMANDS = {
     "fail-reproduce-unobserved": ["reproduce", "--train", "2020-04-10:2020-05-01"],
     "fail-run-hwaas-7-days": ["run", "--model", "hwaas", "--train", "2020-03-24:2020-03-30"],
     "fail-run-lstm-u2-seed": ["run", "--model", "lstm-u2", "--seed", "-1"],
+    # all 465 backtest windows fitted in pool order, then in reverse, in one
+    # process: each Holt-Winters fit meets the unit columns the last one left
+    "script-hw-pool-fits": ["hw_pool_fits.py"],
 }
 
 
@@ -96,8 +102,11 @@ def run_side(src: Path, work: Path) -> dict[str, str]:
     digests = {}
     for name, argv in COMMANDS.items():
         out = Path("out") / name
-        proc = subprocess.run([sys.executable, "-m", "casecast.cli", *argv, "--out", str(out)],
-                              cwd=work, env=env, capture_output=True)
+        if argv[0].endswith(".py"):
+            command = [sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]]
+        else:
+            command = [sys.executable, "-m", "casecast.cli", *argv, "--out", str(out)]
+        proc = subprocess.run(command, cwd=work, env=env, capture_output=True)
         digests[f"{name}/exit"] = _sha(str(proc.returncode).encode())
         digests[f"{name}/stdout"] = _sha(proc.stdout)
         digests[f"{name}/stderr"] = _sha(proc.stderr)

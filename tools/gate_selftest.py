@@ -7,7 +7,7 @@ must give exit 2.
     python3 -m pytest tools/gate_selftest.py
 
 The file name keeps it out of the repository's default pytest collection:
-it needs a git revision and runs the command list twice (about 20 s).
+it needs a git revision and runs the command list twice (about 25 s).
 `tests/test_tools.py` collects the three fast checks.
 """
 
@@ -34,7 +34,7 @@ def entries_of(name: str) -> tuple[str, ...]:
     if name.startswith("run"):
         scored = () if name.endswith("-late") else ("errors.csv", "summary.csv")
         return common + ("checkpoint.json", "forecast.csv") + scored
-    if name.startswith("fail-"):
+    if name.startswith(("fail-", "script-")):
         return common
     raise AssertionError(f"gate command {name!r} is of no known kind")
 
