@@ -99,8 +99,9 @@ FIT_RULES = {
     ArimaFit: (lambda f: f.order[0] >= 1 and f.order[1:] == (1, 0)
                and len(f.coefficients) == f.order[0],
                "'order' must be (p, 1, 0) with p >= 1 and 'coefficients' must hold p values"),
-    HwFit: (lambda f: f.season_length >= 1 and len(f.seasonals) == f.season_length,
-            "'seasonals' must hold 'season_length' >= 1 values"),
+    HwFit: (lambda f: f.season_length >= 1 and len(f.seasonals) == f.season_length
+            and 0.0 < f.phi <= 1.0,
+            "'seasonals' must hold 'season_length' >= 1 values and 'phi' must lie in (0, 1]"),
     ProphetLiteFit: (lambda f: f.fourier_order >= 0 and len(f.coefficients)
                      == 2 + len(f.changepoints) + 2 * f.fourier_order,
                      "'coefficients' must hold 2 + len('changepoints') + 2 * 'fourier_order'"

@@ -8,6 +8,12 @@ scipy is imported only when a Holt-Winters fit runs (`hw_fit`, through
 fit and loading a checkpoint need numpy alone, so every command that fits
 no Holt-Winters model starts without paying for scipy's import.
 
+The Holt-Winters optimizer's gradient follows casecast's own rule,
+`_forward_difference`: forward differences of step 1e-8, as scipy's
+L-BFGS-B takes them when it is given no `jac`. The tests pin the two to
+the same bits, so every fit is the one scipy's default gives, without
+scipy's finite-difference setup on each gradient.
+
 The module holds one piece of state, `_UNIT_COLUMNS`: the data-free
 columns of the Holt-Winters affine pass at each weight vector the latest
 `hw_fit` solved. Those columns see 0.0 for every observation, so they are
@@ -85,7 +91,7 @@ def fit_arima(series, p: int = 6) -> ArimaFit:
 def forecast_arima_from_series(fit: ArimaFit, series, horizon: int = 15):
     """Iterate the AR recursion on the differences of `series`, feeding
     forecasts back, then integrate from its last observed level."""
-    series = np.asarray(series, dtype=float)
+    series = _finite(series)
     p = fit.order[0]
     hist = list(difference(series)[-p:])
     if len(hist) < p:
@@ -213,9 +219,29 @@ def _hw_affine_pass(y, alpha, beta, gamma, m, phi):
     return predictions[:, :k], predictions[:, k], states
 
 
+def _forward_difference(f, theta):
+    """The gradient of `f` at `theta` in [0, 1]^k by forward differences of
+    absolute step 1e-8, with the step turned to -1e-8 on a coordinate where
+    theta + 1e-8 would pass 1.0: float for float what L-BFGS-B estimates
+    when `minimize` gets no `jac` (its default `eps` and scipy's 1-sided
+    rule for a step that leaves the bounds), without scipy's per-gradient
+    setup. The derivative divides by the step theta actually took,
+    (theta_i + h) - theta_i."""
+    f0 = f(theta)
+    gradient = np.empty(len(theta))
+    for i, x in enumerate(theta):
+        h = -1e-8 if x + 1e-8 > 1.0 else 1e-8
+        stepped = theta.copy()
+        stepped[i] = x + h
+        gradient[i] = (f(stepped) - f0) / ((x + h) - x)
+    return gradient
+
+
 def minimize(*args, **kwargs):
     """`scipy.optimize.minimize`, imported on the first call. `hw_fit` looks
-    it up here by name, so a caller can wrap it to count evaluations."""
+    it up here by name, so a caller can wrap it to count evaluations: a
+    result's `nfev` counts the direct objective calls and `njev` the
+    gradients, each of which asks one more value per weight."""
     from scipy import optimize
 
     return optimize.minimize(*args, **kwargs)
@@ -228,19 +254,26 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
     trend:   b_t = b (l_t - l_{t-1}) + (1-b) phi b_{t-1}
     seasonal s_t = g (y_t - l_{t-1} - phi b_{t-1}) + (1-g) s_{t-m}
 
-    with one-step prediction l_{t-1} + phi b_{t-1} + s_{t-m}. The weights
-    (a, b, g) minimise the in-sample one-step SSE by multi-start L-BFGS-B
-    on [0,1]^3. For fixed weights the recursions are linear in the initial
-    states, so level/trend/seasonal starts are solved exactly by least
-    squares inside the objective. The initial states are solved once for
-    each distinct candidate (a, b, g) in a fit: the starts and their
-    finite differences revisit points, and the winner reuses its solve.
-    When it returns, `_UNIT_COLUMNS` holds the unit columns of this fit's
-    candidates and no others, ready for the next fit.
+    with one-step prediction l_{t-1} + phi b_{t-1} + s_{t-m}, for an
+    integer m >= 1 and a damping phi in (0, 1]. The weights (a, b, g)
+    minimise the in-sample one-step SSE by multi-start L-BFGS-B on [0,1]^3.
+    Its gradient comes from `_forward_difference`, a rule of casecast's own
+    that the memo-free oracle and `TestForwardDifference` pin, bit for bit,
+    to scipy's `jac=None` default. For fixed weights the recursions are
+    linear in the initial states, so level/trend/seasonal starts are solved
+    exactly by least squares inside the objective. The initial states are
+    solved once for each distinct candidate (a, b, g) in a fit: the starts
+    and their finite differences revisit points, and the winner reuses its
+    solve. When it returns, `_UNIT_COLUMNS` holds the unit columns of this
+    fit's candidates and no others, ready for the next fit.
     """
     y = _finite(series)
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise FitError(f"season length must be an integer, got {m!r}")
     if m < 1:
         raise FitError(f"season length must be at least 1, got {m}")
+    if not 0.0 < phi <= 1.0:  # NaN and the infinities fail too
+        raise FitError(f"damping phi must lie in (0, 1], got {phi}")
     if len(y) < 2 * m:
         raise FitError(f"need at least two seasons ({2 * m} points), got {len(y)}")
 
@@ -257,11 +290,15 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
             solved[key] = float(residuals @ residuals), u, states
         return solved[key]
 
+    def objective(theta):
+        return solve_init(theta)[0]
+
     best = None
     for start in ([0.5, 0.1, 0.1], [0.9, 0.9, 0.1], [1.0, 1.0, 1.0], [0.3, 0.1, 0.5]):
         result = minimize(
-            lambda theta: solve_init(theta)[0],
+            objective,
             x0=np.array(start),
+            jac=lambda theta: _forward_difference(objective, theta),
             method="L-BFGS-B",
             bounds=[(0.0, 1.0)] * 3,
         )

@@ -287,6 +287,8 @@ def _set(doc, path, value):
     ("arima", ["fields", "order"], "abc", "'fields.order' must be list, not str"),
     ("arima", ["fields", "coefficients", "shape"], [2, 3], "'fields.coefficients' must be 1-D"),
     ("prophet-lite", ["fields", "fourier_order"], 2, "'coefficients' must hold 2 \\+"),
+    *[("hwaas", ["fields", "phi"], phi, r"'phi' must lie in \(0, 1\]")
+      for phi in ("nan", "inf", "0.0", "-0.5", "2.0")],
 ], ids=lambda v: None if isinstance(v, (list, dict)) else str(v)[:24])
 def test_a_malformed_body_is_a_value_error_naming_the_field(tmp_path, series, name, path,
                                                             value, message):

@@ -205,6 +205,27 @@ class TestHoltWinters:
         with pytest.raises(FitError, match="season length must be at least 1"):
             hw_fit(np.arange(30.0), m=m)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1.0 + 2.0**-52, 2.0])
+    def test_damping_outside_zero_one_is_a_fit_error(self, phi, capfd, monkeypatch):
+        # the rule a checkpoint's HwFit must meet on load; raised before
+        # any pass, so no LAPACK warning and no explosive fit
+        monkeypatch.setattr(classical, "_hw_affine_pass", None)
+        with pytest.raises(FitError, match=r"damping phi must lie in \(0, 1\]"):
+            hw_fit(np.arange(30.0) ** 1.5, phi=phi)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("m", [7.0, np.float64(7.0), "7", True],
+                             ids=["float", "float64", "str", "bool"])
+    def test_season_length_that_is_no_integer_is_a_fit_error(self, m, monkeypatch):
+        monkeypatch.setattr(classical, "_hw_affine_pass", None)
+        with pytest.raises(FitError, match="season length must be an integer"):
+            hw_fit(np.arange(30.0) ** 1.5, m=m)
+
+    def test_undamped_fit_and_a_numpy_season_length_are_accepted(self):
+        y = np.arange(30.0) ** 1.5
+        fit = hw_fit(y, m=np.int64(7), phi=1.0)
+        assert fit.phi == 1.0 and fit.season_length == 7
+
     @pytest.mark.parametrize(
         "window",
         [None, (24, 17), (16, 15)],
@@ -428,10 +449,11 @@ class TestSolveOncePerTheta:
         assert len(keys) >= 10
 
     def test_paper_split_solves_each_theta_once(self, series, monkeypatch):
-        # scipy asks the same 28 questions; 8 of them repeat a theta, and
-        # the winner's states come from its earlier solve
+        # scipy asks the same 28 questions: 7 objective values and 7
+        # gradients of one forward difference per weight. 8 of them repeat a
+        # theta, and the winner's states come from its earlier solve
         y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
-        thetas, nfevs = [], []
+        thetas, questions = [], []
         affine_pass, minimize = classical._hw_affine_pass, classical.minimize
 
         def spy_pass(y, alpha, beta, gamma, m, phi):
@@ -440,14 +462,67 @@ class TestSolveOncePerTheta:
 
         def spy_minimize(*args, **kwargs):
             result = minimize(*args, **kwargs)
-            nfevs.append(result.nfev)
+            questions.append(result.nfev + 3 * result.njev)
             return result
 
         monkeypatch.setattr(classical, "_hw_affine_pass", spy_pass)
         monkeypatch.setattr(classical, "minimize", spy_minimize)
         hw_fit(y, m=7, phi=0.96)
-        assert len(nfevs) == 4 and sum(nfevs) == 28
+        assert len(questions) == 4 and sum(questions) == 28
         assert len(thetas) == len(set(thetas)) == 20
+
+
+class TestForwardDifference:
+    def test_is_bitwise_scipys_default_gradient(self, series):
+        # scipy's L-BFGS-B with no jac returns its own finite-difference
+        # gradient at the point it stops. A small maxiter stops it early; on
+        # the paper split and window (22, 15) the points are corners and
+        # (1, 1, 1 - 2**-53), on a noisy synthetic series interior ones
+        from scipy import optimize
+
+        t = np.arange(35.0)
+        noisy = (100.0 + 2.0 * t + 5.0 * np.sin(2 * np.pi * t / 7)
+                 + 3.0 * np.random.default_rng(7).standard_normal(35))
+        windows = [slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float),
+                   series.cases[22:37].astype(float), noisy]
+        points = set()
+        for y, maxiter in itertools.product(windows, [1, 2, 3, None]):
+            def sse(theta):
+                design, offset, _ = _hw_affine_pass(y, *theta, 7, 0.96)
+                u, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
+                residuals = y - offset - design @ u
+                return float(residuals @ residuals)
+
+            options = {} if maxiter is None else {"maxiter": maxiter}
+            for start in ([0.5, 0.1, 0.1], [0.9, 0.9, 0.1], [1.0, 1.0, 1.0], [0.3, 0.1, 0.5]):
+                result = optimize.minimize(sse, x0=np.array(start), method="L-BFGS-B",
+                                           bounds=[(0.0, 1.0)] * 3, options=options)
+                got = classical._forward_difference(sse, result.x)
+                assert got.tobytes() == result.jac.tobytes(), (maxiter, start, result.x)
+                points.add(tuple(result.x))
+        coordinates = {x for point in points for x in point}
+        assert {0.0, 1.0, 1.0 - 2.0**-53} <= coordinates
+        assert sum(0.0 < min(p) and max(p) < 1.0 for p in points) >= 5
+
+    @pytest.mark.parametrize("x, step", [
+        (0.0, 1e-8), (0.3, 1e-8), (1.0 - 5e-9, -1e-8), (1.0 - 2.0**-53, -1e-8), (1.0, -1e-8),
+    ])
+    def test_steps_back_only_where_a_step_forward_leaves_one(self, x, step):
+        # each coordinate alone, the others held, and the difference
+        # divided by the step the coordinate actually took
+        theta, weights = np.array([0.5, x, 0.25]), np.array([1.0, 3.0, -2.0])
+        asked = []
+
+        def f(point):
+            asked.append(point.copy())
+            return float(point @ weights)
+
+        gradient = classical._forward_difference(f, theta)
+        assert len(asked) == 4 and asked[0].tobytes() == theta.tobytes()
+        stepped = asked[2]
+        assert stepped[[0, 2]].tolist() == [0.5, 0.25]
+        assert stepped[1] == x + step and 0.0 <= stepped[1] <= 1.0
+        assert gradient[1] == (float(stepped @ weights) - float(theta @ weights)) / ((x + step) - x)
 
 
 class TestProphetLite:
@@ -493,8 +568,14 @@ class TestProphetLite:
         assert np.polyfit(np.arange(15), apes, 1)[0] > 0
 
 
-@pytest.mark.parametrize("fitter", [hw_fit, prophet_lite_fit, fit_arima],
-                         ids=["hw_fit", "prophet_lite_fit", "fit_arima"])
+def _continue_ar2(series):
+    fit = ArimaFit((2, 1, 0), 0.0, np.array([0.4, -0.3]), np.zeros(1), 1.0)
+    return forecast_arima_from_series(fit, series, 3)
+
+
+@pytest.mark.parametrize("fitter", [hw_fit, prophet_lite_fit, fit_arima, _continue_ar2],
+                         ids=["hw_fit", "prophet_lite_fit", "fit_arima",
+                              "forecast_arima_from_series"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_non_finite_series_is_a_fit_error(fitter, bad, capfd, monkeypatch):
     # raised before any solve: no LAPACK warning, no optimizer call
