@@ -1,7 +1,12 @@
 """Versioned JSON checkpoint container shared by all model kinds.
 
-Floats are stored as shortest-round-trip decimal strings (Python repr),
-so save -> load is bit-exact.
+Each field of a classical fit and of an LSTM config is written and read by
+the type its dataclass declares for it (`typing.get_type_hints`), whatever
+type the value came in: a numpy integer is written as an int. Floats are
+stored as shortest-round-trip decimal strings (Python repr), so save ->
+load is bit-exact; those of an LSTM config stay JSON numbers. What a fit's
+fields must satisfy together is the fit class's own rule (its
+`__post_init__` raises `FitError`), which `load` reports as a ValueError.
 """
 
 from __future__ import annotations
@@ -9,11 +14,10 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import asdict, fields
 
 import numpy as np
 
-from .classical import ArimaFit, HwFit, ProphetLiteFit
+from .classical import ArimaFit, FitError, HwFit, ProphetLiteFit
 from .lstm import LstmModel, LstmParams, TrainConfig
 
 FORMAT_VERSION = 1
@@ -65,13 +69,22 @@ def _decode_array(parent: dict, key: str, path: str) -> np.ndarray:
     return np.array([_float(v, f"{path}.data") for v in data]).reshape(shape)
 
 
+def _encode_fields(obj, float_as) -> dict:
+    """Every field of the dataclass `obj`, written by its declared type, a
+    float by `float_as`."""
+    encode = {np.ndarray: _encode_array, float: float_as, int: int, str: str,
+              tuple[int, int, int]: lambda order: [int(n) for n in order]}
+    return {name: encode[t](getattr(obj, name))
+            for name, t in typing.get_type_hints(type(obj)).items()}
+
+
 def save_lstm(model: LstmModel, path: str) -> None:
     """Write a model, a stack of one, as its one member's arrays; `load`
     reads them back through the LstmParams constructor, a stack of one."""
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "lstm",
-        "config": asdict(model.config),
+        "config": _encode_fields(model.config, float),
         "params": {k: _encode_array(a) for k in LSTM_KEYS for (a,) in [getattr(model.params, k)]},
         "epoch_losses": [repr(float(x)) for x in model.epoch_losses],
     }
@@ -81,59 +94,35 @@ def save_lstm(model: LstmModel, path: str) -> None:
 
 def save_classical(fit: ArimaFit | HwFit | ProphetLiteFit, path: str) -> None:
     kind = {cls: name for name, cls in CLASSICAL_KINDS.items()}[type(fit)]
-    encoded = {}
-    for key, value in asdict(fit).items():
-        if isinstance(value, np.ndarray):
-            encoded[key] = _encode_array(value)
-        elif isinstance(value, float):
-            encoded[key] = repr(value)
-        else:
-            encoded[key] = value
+    encoded = _encode_fields(fit, lambda v: repr(float(v)))
     doc = {"format_version": FORMAT_VERSION, "kind": kind, "fields": encoded}
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=1)
 
 
-# per classical kind, what its forecast needs of the fields beyond their types
-FIT_RULES = {
-    ArimaFit: (lambda f: f.order[0] >= 1 and f.order[1:] == (1, 0)
-               and len(f.coefficients) == f.order[0],
-               "'order' must be (p, 1, 0) with p >= 1 and 'coefficients' must hold p values"),
-    HwFit: (lambda f: f.season_length >= 1 and len(f.seasonals) == f.season_length
-            and 0.0 < f.phi <= 1.0,
-            "'seasonals' must hold 'season_length' >= 1 values and 'phi' must lie in (0, 1]"),
-    ProphetLiteFit: (lambda f: f.fourier_order >= 0 and len(f.coefficients)
-                     == 2 + len(f.changepoints) + 2 * f.fourier_order,
-                     "'coefficients' must hold 2 + len('changepoints') + 2 * 'fourier_order'"
-                     " values, 'fourier_order' >= 0"),
-}
-
-
 def _decode_fit(cls, encoded: dict):
     """Rebuild a classical fit from its dataclass fields, decoding each by
-    its declared type. Stored keys the dataclass lacks are ignored."""
-    types = typing.get_type_hints(cls)
+    its declared type. Stored keys the dataclass lacks are ignored. Fields
+    the fit class rejects together (its FitError) are a ValueError."""
     values = {}
-    for f in fields(cls):
-        declared = types[f.name]
+    for name, declared in typing.get_type_hints(cls).items():
         if declared is np.ndarray:
-            values[f.name] = _decode_array(encoded, f.name, "fields")
-            if values[f.name].ndim != 1:
-                raise ValueError(f"checkpoint field 'fields.{f.name}' must be 1-D")
+            values[name] = _decode_array(encoded, name, "fields")
+            if values[name].ndim != 1:
+                raise ValueError(f"checkpoint field 'fields.{name}' must be 1-D")
         elif declared is float:
-            values[f.name] = _float(_get(encoded, f.name, str, "fields"), f"fields.{f.name}")
+            values[name] = _float(_get(encoded, name, str, "fields"), f"fields.{name}")
         elif declared is int:
-            values[f.name] = _get(encoded, f.name, int, "fields")
+            values[name] = _get(encoded, name, int, "fields")
         else:  # tuple[int, int, int]
-            order = _get(encoded, f.name, list, "fields")
+            order = _get(encoded, name, list, "fields")
             if len(order) != 3 or not all(type(n) is int for n in order):
-                raise ValueError(f"checkpoint field 'fields.{f.name}' must hold three ints")
-            values[f.name] = tuple(order)
-    fit = cls(**values)
-    holds, rule = FIT_RULES[cls]
-    if not holds(fit):
-        raise ValueError(f"checkpoint fields do not fit together: {rule}")
-    return fit
+                raise ValueError(f"checkpoint field 'fields.{name}' must hold three ints")
+            values[name] = tuple(order)
+    try:
+        return cls(**values)
+    except FitError as exc:
+        raise ValueError(f"checkpoint fields do not fit together: {exc}") from exc
 
 
 def _decode_lstm(doc: dict) -> LstmModel:
@@ -168,12 +157,15 @@ def load(path: str):
     is no checkpoint of a known version and kind, or whose body is
     malformed, is a ValueError that names the field at fault."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # json recurses once per level of nesting
+            raise ValueError("not a casecast checkpoint: its JSON nests too deeply") from None
     for key in ("format_version", "kind"):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"not a casecast checkpoint: no {key!r}")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc['format_version']}")
+    if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {doc['format_version']!r}")
     kinds = ("lstm", *CLASSICAL_KINDS)
     if doc["kind"] not in kinds:
         raise ValueError(f"unknown checkpoint kind {doc['kind']!r}, expected one of {kinds}")

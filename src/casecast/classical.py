@@ -3,6 +3,11 @@ squares), Holt-Winters additive with damped trend, and a simplified
 Prophet-style regressor (piecewise-linear trend + weekly Fourier terms
 with ridge). All fitters are deterministic functions of their inputs.
 
+Each fit class owns the rule its forecast needs of its fields together:
+its `__post_init__` raises `FitError` naming the rule, so every fit object
+that exists, fitted, built by hand or loaded from a checkpoint, can
+forecast. The fitters' own input checks still run before any solve.
+
 scipy is imported only when a Holt-Winters fit runs (`hw_fit`, through
 `minimize`). Importing this module, the other fitters, forecasting from a
 fit and loading a checkpoint need numpy alone, so every command that fits
@@ -56,6 +61,12 @@ class ArimaFit:
     coefficients: np.ndarray  # phi_1..phi_p
     residuals: np.ndarray  # in-sample one-step errors on the differenced scale
     condition_number: float
+
+    def __post_init__(self):
+        p = self.order[0]
+        if not (p >= 1 and self.order[1:] == (1, 0) and len(self.coefficients) == p):
+            raise FitError("'order' must be (p, 1, 0) with p >= 1 and 'coefficients' must hold"
+                           " p values")
 
 
 def difference(series) -> np.ndarray:
@@ -120,6 +131,12 @@ class HwFit:
     trend: float
     seasonals: np.ndarray  # last m seasonal indices, oldest first
     sse: float
+
+    def __post_init__(self):
+        m = self.season_length
+        if not (m >= 1 and len(self.seasonals) == m and 0.0 < self.phi <= 1.0):
+            raise FitError("'seasonals' must hold 'season_length' >= 1 values and 'phi' must"
+                           " lie in (0, 1]")
 
 
 def _hw_column(observed, level, trend, seasons, alpha, beta, gamma, phi):
@@ -331,6 +348,12 @@ class ProphetLiteFit:
     coefficients: np.ndarray  # [intercept, slope, deltas..., fourier...]
     fourier_order: int
     ridge_lambda: float
+
+    def __post_init__(self):
+        k = self.fourier_order
+        if not (k >= 0 and len(self.coefficients) == 2 + len(self.changepoints) + 2 * k):
+            raise FitError("'coefficients' must hold 2 + len('changepoints') + 2 * 'fourier_order'"
+                           " values, 'fourier_order' >= 0")
 
 
 def _prophet_design(t, changepoints, fourier_order):

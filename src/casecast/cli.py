@@ -151,7 +151,10 @@ def _merge_config(args) -> RunConfig:
     try:
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8-sig") as fh:
-                doc = json.load(fh)
+                try:
+                    doc = json.load(fh)
+                except RecursionError:  # json recurses once per level of nesting
+                    raise ValueError("config file nests its JSON too deeply") from None
             if not isinstance(doc, dict):
                 raise ValueError("config file must hold a JSON object")
             valid = {f.name for f in fields(RunConfig)}
@@ -237,10 +240,10 @@ def _forecast(ts, cfg: RunConfig, name: str):
     else:
         y = slice_window(ts, cfg.train_start, cfg.train_end).cases.astype(float)
         if name == "arima":
-            fit = fit_arima(y, p=6)
+            fit = fit_arima(y)
             forecasts = forecast_arima_from_series(fit, y, cfg.horizon)
         elif name == "hwaas":
-            fit = hw_fit(y, m=7, phi=0.96)
+            fit = hw_fit(y)
             forecasts = hw_forecast(fit, cfg.horizon)
         else:
             fit = prophet_lite_fit(y)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from casecast.classical import (
     ProphetLiteFit,
     fit_arima,
     forecast_arima_from_series,
+    hw_fit,
     hw_forecast,
     prophet_lite_fit,
     prophet_lite_forecast,
@@ -200,7 +202,11 @@ def test_stored_keys_the_fit_lacks_are_ignored(tmp_path):
     ({"format_version": None}, "^not a casecast checkpoint: no 'format_version'$"),
     ({"kind": None}, "^not a casecast checkpoint: no 'kind'$"),
     ({"format_version": 2}, "^unsupported checkpoint version 2$"),
-], ids=["kind-unknown", "format-version-missing", "kind-missing", "format-version-2"])
+    ({"format_version": True}, "^unsupported checkpoint version True$"),
+    ({"format_version": 1.0}, "^unsupported checkpoint version 1.0$"),
+    ({"format_version": "1"}, "^unsupported checkpoint version '1'$"),
+], ids=["kind-unknown", "format-version-missing", "kind-missing", "format-version-2",
+        "format-version-true", "format-version-float", "format-version-str"])
 def test_a_file_that_is_no_checkpoint_is_a_value_error(tmp_path, edit, message):
     path = tmp_path / "prophet.json"
     save_classical(prophet_lite_fit(np.cumsum(np.linspace(1.0, 4.0, 31))), str(path))
@@ -212,6 +218,14 @@ def test_a_file_that_is_no_checkpoint_is_a_value_error(tmp_path, edit, message):
             doc[key] = value
     path.write_text(json.dumps(doc, indent=1))
     with pytest.raises(ValueError, match=message):
+        load(str(path))
+
+
+def test_a_json_document_nested_too_deeply_is_a_value_error(tmp_path):
+    # json recurses once per level of nesting and gives up at about 1000
+    path = tmp_path / "model.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match="^not a casecast checkpoint: its JSON nests too deeply$"):
         load(str(path))
 
 
@@ -261,6 +275,36 @@ def _forecast(fit, series):
     else:
         forecasts = prophet_lite_forecast(fit, 15)
     return forecasts.tobytes()
+
+
+def _fields(fit):
+    """Every field of a fit, an array as its bytes and dtype."""
+    if isinstance(fit, LstmModel):
+        arrays = [getattr(fit.params, name) for name in LstmParams.NAMES]
+        return [fit.config, fit.epoch_losses, *((a.tobytes(), a.dtype) for a in arrays)]
+    values = [getattr(fit, f.name) for f in fields(fit)]
+    return [(v.tobytes(), v.dtype) if isinstance(v, np.ndarray) else v for v in values]
+
+
+# settings of the types numpy hands out, each of which a checkpoint writes as
+# the int or float its field declares
+@pytest.mark.parametrize("make", [
+    lambda y: hw_fit(y, m=np.int64(7)),
+    lambda y: hw_fit(y, phi=np.float64(0.96)),
+    lambda y: fit_arima(y, p=np.int64(2)),
+    lambda y: prophet_lite_fit(y, fourier_order=np.int64(2)),
+    lambda y: LstmModel(LstmParams.glorot(3, 1, np.random.default_rng(4)),
+                        TrainConfig(epochs=2, hidden=3, seed=np.int64(4)), [0.5, 0.25]),
+], ids=["hw-m-int64", "hw-phi-float64", "arima-p-int64", "prophet-order-int64",
+        "lstm-seed-int64"])
+def test_a_fit_from_numpy_scalar_settings_loads_back_bit_exact(tmp_path, series, make):
+    fit = make(slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float))
+    path = str(tmp_path / "fit.json")
+    (save_lstm if isinstance(fit, LstmModel) else save_classical)(fit, path)
+    loaded = load(path)
+    assert type(loaded) is type(fit)
+    assert _fields(loaded) == _fields(fit)
+    assert _forecast(loaded, series) == _forecast(fit, series)
 
 
 def _set(doc, path, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import itertools
 
@@ -10,6 +11,7 @@ from casecast.classical import (
     ArimaFit,
     FitError,
     HwFit,
+    ProphetLiteFit,
     _hw_affine_pass,
     difference,
     fit_arima,
@@ -553,6 +555,10 @@ class TestProphetLite:
         with pytest.raises(FitError):
             prophet_lite_fit(np.arange(10.0))
 
+    def test_negative_fourier_order_is_a_fit_error(self):
+        with pytest.raises(FitError, match="'fourier_order' >= 0"):
+            prophet_lite_fit(np.cumsum(np.arange(1.0, 31.0)), fourier_order=-1)
+
     def test_singular_ridge_system(self):
         # order-4 weekly terms alias order 3 on integer days; with no ridge
         # penalty the normal equations are singular
@@ -583,3 +589,31 @@ def test_non_finite_series_is_a_fit_error(fitter, bad, capfd, monkeypatch):
     with pytest.raises(FitError, match="^series has a non-finite value$"):
         fitter(np.r_[np.arange(19.0), bad])
     assert capfd.readouterr() == ("", "")
+
+
+ARIMA_RULE = r"^'order' must be \(p, 1, 0\) with p >= 1 and 'coefficients' must hold p values$"
+HW_RULE = r"^'seasonals' must hold 'season_length' >= 1 values and 'phi' must lie in \(0, 1\]$"
+PROPHET_RULE = (r"^'coefficients' must hold 2 \+ len\('changepoints'\) \+ 2 \* 'fourier_order'"
+                r" values, 'fourier_order' >= 0$")
+ARIMA = ArimaFit((6, 1, 0), 0.0, np.zeros(6), np.zeros(9), 1.0)
+HW = HwFit(0.5, 0.1, 0.1, 0.96, 7, 100.0, 3.0, np.zeros(7), 1.0)
+PROPHET = ProphetLiteFit(31, np.arange(5.0), np.zeros(13), 3, 1.0)
+
+
+@pytest.mark.parametrize("fit, broken, rule", [
+    (ARIMA, {"order": (7, 1, 0)}, ARIMA_RULE),
+    (ARIMA, {"order": (6, 0, 0)}, ARIMA_RULE),
+    (ARIMA, {"order": (0, 1, 0), "coefficients": np.zeros(0)}, ARIMA_RULE),
+    # hw_forecast of this fit divides by its season length
+    (HW, {"season_length": 0, "seasonals": np.zeros(0)}, HW_RULE),
+    (HW, {"seasonals": np.zeros(6)}, HW_RULE),
+    (HW, {"phi": 1.5}, HW_RULE),
+    (HW, {"phi": np.nan}, HW_RULE),
+    (PROPHET, {"fourier_order": 2}, PROPHET_RULE),
+    # 2 + 5 - 2 coefficients: only the sign of the order is at fault
+    (PROPHET, {"fourier_order": -1, "coefficients": np.zeros(5)}, PROPHET_RULE),
+], ids=["arima-p-not-len", "arima-d-0", "arima-p-0", "hw-m-0", "hw-seasonals-short",
+        "hw-phi-1.5", "hw-phi-nan", "prophet-order-not-len", "prophet-order-negative"])
+def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, rule):
+    with pytest.raises(FitError, match=rule):
+        dataclasses.replace(fit, **broken)

@@ -464,6 +464,21 @@ def test_config_is_utf8_whatever_the_locale(tmp_path):
     assert proc.stderr.startswith("config error: out 'r") and "Traceback" not in proc.stderr
 
 
+def test_a_config_nested_too_deeply_is_a_config_error(tmp_path):
+    # json recurses once per level of nesting and gives up at about 1000
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 200_000)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "casecast.cli", "run", "--model", "arima", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "config error: config file nests its JSON too deeply\n"
+
+
 # Values that probe types and ranges: huge and negative ints, bools, floats,
 # nulls, strings and dates. No int is both valid and large, since a valid
 # horizon or epoch count of 10**6 would run for minutes. Valid values are

@@ -73,6 +73,8 @@ COMMANDS = {
     # all 465 backtest windows fitted in pool order, then in reverse, in one
     # process: each Holt-Winters fit meets the unit columns the last one left
     "script-hw-pool-fits": ["hw_pool_fits.py"],
+    # run, then load each kind's checkpoint back and forecast from the loaded fit
+    "script-checkpoint-reload": ["checkpoint_reload.py"],
 }
 
 

@@ -28,7 +28,7 @@ def main() -> None:
     cases = load_csv(bundled_dataset_path()).cases.astype(float)
     pool = pool_windows(len(cases))
     for start, length in pool + pool[::-1]:
-        fit = hw_fit(cases[start : start + length], m=7, phi=0.96)
+        fit = hw_fit(cases[start : start + length])
         fields = [repr(getattr(fit, name)) for name in
                   ("alpha", "beta", "gamma", "phi", "season_length", "level", "trend", "sse")]
         print(start, length, *fields, repr(fit.seasonals.tolist()),
