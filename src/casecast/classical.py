@@ -50,6 +50,13 @@ def _finite(series) -> np.ndarray:
     return y
 
 
+def _integer(value, name: str) -> None:
+    """A FitError naming the setting `name` unless `value` is an int or a
+    numpy integer; a bool is neither here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise FitError(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # ARIMA(p,1,0) via conditional least squares
 
@@ -84,6 +91,7 @@ def fit_arima(series, p: int = 6) -> ArimaFit:
     Conditional least squares; exact for models without MA terms.
     """
     series = _finite(series)
+    _integer(p, "AR order")
     if p < 1:
         raise FitError(f"AR order must be at least 1, got {p}")
     y = difference(series)
@@ -285,8 +293,7 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
     fit's candidates and no others, ready for the next fit.
     """
     y = _finite(series)
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise FitError(f"season length must be an integer, got {m!r}")
+    _integer(m, "season length")
     if m < 1:
         raise FitError(f"season length must be at least 1, got {m}")
     if not 0.0 < phi <= 1.0:  # NaN and the infinities fail too
@@ -374,8 +381,13 @@ def prophet_lite_fit(
     """Hinge-parameterized trend (knots at the 10/30/50/70/90 percent points
     of the training range, so the trend stays continuous) plus order-3 weekly
     Fourier terms, solved by ridge least squares. Intercept and base slope
-    are left unpenalized."""
+    are left unpenalized. The Fourier order is an integer (a negative one
+    is the fit class's FitError) and the ridge penalty a finite number >= 0.
+    """
     y = _finite(series)
+    _integer(fourier_order, "Fourier order")
+    if not 0.0 <= ridge_lambda < np.inf:  # NaN fails too
+        raise FitError(f"ridge penalty must be a finite number >= 0, got {ridge_lambda}")
     n = len(y)
     if n < 14:
         raise FitError(f"need at least 14 daily observations, got {n}")

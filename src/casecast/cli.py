@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import checkpoint
+from . import checkpoint, evaluation
 from .classical import (
     FitError,
     fit_arima,
@@ -41,7 +41,6 @@ from .data import (
 from .evaluation import (
     emit_plot,
     emit_table,
-    study_report,
     summarize,
     write_lines,
     write_summary_csv,
@@ -290,30 +289,21 @@ def cmd_run(args) -> int:
 
 def cmd_reproduce(args) -> int:
     cfg, ts, dates, actuals = _prepare(args)
-    _check_writable(cfg.out, ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md"))
-    runs = {}  # table label -> forecasts
+    _check_writable(cfg.out, evaluation.ARTIFACTS)
+    classical = {}  # model name -> forecasts
     # the classical fits first: they reject a window before seconds of training
     for name in ("arima", "hwaas", "prophet-lite"):
-        runs[name], _ = _forecast(ts, cfg, name)
+        classical[name], _ = _forecast(ts, cfg, name)
     lstms = forecast_schemas(ts, [_train_config(cfg, a) for a in ("elu", "tanh")],
                              cfg.train_start, cfg.train_end, cfg.horizon, cfg.lookback)
-    for (schema, train_cfg), (_, forecasts) in lstms.items():
-        runs[f"{schema.upper()}-{train_cfg.activation}"] = forecasts
-    reports = {label: summarize(forecasts, actuals, label) for label, forecasts in runs.items()}
-    texts, stdout = study_report(reports, seed=cfg.seed, train_start=cfg.train_start,
-                                 train_end=cfg.train_end, horizon=cfg.horizon,
-                                 lookback=cfg.lookback, epochs=cfg.epochs)
+    texts, tables, plots, stdout = evaluation.study_report(
+        classical, lstms, actuals, dates, seed=cfg.seed, train_start=cfg.train_start,
+        train_end=cfg.train_end, horizon=cfg.horizon, lookback=cfg.lookback, epochs=cfg.epochs)
     for name, lines in texts.items():
         write_lines(os.path.join(cfg.out, name), lines)
-    table2_labels = ["U1-elu", "U2-elu", "U3-elu", "arima", "prophet-lite", "hwaas"]
-    emit_table([reports[k] for k in table2_labels], os.path.join(cfg.out, "table2.csv"))
-    # each figure: the actuals, then (legend name, table label) per curve
-    figures = {"fig3.svg": [("u1", "U1-elu"), ("u2", "U2-elu"), ("u3", "U3-elu")],
-               "fig4.svg": [("U2", "U2-elu"), ("ARIMA", "arima"), ("HWAAS", "hwaas"),
-                            ("prophet-lite", "prophet-lite")]}
-    x_labels = [d.isoformat() for d in dates]
-    for name, curves in figures.items():
-        series = [("actual", actuals)] + [(shown, runs[label]) for shown, label in curves]
+    for name, reports in tables.items():
+        emit_table(reports, os.path.join(cfg.out, name))
+    for name, (series, x_labels) in plots.items():
         emit_plot(series, x_labels, os.path.join(cfg.out, name))
     print(*stdout, f"artifacts written to {cfg.out}/", sep="\n")
     return EXIT_OK

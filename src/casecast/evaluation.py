@@ -1,7 +1,16 @@
-"""Per-day absolute-percentage-error reports, the text `reproduce` reports,
-and the CSV and SVG artifacts. `summarize`, `mape_cell` and `study_report`
-are pure; `write_lines`, `write_summary_csv` and the `emit_*` functions
-write files. Every artifact is byte-deterministic for identical inputs.
+"""Per-day absolute-percentage-error reports, the layout of the report
+`reproduce` writes, and the CSV and SVG artifacts.
+
+This module owns the study's layout: the names of the five artifacts
+(ARTIFACTS), the label of each row (a classical model's name, or an LSTM's
+schema and activation, "U1-elu"), table 2's columns (TABLE2) and each
+figure's curves (FIGURES). `study_report` turns the study's forecasts into
+everything `reproduce` writes and prints, so its caller only fits, checks
+that ARTIFACTS can be written, writes each artifact and prints.
+
+`summarize`, `mape_cell` and `study_report` are pure; `write_lines`,
+`write_summary_csv` and the `emit_*` functions write files. Every artifact
+is byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ def summarize(forecasts, actuals, model: str, schema: str = "") -> ErrorReport:
 
 
 # published reference results and the tolerance band `reproduce` checks:
-# model -> (table label, reference mape, reference std, band)
+# model -> (row label, reference mape, reference std, band)
 REFERENCE = {
     "lstm-u1": ("U1-elu", 0.70, 0.30, 2.0),
     "lstm-u2": ("U2-elu", 1.69, 1.35, 5.0),
@@ -53,24 +62,47 @@ REFERENCE = {
     "hwaas": ("hwaas", 0.47, 0.28, 0.5),
 }
 
+# table2's columns, by row label
+TABLE2 = ("U1-elu", "U2-elu", "U3-elu", "arima", "prophet-lite", "hwaas")
+
+# each figure: the actuals, then (legend name, row label) per curve
+FIGURES = {"fig3.svg": (("u1", "U1-elu"), ("u2", "U2-elu"), ("u3", "U3-elu")),
+           "fig4.svg": (("U2", "U2-elu"), ("ARIMA", "arima"), ("HWAAS", "hwaas"),
+                        ("prophet-lite", "prophet-lite"))}
+
+# every file `reproduce` writes, each from one entry of `study_report`
+ARTIFACTS = ("table1.csv", "table2.csv", *FIGURES, "summary.md")
+
 
 def mape_cell(mape: float, std: float) -> str:
     """The one table cell format of a MAPE and its standard deviation."""
     return f"{mape:.2f}±{std:.2f}"
 
 
-def study_report(reports: dict[str, ErrorReport], *, seed: int, train_start, train_end,
-                 horizon: int, lookback: int, epochs: int,
-                 ) -> tuple[dict[str, list[str]], list[str]]:
-    """The text `reproduce` reports, from its ErrorReports by table label
-    ("U1-elu" ... "U3-tanh", "arima", "hwaas", "prophet-lite") and the
-    run's settings. Writes nothing.
+def study_report(classical: dict, lstms: dict, actuals, dates, *, seed: int, train_start,
+                 train_end, horizon: int, lookback: int, epochs: int):
+    """Everything `reproduce` writes and prints, from the forecasts of every
+    row, the actuals and dates of the horizon, and the run's settings.
+    Writes nothing.
 
-    Returns ({"table1.csv": lines, "summary.md": lines}, stdout lines).
-    Table 1 is the activation ablation. Each REFERENCE row gets one band
-    verdict: a classical model must lie within `band` of its reference
-    MAPE, an LSTM at or below `band`. Stdout is ASCII.
+    `classical` maps a classical model's name ("arima", "hwaas",
+    "prophet-lite") to its forecasts; `lstms` is what `forecast_schemas`
+    returns, {(schema, config): (model, forecasts)}, and each of its rows is
+    labelled by schema and activation ("U1-elu" ... "U3-tanh"). `summarize`
+    scores each row once, under its label.
+
+    Returns (texts, tables, plots, stdout), keyed by the names in
+    ARTIFACTS: texts {"table1.csv": lines, "summary.md": lines} for
+    `write_lines`, tables {"table2.csv": reports in TABLE2's order} for
+    `emit_table`, plots {name: (series, x labels)} per FIGURES entry for
+    `emit_plot`, and the stdout lines. Table 1 is the activation ablation.
+    Each REFERENCE row gets one band verdict: a classical model must lie
+    within `band` of its reference MAPE, an LSTM at or below `band`. Stdout
+    is ASCII.
     """
+    rows = classical | {f"{schema.upper()}-{cfg.activation}": forecasts
+                        for (schema, cfg), (_, forecasts) in lstms.items()}
+    reports = {label: summarize(forecasts, actuals, label) for label, forecasts in rows.items()}
     table1 = ["activation,u1,u2,u3"]
     for activation in ("tanh", "elu"):
         row = [reports[f"{schema}-{activation}"] for schema in ("U1", "U2", "U3")]
@@ -101,7 +133,11 @@ def study_report(reports: dict[str, ErrorReport], *, seed: int, train_start, tra
         "fig3.svg (LSTM schemas), fig4.svg (method comparison).",
     ]
     stdout.append(f"prophet-lite: MAPE {pl.mape:.2f} % (qualitative only)")
-    return {"table1.csv": table1, "summary.md": summary}, stdout
+    x_labels = [d.isoformat() for d in dates]
+    plots = {name: ([("actual", actuals)] + [(shown, rows[label]) for shown, label in curves],
+                    x_labels) for name, curves in FIGURES.items()}
+    return ({"table1.csv": table1, "summary.md": summary},
+            {"table2.csv": [reports[label] for label in TABLE2]}, plots, stdout)
 
 
 def write_lines(path: str, lines: list[str]) -> None:

@@ -559,6 +559,13 @@ class TestProphetLite:
         with pytest.raises(FitError, match="'fourier_order' >= 0"):
             prophet_lite_fit(np.cumsum(np.arange(1.0, 31.0)), fourier_order=-1)
 
+    @pytest.mark.parametrize("penalty", [np.nan, -5.0, np.inf, -np.inf])
+    def test_ridge_penalty_that_is_no_finite_non_negative_number_is_a_fit_error(self, penalty):
+        # raised before the solve, which fails on a NaN penalty with numpy's
+        # LinAlgError and accepts a negative one
+        with pytest.raises(FitError, match="ridge penalty must be a finite number >= 0"):
+            prophet_lite_fit(np.cumsum(np.arange(1.0, 31.0)), ridge_lambda=penalty)
+
     def test_singular_ridge_system(self):
         # order-4 weekly terms alias order 3 on integer days; with no ridge
         # penalty the normal equations are singular
@@ -617,3 +624,15 @@ PROPHET = ProphetLiteFit(31, np.arange(5.0), np.zeros(13), 3, 1.0)
 def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, rule):
     with pytest.raises(FitError, match=rule):
         dataclasses.replace(fit, **broken)
+
+
+# the integer setting of each fitter besides hw_fit's m, which
+# TestHoltWinters checks by the same rule
+@pytest.mark.parametrize("fitter, setting, name", [
+    (fit_arima, "p", "AR order"), (prophet_lite_fit, "fourier_order", "Fourier order"),
+], ids=["arima-p", "prophet-fourier-order"])
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), "2", True],
+                         ids=["float", "float64", "str", "bool"])
+def test_an_integer_setting_that_is_no_integer_is_a_fit_error(fitter, setting, name, value):
+    with pytest.raises(FitError, match=f"{name} must be an integer"):
+        fitter(np.cumsum(np.arange(1.0, 41.0)), **{setting: value})

@@ -367,6 +367,16 @@ class TestReproduce:
         for name in names:
             assert (again / name).read_bytes() == (repro_dir / name).read_bytes(), name
 
+    def test_writes_the_artifacts_it_checks(self, tmp_path, monkeypatch):
+        checked = []
+        check = cli._check_writable
+        monkeypatch.setattr(cli, "_check_writable",
+                            lambda out, names: (checked.extend(names), check(out, names)))
+        out = tmp_path / "out"
+        assert run_cli("reproduce", "--epochs", "1", "--out", str(out)) == EXIT_OK
+        assert sorted(checked) == sorted(p.name for p in out.iterdir())
+        assert len(checked) == 5
+
     def test_artifacts_are_utf8_whatever_the_locale(self, tmp_path):
         # the C locale, neither coerced nor in UTF-8 mode, makes ASCII the
         # default text encoding: the table1.csv "±" cannot be written in it,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from casecast.evaluation import (
+    ARTIFACTS,
     ErrorReport,
     ape_series,
     emit_plot,
@@ -16,6 +17,7 @@ from casecast.evaluation import (
     summarize,
     write_summary_csv,
 )
+from casecast.lstm import TrainConfig
 
 # HWAAS per-day APE column as printed in the reference error table
 HWAAS_COLUMN = [
@@ -166,27 +168,42 @@ class TestEmitTable:
         assert mape_cell(2.0, 1.0) == "2.00±1.00"
 
 
-def hand_report(label, mape, std=0.25):
-    """An ErrorReport made by hand, with no forecast behind it."""
-    return ErrorReport(label, "", np.array([mape - std, mape + std]), mape, std)
+# a two-day horizon, on which hand_forecasts gives each APE exactly
+ACTUALS = np.array([100.0, 100.0])
+DATES = [dt.date(2020, 4, 24), dt.date(2020, 4, 25)]
+
+
+def hand_forecasts(mape, std=0.25):
+    """Forecasts of ACTUALS whose APEs are mape - std and mape + std."""
+    return np.array([100.0 + mape - std, 100.0 + mape + std])
 
 
 class TestStudyReport:
     # the four band branches: an LSTM at its band (U1, yes) and above it
     # (U2, NO); a classical model within its band (hwaas, yes) and below it
     # (arima, NO)
-    REPORTS = {
-        "U1-elu": hand_report("U1-elu", 2.0), "U2-elu": hand_report("U2-elu", 5.5),
-        "U3-elu": hand_report("U3-elu", 0.99), "U1-tanh": hand_report("U1-tanh", 1.5),
-        "U2-tanh": hand_report("U2-tanh", 3.25), "U3-tanh": hand_report("U3-tanh", 12.0),
-        "arima": hand_report("arima", 0.74), "hwaas": hand_report("hwaas", 0.37),
-        "prophet-lite": hand_report("prophet-lite", 1.18),
-    }
+    CLASSICAL = {"arima": hand_forecasts(0.74), "hwaas": hand_forecasts(0.37),
+                 "prophet-lite": hand_forecasts(1.18)}
+    # as forecast_schemas returns them: {(schema, config): (model, forecasts)}
+    LSTMS = {(schema, TrainConfig(activation=activation)): (None, hand_forecasts(mape))
+             for (schema, activation), mape in {
+                 ("u2", "elu"): 5.5, ("u1", "elu"): 2.0, ("u2", "tanh"): 3.25,
+                 ("u1", "tanh"): 1.5, ("u3", "elu"): 0.99, ("u3", "tanh"): 12.0}.items()}
     SETTINGS = dict(seed=7, train_start=dt.date(2020, 3, 24), train_end=dt.date(2020, 4, 23),
                     horizon=2, lookback=3, epochs=5)
 
+    def report(self, classical=CLASSICAL):
+        return study_report(classical, self.LSTMS, ACTUALS, DATES, **self.SETTINGS)
+
+    def forecasts(self, label):
+        """The forecasts given for the row labelled `label`."""
+        if label in self.CLASSICAL:
+            return self.CLASSICAL[label]
+        schema, activation = label.lower().split("-")
+        return self.LSTMS[schema, TrainConfig(activation=activation)][1]
+
     def test_exact_lines(self):
-        texts, stdout = study_report(self.REPORTS, **self.SETTINGS)
+        texts, _, _, stdout = self.report()
         assert texts == {
             "table1.csv": [
                 "activation,u1,u2,u3",
@@ -224,13 +241,42 @@ class TestStudyReport:
         assert all(line.isascii() for line in stdout)
 
     def test_a_classical_model_above_its_band_is_no(self):
-        reports = self.REPORTS | {"arima": hand_report("arima", 4.75)}
-        texts, _ = study_report(reports, **self.SETTINGS)
+        texts, *_ = self.report(self.CLASSICAL | {"arima": hand_forecasts(4.75)})
         assert "| arima | 4.75±0.25 | 3.24±1.56 | NO |" in texts["summary.md"]
+
+    def test_table2_columns_in_order(self):
+        _, tables, _, _ = self.report()
+        (name, reports), = tables.items()
+        assert name == "table2.csv"
+        assert [r.model for r in reports] == [
+            "U1-elu", "U2-elu", "U3-elu", "arima", "prophet-lite", "hwaas"]
+        for r in reports:
+            expected = summarize(self.forecasts(r.model), ACTUALS, r.model)
+            assert r.apes.tobytes() == expected.apes.tobytes(), r.model
+            assert (r.mape, r.std) == (expected.mape, expected.std), r.model
+
+    def test_figure_curves_and_legend_names(self):
+        _, _, plots, _ = self.report()
+        curves = {"fig3.svg": [("u1", "U1-elu"), ("u2", "U2-elu"), ("u3", "U3-elu")],
+                  "fig4.svg": [("U2", "U2-elu"), ("ARIMA", "arima"), ("HWAAS", "hwaas"),
+                               ("prophet-lite", "prophet-lite")]}
+        assert list(plots) == list(curves)
+        for name, (series, x_labels) in plots.items():
+            assert x_labels == ["2020-04-24", "2020-04-25"]
+            expected = [("actual", ACTUALS)] + [
+                (shown, self.forecasts(label)) for shown, label in curves[name]]
+            assert [shown for shown, _ in series] == [shown for shown, _ in expected]
+            for (shown, values), (_, want) in zip(series, expected):
+                assert np.asarray(values).tobytes() == want.tobytes(), (name, shown)
+
+    def test_returns_exactly_the_artifacts_it_names(self):
+        texts, tables, plots, _ = self.report()
+        assert ARTIFACTS == ("table1.csv", "table2.csv", "fig3.svg", "fig4.svg", "summary.md")
+        assert sorted([*texts, *tables, *plots]) == sorted(ARTIFACTS)
 
     def test_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        study_report(self.REPORTS, **self.SETTINGS)
+        self.report()
         assert list(tmp_path.iterdir()) == []
 
 

@@ -2,11 +2,14 @@
 line count. The gate's HEAD-against-HEAD run (about 25 s) stays in
 `tools/gate_selftest.py`."""
 
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import code_lines as code_lines_tool  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from gate_selftest import (  # noqa: E402,F401  collected here as tests
     test_a_name_that_is_no_commit_is_a_usage_error,
@@ -31,3 +34,42 @@ def test_code_lines_counts_statement_lines_only():
     # the def's two lines and the return's two; not the docstrings, the
     # comment line or the blank lines
     assert code_lines(SOURCE) == 4
+
+
+def test_code_lines_of_a_revision_are_those_of_its_files(tmp_path, monkeypatch, capsys):
+    # a working tree unlike HEAD's: cli.py gains a statement, data.py is
+    # gone and extra.py is new. Each row: the module's count at HEAD (its
+    # text from `git show`, 0 if missing), in the tree, and the difference
+    cli_lines = code_lines((code_lines_tool.PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    shutil.copytree(code_lines_tool.PACKAGE, tmp_path, dirs_exist_ok=True)
+    with open(tmp_path / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write("\nADDED = 1\n")
+    (tmp_path / "data.py").unlink()
+    (tmp_path / "extra.py").write_text("EXTRA = 2\n", encoding="utf-8")
+    monkeypatch.setattr(code_lines_tool, "PACKAGE", tmp_path)
+
+    def at_head(name):
+        shown = subprocess.run(["git", "show", f"HEAD:src/casecast/{name}"],
+                               cwd=code_lines_tool.ROOT, capture_output=True, encoding="utf-8")
+        return code_lines(shown.stdout) if shown.returncode == 0 else 0
+
+    def in_tree(name):
+        path = tmp_path / name
+        return code_lines(path.read_text(encoding="utf-8")) if path.exists() else 0
+
+    assert code_lines_tool.main(["HEAD"]) == 0
+    *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    got = {name: (int(before), int(after), int(diff)) for before, after, diff, name in rows}
+    assert {"cli.py", "data.py", "extra.py"} <= set(got)
+    for name, (before, after, diff) in got.items():
+        assert (before, after) == (at_head(name), in_tree(name)), name
+        assert diff == after - before, name
+    assert got["cli.py"][1] == cli_lines + 1
+    assert got["data.py"][1] == 0 and got["extra.py"][:2] == (0, 1)
+    sums = [sum(row[k] for row in got.values()) for k in (0, 1)]
+    assert total == [str(sums[0]), str(sums[1]), f"{sums[1] - sums[0]:+d}", "total"]
+
+
+def test_code_lines_of_a_name_that_is_no_commit_is_a_usage_error(capsys):
+    assert code_lines_tool.main(["no-such-revision-anywhere"]) == 2
+    assert "is not a commit" in capsys.readouterr().err
