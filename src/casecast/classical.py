@@ -57,6 +57,12 @@ def _integer(value, name: str) -> None:
         raise FitError(f"{name} must be an integer, got {value!r}")
 
 
+def _ridge_penalty(value) -> None:
+    """A FitError unless the ridge penalty `value` is a finite number >= 0."""
+    if not 0.0 <= value < np.inf:  # NaN fails too
+        raise FitError(f"ridge penalty must be a finite number >= 0, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # ARIMA(p,1,0) via conditional least squares
 
@@ -71,6 +77,7 @@ class ArimaFit:
 
     def __post_init__(self):
         p = self.order[0]
+        _integer(p, "AR order")
         if not (p >= 1 and self.order[1:] == (1, 0) and len(self.coefficients) == p):
             raise FitError("'order' must be (p, 1, 0) with p >= 1 and 'coefficients' must hold"
                            " p values")
@@ -142,6 +149,7 @@ class HwFit:
 
     def __post_init__(self):
         m = self.season_length
+        _integer(m, "season length")
         if not (m >= 1 and len(self.seasonals) == m and 0.0 < self.phi <= 1.0):
             raise FitError("'seasonals' must hold 'season_length' >= 1 values and 'phi' must"
                            " lie in (0, 1]")
@@ -358,6 +366,8 @@ class ProphetLiteFit:
 
     def __post_init__(self):
         k = self.fourier_order
+        _integer(k, "Fourier order")
+        _ridge_penalty(self.ridge_lambda)
         if not (k >= 0 and len(self.coefficients) == 2 + len(self.changepoints) + 2 * k):
             raise FitError("'coefficients' must hold 2 + len('changepoints') + 2 * 'fourier_order'"
                            " values, 'fourier_order' >= 0")
@@ -386,8 +396,7 @@ def prophet_lite_fit(
     """
     y = _finite(series)
     _integer(fourier_order, "Fourier order")
-    if not 0.0 <= ridge_lambda < np.inf:  # NaN fails too
-        raise FitError(f"ridge penalty must be a finite number >= 0, got {ridge_lambda}")
+    _ridge_penalty(ridge_lambda)
     n = len(y)
     if n < 14:
         raise FitError(f"need at least 14 daily observations, got {n}")

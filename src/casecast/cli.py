@@ -47,13 +47,14 @@ from .evaluation import (
 )
 from .lstm import (
     ACTIVATIONS,
+    SCHEMAS,
     NonFiniteForecastError,
     TrainConfig,
     TrainingDivergedError,
     forecast_schemas,
-    run_schema,
-    train_schema_model,
 )
+# not called here: perfbench's tracer patches these two by name in `cli`
+from .lstm import run_schema, train_schema_model  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -222,9 +223,9 @@ def _schema(name: str) -> str:
 def _forecast(ts, cfg: RunConfig, name: str):
     """Fit model `name` on the configured window and forecast the horizon.
 
-    An `lstm-*` name trains one LSTM with `cfg` (`train_schema_model`) and
-    runs its schema: `run`'s path, while `reproduce` gets its LSTMs from
-    `forecast_schemas`. A classical name fits on the cases of the window.
+    An `lstm-*` name trains and forecasts one (schema, config) member
+    through `forecast_schemas`, the path `reproduce` takes for all of its
+    members. A classical name fits on the cases of the window.
     Returns (forecasts, fit): the fit is the LstmModel or the classical
     fit, which is what a checkpoint stores. A forecast with a NaN or an
     infinity is a NonFiniteForecastError, whatever the model. The horizon
@@ -232,10 +233,9 @@ def _forecast(ts, cfg: RunConfig, name: str):
     """
     schema = _schema(name)
     if schema:
-        (fit,) = train_schema_model(ts, [(schema, _train_config(cfg, cfg.activation))],
-                                    cfg.train_start, cfg.train_end, cfg.lookback)
-        forecasts = run_schema(ts, schema, fit.config, cfg.train_start, cfg.train_end,
-                               cfg.horizon, cfg.lookback, model=fit).forecasts
+        member = (schema, _train_config(cfg, cfg.activation))
+        ((fit, forecasts),) = forecast_schemas(ts, [member], cfg.train_start, cfg.train_end,
+                                               cfg.horizon, cfg.lookback).values()
     else:
         y = slice_window(ts, cfg.train_start, cfg.train_end).cases.astype(float)
         if name == "arima":
@@ -247,7 +247,7 @@ def _forecast(ts, cfg: RunConfig, name: str):
         else:
             fit = prophet_lite_fit(y)
             forecasts = prophet_lite_forecast(fit, cfg.horizon)
-        if not np.all(np.isfinite(forecasts)):  # run_schema checks an LSTM's
+        if not np.all(np.isfinite(forecasts)):  # forecast_schemas checks an LSTM's
             raise NonFiniteForecastError(f"non-finite forecast from {name}")
     return forecasts, fit
 
@@ -294,7 +294,8 @@ def cmd_reproduce(args) -> int:
     # the classical fits first: they reject a window before seconds of training
     for name in ("arima", "hwaas", "prophet-lite"):
         classical[name], _ = _forecast(ts, cfg, name)
-    lstms = forecast_schemas(ts, [_train_config(cfg, a) for a in ("elu", "tanh")],
+    cfgs = [_train_config(cfg, a) for a in ("elu", "tanh")]
+    lstms = forecast_schemas(ts, [(s, c) for s in SCHEMAS for c in cfgs],
                              cfg.train_start, cfg.train_end, cfg.horizon, cfg.lookback)
     texts, tables, plots, stdout = evaluation.study_report(
         classical, lstms, actuals, dates, seed=cfg.seed, train_start=cfg.train_start,

@@ -625,40 +625,40 @@ def train_schema_model(
     ts: TimeSeries, members: list[tuple[str, TrainConfig]], train_start: dt.date,
     train_end: dt.date, lookback: int = 1,
 ) -> list[LstmModel]:
-    """Fit one model per (schema, config) member on the schema's normalised
-    training window: the cases alone, or (cases, deaths) for u3. All members
-    train as one lockstep ensemble (see `train`), so each model is bitwise
-    its one-member fit. No members is a ValueError."""
+    """Fit a model for each (schema, config) member on the schema's
+    normalised training window: the cases alone, or (cases, deaths) for u3.
+    The u1 and u2 members of one config share one model, trained once. The
+    distinct members train as one lockstep ensemble (see `train`), in the
+    order they first appear, so each model is bitwise its one-member fit.
+    Returns one model per member, in the members' order; no members is a
+    ValueError."""
     if not members:
-        raise ValueError("train_schema_model needs at least one config")
+        raise ValueError("train_schema_model needs at least one member")
+    # u1 and u2 train on the same cases: a u1 member forecasts with the u2 model
+    shared = [("u2" if schema == "u1" else schema, cfg) for schema, cfg in members]
+    trained = list(dict.fromkeys(shared))
     windows = {s: make_windows(_schema_training_values(ts, s, train_start, train_end)[1],
-                               lookback) for s, _ in members}
-    pairs = [(windows[schema], cfg) for schema, cfg in members]
-    return train(*pairs[0], *pairs[1:])
+                               lookback) for s, _ in trained}
+    pairs = [(windows[schema], cfg) for schema, cfg in trained]
+    models = dict(zip(trained, train(*pairs[0], *pairs[1:])))
+    return [models[member] for member in shared]
 
 
 def forecast_schemas(
-    ts: TimeSeries, cfgs: list[TrainConfig], train_start: dt.date, train_end: dt.date,
-    horizon: int = 15, lookback: int = 1,
+    ts: TimeSeries, members: list[tuple[str, TrainConfig]], train_start: dt.date,
+    train_end: dt.date, horizon: int = 15, lookback: int = 1,
 ) -> dict[tuple[str, TrainConfig], tuple[LstmModel, np.ndarray]]:
-    """Train and forecast the study's matrix: every protocol under every
-    config in `cfgs`. u1 reuses u2's univariate model, and u3 has a
-    bivariate one. The univariate members (in `cfgs`' order), then the
-    bivariate ones, train in one `train_schema_model` call. Each model then
-    forecasts through `run_schema`, u2 before u1.
-    Returns {(schema, config): (model, forecasts)}; an empty `cfgs`, or a
-    config given twice, whose entries would collide, is a ValueError."""
-    if len(set(cfgs)) < len(cfgs):
-        raise ValueError(f"forecast_schemas got config {max(cfgs, key=cfgs.count)} twice")
-    members = [("u2", cfg) for cfg in cfgs] + [("u3", cfg) for cfg in cfgs]
+    """Train every (schema, config) member in one `train_schema_model` call,
+    then forecast each member's schema with its model through `run_schema`.
+    Returns {(schema, config): (model, forecasts)} in the members' order;
+    no members, or a member given twice, whose entries would collide, is a
+    ValueError."""
+    if len(set(members)) < len(members):
+        raise ValueError(f"forecast_schemas got member {max(members, key=members.count)} twice")
     models = train_schema_model(ts, members, train_start, train_end, lookback)
-    results = {}
-    for (trained, _), model in zip(members, models):
-        for schema in ("u2", "u1") if trained == "u2" else ("u3",):
-            run = run_schema(ts, schema, model.config, train_start, train_end, horizon, lookback,
-                             model=model)
-            results[schema, model.config] = model, run.forecasts
-    return results
+    return {(schema, cfg): (model, run_schema(ts, schema, cfg, train_start, train_end, horizon,
+                                              lookback, model=model).forecasts)
+            for (schema, cfg), model in zip(members, models)}
 
 
 def run_schema(

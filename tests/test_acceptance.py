@@ -21,7 +21,7 @@ from casecast.classical import (
     hw_forecast,
 )
 from casecast.evaluation import ape_series, summarize
-from casecast.lstm import LstmParams, forecast_schemas, run_schema, train_schema_model
+from casecast.lstm import SCHEMAS, LstmParams, forecast_schemas, run_schema, train_schema_model
 from conftest import TRAIN_END, TRAIN_START
 from test_eval import HWAAS_COLUMN
 from test_lstm import max_relative_gradient_error
@@ -45,13 +45,15 @@ def train_cases(series):
 def lstm_matrix(series, test_actuals):
     """MAPEs for every (activation, schema, seed) cell at full scale.
 
-    `forecast_schemas` trains the 20 models (5 seeds x 2 activations x
-    {univariate, bivariate}) as one lockstep ensemble, as `reproduce` does
-    for its one seed. Also keeps each univariate loss curve.
+    `forecast_schemas` gets every (schema, config) member, schema-major, as
+    `reproduce` passes them for its one seed, and trains the 20 models
+    (5 seeds x 2 activations x {univariate, bivariate}; u1 shares u2's) as
+    one lockstep ensemble. Also keeps each univariate loss curve.
     """
     cfgs = [TrainConfig(activation=activation, seed=seed)
             for activation, seed in itertools.product(("elu", "tanh"), SEEDS)]
-    matrix = forecast_schemas(series, cfgs, TRAIN_START, TRAIN_END, HORIZON)
+    members = [(schema, cfg) for schema in SCHEMAS for cfg in cfgs]
+    matrix = forecast_schemas(series, members, TRAIN_START, TRAIN_END, HORIZON)
     mapes = {}
     losses = {}
     for (schema, cfg), (model, forecasts) in matrix.items():

@@ -333,6 +333,9 @@ def _set(doc, path, value):
     ("prophet-lite", ["fields", "fourier_order"], 2, "'coefficients' must hold 2 \\+"),
     *[("hwaas", ["fields", "phi"], phi, r"'phi' must lie in \(0, 1\]")
       for phi in ("nan", "inf", "0.0", "-0.5", "2.0")],
+    # prophet_lite_fit's rule for its penalty, which the forecast never reads
+    *[("prophet-lite", ["fields", "ridge_lambda"], penalty, "ridge penalty must be a finite")
+      for penalty in ("nan", "-5.0", "inf")],
 ], ids=lambda v: None if isinstance(v, (list, dict)) else str(v)[:24])
 def test_a_malformed_body_is_a_value_error_naming_the_field(tmp_path, series, name, path,
                                                             value, message):

@@ -619,8 +619,18 @@ PROPHET = ProphetLiteFit(31, np.arange(5.0), np.zeros(13), 3, 1.0)
     (PROPHET, {"fourier_order": 2}, PROPHET_RULE),
     # 2 + 5 - 2 coefficients: only the sign of the order is at fault
     (PROPHET, {"fourier_order": -1, "coefficients": np.zeros(5)}, PROPHET_RULE),
+    # each fitter's rule for a setting: a float here is an IndexError in
+    # hw_forecast and a TypeError in the other two forecasts
+    (HW, {"season_length": 7.0}, "^season length must be an integer, got 7.0$"),
+    (ARIMA, {"order": (6.0, 1, 0)}, "^AR order must be an integer, got 6.0$"),
+    (PROPHET, {"fourier_order": 3.0}, "^Fourier order must be an integer, got 3.0$"),
+    (PROPHET, {"fourier_order": True}, "^Fourier order must be an integer, got True$"),
+    *[(PROPHET, {"ridge_lambda": penalty}, "^ridge penalty must be a finite number >= 0")
+      for penalty in (np.nan, -5.0, np.inf)],
 ], ids=["arima-p-not-len", "arima-d-0", "arima-p-0", "hw-m-0", "hw-seasonals-short",
-        "hw-phi-1.5", "hw-phi-nan", "prophet-order-not-len", "prophet-order-negative"])
+        "hw-phi-1.5", "hw-phi-nan", "prophet-order-not-len", "prophet-order-negative",
+        "hw-m-float", "arima-p-float", "prophet-order-float", "prophet-order-bool",
+        "prophet-ridge-nan", "prophet-ridge-negative", "prophet-ridge-inf"])
 def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, rule):
     with pytest.raises(FitError, match=rule):
         dataclasses.replace(fit, **broken)

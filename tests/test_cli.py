@@ -75,6 +75,22 @@ class TestRun:
         assert header == "model,schema,mape,std,convention"
         assert row.split(",")[:2] == [model, schema]
 
+    @pytest.mark.parametrize("schema", lstm.SCHEMAS)
+    def test_lstm_run_forecasts_one_member_through_forecast_schemas(self, tmp_path,
+                                                                     monkeypatch, schema):
+        # `run` takes the path `reproduce` takes, with a list of one member
+        calls = []
+        real = cli.forecast_schemas
+
+        def spy(ts, members, *args):
+            calls.append(list(members))
+            return real(ts, members, *args)
+
+        monkeypatch.setattr(cli, "forecast_schemas", spy)
+        assert run_cli("run", "--model", f"lstm-{schema}", "--epochs", "1",
+                       "--out", str(tmp_path / "out")) == EXIT_OK
+        assert calls == [[(schema, lstm.TrainConfig(epochs=1))]]
+
     def test_zero_horizon_is_config_error(self, capsys):
         assert run_cli("run", "--model", "hwaas", "--horizon", "0") == EXIT_USAGE
         assert "config error" in capsys.readouterr().err

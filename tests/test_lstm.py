@@ -749,9 +749,9 @@ class TestRunSchema:
         # what `reproduce` tabulates is what `run --model lstm-uX` gives
         cfgs = [TrainConfig(epochs=3, hidden=4, activation="elu", seed=1),
                 TrainConfig(epochs=3, hidden=4, activation="tanh", seed=2)]
-        matrix = lstm.forecast_schemas(series, cfgs, TRAIN_START, TRAIN_END, 15, lookback)
-        assert list(matrix) == ([(s, c) for c in cfgs for s in ("u2", "u1")]
-                                + [("u3", c) for c in cfgs])
+        members = [(s, c) for s in SCHEMAS for c in cfgs]
+        matrix = lstm.forecast_schemas(series, members, TRAIN_START, TRAIN_END, 15, lookback)
+        assert list(matrix) == members
         for (schema, cfg), (model, forecasts) in matrix.items():
             (alone,) = train_schema_model(series, [(schema, cfg)], TRAIN_START, TRAIN_END,
                                           lookback)
@@ -760,24 +760,25 @@ class TestRunSchema:
             assert model.params.flat.tobytes() == alone.params.flat.tobytes(), (schema, cfg)
             assert forecasts.tobytes() == run.forecasts.tobytes(), (schema, cfg)
 
-    def test_forecast_schemas_needs_a_config(self, series):
-        with pytest.raises(ValueError, match="at least one config"):
+    def test_forecast_schemas_needs_a_member(self, series):
+        with pytest.raises(ValueError, match="at least one member"):
             lstm.forecast_schemas(series, [], TRAIN_START, TRAIN_END)
 
-    def test_forecast_schemas_rejects_a_repeated_config_before_training(self, series,
+    def test_forecast_schemas_rejects_a_repeated_member_before_training(self, series,
                                                                         monkeypatch):
-        # a repeated config would train twice and collide on its (schema, config) keys
+        # a repeated member would collide on its (schema, config) key
         def no_training(*args):
             raise AssertionError("trained")
 
         monkeypatch.setattr(lstm, "train", no_training)
         cfg = TrainConfig(epochs=1, hidden=2)
-        with pytest.raises(ValueError, match=r"config TrainConfig\(epochs=1, hidden=2,.* twice"):
-            lstm.forecast_schemas(series, [cfg, TrainConfig(seed=1), cfg], TRAIN_START,
-                                  TRAIN_END)
+        with pytest.raises(ValueError,
+                           match=r"member \('u1', TrainConfig\(epochs=1, hidden=2,.* twice"):
+            lstm.forecast_schemas(series, [("u1", cfg), ("u2", cfg), ("u1", cfg)],
+                                  TRAIN_START, TRAIN_END)
 
     def test_train_schema_model_needs_a_member(self, series):
-        with pytest.raises(ValueError, match="at least one config"):
+        with pytest.raises(ValueError, match="at least one member"):
             train_schema_model(series, [], TRAIN_START, TRAIN_END)
 
     @pytest.mark.parametrize("lookback", [1, 3])
@@ -793,20 +794,36 @@ class TestRunSchema:
             assert model.params.flat.tobytes() == alone.params.flat.tobytes(), member
             assert model.epoch_losses == alone.epoch_losses, member
 
-    def test_forecast_schemas_trains_one_lockstep_ensemble(self, series, monkeypatch):
-        # the study's wall time rests on one `train` call for every member
+    @staticmethod
+    def spy_on_train(monkeypatch):
+        """Record, for each `lstm.train` call, its members' (channels, config)."""
         calls = []
         real_train = lstm.train
 
         def spy(dataset, cfg, *others):
-            calls.append(1 + len(others))
+            pairs = [(dataset, cfg), *others]
+            calls.append([(d.inputs.shape[2], c) for d, c in pairs])
             return real_train(dataset, cfg, *others)
 
         monkeypatch.setattr(lstm, "train", spy)
+        return calls
+
+    def test_u1_and_u2_of_one_config_train_one_model(self, series, monkeypatch):
+        calls = self.spy_on_train(monkeypatch)
+        cfg = TrainConfig(epochs=2, hidden=4, seed=3)
+        u1, u2 = train_schema_model(series, [("u1", cfg), ("u2", cfg)], TRAIN_START, TRAIN_END)
+        assert calls == [[(1, cfg)]]
+        assert u1 is u2
+
+    def test_forecast_schemas_trains_one_lockstep_ensemble(self, series, monkeypatch):
+        # the study's wall time rests on one `train` call for every member
+        calls = self.spy_on_train(monkeypatch)
         cfgs = [TrainConfig(epochs=2, hidden=4, activation=a, seed=s)
                 for a, s in (("elu", 1), ("tanh", 2), ("elu", 3))]
-        lstm.forecast_schemas(series, cfgs, TRAIN_START, TRAIN_END)
-        assert calls == [2 * len(cfgs)]
+        lstm.forecast_schemas(series, [(s, c) for s in SCHEMAS for c in cfgs], TRAIN_START,
+                              TRAIN_END)
+        # u1 shares u2's model: the univariate members in the configs' order, then u3's
+        assert calls == [[(1, c) for c in cfgs] + [(2, c) for c in cfgs]]
 
     def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))

@@ -49,7 +49,8 @@ COMMANDS = {
     "run-lstm-u1": ["run", "--model", "lstm-u1", "--epochs", "20"],
     "run-lstm-u2": ["run", "--model", "lstm-u2", "--epochs", "20"],
     "run-lstm-u2-tanh": ["run", "--model", "lstm-u2", "--epochs", "20", "--activation", "tanh"],
-    "run-lstm-u3-lookback7": ["run", "--model", "lstm-u3", "--epochs", "20", "--lookback", "7"],
+    "run-lstm-u3": ["run", "--model", "lstm-u3", "--epochs", "20"],
+    "run-lstm-u3-lookback7":["run", "--model", "lstm-u3", "--epochs", "20", "--lookback", "7"],
     # lookback 3: the rolling window holds more than the day just appended
     "run-lstm-u1-lookback3": ["run", "--model", "lstm-u1", "--epochs", "20", "--lookback", "3"],
     "run-lstm-u2-lookback3": ["run", "--model", "lstm-u2", "--epochs", "20", "--lookback", "3"],
