@@ -67,8 +67,13 @@ class ConfigError(Exception):
     """A configuration file, value or output directory that cannot be used."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """The settings of one `run` or `reproduce`, checked when built: a field
+    of the wrong type or out of range is a ValueError, and the training
+    settings are checked by the TrainConfig they make. Frozen, so a
+    RunConfig that exists holds settings that passed these checks."""
+
     data: str = ""
     model: str = "lstm-u2"
     train_start: dt.date = dt.date(2020, 3, 24)
@@ -80,9 +85,7 @@ class RunConfig:
     seed: int = 42
     out: str = "out"
 
-    def validate(self):
-        """Check the type and range of every field; raise ValueError. The
-        training settings are checked by the TrainConfig they make."""
+    def __post_init__(self):
         for name, expected in typing.get_type_hints(RunConfig).items():
             value = getattr(self, name)
             if not isinstance(value, expected) or isinstance(value, bool):
@@ -147,7 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = RunConfig()
+    """The RunConfig of `args`: the config file's keys, then the flags that
+    are set, then `--train`'s two dates, over the defaults, with an empty
+    `data` the bundled dataset. A setting that cannot be used, or a config
+    file that cannot be read, is a ConfigError."""
+    settings = {}
     try:
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8-sig") as fh:
@@ -163,19 +170,16 @@ def _merge_config(args) -> RunConfig:
                     raise ValueError(f"unknown config key {key!r}")
                 if key in ("train_start", "train_end") and isinstance(value, str):
                     value = dt.date.fromisoformat(value)
-                setattr(cfg, key, value)
-        for f in fields(RunConfig):
-            value = getattr(args, f.name, None)
-            if value is not None:
-                setattr(cfg, f.name, value)
+                settings[key] = value
+        settings |= {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                     if getattr(args, f.name, None) is not None}
         if getattr(args, "train", None):
-            cfg.train_start, cfg.train_end = _parse_train_window(args.train)
-        if not cfg.data:
-            cfg.data = bundled_dataset_path()
-        cfg.validate()
+            settings["train_start"], settings["train_end"] = _parse_train_window(args.train)
+        if not settings.get("data"):
+            settings["data"] = bundled_dataset_path()
+        return RunConfig(**settings)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def _prepare(args):
@@ -261,7 +265,7 @@ def _write_forecast_csv(path, dates, forecasts, actuals, seed):
 
 
 def cmd_validate(args) -> int:
-    ts = load_csv(args.data or bundled_dataset_path())
+    ts = load_csv(_merge_config(args).data)
     print(f"{len(ts)} days, {ts.start}..{ts.end}, OK")
     return EXIT_OK
 

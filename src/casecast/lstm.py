@@ -58,6 +58,7 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -503,8 +504,18 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: Tr
     params.flat[live] -= np.divide(step, denom, out=step)
 
 
+# 500 times the paper's 2000: `train` allocates an (epochs, members) loss
+# history up front, 160 MB for the 20-member acceptance ensemble at this cap
+MAX_EPOCHS = 1_000_000
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training settings of one model. A setting of the wrong type or
+    out of range is a ValueError naming it: `epochs`, `hidden` and `seed`
+    are ints or numpy integers, the four float settings real numbers (an int
+    too, as a checkpoint may hold `1`), `activation` a str, and none a bool."""
+
     epochs: int = 2000
     hidden: int = 32
     learning_rate: float = 1e-3
@@ -515,8 +526,15 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        kinds = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: str}
+        for name, declared in typing.get_type_hints(TrainConfig).items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds[declared]):
+                raise ValueError(f"{name} must be of type {declared.__name__}, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be <= {MAX_EPOCHS}")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
         for name in ("learning_rate", "epsilon"):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import datetime as dt
 import importlib
 import io
@@ -136,6 +137,26 @@ class TestRun:
             argv += ["--config", str(cfg)]
         assert run_cli(*argv) == EXIT_USAGE
         assert "config error:" in capsys.readouterr().err
+
+    def test_run_config_is_checked_when_built(self):
+        with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+            RunConfig(horizon=0)
+
+    def test_run_config_cannot_be_changed(self):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.horizon = 0
+
+    @pytest.mark.parametrize("command", [["run", "--model", "lstm-u2"], ["reproduce"]])
+    def test_huge_epochs_is_one_config_error_before_any_fit(self, tmp_path, monkeypatch,
+                                                             capsys, command):
+        # `train` allocates its (epochs, members) loss history before its first
+        # step, so the ceiling must reject 10**22 epochs before any training
+        _no_training(monkeypatch)
+        out = tmp_path / "out"
+        assert run_cli(*command, "--epochs", str(10**22), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: epochs must be <= {lstm.MAX_EPOCHS}\n"
+        assert not out.exists()
 
 
 def _diverge(monkeypatch):

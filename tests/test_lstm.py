@@ -18,6 +18,7 @@ from casecast.data import (
 from casecast import lstm
 from casecast.lstm import (
     ACTIVATIONS,
+    MAX_EPOCHS,
     SCHEMAS,
     AdamState,
     LstmModel,
@@ -481,6 +482,27 @@ class TestTrain:
     def test_config_rejects_a_setting_out_of_range(self, setting, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**setting)
+
+    @pytest.mark.parametrize("setting", [
+        {"epochs": 2.5}, {"hidden": 4.0}, {"epochs": math.nan}, {"epochs": True},
+        {"seed": "3"}, {"learning_rate": "0.1"}, {"epsilon": True}, {"beta1": True},
+        {"activation": ["elu"]},
+    ], ids=["epochs-float", "hidden-float", "epochs-nan", "epochs-bool", "seed-str",
+            "learning-rate-str", "epsilon-bool", "beta1-bool", "activation-list"])
+    def test_config_rejects_a_setting_of_the_wrong_type(self, setting):
+        (name,) = setting
+        with pytest.raises(ValueError, match=f"^{name} must be of type .*, got "):
+            TrainConfig(**setting)
+
+    def test_config_takes_numpy_numbers_and_an_int_for_a_float(self):
+        cfg = TrainConfig(epochs=np.int64(3), hidden=np.int32(4), seed=np.int64(4),
+                          learning_rate=1, beta1=np.float64(0.5))
+        assert (cfg.epochs, cfg.hidden, cfg.seed, cfg.learning_rate) == (3, 4, 4, 1)
+
+    def test_config_caps_epochs(self):
+        assert TrainConfig(epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
+        with pytest.raises(ValueError, match=f"^epochs must be <= {MAX_EPOCHS}$"):
+            TrainConfig(epochs=MAX_EPOCHS + 1)
 
     def test_reachable_targets_drive_loss_to_zero(self):
         inputs = np.full((5, 1, 1), 0.5)

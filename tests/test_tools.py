@@ -37,16 +37,25 @@ def test_code_lines_counts_statement_lines_only():
 
 
 def test_code_lines_of_a_revision_are_those_of_its_files(tmp_path, monkeypatch, capsys):
-    # a working tree unlike HEAD's: cli.py gains a statement, data.py is
-    # gone and extra.py is new. Each row: the module's count at HEAD (its
-    # text from `git show`, 0 if missing), in the tree, and the difference
+    # HEAD of a throwaway repository holding the package, against a working
+    # tree unlike it: cli.py gains a statement, data.py is gone and extra.py
+    # is new. Each row: the module's count at HEAD (its text from `git show`,
+    # 0 if missing), in the tree, and the difference
+    repo, tree = tmp_path / "repo", tmp_path / "tree"
+    no_cache = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(code_lines_tool.PACKAGE, repo / code_lines_tool.PACKAGE_PATH, ignore=no_cache)
+    git = ["git", "-C", str(repo), "-c", "user.name=casecast", "-c",
+           "user.email=casecast@example.invalid", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "package"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
     cli_lines = code_lines((code_lines_tool.PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    shutil.copytree(code_lines_tool.PACKAGE, tmp_path, dirs_exist_ok=True)
-    with open(tmp_path / "cli.py", "a", encoding="utf-8") as fh:
+    shutil.copytree(code_lines_tool.PACKAGE, tree, ignore=no_cache)
+    with open(tree / "cli.py", "a", encoding="utf-8") as fh:
         fh.write("\nADDED = 1\n")
-    (tmp_path / "data.py").unlink()
-    (tmp_path / "extra.py").write_text("EXTRA = 2\n", encoding="utf-8")
-    monkeypatch.setattr(code_lines_tool, "PACKAGE", tmp_path)
+    (tree / "data.py").unlink()
+    (tree / "extra.py").write_text("EXTRA = 2\n", encoding="utf-8")
+    monkeypatch.setattr(code_lines_tool, "ROOT", repo)
+    monkeypatch.setattr(code_lines_tool, "PACKAGE", tree)
 
     def at_head(name):
         shown = subprocess.run(["git", "show", f"HEAD:src/casecast/{name}"],
@@ -54,7 +63,7 @@ def test_code_lines_of_a_revision_are_those_of_its_files(tmp_path, monkeypatch, 
         return code_lines(shown.stdout) if shown.returncode == 0 else 0
 
     def in_tree(name):
-        path = tmp_path / name
+        path = tree / name
         return code_lines(path.read_text(encoding="utf-8")) if path.exists() else 0
 
     assert code_lines_tool.main(["HEAD"]) == 0

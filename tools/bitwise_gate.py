@@ -65,12 +65,13 @@ COMMANDS = {
     "run-prophet-lite-late": ["run", "--model", "prophet-lite", "--train", "2020-04-01:2020-05-08"],
     "run-lstm-u2-late": ["run", "--model", "lstm-u2", "--epochs", "20",
                          "--train", "2020-04-01:2020-05-08"],
-    # documented failures, each found within a second: exit 2, 2, 2 and 1
+    # documented failures, each found within a second: exit 2, 2, 2, 1 and 1
     "fail-run-lstm-u1-unobserved": ["run", "--model", "lstm-u1",
                                     "--train", "2020-04-01:2020-05-01"],
     "fail-reproduce-unobserved": ["reproduce", "--train", "2020-04-10:2020-05-01"],
     "fail-run-hwaas-7-days": ["run", "--model", "hwaas", "--train", "2020-03-24:2020-03-30"],
     "fail-run-lstm-u2-seed": ["run", "--model", "lstm-u2", "--seed", "-1"],
+    "fail-run-epochs-huge": ["run", "--model", "lstm-u2", "--epochs", "10000000000000000000000"],
     # all 465 backtest windows fitted in pool order, then in reverse, in one
     # process: each Holt-Winters fit meets the unit columns the last one left
     "script-hw-pool-fits": ["hw_pool_fits.py"],
