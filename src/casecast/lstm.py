@@ -14,36 +14,45 @@ any size alike. `train` runs an ensemble in lockstep this way. Every stacked
 operation is a per-member matmul, a broadcast or an elementwise op, so row e
 of each result is bitwise what a stack of member e alone would give.
 
-Contiguity: a step on a stack is some 75 small numpy calls, and a call on a
-strided operand costs two to three times one on a contiguous operand of the
-same size. So a stack's `flat` is name-major (every member's wx, then every
+Contiguity: a training step on a stack is some 75 small numpy calls at
+lookback 1 and some 33 more per further time step, and a call on a strided
+operand costs two to three times one on a contiguous operand of the same
+size. So a stack's `flat` is name-major (every member's wx, then every
 member's b, ...), which makes each named array one contiguous block, and
 inside a step the gates are gate-major, (4, E, H), which makes each gate of
 all members one contiguous block. Neither layout changes a product's
 operands or an elementwise op's values, so neither changes a bit.
 
 Workspace: such a step is limited by the fixed cost of each numpy call, not
-by its arithmetic, so a step writes into arrays allocated once. `train`
-builds one `Workspace` for its stack's (E, L, D, H) and activations. Besides
-the parameters and Adam's moments, every array a training step writes lies
-in the workspace, or, for Adam's temporaries, in `AdamState.scratch`. The
-workspace holds the states, gates and activation values of every step,
-which the reverse pass reads, the forward step's temporaries and output, the
-reverse pass's dc, d_ifo and da, a store of every step's da rows, and the
-gradient stack. It allocates each of these itself, one buffer of its exact
-shape per array, or holds it as a view of one that it allocated, and holds
-no view of a caller's array. `forward` and `bptt_gradient` take the
-workspace as an argument, and it alone carries the activations;
-`run_schema` builds one per forecast and reuses it on every day. What they
-return lies in the workspace and is valid until the workspace's next call.
+by its arithmetic, so a step writes into arrays allocated once and reads
+views of them built once. `train` builds one `Workspace` for its stack's
+(E, L, D, H) and activations. Besides the parameters and Adam's moments,
+every array a training step writes lies in the workspace, or, for Adam's
+temporaries, in `AdamState.scratch`. The workspace holds the states, gates
+and activation values of every step, which the reverse pass reads, the
+forward step's temporaries and output, the reverse pass's dc, d_ifo and da,
+a store of every step's da rows, and the gradient stack. It allocates each
+of these itself, one buffer of its exact shape per array, or holds it as a
+view of one that it allocated, and holds no view of params or of a caller's
+array. It also holds, one tuple per step, every view of its buffers that the
+forward and reverse loops touch, and both loops pass `out` by position: a
+multiply that builds its operands' views costs about 450 ns, one on views
+built in advance with `out` passed by position about 250 ns. `forward` and
+`bptt_gradient` take the workspace as an argument, and it alone carries the
+activations; `run_schema` builds one per forecast and reuses it on every
+day. What they return lies in the workspace and is valid until the
+workspace's next call.
+
 The reverse loop carries only the recurrence and fills the store; the wx, b
 and wh gradients are then each one product and one np.add.reduce over the
-store's step axis. That sum is
-bitwise the per-step one: the store runs in the loop's order, t = L-1 first,
-and numpy adds a non-innermost axis in index order, so each sum adds the
-same terms in the same order. Only the sign of a zero sum may differ, -0.0 where
-accumulating into a zeroed stack gave +0.0, and Adam, whose moments start at
-+0.0, steps both to the same bits.
+store's step axis. wx's terms are laid out (L, E, D, 4H), gate axis
+innermost, and summed into wx transposed, so their product's inner loop
+runs over 4H, not over D. Each sum is bitwise the per-step one: the store
+runs in the loop's order, t = L-1 first, and numpy adds a non-innermost axis
+in index order, so each sum adds the same terms in the same order. Only the
+sign of a zero sum may differ, -0.0 where accumulating into a zeroed stack
+gave +0.0, and Adam, whose moments start at +0.0, steps both to the same
+bits.
 
 Members may differ in input width D: the stack zero-pads each to the widest.
 A padded entry adds only products with a zero to a sum, which leaves the sum
@@ -103,7 +112,7 @@ def elu(x, out=None):
     else:
         np.copyto(out, x)
     # expm1 only where x <= 0: on a large positive x it would overflow
-    return np.expm1(x, out=out, where=x <= 0)
+    return np.expm1(x, out=out, where=x <= 0.0)
 
 
 def _elu_grad(fx, out=None):
@@ -153,17 +162,18 @@ def _mixed_activation(names: tuple[str, ...]):
 
 # the doubles next to 0 and 1: 1 / (1 + exp(-x)) rounds to exactly 1.0 once
 # x > ~36.7 and to 0.0 once exp overflows (x < ~-709.8); _sigmoid clamps to
-# these so a gate is never exactly shut or exactly open
-_SIGMOID_LO = np.nextafter(0.0, 1.0)
-_SIGMOID_HI = np.nextafter(1.0, 0.0)
+# these so a gate is never exactly shut or exactly open. They are 0-d
+# arrays, which `clip` takes without converting a scalar on each call
+_SIGMOID_LO = np.array(np.nextafter(0.0, 1.0))
+_SIGMOID_HI = np.array(np.nextafter(1.0, 0.0))
 
 
 def _sigmoid(x, out):
     """The logistic function into `out`, with values strictly inside (0, 1),
-    for a caller that ignores exp's overflow."""
-    np.exp(np.negative(x, out=out), out=out)
-    np.divide(1.0, np.add(1.0, out, out=out), out=out)
-    return np.maximum(np.minimum(out, _SIGMOID_HI, out=out), _SIGMOID_LO, out=out)
+    for a caller that ignores exp's overflow; a NaN stays NaN."""
+    np.exp(np.negative(x, out), out)
+    np.divide(1.0, np.add(1.0, out, out), out)
+    return out.clip(_SIGMOID_LO, _SIGMOID_HI, out)
 
 
 def _matvec(w, v):
@@ -301,29 +311,40 @@ class Workspace:
       cell state; and the output `y` (E, D), whose entries past a member's
       own width stay zero;
     - the forward step's temporaries: the input terms of all steps, the
-      recurrent term, the pre-activations and one (E, H) product;
+      recurrent term, the pre-activations and one (E, H) product, and one
+      product buffer per dense-head group of adjacent members;
     - the reverse pass's error and losses, the activation derivatives and
       1 - ifo of all steps, dh, dc, d_ifo and da, and `store`, every
       step's da rows (L, E, 4H, 1) in the order the reverse loop visits
       them, t = L-1 first;
     - the products of the store with x and with h that the weight gradients
-      sum, `x_terms` (L, E, 4H, D) and `h_terms` (L-1, E, 4H, H), and
-      `grads`, the gradient stack, of params' layout.
+      sum, `x_terms` (L, E, D, 4H), gate axis innermost, and `h_terms`
+      (L-1, E, 4H, H), and `grads`, the gradient stack, of params' layout.
 
-    Each array is a buffer of its own, but for `xw_gates`, `hw_gates` and
-    `store_gates`, gate-major views of `xw`, `hw` and `store`. A call writes
-    each of these it uses whole, but for the fixed zeros above and wh's
-    gradient at lookback 1, which is exactly zero (the state starts at zero)
-    and so is never written."""
+    Each array is a buffer of its own, but for `hw_gates`, a gate-major view
+    of `hw`. A call writes each of these it uses whole, but for the fixed
+    zeros above and wh's gradient at lookback 1, which is exactly zero (the
+    state starts at zero) and so is never written.
+
+    The workspace also binds, once, every view of its buffers that a call
+    reads or writes, so no step builds one. `forward_steps` and
+    `reverse_steps` hold one tuple of views per step, in the order each loop
+    visits the steps and unpacks the tuple, the gate-major views of `xw`
+    and `store` among them; `a_ifo`, `a_c`, `d_gates`,
+    `da_ifo`, `da_c` and `dh_rows` are fixed slices of the step's
+    temporaries; `store_rows`, `store_b` and `h_operands` are the store's
+    operands in the gradient sums; and `heads` holds, per width group, its
+    rows and width and, for adjacent members, its views of h and y and its
+    product buffer. None of these views is of `params` or of a caller's
+    array."""
 
     def __init__(self, params: LstmParams, steps: int, activations):
         members, hdim, width = len(params.widths), params.hidden, params.input_dim
         self.gfun, self.dgfun = _activation(activations, members)
-        self.groups = _width_groups(params.widths)
         gates = 4 * hdim
         self.xw = np.empty((members, steps, gates, 1))
         # read gate-major, (L, 4, E, H)
-        self.xw_gates = self.xw.reshape(members, steps, 4, hdim).transpose(1, 2, 0, 3)
+        xw_gates = self.xw.reshape(members, steps, 4, hdim).transpose(1, 2, 0, 3)
         self.h = np.zeros((steps + 1, members, hdim))
         self.c = np.zeros((steps + 1, members, hdim))
         self.ifo = np.empty((steps, 3, members, hdim))
@@ -345,12 +366,45 @@ class Workspace:
         # da's rows, the layout of the products with wx, wh and b; step s of
         # the reverse loop is t = L-1-s
         self.store = np.empty((steps, members, gates, 1))
-        self.store_gates = self.store.reshape(steps, members, 4, hdim).transpose(0, 2, 1, 3)
+        store_gates = self.store.reshape(steps, members, 4, hdim).transpose(0, 2, 1, 3)
         # the store's products with x and with h, which the wx and wh
         # gradients sum; h[0] = 0 adds nothing, so one step fewer for h
-        self.x_terms = np.empty((steps, members, gates, width))
+        self.x_terms = np.empty((steps, members, width, gates))
         self.h_terms = np.empty((steps - 1, members, gates, hdim))
         self.grads = params.zeros_like()
+
+        # the views the kernels read, bound once (see the module docstring)
+        self.a_ifo, self.a_c = self.a[:3], self.a[3]
+        self.d_gates = tuple(self.d_ifo)  # i, f, o
+        self.da_ifo, self.da_c = self.da[:3], self.da[3]
+        self.dh_rows = self.dh[:, :, 0]
+        h_cols = self.h[..., None]  # (L+1, E, H, 1), wh's operand
+        self.forward_steps = [
+            (xw_gates[t], h_cols[t], self.ifo[t], *self.ifo[t], *self.g[t],
+             self.c[t], self.c[t + 1], self.h[t + 1])
+            for t in range(steps)
+        ]
+        self.reverse_steps = [
+            (t, self.ifo[t], *self.ifo[t], *self.g[t], *self.dg[t], self.not_ifo[t], self.c[t],
+             store_gates[s], self.store[s])
+            for s, t in enumerate(reversed(range(steps)))
+        ]
+        # the store's operands in the gradient sums: its rows (L, E, 1, 4H)
+        # for wx's terms, its columns for b's sum, and with h in the store's
+        # step order for wh's terms
+        self.store_rows = self.store.reshape(steps, members, 1, gates)
+        self.store_b = self.store[..., 0]
+        self.h_operands = (self.store[:-1], self.h[-2:0:-1, :, None, :])
+        # per width group: rows, width and, for adjacent members (a slice of
+        # rows), h's last row as columns, the product, its rows and y's block
+        self.heads = []
+        for group_width, rows in _width_groups(params.widths):
+            if isinstance(rows, slice):
+                product = np.empty((rows.stop - rows.start, group_width, 1))
+                self.heads.append((rows, group_width, h_cols[steps, rows], product,
+                                   product[:, :, 0], self.y[rows, :group_width]))
+            else:  # an index array selects copies, so nothing is bound
+                self.heads.append((rows, group_width, None, None, None, None))
 
 
 def forward(params: LstmParams, inputs, ws: Workspace):
@@ -370,39 +424,42 @@ def forward(params: LstmParams, inputs, ws: Workspace):
     the g of each member. y is `ws.y`, and the call leaves in `ws` only what
     it computes, which with the inputs is all that `bptt_gradient` reads for
     an exact reverse pass: `ws.h`, `ws.c`, `ws.ifo` and `ws.g`. Each holds
-    until the workspace's next call."""
+    until the workspace's next call. Each step reads the views `ws` bound
+    and passes `out` by position."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape[2:] != (params.input_dim,):
         raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
-    steps = inputs.shape[1]
-    gfun, h, c, ifo, gv, a, tmp = ws.gfun, ws.h, ws.c, ws.ifo, ws.g, ws.a, ws.tmp
+    add, multiply, gfun, tmp = np.add, np.multiply, ws.gfun, ws.tmp
+    a, a_ifo, a_c = ws.a, ws.a_ifo, ws.a_c
     # the input term of every step in one matmul, still one product per
     # (member, step), so each is the one a per-step matvec would give
-    np.matmul(params.wx[:, None], inputs[..., None], out=ws.xw)
-    xw = ws.xw_gates
+    np.matmul(params.wx[:, None], inputs[..., None], ws.xw)
     b = _gate_major(params.b, params.hidden)
+    wh, hw, hw_gates = params.wh, ws.hw, ws.hw_gates
     # sigmoid's exp overflows, harmlessly, on a pre-activation below ~-709.8
     with np.errstate(over="ignore"):
-        for t in range(steps):
+        for t, (xw, h, ifo, i, f, o, g_in, g_c, c, c_new, h_new) in enumerate(ws.forward_steps):
             # the state starts at zero: step 0 has no recurrent term
             if t:
-                np.matmul(params.wh, h[t, :, :, None], out=ws.hw)
-                np.add(xw[t], ws.hw_gates, out=a)
-                a += b
+                np.matmul(wh, h, hw)
+                add(xw, hw_gates, a)
+                add(a, b, a)
             else:
-                np.add(xw[t], b, out=a)
-            _sigmoid(a[:3], ifo[t])
-            gfun(a[3], gv[t, 0])
-            np.multiply(ifo[t, 1], c[t], out=c[t + 1])
-            c[t + 1] += np.multiply(ifo[t, 0], gv[t, 0], out=tmp)
-            gfun(c[t + 1], gv[t, 1])
-            np.multiply(ifo[t, 2], gv[t, 1], out=h[t + 1])
-    y = ws.y
-    for width, rows in ws.groups:
-        y[rows, :width] = (
-            _matvec(params.dense_w[rows, :width], h[steps][rows]) + params.dense_b[rows, :width]
-        )
-    return y
+                add(xw, b, a)
+            _sigmoid(a_ifo, ifo)
+            gfun(a_c, g_in)
+            multiply(f, c, c_new)
+            add(c_new, multiply(i, g_in, tmp), c_new)
+            gfun(c_new, g_c)
+            multiply(o, g_c, h_new)
+    for rows, width, h_last, product, product_rows, y_rows in ws.heads:
+        w, bias = params.dense_w[rows, :width], params.dense_b[rows, :width]
+        if product is None:
+            ws.y[rows, :width] = _matvec(w, ws.h[-1][rows]) + bias
+        else:
+            np.matmul(w, h_last, product)
+            add(product_rows, bias, y_rows)
+    return ws.y
 
 
 def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
@@ -418,39 +475,39 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     each summed over the store in one reduction."""
     inputs = np.asarray(inputs, dtype=float)
     y = forward(params, inputs, ws)
-    x, h, c, ifo, gv = inputs.transpose(1, 0, 2), ws.h, ws.c, ws.ifo, ws.g
+    add, multiply, tmp, dc, dh = np.add, np.multiply, ws.tmp, ws.dc, ws.dh_rows
+    d_ifo, (d_i, d_f, d_o), da, da_ifo, da_c = ws.d_ifo, ws.d_gates, ws.da, ws.da_ifo, ws.da_c
     # the factors that need no reverse-pass state, for every step at once
-    dg = ws.dgfun(gv, ws.dg)
-    not_ifo = np.subtract(1.0, ifo, out=ws.not_ifo)
-    err = np.subtract(y, target, out=ws.err)
-    np.matmul(err[:, None, :], err[:, :, None], out=ws.loss)
+    ws.dgfun(ws.g, ws.dg)
+    np.subtract(1.0, ws.ifo, ws.not_ifo)
+    err = np.subtract(y, target, ws.err)
+    np.matmul(err[:, None, :], err[:, :, None], ws.loss)
 
-    grads, steps = ws.grads, len(x)
-    two_err = np.multiply(2.0, err, out=grads.dense_b)
-    np.multiply(two_err[:, :, None], h[-1][:, None, :], out=grads.dense_w)
-    np.matmul(params.dense_w.transpose(0, 2, 1), two_err[:, :, None], out=ws.dh)
-    dh, dc, d_ifo, da, tmp = ws.dh[:, :, 0], ws.dc, ws.d_ifo, ws.da, ws.tmp
-    store = ws.store
+    grads, steps = ws.grads, len(ws.reverse_steps)
+    two_err = multiply(2.0, err, grads.dense_b)
+    multiply(two_err[:, :, None], ws.h[-1][:, None, :], grads.dense_w)
+    np.matmul(params.dense_w.transpose(0, 2, 1), two_err[:, :, None], ws.dh)
     dc.fill(0.0)
     wh_t = params.wh.transpose(0, 2, 1)
-    for s, t in enumerate(reversed(range(steps))):
-        np.multiply(dh, gv[t, 1], out=d_ifo[2])
-        dc += np.multiply(np.multiply(dh, ifo[t, 2], out=tmp), dg[t, 1], out=tmp)
-        np.multiply(dc, gv[t, 0], out=d_ifo[0])
-        np.multiply(dc, c[t], out=d_ifo[1])
-        np.multiply(np.multiply(d_ifo, ifo[t], out=d_ifo), not_ifo[t], out=da[:3])
-        np.multiply(np.multiply(dc, ifo[t, 0], out=da[3]), dg[t, 0], out=da[3])
-        ws.store_gates[s] = da  # the step's one transposing copy
+    for t, ifo, i, f, o, g_in, g_c, dg_in, dg_c, not_ifo, c, store_gates, store in (
+            ws.reverse_steps):
+        multiply(dh, g_c, d_o)
+        add(dc, multiply(multiply(dh, o, tmp), dg_c, tmp), dc)
+        multiply(dc, g_in, d_i)
+        multiply(dc, c, d_f)
+        multiply(multiply(d_ifo, ifo, d_ifo), not_ifo, da_ifo)
+        multiply(multiply(dc, i, da_c), dg_in, da_c)
+        store_gates[...] = da  # the step's one transposing copy
         if t:  # nothing flows past step 0
-            np.matmul(wh_t, store[s], out=ws.dh)
-            dc *= ifo[t, 1]
+            np.matmul(wh_t, store, ws.dh)
+            multiply(dc, f, dc)
     # numpy reduces a non-innermost axis in index order, which is the loop's
     # order, so each sum adds its terms as a per-step accumulation would
-    np.multiply(store, x[::-1, :, None, :], out=ws.x_terms)
-    np.add.reduce(ws.x_terms, axis=0, out=grads.wx)
-    np.add.reduce(store[..., 0], axis=0, out=grads.b)
+    multiply(ws.store_rows, inputs.transpose(1, 0, 2)[::-1, :, :, None], ws.x_terms)
+    np.add.reduce(ws.x_terms, axis=0, out=grads.wx.transpose(0, 2, 1))
+    np.add.reduce(ws.store_b, axis=0, out=grads.b)
     if steps > 1:  # h[0] = 0 adds nothing to wh's gradient
-        np.multiply(store[:-1], h[-2:0:-1, :, None, :], out=ws.h_terms)
+        multiply(*ws.h_operands, ws.h_terms)
         np.add.reduce(ws.h_terms, axis=0, out=grads.wh)
     return ws.loss[:, 0, 0], grads
 
@@ -568,7 +625,8 @@ def train(
     the window count and the lookback and may differ in channel count;
     their configs may differ only in seed and activation. If a mean
     epoch loss is non-finite, TrainingDivergedError names the lowest-index
-    member diverging at the earliest such epoch."""
+    member diverging at the earliest such epoch. numpy's floating-point
+    warnings on the way there are silenced: that error is the one report."""
     datasets = (dataset, *(d for d, _ in others))
     cfgs = (cfg, *(c for _, c in others))
     for other in cfgs[1:]:
@@ -606,18 +664,21 @@ def train(
         state.live = params.flat.size - params.wh.size
     n = len(dataset)
     losses = np.empty((cfg.epochs, len(cfgs)))
-    for epoch in range(cfg.epochs):
-        total = np.zeros(len(cfgs))
-        # row j holds every member's j-th sample of this epoch
-        order = np.stack([rng.permutation(n) for rng in rngs], axis=1)
-        for x, y in zip(inputs[members, order], targets[members, order]):
-            loss, grads = bptt_gradient(params, x, y, ws)
-            total += loss
-            adam_update(params, grads, state, cfg)
-        losses[epoch] = total / n
-        diverged = np.flatnonzero(~np.isfinite(losses[epoch]))
-        if diverged.size:
-            raise TrainingDivergedError(epoch + 1, cfgs[diverged[0]])
+    # a diverging member overflows on its way to a non-finite mean loss; the
+    # check on that loss reports the divergence, numpy's warnings only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            total = np.zeros(len(cfgs))
+            # row j holds every member's j-th sample of this epoch
+            order = np.stack([rng.permutation(n) for rng in rngs], axis=1)
+            for x, y in zip(inputs[members, order], targets[members, order]):
+                loss, grads = bptt_gradient(params, x, y, ws)
+                total += loss
+                adam_update(params, grads, state, cfg)
+            losses[epoch] = total / n
+            diverged = np.flatnonzero(~np.isfinite(losses[epoch]))
+            if diverged.size:
+                raise TrainingDivergedError(epoch + 1, cfgs[diverged[0]])
     return [
         LstmModel(params.member(e), c, losses[:, e].tolist()) for e, c in enumerate(cfgs)
     ]

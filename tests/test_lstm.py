@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import types
 import warnings
 
 import numpy as np
@@ -68,6 +69,17 @@ class TestSigmoid:
         y = sigmoid(np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0]))
         assert np.all(y > 0.0) and np.all(y < 1.0)
         assert y[2] == 0.5
+
+    def test_clamp_keeps_nan_and_sends_infinities_to_the_bounds(self):
+        # one clip call and np.minimum then np.maximum give these same values
+        x = np.array([np.nan, -np.nan, np.inf, -np.inf, -746.0])
+        y = sigmoid(x)
+        assert np.isnan(y[:2]).all()
+        assert y[2] == lstm._SIGMOID_HI
+        assert y[3] == y[4] == lstm._SIGMOID_LO
+        with np.errstate(over="ignore"):
+            min_max = _min_max_sigmoid(x, np.empty(x.shape))
+        assert np.isnan(min_max[:2]).all() and min_max[2:].tobytes() == y[2:].tobytes()
 
 
 def zero_params(hidden, input_dim):
@@ -372,9 +384,10 @@ class TestBptt:
         params = LstmParams.stack([LstmParams.glorot(hidden, width, rng) for _ in range(members)])
         ws = lstm.Workspace(params, len(column), ("elu",) * members)
         grads = ws.grads
-        # the store's rows (L, E, 4H) and its products with x and h, (L, E, 4H, D|H)
+        # the store's rows (L, E, 4H) and its products with x, (L, E, D, 4H),
+        # summed into wx transposed, and with h, (L, E, 4H, H)
         steps = ws.store.shape[:-1]
-        for shape, out in ((steps, grads.b), (steps + (width,), grads.wx),
+        for shape, out in ((steps, grads.b), (ws.x_terms.shape, grads.wx.transpose(0, 2, 1)),
                            (steps + (hidden,), grads.wh)):
             terms = np.zeros(shape)
             terms[(slice(None),) + (-1,) * out.ndim] = column
@@ -384,17 +397,30 @@ class TestBptt:
     @pytest.mark.parametrize("widths, lookback", [((1, 1, 2, 2), 1), ((2,), 7), ((1, 2, 1), 3)],
                              ids=["reproduce", "fit-seq7", "interleaved-lookback3"])
     def test_workspace_owns_every_array_it_holds(self, widths, lookback):
-        # every array is the workspace's own buffer or a view of one: none is
-        # a view of the caller's inputs, and none aliases an unlisted buffer
+        # every array, each view in its per-step and head lists too, is the
+        # workspace's own buffer or a view of one: none is a view of params
+        # or of the caller's inputs, and none aliases an unlisted buffer
         rng = np.random.default_rng(lookback)
         params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in widths])
         members, width = len(widths), params.input_dim
         ws = lstm.Workspace(params, lookback, [("elu", "tanh")[e % 2] for e in range(members)])
         inputs = rng.random((members, lookback, width))
         bptt_gradient(params, inputs, rng.random((members, width)), ws)
-        assert ws.x_terms.shape == (lookback, members, 16, width)
+        assert ws.x_terms.shape == (lookback, members, width, 16)
         assert ws.h_terms.shape == (lookback - 1, members, 16, 4)
-        arrays = {name: a for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        assert len(ws.forward_steps) == len(ws.reverse_steps) == lookback
+        arrays = {}
+        for name, value in vars(ws).items():
+            if isinstance(value, np.ndarray):
+                arrays[name] = value
+            elif isinstance(value, (list, tuple)):
+                for k, item in enumerate(value):
+                    for j, a in enumerate(item if isinstance(item, tuple) else (item,)):
+                        # all but the dense head's index rows, which are ints
+                        if isinstance(a, np.ndarray) and a.dtype == float:
+                            arrays[f"{name}[{k}][{j}]"] = a
+        views = [name for name in arrays if name.startswith(("forward_steps", "reverse_steps"))]
+        assert len(views) == lookback * (11 + 12)  # each step's forward and reverse views
         strays = []
         for name, root in arrays.items():
             while root.base is not None:
@@ -402,6 +428,154 @@ class TestBptt:
             if not any(root is a for a in arrays.values()):
                 strays.append(name)
         assert strays == []
+
+
+def _min_max_sigmoid(x, out):
+    """`_sigmoid` clamped by np.minimum, then np.maximum."""
+    np.exp(np.negative(x, out=out), out=out)
+    np.divide(1.0, np.add(1.0, out, out=out), out=out)
+    return np.maximum(np.minimum(out, lstm._SIGMOID_HI, out=out), lstm._SIGMOID_LO, out=out)
+
+
+def _per_step_workspace(params, steps, activations):
+    """The arrays `_per_step_forward` and `_per_step_bptt` write, each
+    allocated here, with the wx gradient's terms laid out (L, E, 4H, D)."""
+    members, hdim, width = len(params.widths), params.hidden, params.input_dim
+    gates = 4 * hdim
+    ws = types.SimpleNamespace()
+    ws.gfun, ws.dgfun = lstm._activation(activations, members)
+    ws.groups = lstm._width_groups(params.widths)
+    ws.xw = np.empty((members, steps, gates, 1))
+    ws.xw_gates = ws.xw.reshape(members, steps, 4, hdim).transpose(1, 2, 0, 3)
+    ws.h = np.zeros((steps + 1, members, hdim))
+    ws.c = np.zeros((steps + 1, members, hdim))
+    ws.ifo = np.empty((steps, 3, members, hdim))
+    ws.g = np.empty((steps, 2, members, hdim))
+    ws.a = np.empty((4, members, hdim))
+    ws.hw = np.empty((members, gates, 1))
+    ws.hw_gates = lstm._gate_major(ws.hw, hdim)
+    ws.tmp = np.empty((members, hdim))
+    ws.y = np.zeros((members, width))
+    ws.err = np.empty((members, width))
+    ws.loss = np.empty((members, 1, 1))
+    ws.dg = np.empty(ws.g.shape)
+    ws.not_ifo = np.empty(ws.ifo.shape)
+    ws.dh = np.empty((members, hdim, 1))
+    ws.dc = np.empty((members, hdim))
+    ws.d_ifo = np.empty((3, members, hdim))
+    ws.da = np.empty((4, members, hdim))
+    ws.store = np.empty((steps, members, gates, 1))
+    ws.store_gates = ws.store.reshape(steps, members, 4, hdim).transpose(0, 2, 1, 3)
+    ws.x_terms = np.empty((steps, members, gates, width))
+    ws.h_terms = np.empty((steps - 1, members, gates, hdim))
+    ws.grads = params.zeros_like()
+    return ws
+
+
+def _per_step_forward(params, inputs, ws):
+    """The per-step form of `forward`: each step indexes every view it
+    touches and passes `out` by keyword. Kept as the oracle that the kernel
+    on views bound once per workspace must match bit for bit."""
+    inputs = np.asarray(inputs, dtype=float)
+    steps = inputs.shape[1]
+    gfun, h, c, ifo, gv, a, tmp = ws.gfun, ws.h, ws.c, ws.ifo, ws.g, ws.a, ws.tmp
+    np.matmul(params.wx[:, None], inputs[..., None], out=ws.xw)
+    xw = ws.xw_gates
+    b = lstm._gate_major(params.b, params.hidden)
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if t:
+                np.matmul(params.wh, h[t, :, :, None], out=ws.hw)
+                np.add(xw[t], ws.hw_gates, out=a)
+                a += b
+            else:
+                np.add(xw[t], b, out=a)
+            _min_max_sigmoid(a[:3], ifo[t])
+            gfun(a[3], gv[t, 0])
+            np.multiply(ifo[t, 1], c[t], out=c[t + 1])
+            c[t + 1] += np.multiply(ifo[t, 0], gv[t, 0], out=tmp)
+            gfun(c[t + 1], gv[t, 1])
+            np.multiply(ifo[t, 2], gv[t, 1], out=h[t + 1])
+    y = ws.y
+    for width, rows in ws.groups:
+        y[rows, :width] = (
+            lstm._matvec(params.dense_w[rows, :width], h[steps][rows])
+            + params.dense_b[rows, :width]
+        )
+    return y
+
+
+def _per_step_bptt(params, inputs, target, ws):
+    """The per-step form of `bptt_gradient`, over `_per_step_forward`."""
+    inputs = np.asarray(inputs, dtype=float)
+    y = _per_step_forward(params, inputs, ws)
+    x, h, c, ifo, gv = inputs.transpose(1, 0, 2), ws.h, ws.c, ws.ifo, ws.g
+    dg = ws.dgfun(gv, ws.dg)
+    not_ifo = np.subtract(1.0, ifo, out=ws.not_ifo)
+    err = np.subtract(y, target, out=ws.err)
+    np.matmul(err[:, None, :], err[:, :, None], out=ws.loss)
+    grads, steps = ws.grads, len(x)
+    two_err = np.multiply(2.0, err, out=grads.dense_b)
+    np.multiply(two_err[:, :, None], h[-1][:, None, :], out=grads.dense_w)
+    np.matmul(params.dense_w.transpose(0, 2, 1), two_err[:, :, None], out=ws.dh)
+    dh, dc, d_ifo, da, tmp = ws.dh[:, :, 0], ws.dc, ws.d_ifo, ws.da, ws.tmp
+    store = ws.store
+    dc.fill(0.0)
+    wh_t = params.wh.transpose(0, 2, 1)
+    for s, t in enumerate(reversed(range(steps))):
+        np.multiply(dh, gv[t, 1], out=d_ifo[2])
+        dc += np.multiply(np.multiply(dh, ifo[t, 2], out=tmp), dg[t, 1], out=tmp)
+        np.multiply(dc, gv[t, 0], out=d_ifo[0])
+        np.multiply(dc, c[t], out=d_ifo[1])
+        np.multiply(np.multiply(d_ifo, ifo[t], out=d_ifo), not_ifo[t], out=da[:3])
+        np.multiply(np.multiply(dc, ifo[t, 0], out=da[3]), dg[t, 0], out=da[3])
+        ws.store_gates[s] = da
+        if t:
+            np.matmul(wh_t, store[s], out=ws.dh)
+            dc *= ifo[t, 1]
+    np.multiply(store, x[::-1, :, None, :], out=ws.x_terms)
+    np.add.reduce(ws.x_terms, axis=0, out=grads.wx)
+    np.add.reduce(store[..., 0], axis=0, out=grads.b)
+    if steps > 1:
+        np.multiply(store[:-1], h[-2:0:-1, :, None, :], out=ws.h_terms)
+        np.add.reduce(ws.h_terms, axis=0, out=grads.wh)
+    return ws.loss[:, 0, 0], grads
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("widths, lookback, activations, scale", [
+        ((1, 1, 2, 2), 1, ("elu", "tanh", "elu", "tanh"), 1.0),
+        ((2,), 7, ("elu",), 1.0),
+        ((2,), 7, ("tanh",), 1.0),
+        ((1, 2, 1), 3, ("tanh", "elu", "elu"), 1.0),
+        # pre-activations far past +-36.7 and -709.8: every gate clamps
+        ((1, 2, 1), 3, ("elu", "tanh", "elu"), 2000.0),
+        ((2,), 7, ("elu",), 2000.0),
+    ], ids=["reproduce", "fit-seq7", "fit-seq7-tanh", "interleaved-lookback3",
+            "interleaved-saturated", "fit-seq7-saturated"])
+    def test_kernel_is_bitwise_the_per_step_oracle(self, widths, lookback, activations, scale):
+        rng = np.random.default_rng(lookback + len(widths))
+        params = LstmParams.stack([LstmParams.glorot(5, w, rng) for w in widths])
+        params.wh[...] *= 4.0  # recurrent terms of the same order as the input terms
+        members, width = len(widths), params.input_dim
+        ws = lstm.Workspace(params, lookback, activations)
+        want = _per_step_workspace(params, lookback, activations)
+        saturated = 0
+        for _ in range(3):  # the second and third calls reuse both workspaces
+            inputs = scale * rng.uniform(-1.0, 1.0, (members, lookback, width))
+            target = rng.random((members, width))
+            for e, w in enumerate(widths):
+                inputs[e, :, w:] = target[e, w:] = 0.0
+            loss, grads = bptt_gradient(params, inputs, target, ws)
+            want_loss, want_grads = _per_step_bptt(params, inputs, target, want)
+            pairs = {"y": (ws.y, want.y), "loss": (loss, want_loss),
+                     "grads": (grads.flat, want_grads.flat), "h": (ws.h, want.h),
+                     "c": (ws.c, want.c), "ifo": (ws.ifo, want.ifo), "g": (ws.g, want.g)}
+            for name, (got, expected) in pairs.items():
+                assert got.tobytes() == expected.tobytes(), name
+            saturated += np.count_nonzero((ws.ifo == lstm._SIGMOID_LO)
+                                          | (ws.ifo == lstm._SIGMOID_HI))
+        assert (saturated > 0) == (scale > 1.0)
 
 
 class TestAdam:
@@ -945,6 +1119,20 @@ class TestRunSchema:
             for days in (4, 6):
                 with pytest.raises(WindowError, match="^not enough history before the first"):
                     forecast(series, schema, model, lookback=7, days=days)
+
+    @pytest.mark.parametrize("learning_rate, lookback", [(1e10, 7), (1e300, 1)])
+    def test_a_real_divergence_raises_only_training_diverged_error(self, series,
+                                                                   learning_rate, lookback):
+        # no stub: the fit itself overflows at epoch 1, and numpy warns of none of it
+        cfg = TrainConfig(epochs=3, learning_rate=learning_rate)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(lstm.TrainingDivergedError) as info:
+                lstm.forecast_schemas(series, [("u3", cfg)], TRAIN_START, TRAIN_END,
+                                      lookback=lookback)
+        assert caught == []
+        assert info.value.epoch == 1
+        assert str(info.value) == "non-finite training loss at epoch 1 (activation elu, seed 42)"
 
     def test_horizon_zero_is_a_horizon_error(self, series):
         for schema in SCHEMAS:

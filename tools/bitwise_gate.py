@@ -49,6 +49,9 @@ COMMANDS = {
     "run-lstm-u1": ["run", "--model", "lstm-u1", "--epochs", "20"],
     "run-lstm-u2": ["run", "--model", "lstm-u2", "--epochs", "20"],
     "run-lstm-u2-tanh": ["run", "--model", "lstm-u2", "--epochs", "20", "--activation", "tanh"],
+    # a one-member tanh model at lookback 7: every per-step view of the kernel
+    "run-lstm-u2-tanh-lookback7": ["run", "--model", "lstm-u2", "--epochs", "20",
+                                   "--activation", "tanh", "--lookback", "7"],
     "run-lstm-u3": ["run", "--model", "lstm-u3", "--epochs", "20"],
     "run-lstm-u3-lookback7":["run", "--model", "lstm-u3", "--epochs", "20", "--lookback", "7"],
     # lookback 3: the rolling window holds more than the day just appended
