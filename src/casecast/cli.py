@@ -13,7 +13,6 @@ import datetime as dt
 import json
 import os
 import sys
-import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,6 +50,7 @@ from .lstm import (
     NonFiniteForecastError,
     TrainConfig,
     TrainingDivergedError,
+    check_field_types,
     forecast_schemas,
 )
 # not called here: perfbench's tracer patches these two by name in `cli`
@@ -86,10 +86,7 @@ class RunConfig:
     out: str = "out"
 
     def __post_init__(self):
-        for name, expected in typing.get_type_hints(RunConfig).items():
-            value = getattr(self, name)
-            if not isinstance(value, expected) or isinstance(value, bool):
-                raise ValueError(f"{name} must be of type {expected.__name__}, got {value!r}")
+        check_field_types(self)
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
         for name in ("horizon", "lookback"):

@@ -20,44 +20,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
 
 class DataError(Exception):
-    """Base class for everything the data layer can reject."""
-
-
-class MissingFileError(DataError):
-    pass
-
-
-class MalformedRowError(DataError):
-    """A CSV line, counted from 1, that does not parse, or a missing header
-    or data row. Its args are its constructor's, so it pickles."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(line_number, message)
-        self.line_number = line_number
-
-    def __str__(self):
-        line_number, message = self.args
-        return f"line {line_number}: {message}"
-
-
-class DateOrderError(DataError):
-    """Dates out of order or a gap in the daily cadence."""
-
-
-class NonMonotoneError(DataError):
-    """A cumulative channel decreased."""
-
-
-class WindowError(DataError):
-    """Requested date window not covered by the series."""
-
-
-class ConstantChannelError(DataError):
-    """A channel is constant over the fit window; min == max."""
-
-
-class HorizonError(DataError):
-    """A forecast horizon shorter than one day."""
+    """Anything the data layer rejects; its message names the fault."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -162,14 +125,15 @@ def shown_path(path) -> str:
 def load_csv(path: str) -> TimeSeries:
     """Parse a `date,total_cases,total_deaths` CSV into a TimeSeries.
 
-    Every violation maps to a distinct error: missing file, unreadable or
-    non-UTF-8 file, malformed row (with line number; a count beyond int64
-    is one), date gap/order, decreasing cumulative value.
+    Every violation is a DataError whose message names the fault: a missing,
+    unreadable or non-UTF-8 file, or, prefixed with its line, a malformed
+    row (a count beyond int64 is one), a date gap or out of order, or a
+    decreasing cumulative value.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError as exc:
-        raise MissingFileError(f"no such file: {shown_path(path)}") from exc
+        raise DataError(f"no such file: {shown_path(path)}") from exc
     except OSError as exc:
         raise DataError(f"cannot open {shown_path(path)}: {exc.strerror}") from exc
     with fh:
@@ -178,9 +142,9 @@ def load_csv(path: str) -> TimeSeries:
         except UnicodeDecodeError as exc:
             raise DataError(f"{shown_path(path)} is not UTF-8 text") from exc
     if not rows:
-        raise MalformedRowError(1, "empty file")
+        raise DataError("line 1: empty file")
     if [h.strip() for h in rows[0]] != ["date", "total_cases", "total_deaths"]:
-        raise MalformedRowError(1, f"unexpected header {rows[0]!r}")
+        raise DataError(f"line 1: unexpected header {rows[0]!r}")
     dates: list[dt.date] = []
     cases: list[int] = []
     deaths: list[int] = []
@@ -188,29 +152,29 @@ def load_csv(path: str) -> TimeSeries:
         if not row:
             continue
         if len(row) != 3:
-            raise MalformedRowError(lineno, f"expected 3 fields, got {len(row)}")
+            raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
         try:
             date = dt.date.fromisoformat(row[0].strip())
             c = int(row[1])
             d = int(row[2])
         except ValueError as exc:
-            raise MalformedRowError(lineno, str(exc)) from exc
+            raise DataError(f"line {lineno}: {exc}") from exc
         if c < 0 or d < 0:
-            raise MalformedRowError(lineno, "negative count")
+            raise DataError(f"line {lineno}: negative count")
         if max(c, d) > _INT64_MAX:
-            raise MalformedRowError(lineno, f"count {max(c, d)} exceeds the int64 range")
+            raise DataError(f"line {lineno}: count {max(c, d)} exceeds the int64 range")
         if dates:
             if date <= dates[-1]:
-                raise DateOrderError(f"line {lineno}: date {date} not after {dates[-1]}")
+                raise DataError(f"line {lineno}: date {date} not after {dates[-1]}")
             if date - dates[-1] != DAY:
-                raise DateOrderError(f"line {lineno}: gap between {dates[-1]} and {date}")
+                raise DataError(f"line {lineno}: gap between {dates[-1]} and {date}")
             if c < cases[-1] or d < deaths[-1]:
-                raise NonMonotoneError(f"line {lineno}: cumulative value decreases")
+                raise DataError(f"line {lineno}: cumulative value decreases")
         dates.append(date)
         cases.append(c)
         deaths.append(d)
     if not dates:
-        raise MalformedRowError(2, "no data rows")
+        raise DataError("line 2: no data rows")
     return TimeSeries(tuple(dates), np.array(cases), np.array(deaths))
 
 
@@ -218,9 +182,9 @@ def slice_window(ts: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
     """Inclusive sub-series by date range. Slices by dates, never by a
     hardcoded count."""
     if start > end:
-        raise WindowError(f"start {start} after end {end}")
+        raise DataError(f"start {start} after end {end}")
     if start < ts.start or end > ts.end:
-        raise WindowError(
+        raise DataError(
             f"window {start}..{end} outside series range {ts.start}..{ts.end}"
         )
     i = (start - ts.start).days
@@ -231,9 +195,9 @@ def slice_window(ts: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
 def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
     """The `horizon` days after `train_end` and the cases observed on them,
     as floats (None unless the series covers every one of them).
-    Returns (dates, actuals). A horizon below 1 is a HorizonError."""
+    Returns (dates, actuals). A horizon below 1 is a DataError."""
     if horizon < 1:
-        raise HorizonError(f"horizon must be at least 1 day, got {horizon}")
+        raise DataError(f"horizon must be at least 1 day, got {horizon}")
     dates = tuple(train_end + (k + 1) * DAY for k in range(horizon))
     if dates[0] < ts.start or dates[-1] > ts.end:
         return dates, None
@@ -243,24 +207,24 @@ def forecast_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
 
 def observed_horizon(ts: TimeSeries, train_end: dt.date, horizon: int):
     """`forecast_horizon` for a caller that reads or scores the observed
-    days: a horizon the series does not cover is a WindowError."""
+    days: a horizon the series does not cover is a DataError."""
     dates, actuals = forecast_horizon(ts, train_end, horizon)
     if actuals is None:
-        raise WindowError(f"observed values over the whole horizon {dates[0]}..{dates[-1]} "
-                          f"are needed, but the series covers {ts.start}..{ts.end}")
+        raise DataError(f"observed values over the whole horizon {dates[0]}..{dates[-1]} "
+                        f"are needed, but the series covers {ts.start}..{ts.end}")
     return dates, actuals
 
 
 def fit_normalizer(ts: TimeSeries, bivariate: bool = False) -> NormalizationSpec:
     """Per-channel min/max over the given (training) window only. A channel
-    that is constant over the window is a ConstantChannelError naming it."""
+    that is constant over the window is a DataError naming it."""
     if len(ts) < 2:
         raise DataError("need at least 2 observations to fit a normalizer")
     values = ts.channels(bivariate)
     mins, maxs = values.min(axis=0), values.max(axis=0)
     for name, lo, hi in zip(("cases", "deaths"), mins, maxs):
         if hi <= lo:
-            raise ConstantChannelError(
+            raise DataError(
                 f"{name} is constant at {lo:.0f} over {ts.start}..{ts.end}, "
                 "so it cannot be normalized"
             )

@@ -73,9 +73,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import (
+    DataError,
     TimeSeries,
     WindowedDataset,
-    WindowError,
     fit_normalizer,
     forecast_horizon,
     make_windows,
@@ -416,7 +416,8 @@ def forward(params: LstmParams, inputs, ws: Workspace):
 
     with the activation g applied both to the candidate and to the cell
     output. A stack of E models takes inputs (E, L, D) and returns y (E, D),
-    each member's inputs and outputs zero beyond its own width. A step holds
+    each member's inputs and outputs zero beyond its own width. Inputs of
+    another shape, or of another L than `ws`'s, are a ValueError naming both. A step holds
     its pre-activations gate-major, (4, E, H), so each gate of all members is
     one contiguous block.
 
@@ -427,8 +428,9 @@ def forward(params: LstmParams, inputs, ws: Workspace):
     until the workspace's next call. Each step reads the views `ws` bound
     and passes `out` by position."""
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape[2:] != (params.input_dim,):
-        raise ValueError(f"inputs of shape {inputs.shape}, expected (E, L, {params.input_dim})")
+    expected = (len(params.widths), len(ws.forward_steps), params.input_dim)
+    if inputs.shape != expected:
+        raise ValueError(f"inputs of shape {inputs.shape}, expected {expected}")
     add, multiply, gfun, tmp = np.add, np.multiply, ws.gfun, ws.tmp
     a, a_ifo, a_c = ws.a, ws.a_ifo, ws.a_c
     # the input term of every step in one matmul, still one product per
@@ -566,6 +568,17 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: Tr
 MAX_EPOCHS = 1_000_000
 
 
+def check_field_types(config, admits=None):
+    """Raise a ValueError naming the first field of the dataclass `config`
+    that holds a bool or a value of none of the types its declared type
+    admits: `admits` maps a declared type to those types, and a declared
+    type it does not map admits only itself."""
+    for name, declared in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (admits or {}).get(declared, declared)):
+            raise ValueError(f"{name} must be of type {declared.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """The training settings of one model. A setting of the wrong type or
@@ -583,11 +596,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        kinds = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: str}
-        for name, declared in typing.get_type_hints(TrainConfig).items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds[declared]):
-                raise ValueError(f"{name} must be of type {declared.__name__}, got {value!r}")
+        check_field_types(self, {int: (int, np.integer), float: (int, float, np.integer, np.floating)})
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.epochs > MAX_EPOCHS:
@@ -763,14 +772,14 @@ def run_schema(
     u3: like u2 with (cases, deaths) as input and output; cases are scored.
 
     A training window shorter than `lookback`, or a u1 horizon the series
-    does not cover, is a WindowError. `cfg` is not read; the benchmark still
+    does not cover, is a DataError. `cfg` is not read; the benchmark still
     passes it by position.
     """
     horizon_of = observed_horizon if schema == "u1" else forecast_horizon
     _, actuals = horizon_of(ts, train_end, horizon)
     spec, train_vals = _schema_training_values(ts, schema, train_start, train_end)
     if len(train_vals) < lookback:
-        raise WindowError("not enough history before the first test day")
+        raise DataError("not enough history before the first test day")
     ws = Workspace(model.params, lookback, (model.config.activation,))
     preds = np.empty((horizon, train_vals.shape[1]))
     fed_back = spec.normalize(actuals[:, None]) if schema == "u1" else preds

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 import types
 import warnings
 
@@ -9,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from casecast import TrainConfig, train, train_schema_model
 from casecast.data import (
-    HorizonError,
+    DataError,
     WindowedDataset,
-    WindowError,
     fit_normalizer,
     make_windows,
     slice_window,
@@ -171,6 +171,15 @@ class TestLstmStep:
             forward(params, np.array([[[1.0, 2.0]]]), ws)
         with pytest.raises(ValueError, match="expected"):  # one model's (L, D) is no stack
             forward(params, np.array([[1.0]]), ws)
+
+    @pytest.mark.parametrize("members, shape", [(1, (1, 5, 1)), (1, (1, 2, 1)), (2, (1, 3, 1))],
+                             ids=["more-steps-than-lookback", "fewer-steps", "one-member-of-two"])
+    def test_inputs_must_match_the_stack_and_the_lookback(self, members, shape):
+        params = LstmParams.stack([zero_params(2, 1)] * members)
+        ws = lstm.Workspace(params, 3, ("elu",) * members)
+        message = re.escape(f"inputs of shape {shape}, expected ({members}, 3, 1)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forward(params, np.zeros(shape), ws)
 
     @pytest.mark.parametrize("members, activations", [
         (1, "elu"), (3, "elu"), (4, "tanh"),  # a bare name, also one of as many letters
@@ -1117,7 +1126,7 @@ class TestRunSchema:
             model = stub_model(schema)
             forecast(series, schema, model, lookback=7, days=7)
             for days in (4, 6):
-                with pytest.raises(WindowError, match="^not enough history before the first"):
+                with pytest.raises(DataError, match="^not enough history before the first test day$"):
                     forecast(series, schema, model, lookback=7, days=days)
 
     @pytest.mark.parametrize("learning_rate, lookback", [(1e10, 7), (1e300, 1)])
@@ -1136,5 +1145,5 @@ class TestRunSchema:
 
     def test_horizon_zero_is_a_horizon_error(self, series):
         for schema in SCHEMAS:
-            with pytest.raises(HorizonError, match="got 0$"):
+            with pytest.raises(DataError, match="^horizon must be at least 1 day, got 0$"):
                 forecast(series, schema, stub_model(schema), horizon=0)

@@ -24,6 +24,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bitwise_gate  # noqa: E402
 
+# the exit code of every `fail-*` command of the gate; every other exits 0
+FAILURE_EXITS = {
+    "fail-run-lstm-u1-unobserved": 2, "fail-reproduce-unobserved": 2,
+    "fail-run-hwaas-7-days": 2, "fail-run-lstm-u2-seed": 1, "fail-run-epochs-huge": 1,
+    "fail-run-data-missing": 2, "fail-run-window-outside": 2, "fail-run-window-reversed": 2,
+    "fail-run-lstm-u3-constant-deaths": 2,
+}
+
 
 def entries_of(name: str) -> tuple[str, ...]:
     """The entries a gate command gives, by its name: its exit code, stdout
@@ -59,6 +67,9 @@ def test_a_name_that_is_no_commit_is_a_usage_error():
 def test_every_command_has_a_known_kind():
     for name in bitwise_gate.COMMANDS:
         entries_of(name)
+    failures = {name for name in bitwise_gate.COMMANDS if name.startswith("fail-")}
+    if failures != set(FAILURE_EXITS):
+        raise AssertionError(sorted(failures ^ set(FAILURE_EXITS)))
 
 
 def test_head_against_head_shows_no_difference():
@@ -70,10 +81,7 @@ def test_head_against_head_shows_no_difference():
             sides.append(bitwise_gate.run_side(src, Path(tmp) / side))
     if bitwise_gate.differing(*sides):
         raise AssertionError(bitwise_gate.differing(*sides))
-    expected = {name: 0 for name in bitwise_gate.COMMANDS} | {
-        "fail-run-lstm-u1-unobserved": 2, "fail-reproduce-unobserved": 2,
-        "fail-run-hwaas-7-days": 2, "fail-run-lstm-u2-seed": 1, "fail-run-epochs-huge": 1,
-    }
+    expected = {name: 0 for name in bitwise_gate.COMMANDS} | FAILURE_EXITS
     exits = {name: sides[0][f"{name}/exit"] for name in bitwise_gate.COMMANDS}
     if exits != {name: hashlib.sha256(str(code).encode()).hexdigest()
                  for name, code in expected.items()}:
