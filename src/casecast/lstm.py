@@ -41,7 +41,14 @@ built in advance with `out` passed by position about 250 ns. `forward` and
 `bptt_gradient` take the workspace as an argument, and it alone carries the
 activations; `run_schema` builds one per forecast and reuses it on every
 day. What they return lies in the workspace and is valid until the
-workspace's next call.
+workspace's next call. The operands read from the parameters are bound
+once too, by `LstmParams` itself, with `flat`: wx as columns, b gate-major,
+wh and dense_w transposed, and each adjacent width group's dense_w and
+dense_b blocks. They stay valid because `flat` is only ever written in
+place (Adam subtracts from it) and no code rebinds it or a named array, so
+every caller, `train`, `run_schema` and a checkpoint's model alike, reads
+the same views. `AdamState` binds the live prefixes of its moments and
+scratch vectors the same way, once.
 
 The reverse loop carries only the recurrence and fills the store; the wx, b
 and wh gradients are then each one product and one np.add.reduce over the
@@ -68,7 +75,7 @@ import datetime as dt
 import functools
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,7 +117,7 @@ def elu(x, out=None):
     if out is None:
         out = x.copy()
     else:
-        np.copyto(out, x)
+        out[...] = x
     # expm1 only where x <= 0: on a large positive x it would overflow
     return np.expm1(x, out=out, where=x <= 0.0)
 
@@ -199,6 +206,15 @@ class LstmParams:
     C-contiguous block and the blocks before wh are again a prefix. The
     constructor and `glorot` take one model's arrays and give a stack of one,
     whose `flat` is those arrays concatenated in the order of NAMES.
+
+    The operands the kernels read are bound with the named arrays, as views
+    of `flat`: `wx_cols` (E, 1, 4H, D), wx ready for the input term of every
+    step; `b_gates`, b gate-major (4, E, H); `wh_t` and `dense_w_t`, wh and
+    dense_w transposed; and `head_blocks`, per width group of
+    `_width_groups`, that group's dense_w and dense_b blocks when its
+    members are adjacent, None when an index array selects them (a copy,
+    taken per call). `flat` and the named arrays are only ever written in
+    place, never rebound, so each view keeps reading the current weights.
     """
 
     NAMES = ("wx", "b", "dense_w", "dense_b", "wh")
@@ -209,8 +225,8 @@ class LstmParams:
         self._bind(flat, [a.shape for a in arrays], (arrays[0].shape[-1],))
 
     def _bind(self, flat, shapes, widths):
-        """Point the named arrays at the 1-D `flat`, name-major; `shapes` are
-        one member's."""
+        """Point the named arrays and the kernels' operands at the 1-D
+        `flat`, name-major; `shapes` are one member's."""
         self.flat, self._shapes, self.widths = flat, shapes, widths
         start = 0
         for name, shape in zip(self.NAMES, shapes):
@@ -218,6 +234,15 @@ class LstmParams:
             end = start + math.prod(shape)
             setattr(self, name, flat[start:end].reshape(shape))
             start = end
+        self.wx_cols = self.wx[:, None]
+        self.b_gates = _gate_major(self.b, self.hidden)
+        self.wh_t = self.wh.transpose(0, 2, 1)
+        self.dense_w_t = self.dense_w.transpose(0, 2, 1)
+        self.head_blocks = tuple(
+            (self.dense_w[rows, :width], self.dense_b[rows, :width])
+            if isinstance(rows, slice) else None
+            for width, rows in _width_groups(widths)
+        )
 
     def _on(self, flat, widths):
         """Parameters of this layout whose views lie on `flat`."""
@@ -332,8 +357,11 @@ class Workspace:
     visits the steps and unpacks the tuple, the gate-major views of `xw`
     and `store` among them; `a_ifo`, `a_c`, `d_gates`,
     `da_ifo`, `da_c` and `dh_rows` are fixed slices of the step's
-    temporaries; `store_rows`, `store_b` and `h_operands` are the store's
-    operands in the gradient sums; and `heads` holds, per width group, its
+    temporaries; `err_rows`, `err_cols`, `two_err_cols` (dense_b's
+    gradient, 2 * err, as columns) and `h_last_rows` are the loss's and the
+    dense head's operands; `store_rows`, `store_b` and `h_operands` are the
+    store's operands in the gradient sums, and `wx_grad_t` the transposed
+    wx gradient they sum into; and `heads` holds, per width group, its
     rows and width and, for adjacent members, its views of h and y and its
     product buffer. None of these views is of `params` or of a caller's
     array."""
@@ -378,6 +406,11 @@ class Workspace:
         self.d_gates = tuple(self.d_ifo)  # i, f, o
         self.da_ifo, self.da_c = self.da[:3], self.da[3]
         self.dh_rows = self.dh[:, :, 0]
+        # the loss's and the dense head's gradient operands
+        self.err_rows, self.err_cols = self.err[:, None, :], self.err[:, :, None]
+        self.two_err_cols = self.grads.dense_b[:, :, None]
+        self.h_last_rows = self.h[-1][:, None, :]
+        self.wx_grad_t = self.grads.wx.transpose(0, 2, 1)
         h_cols = self.h[..., None]  # (L+1, E, H, 1), wh's operand
         self.forward_steps = [
             (xw_gates[t], h_cols[t], self.ifo[t], *self.ifo[t], *self.g[t],
@@ -425,8 +458,12 @@ def forward(params: LstmParams, inputs, ws: Workspace):
     the g of each member. y is `ws.y`, and the call leaves in `ws` only what
     it computes, which with the inputs is all that `bptt_gradient` reads for
     an exact reverse pass: `ws.h`, `ws.c`, `ws.ifo` and `ws.g`. Each holds
-    until the workspace's next call. Each step reads the views `ws` bound
-    and passes `out` by position."""
+    until the workspace's next call. Each step reads the views `ws` and
+    `params` bound and passes `out` by position.
+
+    A pre-activation below ~-709.8 overflows sigmoid's exp, harmlessly (see
+    `_sigmoid`): the caller ignores exp's overflow, as `train` and
+    `run_schema` do under np.errstate(over="ignore")."""
     inputs = np.asarray(inputs, dtype=float)
     expected = (len(params.widths), len(ws.forward_steps), params.input_dim)
     if inputs.shape != expected:
@@ -435,27 +472,25 @@ def forward(params: LstmParams, inputs, ws: Workspace):
     a, a_ifo, a_c = ws.a, ws.a_ifo, ws.a_c
     # the input term of every step in one matmul, still one product per
     # (member, step), so each is the one a per-step matvec would give
-    np.matmul(params.wx[:, None], inputs[..., None], ws.xw)
-    b = _gate_major(params.b, params.hidden)
-    wh, hw, hw_gates = params.wh, ws.hw, ws.hw_gates
-    # sigmoid's exp overflows, harmlessly, on a pre-activation below ~-709.8
-    with np.errstate(over="ignore"):
-        for t, (xw, h, ifo, i, f, o, g_in, g_c, c, c_new, h_new) in enumerate(ws.forward_steps):
-            # the state starts at zero: step 0 has no recurrent term
-            if t:
-                np.matmul(wh, h, hw)
-                add(xw, hw_gates, a)
-                add(a, b, a)
-            else:
-                add(xw, b, a)
-            _sigmoid(a_ifo, ifo)
-            gfun(a_c, g_in)
-            multiply(f, c, c_new)
-            add(c_new, multiply(i, g_in, tmp), c_new)
-            gfun(c_new, g_c)
-            multiply(o, g_c, h_new)
-    for rows, width, h_last, product, product_rows, y_rows in ws.heads:
-        w, bias = params.dense_w[rows, :width], params.dense_b[rows, :width]
+    np.matmul(params.wx_cols, inputs[..., None], ws.xw)
+    b, wh, hw, hw_gates = params.b_gates, params.wh, ws.hw, ws.hw_gates
+    for t, (xw, h, ifo, i, f, o, g_in, g_c, c, c_new, h_new) in enumerate(ws.forward_steps):
+        # the state starts at zero: step 0 has no recurrent term
+        if t:
+            np.matmul(wh, h, hw)
+            add(xw, hw_gates, a)
+            add(a, b, a)
+        else:
+            add(xw, b, a)
+        _sigmoid(a_ifo, ifo)
+        gfun(a_c, g_in)
+        multiply(f, c, c_new)
+        add(c_new, multiply(i, g_in, tmp), c_new)
+        gfun(c_new, g_c)
+        multiply(o, g_c, h_new)
+    for (rows, width, h_last, product, product_rows, y_rows), block in zip(
+            ws.heads, params.head_blocks):
+        w, bias = block or (params.dense_w[rows, :width], params.dense_b[rows, :width])
         if product is None:
             ws.y[rows, :width] = _matvec(w, ws.h[-1][rows]) + bias
         else:
@@ -474,7 +509,8 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     `forward` left there and `inputs`, converted once here and read
     step-major. The reverse loop carries only the recurrence, dh and dc,
     and stores each step's da; after it, the wx, b and wh gradients are
-    each summed over the store in one reduction."""
+    each summed over the store in one reduction. As for `forward`, the
+    caller ignores exp's overflow."""
     inputs = np.asarray(inputs, dtype=float)
     y = forward(params, inputs, ws)
     add, multiply, tmp, dc, dh = np.add, np.multiply, ws.tmp, ws.dc, ws.dh_rows
@@ -483,14 +519,14 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     ws.dgfun(ws.g, ws.dg)
     np.subtract(1.0, ws.ifo, ws.not_ifo)
     err = np.subtract(y, target, ws.err)
-    np.matmul(err[:, None, :], err[:, :, None], ws.loss)
+    np.matmul(ws.err_rows, ws.err_cols, ws.loss)
 
-    grads, steps = ws.grads, len(ws.reverse_steps)
-    two_err = multiply(2.0, err, grads.dense_b)
-    multiply(two_err[:, :, None], ws.h[-1][:, None, :], grads.dense_w)
-    np.matmul(params.dense_w.transpose(0, 2, 1), two_err[:, :, None], ws.dh)
+    grads, steps, two_err = ws.grads, len(ws.reverse_steps), ws.two_err_cols
+    multiply(2.0, err, grads.dense_b)
+    multiply(two_err, ws.h_last_rows, grads.dense_w)
+    np.matmul(params.dense_w_t, two_err, ws.dh)
     dc.fill(0.0)
-    wh_t = params.wh.transpose(0, 2, 1)
+    wh_t = params.wh_t
     for t, ifo, i, f, o, g_in, g_c, dg_in, dg_c, not_ifo, c, store_gates, store in (
             ws.reverse_steps):
         multiply(dh, g_c, d_o)
@@ -506,7 +542,7 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     # numpy reduces a non-innermost axis in index order, which is the loop's
     # order, so each sum adds its terms as a per-step accumulation would
     multiply(ws.store_rows, inputs.transpose(1, 0, 2)[::-1, :, :, None], ws.x_terms)
-    np.add.reduce(ws.x_terms, axis=0, out=grads.wx.transpose(0, 2, 1))
+    np.add.reduce(ws.x_terms, axis=0, out=ws.wx_grad_t)
     np.add.reduce(ws.store_b, axis=0, out=grads.b)
     if steps > 1:  # h[0] = 0 adds nothing to wh's gradient
         multiply(*ws.h_operands, ws.h_terms)
@@ -514,25 +550,34 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     return ws.loss[:, 0, 0], grads
 
 
-@dataclass
 class AdamState:
     """Adam's moment estimates, laid out like LstmParams.flat, the step
     count, the end of the prefix of flat that Adam steps (all of it, None,
     unless the entries past it get no gradient), and two scratch vectors of
-    flat's size that each step writes its temporaries into."""
+    flat's size that each step writes its temporaries into.
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    live: int | None = None
-    scratch: np.ndarray = field(init=False, repr=False)
+    `live` is fixed when the state is built: `prefix` is its slice of flat,
+    and `live_m`, `live_v`, `live_step` and `live_denom` are that prefix of
+    m, v and the two scratch vectors, bound then, which `adam_update` reads
+    and writes in place. `live` reads `prefix` and cannot be reassigned, so
+    the views and the slice of flat that Adam steps always agree."""
 
-    def __post_init__(self):
-        self.scratch = np.empty((2,) + self.m.shape)
+    def __init__(self, m: np.ndarray, v: np.ndarray, live: int | None = None):
+        self.m, self.v, self.t = m, v, 0
+        self.scratch = np.empty((2,) + m.shape)
+        self.prefix = slice(live)
+        self.live_m, self.live_v = m[self.prefix], v[self.prefix]
+        self.live_step, self.live_denom = self.scratch[:, self.prefix]
+
+    @property
+    def live(self) -> int | None:
+        return self.prefix.stop
 
     @classmethod
-    def like(cls, params: LstmParams):
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
+    def like(cls, params: LstmParams, live: int | None = None):
+        """Zero moments for `params`, stepping the prefix of flat up to
+        `live`."""
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), live)
 
 
 def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: TrainConfig):
@@ -544,14 +589,15 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: Tr
         m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
 
-    in that order, with the temporaries in `state.scratch`."""
+    in that order, with m, v and the temporaries in the views `state`
+    bound."""
     lr, beta1, beta2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    live = slice(state.live)
-    grad, m, v = grads.flat[live], state.m[live], state.v[live]
-    step, denom = state.scratch[:, live]
+    live = state.prefix
+    grad, m, v = grads.flat[live], state.live_m, state.live_v
+    step, denom = state.live_step, state.live_denom
     m *= beta1
     m += np.multiply(1.0 - beta1, grad, out=step)
     v *= beta2
@@ -666,11 +712,10 @@ def train(
         targets[e, :, : d.targets.shape[1]] = d.targets
     members = np.arange(len(cfgs))
     ws = Workspace(params, dataset.inputs.shape[1], tuple(c.activation for c in cfgs))
-    state = AdamState.like(params)
-    if dataset.inputs.shape[1] == 1:
-        # one step from the zero state: wh gets no gradient, and Adam would
-        # move it by exactly 0, so only the prefix before it is stepped
-        state.live = params.flat.size - params.wh.size
+    # one step from the zero state: wh gets no gradient, and Adam would move
+    # it by exactly 0, so only the prefix before it is stepped
+    live = params.flat.size - params.wh.size if dataset.inputs.shape[1] == 1 else None
+    state = AdamState.like(params, live)
     n = len(dataset)
     losses = np.empty((cfg.epochs, len(cfgs)))
     # a diverging member overflows on its way to a non-finite mean loss; the
@@ -784,9 +829,11 @@ def run_schema(
     preds = np.empty((horizon, train_vals.shape[1]))
     fed_back = spec.normalize(actuals[:, None]) if schema == "u1" else preds
     window = train_vals[-lookback:]
-    for k in range(horizon):
-        preds[k] = forward(model.params, window[None], ws)[0]
-        window = np.vstack([window[1:], fed_back[k]])
+    # a saturated gate overflows sigmoid's exp, harmlessly (see `forward`)
+    with np.errstate(over="ignore"):
+        for k in range(horizon):
+            preds[k] = forward(model.params, window[None], ws)[0]
+            window = np.vstack([window[1:], fed_back[k]])
 
     forecasts = spec.denormalize(preds)[:, 0]
     if not np.all(np.isfinite(forecasts)):

@@ -428,6 +428,10 @@ class TestBptt:
                         # all but the dense head's index rows, which are ints
                         if isinstance(a, np.ndarray) and a.dtype == float:
                             arrays[f"{name}[{k}][{j}]"] = a
+        # the gradient stack's flat is a buffer the workspace allocates
+        # itself (params.zeros_like()); the gradient views root in it
+        assert not np.shares_memory(ws.grads.flat, params.flat)
+        arrays["grads.flat"] = ws.grads.flat
         views = [name for name in arrays if name.startswith(("forward_steps", "reverse_steps"))]
         assert len(views) == lookback * (11 + 12)  # each step's forward and reverse views
         strays = []
@@ -575,7 +579,10 @@ class TestKernelOracle:
             target = rng.random((members, width))
             for e, w in enumerate(widths):
                 inputs[e, :, w:] = target[e, w:] = 0.0
-            loss, grads = bptt_gradient(params, inputs, target, ws)
+            # the kernel leaves exp's overflow on a saturated gate to its
+            # caller, as the oracle ignores it; unsaturated, it must not occur
+            with np.errstate(over="ignore" if scale > 1.0 else "warn"):
+                loss, grads = bptt_gradient(params, inputs, target, ws)
             want_loss, want_grads = _per_step_bptt(params, inputs, target, want)
             pairs = {"y": (ws.y, want.y), "loss": (loss, want_loss),
                      "grads": (grads.flat, want_grads.flat), "h": (ws.h, want.h),
@@ -585,6 +592,66 @@ class TestKernelOracle:
             saturated += np.count_nonzero((ws.ifo == lstm._SIGMOID_LO)
                                           | (ws.ifo == lstm._SIGMOID_HI))
         assert (saturated > 0) == (scale > 1.0)
+
+
+def _same_view(a, b):
+    """a and b view the same memory the same way."""
+    return (a.__array_interface__["data"] == b.__array_interface__["data"]
+            and a.shape == b.shape and a.strides == b.strides)
+
+
+class TestBoundViews:
+    @pytest.mark.parametrize("widths, lookback", [((1, 2, 1), 3), ((1, 1, 2), 1)],
+                             ids=["interleaved-lookback3", "adjacent-lookback1-live-prefix"])
+    def test_bound_views_follow_flat_through_adam_steps(self, widths, lookback):
+        # Adam writes flat in place, so every operand bound once, when the
+        # stack was built, still reads the current weights
+        rng = np.random.default_rng(31)
+        params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in widths])
+        before = params.flat.copy()
+        members, width, activations = len(widths), params.input_dim, ("elu", "tanh", "elu")
+        live = params.flat.size - params.wh.size if lookback == 1 else None
+        state = AdamState.like(params, live)
+        ws = lstm.Workspace(params, lookback, activations)
+        want = _per_step_workspace(params, lookback, activations)
+        for _ in range(4):
+            inputs = rng.uniform(-1.0, 1.0, (members, lookback, width))
+            target = rng.random((members, width))
+            for e, w in enumerate(widths):
+                inputs[e, :, w:] = target[e, w:] = 0.0
+            loss, grads = bptt_gradient(params, inputs, target, ws)
+            want_loss, want_grads = _per_step_bptt(params, inputs, target, want)
+            assert loss.tobytes() == want_loss.tobytes()
+            assert grads.flat.tobytes() == want_grads.flat.tobytes()
+            adam_update(params, grads, state, TrainConfig(learning_rate=0.05))
+        assert params.flat.tobytes() != before.tobytes()
+        # name -> (the bound view, its expression on the named arrays now)
+        fresh = {
+            "wx_cols": (params.wx_cols, params.wx[:, None]),
+            "b_gates": (params.b_gates, lstm._gate_major(params.b, params.hidden)),
+            "wh_t": (params.wh_t, params.wh.transpose(0, 2, 1)),
+            "dense_w_t": (params.dense_w_t, params.dense_w.transpose(0, 2, 1)),
+        }
+        groups = lstm._width_groups(params.widths)
+        assert len(params.head_blocks) == len(groups)
+        for (w, rows), head in zip(groups, params.head_blocks):
+            if isinstance(rows, slice):
+                fresh[f"head_blocks[{w}].w"] = (head[0], params.dense_w[rows, :w])
+                fresh[f"head_blocks[{w}].b"] = (head[1], params.dense_b[rows, :w])
+            else:  # an index array copies, so nothing is bound
+                assert head is None
+        assert any(head is None for head in params.head_blocks) == (widths == (1, 2, 1))
+        for name, (bound, expected) in fresh.items():
+            assert np.shares_memory(bound, params.flat), name
+            assert bound.shape == expected.shape and bound.tobytes() == expected.tobytes(), name
+        prefix = slice(live)
+        for bound, owner in ((state.live_m, state.m[prefix]), (state.live_v, state.v[prefix]),
+                             (state.live_step, state.scratch[0, prefix]),
+                             (state.live_denom, state.scratch[1, prefix])):
+            assert _same_view(bound, owner)
+        assert state.t == 4 and state.live == live and state.prefix == prefix
+        with pytest.raises(AttributeError):  # fixed when built, with the views
+            state.live = 0
 
 
 class TestAdam:
@@ -1142,6 +1209,22 @@ class TestRunSchema:
         assert caught == []
         assert info.value.epoch == 1
         assert str(info.value) == "non-finite training loss at epoch 1 (activation elu, seed 42)"
+
+    def test_a_saturating_model_forecasts_without_a_warning(self, series):
+        # forward leaves exp's overflow on a saturated gate to its caller, and
+        # run_schema ignores it
+        (model,) = train_schema_model(series, [("u2", TrainConfig(epochs=2))], TRAIN_START,
+                                      TRAIN_END, lookback=3)
+        model.params.flat[...] *= 1e3
+        _, values = lstm._schema_training_values(series, "u2", TRAIN_START, TRAIN_END)
+        ws = lstm.Workspace(model.params, 3, ("elu",))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            forward(model.params, values[-3:][None], ws)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = forecast(series, "u2", model, lookback=3)
+        assert caught == []
+        assert np.isfinite(run.forecasts).all()
 
     def test_horizon_zero_is_a_horizon_error(self, series):
         for schema in SCHEMAS:

@@ -1,14 +1,18 @@
-"""The repository's tools: the bitwise gate's fast self-checks and the code
-line count. The gate's HEAD-against-HEAD run (about 25 s) stays in
-`tools/gate_selftest.py`."""
+"""The repository's tools: the bitwise gate's fast self-checks, the code
+line count and the benchmark record's parser. The gate's HEAD-against-HEAD
+run (about 25 s) stays in `tools/gate_selftest.py`."""
 
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import bench_record  # noqa: E402
 import code_lines as code_lines_tool  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from gate_selftest import (  # noqa: E402,F401  collected here as tests
@@ -82,3 +86,59 @@ def test_code_lines_of_a_revision_are_those_of_its_files(tmp_path, monkeypatch, 
 def test_code_lines_of_a_name_that_is_no_commit_is_a_usage_error(capsys):
     assert code_lines_tool.main(["no-such-revision-anywhere"]) == 2
     assert "is not a commit" in capsys.readouterr().err
+
+
+# the shape of `perfbench/run.py --workload all` output: the machine line,
+# each workload's table, then one JSON line of every workload's metrics
+PERFBENCH_OUTPUT = """machine {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", \
+"blas": "scipy-openblas 0.3.31", "blas_threads": 2}
+study: correct, error_rate 0.0000 (0/60 model results failed)
+  setup_s                                     0.18 s
+  wall_s                                      1.31 s
+backtest: correct, error_rate 0.0000 (0/90 model results failed)
+  wall_s                                     0.072 s
+{"correct": true, "attempted": 150, "failed": 0, "metrics": {"study.wall_s": \
+{"value": 1.31, "unit": "s"}, "backtest.wall_s": {"value": 0.072, "unit": "s"}}}
+"""
+
+
+def test_bench_record_keeps_the_machine_line_and_the_last_json_line():
+    run = bench_record.parse_run(PERFBENCH_OUTPUT)
+    assert run["machine"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+                              "blas": "scipy-openblas 0.3.31", "blas_threads": 2}
+    assert run["result"]["attempted"] == 150 and run["result"]["correct"] is True
+    assert run["result"]["metrics"]["study.wall_s"] == {"value": 1.31, "unit": "s"}
+
+
+@pytest.mark.parametrize("output, message", [
+    (PERFBENCH_OUTPUT.split("\n", 1)[1], "no machine line"),
+    (PERFBENCH_OUTPUT.strip().rsplit("\n", 1)[0], "last line is not a JSON object"),
+    (PERFBENCH_OUTPUT + "[1, 2]\n", "last line is not a JSON object"),
+], ids=["no-machine", "no-json", "json-not-an-object"])
+def test_bench_record_rejects_output_missing_either_line(output, message):
+    with pytest.raises(ValueError, match=message):
+        bench_record.parse_run(output)
+
+
+def test_bench_record_writes_sorted_keys_whatever_the_order_it_got():
+    run = bench_record.parse_run(PERFBENCH_OUTPUT)
+    shuffled = {"result": dict(reversed(run["result"].items())),
+                "machine": dict(reversed(run["machine"].items()))}
+    texts = [bench_record.record_text("7", 25, a, b, "0" * 64)
+             for a, b in ((run, run), (shuffled, shuffled))]
+    assert texts[0] == texts[1] and texts[0].endswith("}\n")
+    record = json.loads(texts[0])
+    assert list(record) == ["command", "label", "source_sha256", "traced", "untraced"]
+    assert record["command"] == {"seconds": 25, "seed": bench_record.SEED, "workload": "all"}
+    assert record["untraced"] == run
+
+
+def test_bench_record_source_digest_follows_the_package_and_not_its_cache(tmp_path):
+    package = tmp_path / "src" / "casecast"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "lstm.py").write_text("A = 1\n", encoding="utf-8")
+    first = bench_record.source_digest(tmp_path)
+    (package / "__pycache__" / "lstm.cpython-311.pyc").write_bytes(b"cache")
+    assert bench_record.source_digest(tmp_path) == first
+    (package / "lstm.py").write_text("A = 2\n", encoding="utf-8")
+    assert bench_record.source_digest(tmp_path) != first
