@@ -48,7 +48,17 @@ dense_b blocks. They stay valid because `flat` is only ever written in
 place (Adam subtracts from it) and no code rebinds it or a named array, so
 every caller, `train`, `run_schema` and a checkpoint's model alike, reads
 the same views. `AdamState` binds the live prefixes of its moments and
-scratch vectors the same way, once.
+scratch vectors the same way, once, and its config's settings.
+
+Two more rules follow from the fixed cost of a call. A masked ufunc
+(`where=`) costs about five times an unmasked one on a (4, 32) array, 1.6
+against 0.31 us, and allocates its mask, so `elu` makes four unmasked calls
+instead of one masked one. A Python-float operand costs some 0.1 us more
+per call than a 0-d float64 array (np.subtract(1.0, x, out) 0.37 us, with
+a 0-d 1.0 0.26 us), and the same double gives the same result. So the
+kernels' constants are 0-d arrays made at import, Adam's settings 0-d
+arrays bound with its state, and Adam writes each step's bias corrections
+into two 0-d arrays of its state, as a write costs some 30 ns.
 
 The reverse loop carries only the recurrence and fills the store; the wx, b
 and wh gradients are then each one product and one np.add.reduce over the
@@ -72,7 +82,6 @@ per distinct width, each member at its own width.
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import math
 import typing
 from dataclasses import dataclass, fields
@@ -111,26 +120,37 @@ class NonFiniteForecastError(Exception):
     """A trained model forecast a NaN or an infinity."""
 
 
+# the kernels' constants as 0-d float64 operands: a ufunc converts a Python
+# float operand on every call (see the module docstring), and the same double
+# gives the same result
+_ZERO, _ONE, _TWO = np.array(0.0), np.array(1.0), np.array(2.0)
+
+
 def elu(x, out=None):
-    """x for x > 0, exp(x) - 1 otherwise (alpha = 1), into `out` if given."""
+    """x for x > 0, exp(x) - 1 otherwise (alpha = 1), into `out` if given:
+    x itself or an array that does not overlap x."""
     x = np.asarray(x, dtype=float)
     if out is None:
-        out = x.copy()
-    else:
-        out[...] = x
-    # expm1 only where x <= 0: on a large positive x it would overflow
-    return np.expm1(x, out=out, where=x <= 0.0)
+        out = np.empty(x.shape)
+    elif out is x:
+        x = x.copy()  # out is written before x's last read
+    # expm1 of min(x, 0), signed as x so -0.0 stays -0.0, never overflows,
+    # and max(x, expm1(x)) = expm1(x) for x <= 0, as expm1(x) >= x there
+    np.minimum(x, _ZERO, out=out)
+    np.copysign(out, x, out)
+    np.expm1(out, out)
+    return np.maximum(x, out, out=out)
 
 
 def _elu_grad(fx, out=None):
     # 1 where x > 0 (there fx + 1 = x + 1 > 1), else fx + 1 = exp(x) <= 1
-    out = np.add(fx, 1.0, out=out)
-    return np.minimum(out, 1.0, out=out)
+    out = np.add(fx, _ONE, out)
+    return np.minimum(out, _ONE, out=out)
 
 
 def _tanh_grad(fx, out=None):
-    out = np.multiply(fx, fx, out=out)
-    return np.subtract(1.0, out, out=out)
+    out = np.multiply(fx, fx, out)
+    return np.subtract(_ONE, out, out)
 
 
 # name -> (g, dg); dg takes the activation value fx = g(x). Each is called
@@ -154,17 +174,24 @@ def _activation(names, members: int):
 def _mixed_activation(names: tuple[str, ...]):
     """The first activation writes every row, and each other one copies its
     value into its own members' rows, so every row is exactly its
-    activation's value."""
+    activation's value. Each activation's functions are looked up here,
+    once."""
     first, *rest = dict.fromkeys(names)
-    masks = [(name, np.array([n == name for n in names])[:, None]) for name in rest]
+    masks = {name: np.array([n == name for n in names])[:, None] for name in rest}
 
-    def select(k, x, out=None):
-        out = ACTIVATIONS[first][k](x, out)
-        for name, mask in masks:
-            np.copyto(out, ACTIVATIONS[name][k](x), where=mask)
-        return out
+    def bound(k):
+        head = ACTIVATIONS[first][k]
+        others = [(ACTIVATIONS[name][k], mask) for name, mask in masks.items()]
 
-    return functools.partial(select, 0), functools.partial(select, 1)
+        def select(x, out=None):
+            out = head(x, out)
+            for fn, mask in others:
+                np.copyto(out, fn(x), where=mask)
+            return out
+
+        return select
+
+    return bound(0), bound(1)
 
 
 # the doubles next to 0 and 1: 1 / (1 + exp(-x)) rounds to exactly 1.0 once
@@ -179,7 +206,7 @@ def _sigmoid(x, out):
     """The logistic function into `out`, with values strictly inside (0, 1),
     for a caller that ignores exp's overflow; a NaN stays NaN."""
     np.exp(np.negative(x, out), out)
-    np.divide(1.0, np.add(1.0, out, out), out)
+    np.divide(_ONE, np.add(_ONE, out, out), out)
     return out.clip(_SIGMOID_LO, _SIGMOID_HI, out)
 
 
@@ -517,12 +544,12 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     d_ifo, (d_i, d_f, d_o), da, da_ifo, da_c = ws.d_ifo, ws.d_gates, ws.da, ws.da_ifo, ws.da_c
     # the factors that need no reverse-pass state, for every step at once
     ws.dgfun(ws.g, ws.dg)
-    np.subtract(1.0, ws.ifo, ws.not_ifo)
+    np.subtract(_ONE, ws.ifo, ws.not_ifo)
     err = np.subtract(y, target, ws.err)
     np.matmul(ws.err_rows, ws.err_cols, ws.loss)
 
     grads, steps, two_err = ws.grads, len(ws.reverse_steps), ws.two_err_cols
-    multiply(2.0, err, grads.dense_b)
+    multiply(_TWO, err, grads.dense_b)
     multiply(two_err, ws.h_last_rows, grads.dense_w)
     np.matmul(params.dense_w_t, two_err, ws.dh)
     dc.fill(0.0)
@@ -550,34 +577,53 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     return ws.loss[:, 0, 0], grads
 
 
+def _adam_operands(cfg: TrainConfig):
+    """beta1, 1 - beta1, beta2, 1 - beta2, lr and eps of `cfg`, each the
+    Python expression's value as a 0-d float64 array."""
+    beta1, beta2 = cfg.beta1, cfg.beta2
+    return tuple(np.array(value, dtype=float) for value in (
+        beta1, 1.0 - beta1, beta2, 1.0 - beta2, cfg.learning_rate, cfg.epsilon))
+
+
 class AdamState:
     """Adam's moment estimates, laid out like LstmParams.flat, the step
     count, the end of the prefix of flat that Adam steps (all of it, None,
     unless the entries past it get no gradient), and two scratch vectors of
-    flat's size that each step writes its temporaries into.
+    flat's size and two 0-d arrays, bc1 and bc2, that each step writes its
+    temporaries and its bias corrections into.
 
     `live` is fixed when the state is built: `prefix` is its slice of flat,
     and `live_m`, `live_v`, `live_step` and `live_denom` are that prefix of
     m, v and the two scratch vectors, bound then, which `adam_update` reads
     and writes in place. `live` reads `prefix` and cannot be reassigned, so
-    the views and the slice of flat that Adam steps always agree."""
+    the views and the slice of flat that Adam steps always agree. `cfg` is
+    fixed the same way: `operands` holds its settings as 0-d arrays (see
+    `_adam_operands`), or is None when `cfg` is."""
 
-    def __init__(self, m: np.ndarray, v: np.ndarray, live: int | None = None):
+    def __init__(self, m: np.ndarray, v: np.ndarray, live: int | None = None,
+                 cfg: TrainConfig | None = None):
         self.m, self.v, self.t = m, v, 0
         self.scratch = np.empty((2,) + m.shape)
+        self.bias_corrections = np.empty(()), np.empty(())
         self.prefix = slice(live)
         self.live_m, self.live_v = m[self.prefix], v[self.prefix]
         self.live_step, self.live_denom = self.scratch[:, self.prefix]
+        self._cfg = cfg
+        self.operands = None if cfg is None else _adam_operands(cfg)
 
     @property
     def live(self) -> int | None:
         return self.prefix.stop
 
+    @property
+    def cfg(self) -> TrainConfig | None:
+        return self._cfg
+
     @classmethod
-    def like(cls, params: LstmParams, live: int | None = None):
+    def like(cls, params: LstmParams, live: int | None = None, cfg: TrainConfig | None = None):
         """Zero moments for `params`, stepping the prefix of flat up to
-        `live`."""
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), live)
+        `live`, with `cfg`'s settings bound."""
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), live, cfg)
 
 
 def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: TrainConfig):
@@ -590,23 +636,28 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: Tr
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
 
     in that order, with m, v and the temporaries in the views `state`
-    bound."""
-    lr, beta1, beta2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+    bound, and the settings in the 0-d operands `state` bound when `cfg` is
+    its config (built from `cfg` for this call otherwise, with the same
+    bits)."""
+    b1, one_b1, b2, one_b2, lr, eps = (
+        state.operands if cfg is state.cfg else _adam_operands(cfg))
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1, bc2 = state.bias_corrections
+    bc1[()] = 1.0 - cfg.beta1**state.t
+    bc2[()] = 1.0 - cfg.beta2**state.t
     live = state.prefix
-    grad, m, v = grads.flat[live], state.live_m, state.live_v
+    grad, m, v, p = grads.flat[live], state.live_m, state.live_v, params.flat[live]
     step, denom = state.live_step, state.live_denom
-    m *= beta1
-    m += np.multiply(1.0 - beta1, grad, out=step)
-    v *= beta2
-    np.multiply(1.0 - beta2, grad, out=step)
-    v += np.multiply(step, grad, out=step)
-    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
-    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-    denom += eps
-    params.flat[live] -= np.divide(step, denom, out=step)
+    add, multiply, divide = np.add, np.multiply, np.divide
+    multiply(m, b1, m)
+    add(m, multiply(one_b1, grad, step), m)
+    multiply(v, b2, v)
+    multiply(one_b2, grad, step)
+    add(v, multiply(step, grad, step), v)
+    multiply(lr, divide(m, bc1, step), step)
+    np.sqrt(divide(v, bc2, denom), denom)
+    add(denom, eps, denom)
+    np.subtract(p, divide(step, denom, step), p)  # one pass over the live parameters
 
 
 # 500 times the paper's 2000: `train` allocates an (epochs, members) loss
@@ -715,7 +766,7 @@ def train(
     # one step from the zero state: wh gets no gradient, and Adam would move
     # it by exactly 0, so only the prefix before it is stepped
     live = params.flat.size - params.wh.size if dataset.inputs.shape[1] == 1 else None
-    state = AdamState.like(params, live)
+    state = AdamState.like(params, live, cfg)
     n = len(dataset)
     losses = np.empty((cfg.epochs, len(cfgs)))
     # a diverging member overflows on its way to a non-finite mean loss; the

@@ -682,10 +682,14 @@ def test_every_name_the_benchmark_tracer_patches_is_bound(monkeypatch, series):
     import tracer
 
     main, forward = cli.main, lstm.forward
+    windows = data.make_windows(np.linspace(0.1, 1.0, 8)[:, None], 1)
+    members = [(windows, lstm.TrainConfig(epochs=1, hidden=3, activation=a, seed=s))
+               for a, s in (("elu", 1), ("tanh", 2))]
     with tracer.Tracer() as spans:
         tracer.install(spans)
         assert cli.main is not main and lstm.forward is not forward
         classical.hw_fit(slice_window(series, TRAIN_START, TRAIN_END).cases)
+        lstm.train(*members[0], members[1])
     assert cli.main is main and lstm.forward is forward
     # the benchmark's HW counters are read from these notes: one fit, and
     # one record per optimizer start
@@ -693,6 +697,17 @@ def test_every_name_the_benchmark_tracer_patches_is_bound(monkeypatch, series):
     assert len(starts) == 4
     for nfev, _, _ in starts:
         assert type(nfev) is int and nfev > 0
+    # the traced lstm.* metrics: `train` steps its members in lockstep, one
+    # bptt and one adam span per step under it, and one forward per bptt
+    def children(name, parents):
+        return [i for i, (n, _, _, parent) in enumerate(spans.spans)
+                if n == name and parent in parents]
+
+    (train,) = children("lstm.train", [-1])
+    bptt = children("lstm.bptt", [train])
+    assert len(bptt) == len(children("lstm.adam", [train])) == len(windows)
+    assert [spans.spans[i][3] for i in children("lstm.forward", bptt)] == bptt
+    assert sum(name.startswith("lstm.") for name, *_ in spans.spans) == 1 + 3 * len(windows)
 
 
 # Run one command through cli.main, or load one checkpoint, in a fresh

@@ -56,6 +56,25 @@ class TestElu:
             out = elu(x)
         assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("out_of", ["none", "distinct", "x"])
+    def test_bitwise_the_where_form_over_a_sweep(self, out_of):
+        # random bit patterns, then +-0, the subnormals next to zero, +-inf and +-800
+        patterns = np.random.default_rng(33).integers(0, 2**64, 200_000, dtype=np.uint64)
+        edges = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 800.0, -800.0]
+        sweep = np.concatenate([patterns.view(np.float64), edges])
+        for values in (sweep, sweep[~np.isnan(sweep)]):  # with the NaNs, then without
+            nans = np.isnan(values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.where(values > 0, values, np.expm1(values))
+            x = values.copy()
+            out = {"none": None, "distinct": np.empty(len(values)), "x": x}[out_of]
+            with warnings.catch_warnings():
+                # a NaN, even a signalling one, may raise invalid; nothing else may
+                warnings.simplefilter("ignore" if nans.any() else "error")
+                got = elu(x, out).copy()
+            assert np.array_equal(np.isnan(got), nans)
+            assert got[~nans].tobytes() == want[~nans].tobytes()
+
 
 def sigmoid(x):
     """The cell's gate function on a new array."""
@@ -592,6 +611,64 @@ class TestKernelOracle:
             saturated += np.count_nonzero((ws.ifo == lstm._SIGMOID_LO)
                                           | (ws.ifo == lstm._SIGMOID_HI))
         assert (saturated > 0) == (scale > 1.0)
+
+
+def _python_float_adam(params, grads, state, cfg):
+    """The form of `adam_update` whose operands are Python floats and whose
+    parameters are written through `params.flat[live] -= ...`. Kept as the
+    oracle that the step on 0-d operands bound with the state, writing the
+    parameters in one pass, must match bit for bit."""
+    lr, beta1, beta2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    live = state.prefix
+    grad, m, v = grads.flat[live], state.live_m, state.live_v
+    step, denom = state.live_step, state.live_denom
+    m *= beta1
+    m += np.multiply(1.0 - beta1, grad, out=step)
+    v *= beta2
+    np.multiply(1.0 - beta2, grad, out=step)
+    v += np.multiply(step, grad, out=step)
+    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += eps
+    params.flat[live] -= np.divide(step, denom, out=step)
+
+
+class TestAdamOracle:
+    @pytest.mark.parametrize("lookback", [3, 1], ids=["live-all", "live-prefix"])
+    def test_adam_is_bitwise_the_python_float_oracle(self, lookback):
+        # two states of two configs stepped in turn, then a state bound to no
+        # config and one bound to the second, each stepped with the first:
+        # no step may read the operands of a config it was not given
+        rng = np.random.default_rng(34)
+        params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in (1, 2)])
+        live = params.flat.size - params.wh.size if lookback == 1 else None
+        configs = [TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6),
+                   TrainConfig(learning_rate=2e-3, beta1=0.95, beta2=0.9999, epsilon=1e-9),
+                   TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)]
+        runs = []  # (params, state, cfg, oracle's params, oracle's state)
+        for bound, cfg in zip(configs + [None, configs[1]], configs + configs[:1] * 2):
+            mine, theirs = params.zeros_like(), params.zeros_like()
+            mine.flat[...] = theirs.flat[...] = params.flat
+            state = AdamState.like(mine, live, bound)
+            runs.append((mine, state, cfg, theirs, AdamState.like(theirs, live)))
+        grads = params.zeros_like()
+        for _ in range(50):  # one gradient per step for every run
+            grads.flat[...] = rng.standard_normal(grads.flat.size) * rng.choice([1e-6, 1.0, 1e3])
+            for mine, state, cfg, theirs, oracle in runs:
+                adam_update(mine, grads, state, cfg)
+                _python_float_adam(theirs, grads, oracle, cfg)
+        for mine, state, cfg, theirs, oracle in runs:
+            assert state.t == oracle.t == 50
+            for got, want in ((mine.flat, theirs.flat), (state.m, oracle.m), (state.v, oracle.v)):
+                assert got.tobytes() == want.tobytes()
+        # the third config equals the first, and a state bound to it, to none
+        # or to another config, steps as one bound to the first
+        first, *rest = [mine.flat.tobytes() for mine, *_ in runs]
+        assert rest[0] != first and rest[1:] == [first] * 3
+        assert [runs[k][1].cfg for k in (3, 4)] == [None, configs[1]]
 
 
 def _same_view(a, b):

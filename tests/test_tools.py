@@ -122,15 +122,62 @@ def test_bench_record_rejects_output_missing_either_line(output, message):
 
 def test_bench_record_writes_sorted_keys_whatever_the_order_it_got():
     run = bench_record.parse_run(PERFBENCH_OUTPUT)
+    tier1 = bench_record.parse_durations(PYTEST_OUTPUT)
     shuffled = {"result": dict(reversed(run["result"].items())),
                 "machine": dict(reversed(run["machine"].items()))}
-    texts = [bench_record.record_text("7", 25, a, b, "0" * 64)
-             for a, b in ((run, run), (shuffled, shuffled))]
+    shuffled_tier1 = {"seconds": dict(reversed(tier1["seconds"].items())),
+                      "counts": tier1["counts"]}
+    texts = [bench_record.record_text("7", 25, a, b, t, "0" * 64)
+             for a, b, t in ((run, run, tier1), (shuffled, shuffled, shuffled_tier1))]
     assert texts[0] == texts[1] and texts[0].endswith("}\n")
     record = json.loads(texts[0])
-    assert list(record) == ["command", "label", "source_sha256", "traced", "untraced"]
+    assert list(record) == ["command", "label", "source_sha256", "tier1", "traced", "untraced"]
     assert record["command"] == {"seconds": 25, "seed": bench_record.SEED, "workload": "all"}
     assert record["untraced"] == run
+    assert record["tier1"] == {"command": " ".join(["python"] + bench_record.TIER1), **tier1}
+
+
+# the shape of Tier-1's output under `--durations=0`, the acceptance lines
+# and progress cut short; the set-up of the session fixtures falls on the
+# first acceptance tests that use them
+PYTEST_OUTPUT = """[ACCEPTANCE] Determinism: PASS (two full u2 runs at seed 42)
+........................................................................ [ 94%]
+.......................                                                  [100%]
+============================== slowest durations ===============================
+5.97s setup    tests/test_acceptance.py::TestLstm::test_banded_reproduction
+3.09s call     tests/test_acceptance.py::TestLstm::test_full_u2_determinism
+1.31s call     tests/test_cli.py::TestReproduce::test_artifacts_are_utf8_whatever_the_locale
+0.72s setup    tests/test_classical.py::TestSolveOncePerTheta::test_fit_is_bitwise_the_memo_free_fit
+0.42s call     tests/test_acceptance.py::TestLstm::test_gradient_suite
+0.05s setup    tests/test_acceptance.py::TestDeterministicBaselines::test_hwaas_band
+0.01s teardown tests/test_acceptance.py::TestLstm::test_full_u2_determinism
+
+(1290 durations < 0.005s hidden.  Use -vv to show these durations.)
+1 failed, 454 passed, 2 warnings in 18.66s
+"""
+
+
+def test_bench_record_splits_tier1_into_acceptance_setup_determinism_and_rest():
+    assert bench_record.parse_durations(PYTEST_OUTPUT) == {
+        "counts": {"failed": 1, "passed": 454, "warnings": 2},
+        # set-up 5.97 + 0.05; the call line only, not the teardown
+        "seconds": {"total": 18.66, "acceptance_setup": 6.02, "u2_determinism": 3.09,
+                    "rest": 9.55},
+    }
+    slow = PYTEST_OUTPUT.replace("in 18.66s", "in 75.20s (0:01:15)")
+    assert bench_record.parse_durations(slow)["seconds"]["total"] == 75.2
+
+
+@pytest.mark.parametrize("output, message", [
+    (PYTEST_OUTPUT.strip().rsplit("\n", 1)[0], "no summary line"),
+    ("".join(line for line in PYTEST_OUTPUT.splitlines(True) if "determinism" not in line),
+     "no durations"),
+    ("".join(line for line in PYTEST_OUTPUT.splitlines(True) if " setup " not in line),
+     "no durations"),
+], ids=["no-summary", "no-determinism", "no-acceptance-setup"])
+def test_bench_record_rejects_tier1_output_missing_a_part(output, message):
+    with pytest.raises(ValueError, match=message):
+        bench_record.parse_durations(output)
 
 
 def test_bench_record_source_digest_follows_the_package_and_not_its_cache(tmp_path):

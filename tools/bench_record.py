@@ -7,12 +7,17 @@ Runs `perfbench/run.py --workload all` twice, untraced and then traced,
 from this checkout, always at seed 1 (`SEED`) and BENCHMARK.json's
 `run_seconds`, so every record of the trajectory measures one setting. It
 keeps of each run its `machine` line (cores, BLAS and its threads, python,
-numpy, scipy) and its last line, the JSON object of its metrics. The
-record names the SHA-256 of the source files it measured and is written
-with its keys sorted, so two records of one tree differ only in their
-numbers.
+numpy, scipy) and its last line, the JSON object of its metrics. It then
+runs Tier-1 (`TIER1`, pytest with `--durations=0`) and keeps its outcome
+counts and its time split: the set-up of the acceptance tests (their
+session fixtures, the 20-member LSTM training among them),
+`test_full_u2_determinism`, and the rest of pytest's total. The record
+names the SHA-256 of the source files it measured and is written with its
+keys sorted, so two records of one tree differ only in their numbers.
 
-Exit 1 when a perfbench run fails or prints no machine line or no JSON.
+Exit 1 when a perfbench run fails or prints no machine line or no JSON, or
+when pytest ends other than with passed or failed tests or prints no
+durations for the two timed parts.
 """
 
 from __future__ import annotations
@@ -20,12 +25,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0",
+         "-p", "no:cacheprovider"]
+ACCEPTANCE = "tests/test_acceptance.py::"
+DETERMINISM = ACCEPTANCE + "TestLstm::test_full_u2_determinism"
 
 
 def parse_run(stdout: str) -> dict:
@@ -45,6 +56,34 @@ def parse_run(stdout: str) -> dict:
     return {"machine": json.loads(machines[0]), "result": result}
 
 
+def parse_durations(stdout: str) -> dict:
+    """{"counts": ..., "seconds": ...} from Tier-1's stdout under
+    `--durations=0`: its outcome counts (passed, failed, ...) from its last
+    line, and its seconds, `total` as that line gives it, `acceptance_setup`
+    the sum of the set-up lines of the acceptance tests, `u2_determinism`
+    the call line of `test_full_u2_determinism`, and `rest` the remainder
+    of `total`. No durations, no summary line or neither timed part is a
+    ValueError."""
+    lines = stdout.strip().splitlines()
+    summary = re.match(r"=*\s*((?:\d+ \w+(?:, )?)+) in ([\d.]+)s\b", lines[-1] if lines else "")
+    if summary is None:
+        raise ValueError("pytest printed no summary line")
+    durations = [re.fullmatch(r"([\d.]+)s (setup|call|teardown) +(\S+)", line.strip())
+                 for line in lines]
+    durations = [(float(m[1]), m[2], m[3]) for m in durations if m]
+    setup = [s for s, when, test in durations if when == "setup" and test.startswith(ACCEPTANCE)]
+    determinism = [s for s, when, test in durations if when == "call" and test == DETERMINISM]
+    if not setup or not determinism:
+        raise ValueError("pytest printed no durations for the acceptance set-up "
+                         "and test_full_u2_determinism")
+    total = float(summary[2])
+    seconds = {"total": total, "acceptance_setup": round(sum(setup), 2),
+               "u2_determinism": determinism[0]}
+    seconds["rest"] = round(total - seconds["acceptance_setup"] - seconds["u2_determinism"], 2)
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary[1])}
+    return {"counts": counts, "seconds": seconds}
+
+
 def source_digest(root: Path = ROOT) -> str:
     """SHA-256 over the path and bytes of every file under src/casecast."""
     digest = hashlib.sha256()
@@ -55,7 +94,8 @@ def source_digest(root: Path = ROOT) -> str:
     return digest.hexdigest()
 
 
-def record_text(label: str, seconds: int, untraced: dict, traced: dict, digest: str) -> str:
+def record_text(label: str, seconds: int, untraced: dict, traced: dict, tier1: dict,
+                digest: str) -> str:
     """The record as JSON text, keys sorted, one trailing newline."""
     record = {
         "label": label,
@@ -63,6 +103,7 @@ def record_text(label: str, seconds: int, untraced: dict, traced: dict, digest: 
         "command": {"workload": "all", "seed": SEED, "seconds": seconds},
         "untraced": untraced,
         "traced": traced,
+        "tier1": {"command": " ".join(["python"] + TIER1), **tier1},
     }
     return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
@@ -77,6 +118,16 @@ def run_perfbench(seconds: int, trace: int) -> dict:
     return parse_run(proc.stdout)
 
 
+def run_tier1() -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode not in (0, 1):  # 1: some test failed, which the counts record
+        raise RuntimeError(f"pytest exited {proc.returncode}: {proc.stdout.strip()[-500:]}")
+    return parse_durations(proc.stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the record's name: BENCH_<label>.json")
@@ -85,11 +136,12 @@ def main(argv=None) -> int:
     try:
         untraced = run_perfbench(seconds, trace=0)
         traced = run_perfbench(seconds, trace=1)
+        tier1 = run_tier1()
     except (RuntimeError, ValueError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
     path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(record_text(args.label, seconds, untraced, traced, source_digest()),
+    path.write_text(record_text(args.label, seconds, untraced, traced, tier1, source_digest()),
                     encoding="utf-8")
     print(f"bench_record: wrote {path.name}")
     return 0
