@@ -48,7 +48,7 @@ dense_b blocks. They stay valid because `flat` is only ever written in
 place (Adam subtracts from it) and no code rebinds it or a named array, so
 every caller, `train`, `run_schema` and a checkpoint's model alike, reads
 the same views. `AdamState` binds the live prefixes of its moments and
-scratch vectors the same way, once, and its config's settings.
+scratch vectors the same way, once.
 
 Two more rules follow from the fixed cost of a call. A masked ufunc
 (`where=`) costs about five times an unmasked one on a (4, 32) array, 1.6
@@ -56,9 +56,8 @@ against 0.31 us, and allocates its mask, so `elu` makes four unmasked calls
 instead of one masked one. A Python-float operand costs some 0.1 us more
 per call than a 0-d float64 array (np.subtract(1.0, x, out) 0.37 us, with
 a 0-d 1.0 0.26 us), and the same double gives the same result. So the
-kernels' constants are 0-d arrays made at import, Adam's settings 0-d
-arrays bound with its state, and Adam writes each step's bias corrections
-into two 0-d arrays of its state, as a write costs some 30 ns.
+kernels' constants are 0-d arrays made at import, and each `TrainConfig`
+holds Adam's settings as 0-d arrays, made when it is built.
 
 The reverse loop carries only the recurrence and fills the store; the wx, b
 and wh gradients are then each one product and one np.add.reduce over the
@@ -577,53 +576,34 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
     return ws.loss[:, 0, 0], grads
 
 
-def _adam_operands(cfg: TrainConfig):
-    """beta1, 1 - beta1, beta2, 1 - beta2, lr and eps of `cfg`, each the
-    Python expression's value as a 0-d float64 array."""
-    beta1, beta2 = cfg.beta1, cfg.beta2
-    return tuple(np.array(value, dtype=float) for value in (
-        beta1, 1.0 - beta1, beta2, 1.0 - beta2, cfg.learning_rate, cfg.epsilon))
-
-
 class AdamState:
     """Adam's moment estimates, laid out like LstmParams.flat, the step
     count, the end of the prefix of flat that Adam steps (all of it, None,
     unless the entries past it get no gradient), and two scratch vectors of
-    flat's size and two 0-d arrays, bc1 and bc2, that each step writes its
-    temporaries and its bias corrections into.
+    flat's size that each step writes its temporaries into.
 
     `live` is fixed when the state is built: `prefix` is its slice of flat,
     and `live_m`, `live_v`, `live_step` and `live_denom` are that prefix of
     m, v and the two scratch vectors, bound then, which `adam_update` reads
     and writes in place. `live` reads `prefix` and cannot be reassigned, so
-    the views and the slice of flat that Adam steps always agree. `cfg` is
-    fixed the same way: `operands` holds its settings as 0-d arrays (see
-    `_adam_operands`), or is None when `cfg` is."""
+    the views and the slice of flat that Adam steps always agree."""
 
-    def __init__(self, m: np.ndarray, v: np.ndarray, live: int | None = None,
-                 cfg: TrainConfig | None = None):
+    def __init__(self, m: np.ndarray, v: np.ndarray, live: int | None = None):
         self.m, self.v, self.t = m, v, 0
         self.scratch = np.empty((2,) + m.shape)
-        self.bias_corrections = np.empty(()), np.empty(())
         self.prefix = slice(live)
         self.live_m, self.live_v = m[self.prefix], v[self.prefix]
         self.live_step, self.live_denom = self.scratch[:, self.prefix]
-        self._cfg = cfg
-        self.operands = None if cfg is None else _adam_operands(cfg)
 
     @property
     def live(self) -> int | None:
         return self.prefix.stop
 
-    @property
-    def cfg(self) -> TrainConfig | None:
-        return self._cfg
-
     @classmethod
-    def like(cls, params: LstmParams, live: int | None = None, cfg: TrainConfig | None = None):
+    def like(cls, params: LstmParams, live: int | None = None):
         """Zero moments for `params`, stepping the prefix of flat up to
-        `live`, with `cfg`'s settings bound."""
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), live, cfg)
+        `live`."""
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), live)
 
 
 def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: TrainConfig):
@@ -636,15 +616,11 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: Tr
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
 
     in that order, with m, v and the temporaries in the views `state`
-    bound, and the settings in the 0-d operands `state` bound when `cfg` is
-    its config (built from `cfg` for this call otherwise, with the same
-    bits)."""
-    b1, one_b1, b2, one_b2, lr, eps = (
-        state.operands if cfg is state.cfg else _adam_operands(cfg))
+    bound, and the settings in `cfg`'s 0-d `adam_operands`."""
+    b1, one_b1, b2, one_b2, lr, eps = cfg.adam_operands
     state.t += 1
-    bc1, bc2 = state.bias_corrections
-    bc1[()] = 1.0 - cfg.beta1**state.t
-    bc2[()] = 1.0 - cfg.beta2**state.t
+    bc1 = 1.0 - cfg.beta1**state.t
+    bc2 = 1.0 - cfg.beta2**state.t
     live = state.prefix
     grad, m, v, p = grads.flat[live], state.live_m, state.live_v, params.flat[live]
     step, denom = state.live_step, state.live_denom
@@ -681,7 +657,17 @@ class TrainConfig:
     """The training settings of one model. A setting of the wrong type or
     out of range is a ValueError naming it: `epochs`, `hidden` and `seed`
     are ints or numpy integers, the four float settings real numbers (an int
-    too, as a checkpoint may hold `1`), `activation` a str, and none a bool."""
+    too, as a checkpoint may hold `1`), `activation` a str, and none a bool.
+
+    `adam_operands`, made when the config is built and not a field, holds
+    Adam's beta1, 1 - beta1, beta2, 1 - beta2, learning rate and epsilon,
+    each that Python expression's value as a 0-d float64 array, the
+    operands `adam_update` reads. It lives in a slot, out of `__dict__`, so
+    `TrainConfig(**cfg.__dict__)` still makes a config, and a copy or a
+    pickle goes through the constructor, which makes it anew (a frozen
+    instance takes no slot state)."""
+
+    __slots__ = ("__dict__", "__weakref__", "adam_operands")
 
     epochs: int = 2000
     hidden: int = 32
@@ -709,6 +695,12 @@ class TrainConfig:
             raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        beta1, beta2 = self.beta1, self.beta2
+        object.__setattr__(self, "adam_operands", tuple(np.array(value, dtype=float) for value in (
+            beta1, 1.0 - beta1, beta2, 1.0 - beta2, self.learning_rate, self.epsilon)))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -766,7 +758,7 @@ def train(
     # one step from the zero state: wh gets no gradient, and Adam would move
     # it by exactly 0, so only the prefix before it is stepped
     live = params.flat.size - params.wh.size if dataset.inputs.shape[1] == 1 else None
-    state = AdamState.like(params, live, cfg)
+    state = AdamState.like(params, live)
     n = len(dataset)
     losses = np.empty((cfg.epochs, len(cfgs)))
     # a diverging member overflows on its way to a non-finite mean loss; the

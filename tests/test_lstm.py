@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import datetime as dt
 import math
+import pickle
 import re
 import types
 import warnings
@@ -616,7 +619,7 @@ class TestKernelOracle:
 def _python_float_adam(params, grads, state, cfg):
     """The form of `adam_update` whose operands are Python floats and whose
     parameters are written through `params.flat[live] -= ...`. Kept as the
-    oracle that the step on 0-d operands bound with the state, writing the
+    oracle that the step on its config's 0-d operands, writing the
     parameters in one pass, must match bit for bit."""
     lr, beta1, beta2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
     state.t += 1
@@ -639,21 +642,23 @@ def _python_float_adam(params, grads, state, cfg):
 class TestAdamOracle:
     @pytest.mark.parametrize("lookback", [3, 1], ids=["live-all", "live-prefix"])
     def test_adam_is_bitwise_the_python_float_oracle(self, lookback):
-        # two states of two configs stepped in turn, then a state bound to no
-        # config and one bound to the second, each stepped with the first:
-        # no step may read the operands of a config it was not given
+        # three states stepped in turn, each with its own config: the
+        # second made from the first by `replace`, the third equal to the
+        # first; no step may read the operands of a config it was not given
         rng = np.random.default_rng(34)
         params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in (1, 2)])
         live = params.flat.size - params.wh.size if lookback == 1 else None
-        configs = [TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6),
-                   TrainConfig(learning_rate=2e-3, beta1=0.95, beta2=0.9999, epsilon=1e-9),
+        first = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
+        configs = [first,
+                   dataclasses.replace(first, learning_rate=2e-3, beta1=0.95, beta2=0.9999,
+                                       epsilon=1e-9),
                    TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)]
         runs = []  # (params, state, cfg, oracle's params, oracle's state)
-        for bound, cfg in zip(configs + [None, configs[1]], configs + configs[:1] * 2):
+        for cfg in configs:
             mine, theirs = params.zeros_like(), params.zeros_like()
             mine.flat[...] = theirs.flat[...] = params.flat
-            state = AdamState.like(mine, live, bound)
-            runs.append((mine, state, cfg, theirs, AdamState.like(theirs, live)))
+            runs.append((mine, AdamState.like(mine, live), cfg, theirs,
+                         AdamState.like(theirs, live)))
         grads = params.zeros_like()
         for _ in range(50):  # one gradient per step for every run
             grads.flat[...] = rng.standard_normal(grads.flat.size) * rng.choice([1e-6, 1.0, 1e3])
@@ -664,11 +669,9 @@ class TestAdamOracle:
             assert state.t == oracle.t == 50
             for got, want in ((mine.flat, theirs.flat), (state.m, oracle.m), (state.v, oracle.v)):
                 assert got.tobytes() == want.tobytes()
-        # the third config equals the first, and a state bound to it, to none
-        # or to another config, steps as one bound to the first
+        # the third config equals the first and steps as it does
         first, *rest = [mine.flat.tobytes() for mine, *_ in runs]
-        assert rest[0] != first and rest[1:] == [first] * 3
-        assert [runs[k][1].cfg for k in (3, 4)] == [None, configs[1]]
+        assert rest == [rest[0], first] and rest[0] != first
 
 
 def _same_view(a, b):
@@ -830,6 +833,23 @@ class TestTrain:
         assert TrainConfig(epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
         with pytest.raises(ValueError, match=f"^epochs must be <= {MAX_EPOCHS}$"):
             TrainConfig(epochs=MAX_EPOCHS + 1)
+
+    def test_config_holds_adams_settings_as_0d_operands_outside_its_fields(self):
+        cfg = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
+        assert [(a.shape, a.dtype, a.item()) for a in cfg.adam_operands] == [
+            ((), np.float64, value) for value in (0.8, 1.0 - 0.8, 0.99, 1.0 - 0.99, 0.05, 1e-6)]
+        # not a field: equality and repr read the settings alone, and a
+        # replaced or unpickled config holds its own settings' operands
+        assert "adam_operands" not in repr(cfg) and "adam_operands" not in cfg.__dict__
+        assert cfg == TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
+        for other in (dataclasses.replace(cfg, beta1=0.5),
+                      TrainConfig(**{**cfg.__dict__, "beta1": 0.5})):
+            assert [a.item() for a in other.adam_operands[:2]] == [0.5, 0.5]
+        for other in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg)):
+            assert other == cfg
+            assert [a.item() for a in other.adam_operands] == [a.item() for a in cfg.adam_operands]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.adam_operands = other.adam_operands
 
     def test_reachable_targets_drive_loss_to_zero(self):
         inputs = np.full((5, 1, 1), 0.5)

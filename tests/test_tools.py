@@ -126,7 +126,7 @@ def test_bench_record_writes_sorted_keys_whatever_the_order_it_got():
     shuffled = {"result": dict(reversed(run["result"].items())),
                 "machine": dict(reversed(run["machine"].items()))}
     shuffled_tier1 = {"seconds": dict(reversed(tier1["seconds"].items())),
-                      "counts": tier1["counts"]}
+                      "warnings": tier1["warnings"], "counts": tier1["counts"]}
     texts = [bench_record.record_text("7", 25, a, b, t, "0" * 64)
              for a, b, t in ((run, run, tier1), (shuffled, shuffled, shuffled_tier1))]
     assert texts[0] == texts[1] and texts[0].endswith("}\n")
@@ -159,13 +159,21 @@ PYTEST_OUTPUT = """[ACCEPTANCE] Determinism: PASS (two full u2 runs at seed 42)
 
 def test_bench_record_splits_tier1_into_acceptance_setup_determinism_and_rest():
     assert bench_record.parse_durations(PYTEST_OUTPUT) == {
-        "counts": {"failed": 1, "passed": 454, "warnings": 2},
+        "counts": {"failed": 1, "passed": 454},
+        "warnings": 2,
         # set-up 5.97 + 0.05; the call line only, not the teardown
         "seconds": {"total": 18.66, "acceptance_setup": 6.02, "u2_determinism": 3.09,
                     "rest": 9.55},
     }
     slow = PYTEST_OUTPUT.replace("in 18.66s", "in 75.20s (0:01:15)")
     assert bench_record.parse_durations(slow)["seconds"]["total"] == 75.2
+    # pytest's singular and plural forms count under one key
+    one = PYTEST_OUTPUT.replace("1 failed, 454 passed, 2 warnings",
+                                "453 passed, 2 skipped, 1 xfailed, 1 warning")
+    assert {key: bench_record.parse_durations(one)[key] for key in ("counts", "warnings")} == {
+        "counts": {"passed": 453, "skipped": 2, "xfailed": 1}, "warnings": 1}
+    none = PYTEST_OUTPUT.replace("1 failed, 454 passed, 2 warnings", "455 passed")
+    assert bench_record.parse_durations(none)["warnings"] == 0
 
 
 @pytest.mark.parametrize("output, message", [
@@ -174,7 +182,10 @@ def test_bench_record_splits_tier1_into_acceptance_setup_determinism_and_rest():
      "no durations"),
     ("".join(line for line in PYTEST_OUTPUT.splitlines(True) if " setup " not in line),
      "no durations"),
-], ids=["no-summary", "no-determinism", "no-acceptance-setup"])
+    # under --continue-on-collection-errors pytest exits 1 for these too
+    (PYTEST_OUTPUT.replace(" 2 warnings", " 2 warnings, 1 error"), "reported 1 error$"),
+    (PYTEST_OUTPUT.replace("1 failed, ", "2 errors, "), "reported 2 errors$"),
+], ids=["no-summary", "no-determinism", "no-acceptance-setup", "one-error", "errors"])
 def test_bench_record_rejects_tier1_output_missing_a_part(output, message):
     with pytest.raises(ValueError, match=message):
         bench_record.parse_durations(output)

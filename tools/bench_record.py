@@ -9,15 +9,17 @@ from this checkout, always at seed 1 (`SEED`) and BENCHMARK.json's
 keeps of each run its `machine` line (cores, BLAS and its threads, python,
 numpy, scipy) and its last line, the JSON object of its metrics. It then
 runs Tier-1 (`TIER1`, pytest with `--durations=0`) and keeps its outcome
-counts and its time split: the set-up of the acceptance tests (their
-session fixtures, the 20-member LSTM training among them),
-`test_full_u2_determinism`, and the rest of pytest's total. The record
-names the SHA-256 of the source files it measured and is written with its
-keys sorted, so two records of one tree differ only in their numbers.
+counts, its warning count and its time split: the set-up of the
+acceptance tests (their session fixtures, the 20-member LSTM training
+among them), `test_full_u2_determinism`, and the rest of pytest's total.
+The record names the SHA-256 of the source files it measured and is
+written with its keys sorted, so two records of one tree differ only in
+their numbers.
 
 Exit 1 when a perfbench run fails or prints no machine line or no JSON, or
-when pytest ends other than with passed or failed tests or prints no
-durations for the two timed parts.
+when pytest's summary counts anything but the `OUTCOMES` of tests and
+warnings (an error, such as a collection error, among them) or it prints
+no durations for the two timed parts.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0
          "-p", "no:cacheprovider"]
 ACCEPTANCE = "tests/test_acceptance.py::"
 DETERMINISM = ACCEPTANCE + "TestLstm::test_full_u2_determinism"
+# the words a Tier-1 summary may count tests under, each in pytest's one form
+OUTCOMES = ("passed", "failed", "skipped", "deselected", "xfailed", "xpassed")
 
 
 def parse_run(stdout: str) -> dict:
@@ -57,17 +61,26 @@ def parse_run(stdout: str) -> dict:
 
 
 def parse_durations(stdout: str) -> dict:
-    """{"counts": ..., "seconds": ...} from Tier-1's stdout under
-    `--durations=0`: its outcome counts (passed, failed, ...) from its last
-    line, and its seconds, `total` as that line gives it, `acceptance_setup`
-    the sum of the set-up lines of the acceptance tests, `u2_determinism`
-    the call line of `test_full_u2_determinism`, and `rest` the remainder
-    of `total`. No durations, no summary line or neither timed part is a
-    ValueError."""
+    """{"counts": ..., "warnings": ..., "seconds": ...} from Tier-1's stdout
+    under `--durations=0`: its last line's count of each of the `OUTCOMES`
+    it names and its warning count (0 if it names none), and its seconds,
+    `total` as that line gives it, `acceptance_setup` the sum of the set-up
+    lines of the acceptance tests, `u2_determinism` the call line of
+    `test_full_u2_determinism`, and `rest` the remainder of `total`. No
+    summary line, a count of anything else (`1 error`, `2 errors`, ...),
+    or no durations for either timed part is a ValueError."""
     lines = stdout.strip().splitlines()
     summary = re.match(r"=*\s*((?:\d+ \w+(?:, )?)+) in ([\d.]+)s\b", lines[-1] if lines else "")
     if summary is None:
         raise ValueError("pytest printed no summary line")
+    counts, warnings = {}, 0
+    for n, word in re.findall(r"(\d+) (\w+)", summary[1]):
+        if word in ("warning", "warnings"):
+            warnings = int(n)
+        elif word in OUTCOMES:
+            counts[word] = int(n)
+        else:
+            raise ValueError(f"pytest reported {n} {word}")
     durations = [re.fullmatch(r"([\d.]+)s (setup|call|teardown) +(\S+)", line.strip())
                  for line in lines]
     durations = [(float(m[1]), m[2], m[3]) for m in durations if m]
@@ -80,8 +93,7 @@ def parse_durations(stdout: str) -> dict:
     seconds = {"total": total, "acceptance_setup": round(sum(setup), 2),
                "u2_determinism": determinism[0]}
     seconds["rest"] = round(total - seconds["acceptance_setup"] - seconds["u2_determinism"], 2)
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary[1])}
-    return {"counts": counts, "seconds": seconds}
+    return {"counts": counts, "warnings": warnings, "seconds": seconds}
 
 
 def source_digest(root: Path = ROOT) -> str:
@@ -123,7 +135,9 @@ def run_tier1() -> dict:
         p for p in ("src", os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True,
                           text=True)
-    if proc.returncode not in (0, 1):  # 1: some test failed, which the counts record
+    # 1: some test failed, which the counts record, or a collection error,
+    # which parse_durations rejects
+    if proc.returncode not in (0, 1):
         raise RuntimeError(f"pytest exited {proc.returncode}: {proc.stdout.strip()[-500:]}")
     return parse_durations(proc.stdout)
 
