@@ -57,8 +57,16 @@ def _integer(value, name: str) -> None:
         raise FitError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> None:
+    """A FitError naming the setting `name` unless `value` is an int, a
+    float, a numpy integer or a numpy float; a bool is none of these here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise FitError(f"{name} must be a real number, got {value!r}")
+
+
 def _ridge_penalty(value) -> None:
     """A FitError unless the ridge penalty `value` is a finite number >= 0."""
+    _real(value, "ridge penalty")
     if not 0.0 <= value < np.inf:  # NaN fails too
         raise FitError(f"ridge penalty must be a finite number >= 0, got {value}")
 
@@ -150,6 +158,7 @@ class HwFit:
     def __post_init__(self):
         m = self.season_length
         _integer(m, "season length")
+        _real(self.phi, "damping phi")
         if not (m >= 1 and len(self.seasonals) == m and 0.0 < self.phi <= 1.0):
             raise FitError("'seasonals' must hold 'season_length' >= 1 values and 'phi' must"
                            " lie in (0, 1]")
@@ -288,7 +297,7 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
     seasonal s_t = g (y_t - l_{t-1} - phi b_{t-1}) + (1-g) s_{t-m}
 
     with one-step prediction l_{t-1} + phi b_{t-1} + s_{t-m}, for an
-    integer m >= 1 and a damping phi in (0, 1]. The weights (a, b, g)
+    integer m >= 1 and a real damping phi in (0, 1]. The weights (a, b, g)
     minimise the in-sample one-step SSE by multi-start L-BFGS-B on [0,1]^3.
     Its gradient comes from `_forward_difference`, a rule of casecast's own
     that the memo-free oracle and `TestForwardDifference` pin, bit for bit,
@@ -304,6 +313,7 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
     _integer(m, "season length")
     if m < 1:
         raise FitError(f"season length must be at least 1, got {m}")
+    _real(phi, "damping phi")
     if not 0.0 < phi <= 1.0:  # NaN and the infinities fail too
         raise FitError(f"damping phi must lie in (0, 1], got {phi}")
     if len(y) < 2 * m:
@@ -392,7 +402,8 @@ def prophet_lite_fit(
     of the training range, so the trend stays continuous) plus order-3 weekly
     Fourier terms, solved by ridge least squares. Intercept and base slope
     are left unpenalized. The Fourier order is an integer (a negative one
-    is the fit class's FitError) and the ridge penalty a finite number >= 0.
+    is the fit class's FitError) and the ridge penalty a finite real number
+    >= 0.
     """
     y = _finite(series)
     _integer(fourier_order, "Fourier order")

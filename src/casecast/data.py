@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import os
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -17,6 +18,9 @@ import numpy as np
 
 DAY = dt.timedelta(days=1)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # counts are stored as int64
+# a count as a CSV holds it, once stripped: ASCII digits and no other sign
+# than a minus, where int() would also take `+5`, `1_000` and non-ASCII digits
+_COUNT = re.compile(r"-?[0-9]+")
 
 
 class DataError(Exception):
@@ -127,8 +131,10 @@ def load_csv(path: str) -> TimeSeries:
 
     Every violation is a DataError whose message names the fault: a missing,
     unreadable or non-UTF-8 file, or, prefixed with its line, a malformed
-    row (a count beyond int64 is one), a date gap or out of order, or a
-    decreasing cumulative value.
+    row (a count that is not a decimal integer, negative or beyond int64
+    is one), a date gap or out of order, or a decreasing cumulative value.
+    A count is ASCII digits with an optional leading minus, once its
+    surrounding whitespace is stripped.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -155,10 +161,13 @@ def load_csv(path: str) -> TimeSeries:
             raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
         try:
             date = dt.date.fromisoformat(row[0].strip())
-            c = int(row[1])
-            d = int(row[2])
         except ValueError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
+        counts = [field.strip() for field in row[1:]]
+        for count in counts:
+            if not _COUNT.fullmatch(count):
+                raise DataError(f"line {lineno}: count {count!r} is not a decimal integer")
+        c, d = map(int, counts)
         if c < 0 or d < 0:
             raise DataError(f"line {lineno}: negative count")
         if max(c, d) > _INT64_MAX:

@@ -43,8 +43,8 @@ activations; `run_schema` builds one per forecast and reuses it on every
 day. What they return lies in the workspace and is valid until the
 workspace's next call. The operands read from the parameters are bound
 once too, by `LstmParams` itself, with `flat`: wx as columns, b gate-major,
-wh and dense_w transposed, and each adjacent width group's dense_w and
-dense_b blocks. They stay valid because `flat` is only ever written in
+wh and dense_w transposed, and each width group's dense_w and dense_b
+blocks. They stay valid because `flat` is only ever written in
 place (Adam subtracts from it) and no code rebinds it or a named array, so
 every caller, `train`, `run_schema` and a checkpoint's model alike, reads
 the same views. `AdamState` binds the live prefixes of its moments and
@@ -75,12 +75,16 @@ A padded entry adds only products with a zero to a sum, which leaves the sum
 exact, and gets a zero gradient, so Adam never moves it. The one exception
 is the dense head: numpy computes a one-row product with a different kernel
 than a two-row one, whose bits differ, so `forward` computes the head once
-per distinct width, each member at its own width.
+per distinct width, each member at its own width. The members of one width
+are adjacent in a stack, a rule `LstmParams` enforces, so each width's head
+is one product on views bound once. `train_schema_model` trains its members
+univariate first, so any member list it is given keeps the rule.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 import typing
 from dataclasses import dataclass, fields
@@ -209,13 +213,6 @@ def _sigmoid(x, out):
     return out.clip(_SIGMOID_LO, _SIGMOID_HI, out)
 
 
-def _matvec(w, v):
-    """Row e is w[e] @ v[e]. Stacked np.matmul runs, per member, the same
-    BLAS kernel as the 2-D product of one model, also for a transposed w
-    (np.einsum does not)."""
-    return (w @ v[:, :, None])[:, :, 0]
-
-
 class LstmParams:
     """All weights of a stack of E LSTM layers of one hidden size, each with
     its linear dense head, stored in one contiguous float64 vector `flat`.
@@ -237,10 +234,13 @@ class LstmParams:
     of `flat`: `wx_cols` (E, 1, 4H, D), wx ready for the input term of every
     step; `b_gates`, b gate-major (4, E, H); `wh_t` and `dense_w_t`, wh and
     dense_w transposed; and `head_blocks`, per width group of
-    `_width_groups`, that group's dense_w and dense_b blocks when its
-    members are adjacent, None when an index array selects them (a copy,
-    taken per call). `flat` and the named arrays are only ever written in
-    place, never rebound, so each view keeps reading the current weights.
+    `_width_groups`, that group's dense_w and dense_b blocks. `flat` and the
+    named arrays are only ever written in place, never rebound, so each view
+    keeps reading the current weights.
+
+    The members of one input width are adjacent in a stack: `stack` of
+    widths that interleave, (1, 2, 1) say, is a ValueError naming them,
+    raised when the views are bound, before any step.
     """
 
     NAMES = ("wx", "b", "dense_w", "dense_b", "wh")
@@ -264,11 +264,8 @@ class LstmParams:
         self.b_gates = _gate_major(self.b, self.hidden)
         self.wh_t = self.wh.transpose(0, 2, 1)
         self.dense_w_t = self.dense_w.transpose(0, 2, 1)
-        self.head_blocks = tuple(
-            (self.dense_w[rows, :width], self.dense_b[rows, :width])
-            if isinstance(rows, slice) else None
-            for width, rows in _width_groups(widths)
-        )
+        self.head_blocks = tuple((self.dense_w[rows, :width], self.dense_b[rows, :width])
+                                 for width, rows in _width_groups(widths))
 
     def _on(self, flat, widths):
         """Parameters of this layout whose views lie on `flat`."""
@@ -293,7 +290,8 @@ class LstmParams:
         """Stacks of one of one hidden size as one stack, on a new (E*P,)
         `flat`; each is zero-padded to the widest input width (its wx
         columns, dense_w rows and dense_b entries past its own width stay
-        zero)."""
+        zero). The members of one width must be adjacent, or this is a
+        ValueError."""
         widths = tuple(m.input_dim for m in members)
         widest = members[widths.index(max(widths))]
         stack = widest._on(np.zeros(len(members) * widest.flat.size), widths)
@@ -331,16 +329,14 @@ class LstmParams:
 
 
 def _width_groups(widths: tuple[int, ...]):
-    """(width, rows) for each distinct member width of a stack; rows selects
-    that width's members, as a slice when they are adjacent in the stack (a
-    view) and as an index array otherwise (a copy)."""
-    groups = []
-    for width in dict.fromkeys(widths):
-        rows = np.flatnonzero(np.array(widths) == width)
-        if rows[-1] - rows[0] == len(rows) - 1:
-            rows = slice(rows[0], rows[-1] + 1)
-        groups.append((width, rows))
-    return tuple(groups)
+    """(width, rows) for each distinct member width of a stack, in the
+    stack's order; rows is the slice of that width's members, which must be
+    adjacent: a stack whose widths interleave is a ValueError naming them."""
+    if len(set(widths)) != len(list(itertools.groupby(widths))):  # a width in two runs
+        raise ValueError(f"the members of one input width must be adjacent in a stack, "
+                         f"got widths {widths}")
+    return tuple((width, slice(widths.index(width), widths.index(width) + widths.count(width)))
+                 for width in dict.fromkeys(widths))
 
 
 def _gate_major(rows, hdim):
@@ -388,9 +384,8 @@ class Workspace:
     dense head's operands; `store_rows`, `store_b` and `h_operands` are the
     store's operands in the gradient sums, and `wx_grad_t` the transposed
     wx gradient they sum into; and `heads` holds, per width group, its
-    rows and width and, for adjacent members, its views of h and y and its
-    product buffer. None of these views is of `params` or of a caller's
-    array."""
+    views of h and y and its product buffer. None of these views is of
+    `params` or of a caller's array."""
 
     def __init__(self, params: LstmParams, steps: int, activations):
         members, hdim, width = len(params.widths), params.hidden, params.input_dim
@@ -454,16 +449,13 @@ class Workspace:
         self.store_rows = self.store.reshape(steps, members, 1, gates)
         self.store_b = self.store[..., 0]
         self.h_operands = (self.store[:-1], self.h[-2:0:-1, :, None, :])
-        # per width group: rows, width and, for adjacent members (a slice of
-        # rows), h's last row as columns, the product, its rows and y's block
+        # per width group: h's last row as columns, the product, its rows
+        # and y's block
         self.heads = []
         for group_width, rows in _width_groups(params.widths):
-            if isinstance(rows, slice):
-                product = np.empty((rows.stop - rows.start, group_width, 1))
-                self.heads.append((rows, group_width, h_cols[steps, rows], product,
-                                   product[:, :, 0], self.y[rows, :group_width]))
-            else:  # an index array selects copies, so nothing is bound
-                self.heads.append((rows, group_width, None, None, None, None))
+            product = np.empty((rows.stop - rows.start, group_width, 1))
+            self.heads.append((h_cols[steps, rows], product, product[:, :, 0],
+                               self.y[rows, :group_width]))
 
 
 def forward(params: LstmParams, inputs, ws: Workspace):
@@ -514,14 +506,9 @@ def forward(params: LstmParams, inputs, ws: Workspace):
         add(c_new, multiply(i, g_in, tmp), c_new)
         gfun(c_new, g_c)
         multiply(o, g_c, h_new)
-    for (rows, width, h_last, product, product_rows, y_rows), block in zip(
-            ws.heads, params.head_blocks):
-        w, bias = block or (params.dense_w[rows, :width], params.dense_b[rows, :width])
-        if product is None:
-            ws.y[rows, :width] = _matvec(w, ws.h[-1][rows]) + bias
-        else:
-            np.matmul(w, h_last, product)
-            add(product_rows, bias, y_rows)
+    for (h_last, product, product_rows, y_rows), (w, bias) in zip(ws.heads, params.head_blocks):
+        np.matmul(w, h_last, product)
+        add(product_rows, bias, y_rows)
     return ws.y
 
 
@@ -720,8 +707,10 @@ def train(
     Each member draws its Glorot init and its per-epoch sample order from
     its own np.random.default_rng(seed), so every returned model is bitwise
     the one a one-member `train` call gives. Members' datasets must share
-    the window count and the lookback and may differ in channel count;
-    their configs may differ only in seed and activation. If a mean
+    the window count and the lookback and may differ in channel count, but
+    the members of one channel count must be adjacent (see `LstmParams`):
+    an interleaved member list is a ValueError before any step. Their
+    configs may differ only in seed and activation. If a mean
     epoch loss is non-finite, TrainingDivergedError names the lowest-index
     member diverging at the earliest such epoch. numpy's floating-point
     warnings on the way there are silenced: that error is the one report."""
@@ -773,9 +762,9 @@ def train(
                 total += loss
                 adam_update(params, grads, state, cfg)
             losses[epoch] = total / n
-            diverged = np.flatnonzero(~np.isfinite(losses[epoch]))
-            if diverged.size:
-                raise TrainingDivergedError(epoch + 1, cfgs[diverged[0]])
+            finite = np.isfinite(losses[epoch])
+            if not finite.all():  # argmin: the first False
+                raise TrainingDivergedError(epoch + 1, cfgs[finite.argmin()])
     return [
         LstmModel(params.member(e), c, losses[:, e].tolist()) for e, c in enumerate(cfgs)
     ]
@@ -804,15 +793,19 @@ def train_schema_model(
     """Fit a model for each (schema, config) member on the schema's
     normalised training window: the cases alone, or (cases, deaths) for u3.
     The u1 and u2 members of one config share one model, trained once. The
-    distinct members train as one lockstep ensemble (see `train`), in the
-    order they first appear, so each model is bitwise its one-member fit.
-    Returns one model per member, in the members' order; no members is a
-    ValueError."""
+    distinct members train as one lockstep ensemble (see `train`), the
+    univariate ones first and each kind in the order it first appears, so
+    each width's members are adjacent in the stack, whatever the members'
+    order, and each model is bitwise its one-member fit. A
+    TrainingDivergedError names the first diverging member in that
+    training order. Returns one model per member, in the members' order;
+    no members is a ValueError."""
     if not members:
         raise ValueError("train_schema_model needs at least one member")
     # u1 and u2 train on the same cases: a u1 member forecasts with the u2 model
     shared = [("u2" if schema == "u1" else schema, cfg) for schema, cfg in members]
-    trained = list(dict.fromkeys(shared))
+    # univariate first, a stable sort: each width's members adjacent
+    trained = sorted(dict.fromkeys(shared), key=lambda member: member[0] == "u3")
     windows = {s: make_windows(_schema_training_values(ts, s, train_start, train_end)[1],
                                lookback) for s, _ in trained}
     pairs = [(windows[schema], cfg) for schema, cfg in trained]

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -646,3 +647,26 @@ def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, r
 def test_an_integer_setting_that_is_no_integer_is_a_fit_error(fitter, setting, name, value):
     with pytest.raises(FitError, match=f"{name} must be an integer"):
         fitter(np.cumsum(np.arange(1.0, 41.0)), **{setting: value})
+
+
+# the real-valued setting of each fitter, and of the one fit class that
+# holds one unchecked by a range alone
+@pytest.mark.parametrize("fitter, setting, name", [
+    (hw_fit, "phi", "damping phi"), (prophet_lite_fit, "ridge_lambda", "ridge penalty"),
+    (lambda y, phi: dataclasses.replace(HW, phi=phi), "phi", "damping phi"),
+], ids=["hw-phi", "prophet-ridge-lambda", "hw-fit-phi"])
+@pytest.mark.parametrize("value", ["0.9", True, np.bool_(True), None, 0.9 + 0j],
+                         ids=["str", "bool", "numpy-bool", "none", "complex"])
+def test_a_real_setting_that_is_no_real_number_is_a_fit_error(fitter, setting, name, value):
+    message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(FitError, match=message):
+        fitter(np.cumsum(np.arange(1.0, 41.0)), **{setting: value})
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.9)],
+                         ids=["int", "int64", "float32", "float64"])
+def test_a_real_setting_takes_ints_and_numpy_numbers(value):
+    y = np.cumsum(np.arange(1.0, 41.0))
+    assert hw_fit(y, phi=value).phi == value
+    assert prophet_lite_fit(y, ridge_lambda=value).ridge_lambda == value
+    assert dataclasses.replace(HW, phi=value).phi == value

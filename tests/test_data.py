@@ -1,5 +1,6 @@
 import codecs
 import datetime as dt
+import re
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,33 @@ class TestLoadCsv:
         assert load_csv(write_csv(tmp_path, [f"2020-03-24,{largest},0"])).cases[0] == largest
         with pytest.raises(DataError, match=f"^line 3: count {10**20} exceeds the int64 range$"):
             load_csv(write_csv(tmp_path, ["2020-03-24,1,0", f"2020-03-25,{10**20},0"]))
+
+    @pytest.mark.parametrize("count", ["1_000", "+5", "\u0663", "\uff15", "1.0", "0x10", "1e3",
+                                       "- 5", "", "5\u00a0-"],
+                             ids=["underscore", "plus", "arabic-indic", "fullwidth", "float",
+                                  "hex", "exponent", "spaced-sign", "empty", "trailing-sign"])
+    @pytest.mark.parametrize("column", [1, 2], ids=["cases", "deaths"])
+    def test_count_that_is_no_decimal_integer_reports_line(self, tmp_path, count, column):
+        # int() takes the first four; the CSV reads as ASCII digits only
+        row = ["2020-03-25", "2", "0"]
+        row[column] = count
+        with pytest.raises(DataError, match=(
+                f"^line 3: count {re.escape(repr(count.strip()))} is not a decimal integer$")):
+            load_csv(write_csv(tmp_path, ["2020-03-24,1,0", ",".join(row)]))
+
+    def test_count_is_read_once_its_whitespace_is_stripped(self, tmp_path):
+        ts = load_csv(write_csv(tmp_path, ["2020-03-24,-0,0", "2020-03-25, 7 ,\t0"]))
+        assert ts.cases.tolist() == [0, 7] and ts.deaths.tolist() == [0, 0]
+        with pytest.raises(DataError, match="^line 3: negative count$"):
+            load_csv(write_csv(tmp_path, ["2020-03-24,1,0", "2020-03-25,2,-5"]))
+
+    def test_a_count_that_is_no_decimal_integer_is_a_data_error_of_run(self, tmp_path, capsys):
+        path = write_csv(tmp_path, ["2020-03-24,1,0", "2020-03-25,+5,0"])
+        code = cli.main(["run", "--model", "arima", "--data", path,
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert err == "data error: line 3: count '+5' is not a decimal integer\n"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -372,7 +372,7 @@ class TestBptt:
         # a workspace holds what its last call wrote; the next call must give
         # what a fresh workspace gives, across activations and input widths
         rng = np.random.default_rng(12)
-        widths, g = (2, 1, 2), ("elu", "tanh", "elu")
+        widths, g = (2, 2, 1), ("elu", "tanh", "elu")
         params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in widths])
 
         def sample():
@@ -425,7 +425,9 @@ class TestBptt:
             np.add.reduce(terms, axis=0, out=out)
             assert out[(-1,) * out.ndim] == in_order
 
-    @pytest.mark.parametrize("widths, lookback", [((1, 1, 2, 2), 1), ((2,), 7), ((1, 2, 1), 3)],
+    # "interleaved-lookback3" keeps the id of the (1, 2, 1) stack it replaced,
+    # which `LstmParams` now rejects: mixed widths, the widest first
+    @pytest.mark.parametrize("widths, lookback", [((1, 1, 2, 2), 1), ((2,), 7), ((2, 1, 1), 3)],
                              ids=["reproduce", "fit-seq7", "interleaved-lookback3"])
     def test_workspace_owns_every_array_it_holds(self, widths, lookback):
         # every array, each view in its per-step and head lists too, is the
@@ -447,8 +449,7 @@ class TestBptt:
             elif isinstance(value, (list, tuple)):
                 for k, item in enumerate(value):
                     for j, a in enumerate(item if isinstance(item, tuple) else (item,)):
-                        # all but the dense head's index rows, which are ints
-                        if isinstance(a, np.ndarray) and a.dtype == float:
+                        if isinstance(a, np.ndarray):
                             arrays[f"{name}[{k}][{j}]"] = a
         # the gradient stack's flat is a buffer the workspace allocates
         # itself (params.zeros_like()); the gradient views root in it
@@ -533,10 +534,8 @@ def _per_step_forward(params, inputs, ws):
             np.multiply(ifo[t, 2], gv[t, 1], out=h[t + 1])
     y = ws.y
     for width, rows in ws.groups:
-        y[rows, :width] = (
-            lstm._matvec(params.dense_w[rows, :width], h[steps][rows])
-            + params.dense_b[rows, :width]
-        )
+        product = params.dense_w[rows, :width] @ h[steps][rows][:, :, None]
+        y[rows, :width] = product[:, :, 0] + params.dense_b[rows, :width]
     return y
 
 
@@ -582,9 +581,11 @@ class TestKernelOracle:
         ((1, 1, 2, 2), 1, ("elu", "tanh", "elu", "tanh"), 1.0),
         ((2,), 7, ("elu",), 1.0),
         ((2,), 7, ("tanh",), 1.0),
-        ((1, 2, 1), 3, ("tanh", "elu", "elu"), 1.0),
+        # the "interleaved" ids keep those of the (1, 2, 1) stacks they
+        # replaced, which `LstmParams` now rejects: mixed widths, widest first
+        ((2, 1, 1), 3, ("tanh", "elu", "elu"), 1.0),
         # pre-activations far past +-36.7 and -709.8: every gate clamps
-        ((1, 2, 1), 3, ("elu", "tanh", "elu"), 2000.0),
+        ((2, 1, 1), 3, ("elu", "tanh", "elu"), 2000.0),
         ((2,), 7, ("elu",), 2000.0),
     ], ids=["reproduce", "fit-seq7", "fit-seq7-tanh", "interleaved-lookback3",
             "interleaved-saturated", "fit-seq7-saturated"])
@@ -681,7 +682,9 @@ def _same_view(a, b):
 
 
 class TestBoundViews:
-    @pytest.mark.parametrize("widths, lookback", [((1, 2, 1), 3), ((1, 1, 2), 1)],
+    # "interleaved-lookback3" keeps the id of the (1, 2, 1) stack it replaced,
+    # which `LstmParams` now rejects: mixed widths, the widest first
+    @pytest.mark.parametrize("widths, lookback", [((2, 1, 1), 3), ((1, 1, 2), 1)],
                              ids=["interleaved-lookback3", "adjacent-lookback1-live-prefix"])
     def test_bound_views_follow_flat_through_adam_steps(self, widths, lookback):
         # Adam writes flat in place, so every operand bound once, when the
@@ -713,14 +716,10 @@ class TestBoundViews:
             "dense_w_t": (params.dense_w_t, params.dense_w.transpose(0, 2, 1)),
         }
         groups = lstm._width_groups(params.widths)
-        assert len(params.head_blocks) == len(groups)
+        assert len(params.head_blocks) == len(groups) == 2
         for (w, rows), head in zip(groups, params.head_blocks):
-            if isinstance(rows, slice):
-                fresh[f"head_blocks[{w}].w"] = (head[0], params.dense_w[rows, :w])
-                fresh[f"head_blocks[{w}].b"] = (head[1], params.dense_b[rows, :w])
-            else:  # an index array copies, so nothing is bound
-                assert head is None
-        assert any(head is None for head in params.head_blocks) == (widths == (1, 2, 1))
+            fresh[f"head_blocks[{w}].w"] = (head[0], params.dense_w[rows, :w])
+            fresh[f"head_blocks[{w}].b"] = (head[1], params.dense_b[rows, :w])
         for name, (bound, expected) in fresh.items():
             assert np.shares_memory(bound, params.flat), name
             assert bound.shape == expected.shape and bound.tobytes() == expected.tobytes(), name
@@ -874,7 +873,7 @@ def lockstep_dataset(input_dim, lookback):
 
 MEMBERS = [("elu", 3), ("tanh", 4), ("elu", 5)]
 # (input width, activation, seed); the widths interleave, so neither width's
-# members form a contiguous block of the stack
+# members form a contiguous block of the stack, and `train` rejects them
 MIXED_WIDTHS = [(1, "elu", 3), (2, "tanh", 4), (1, "tanh", 5), (2, "elu", 6)]
 # each width's members adjacent, as `reproduce` and the acceptance fixture stack them
 ADJACENT_WIDTHS = [(1, "elu", 3), (1, "tanh", 4), (2, "elu", 5), (2, "tanh", 6)]
@@ -908,22 +907,31 @@ class TestLockstep:
             assert member.epoch_losses == alone.epoch_losses
             assert member.params.flat.flags.c_contiguous and member.params.flat.ndim == 1
 
-    @pytest.mark.parametrize("lookback", [1, 3])
-    def test_members_of_mixed_widths_equal_their_serial_runs_bitwise(self, lookback):
-        members = mixed_width_members(lookback, epochs=4)
-        ensemble = train(*members[0], *members[1:])
-        for (ds, cfg), member in zip(members, ensemble):
-            (alone,) = train(ds, cfg)
-            assert member.params.flat.tobytes() == alone.params.flat.tobytes()
-            assert member.epoch_losses == alone.epoch_losses
-
-    @pytest.mark.parametrize("widths, kind", [
-        (MIXED_WIDTHS, np.ndarray), (ADJACENT_WIDTHS, slice),
-    ], ids=["interleaved", "adjacent"])
+    @pytest.mark.parametrize("widths, kind", [(ADJACENT_WIDTHS, slice)], ids=["adjacent"])
     def test_dense_head_views_adjacent_width_groups_and_copies_the_rest(self, widths, kind):
         groups = lstm._width_groups(tuple(w for w, _, _ in widths))
-        assert [w for w, _ in groups] == [1, 2]
+        assert groups == ((1, slice(0, 2)), (2, slice(2, 4)))
         assert all(isinstance(rows, kind) for _, rows in groups)
+
+    def test_a_stack_whose_widths_interleave_is_a_value_error(self):
+        rng = np.random.default_rng(9)
+        members = [LstmParams.glorot(3, w, rng) for w in (1, 2, 1)]
+        with pytest.raises(ValueError, match=r"^the members of one input width must be "
+                                             r"adjacent in a stack, got widths \(1, 2, 1\)$"):
+            LstmParams.stack(members)
+
+    def test_an_interleaved_member_list_is_refused_before_any_step(self, monkeypatch):
+        members = mixed_width_members(lookback=1, epochs=4)
+        real, steps = lstm.bptt_gradient, []
+
+        def spy(*args):
+            steps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lstm, "bptt_gradient", spy)
+        with pytest.raises(ValueError, match=r"adjacent in a stack, got widths \(1, 2, 1, 2\)$"):
+            train(*members[0], *members[1:])
+        assert steps == []
 
     @pytest.mark.parametrize("lookback", [1, 3])
     def test_members_of_adjacent_widths_equal_their_serial_runs_bitwise(self, lookback):
@@ -960,7 +968,7 @@ class TestLockstep:
         assert live == offset(params.wh, params.flat)
 
     def test_padded_entries_stay_zero_and_members_keep_their_width(self, monkeypatch):
-        members = mixed_width_members(lookback=1, epochs=3)
+        members = mixed_width_members(lookback=1, epochs=3, widths=ADJACENT_WIDTHS)
         real, widths = lstm.adam_update, []
 
         def checked(params, grads, *args):
@@ -975,7 +983,7 @@ class TestLockstep:
         monkeypatch.setattr(lstm, "adam_update", checked)
         models = train(*members[0], *members[1:])
         assert len(widths) == 3 * len(members[0][0])
-        assert set(widths) == {tuple(w for w, _, _ in MIXED_WIDTHS)}
+        assert set(widths) == {tuple(w for w, _, _ in ADJACENT_WIDTHS)}
         for (ds, cfg), model in zip(members, models):
             width = ds.inputs.shape[2]
             assert model.params.input_dim == width and model.params.widths == (width,)
@@ -1193,6 +1201,28 @@ class TestRunSchema:
                               TRAIN_END)
         # u1 shares u2's model: the univariate members in the configs' order, then u3's
         assert calls == [[(1, c) for c in cfgs] + [(2, c) for c in cfgs]]
+
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_interleaved_members_train_univariate_first_each_as_its_one_member_fit(
+            self, series, monkeypatch, lookback):
+        # the widths interleave in the members' order; `train` sees each
+        # width's members adjacent, the univariate ones first
+        cfgs = [TrainConfig(epochs=3, hidden=4, activation=a, seed=s)
+                for a, s in (("elu", 1), ("tanh", 2), ("tanh", 3), ("elu", 4))]
+        members = [("u2", cfgs[0]), ("u3", cfgs[1]), ("u1", cfgs[2]), ("u3", cfgs[3]),
+                   ("u1", cfgs[0])]
+        calls = self.spy_on_train(monkeypatch)
+        matrix = lstm.forecast_schemas(series, members, TRAIN_START, TRAIN_END, 15, lookback)
+        assert calls == [[(1, cfgs[0]), (1, cfgs[2]), (2, cfgs[1]), (2, cfgs[3])]]
+        assert list(matrix) == members
+        for (schema, cfg), (model, forecasts) in matrix.items():
+            (alone,) = train_schema_model(series, [(schema, cfg)], TRAIN_START, TRAIN_END,
+                                          lookback)
+            run = run_schema(series, schema, cfg, TRAIN_START, TRAIN_END, 15, lookback,
+                             model=alone)
+            assert model.params.flat.tobytes() == alone.params.flat.tobytes(), (schema, cfg)
+            assert model.epoch_losses == alone.epoch_losses, (schema, cfg)
+            assert forecasts.tobytes() == run.forecasts.tobytes(), (schema, cfg)
 
     def test_perfect_oracle_stub_scores_zero(self, series, test_actuals, monkeypatch):
         spec = fit_normalizer(slice_window(series, TRAIN_START, TRAIN_END))

@@ -88,6 +88,9 @@ COMMANDS = {
     "script-hw-pool-fits": ["hw_pool_fits.py"],
     # run, then load each kind's checkpoint back and forecast from the loaded fit
     "script-checkpoint-reload": ["checkpoint_reload.py"],
+    # members whose input widths interleave, through `forecast_schemas` at
+    # lookback 1 and 3: each member's params, losses and forecast
+    "script-interleaved-members": ["interleaved_members.py"],
 }
 
 
