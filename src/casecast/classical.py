@@ -86,6 +86,7 @@ class ArimaFit:
     def __post_init__(self):
         p = self.order[0]
         _integer(p, "AR order")
+        _real(self.intercept, "intercept")
         if not (p >= 1 and self.order[1:] == (1, 0) and len(self.coefficients) == p):
             raise FitError("'order' must be (p, 1, 0) with p >= 1 and 'coefficients' must hold"
                            " p values")
@@ -159,6 +160,8 @@ class HwFit:
         m = self.season_length
         _integer(m, "season length")
         _real(self.phi, "damping phi")
+        _real(self.level, "level")
+        _real(self.trend, "trend")
         if not (m >= 1 and len(self.seasonals) == m and 0.0 < self.phi <= 1.0):
             raise FitError("'seasonals' must hold 'season_length' >= 1 values and 'phi' must"
                            " lie in (0, 1]")
@@ -378,6 +381,9 @@ class ProphetLiteFit:
         k = self.fourier_order
         _integer(k, "Fourier order")
         _ridge_penalty(self.ridge_lambda)
+        _integer(self.n_train, "training length")
+        if self.n_train < 1:
+            raise FitError(f"training length must be at least 1, got {self.n_train}")
         if not (k >= 0 and len(self.coefficients) == 2 + len(self.changepoints) + 2 * k):
             raise FitError("'coefficients' must hold 2 + len('changepoints') + 2 * 'fourier_order'"
                            " values, 'fourier_order' >= 0")

@@ -26,9 +26,9 @@ operands or an elementwise op's values, so neither changes a bit.
 Workspace: such a step is limited by the fixed cost of each numpy call, not
 by its arithmetic, so a step writes into arrays allocated once and reads
 views of them built once. `train` builds one `Workspace` for its stack's
-(E, L, D, H) and activations. Besides the parameters and Adam's moments,
-every array a training step writes lies in the workspace, or, for Adam's
-temporaries, in `AdamState.scratch`. The workspace holds the states, gates
+(E, L, D, H) and activations. Besides the parameters, every array a
+training step writes lies in the workspace, or, for Adam's moments and
+temporaries, in the `AdamState`. The workspace holds the states, gates
 and activation values of every step, which the reverse pass reads, the
 forward step's temporaries and output, the reverse pass's dc, d_ifo and da,
 a store of every step's da rows, and the gradient stack. It allocates each
@@ -47,8 +47,8 @@ wh and dense_w transposed, and each width group's dense_w and dense_b
 blocks. They stay valid because `flat` is only ever written in
 place (Adam subtracts from it) and no code rebinds it or a named array, so
 every caller, `train`, `run_schema` and a checkpoint's model alike, reads
-the same views. `AdamState` binds the live prefixes of its moments and
-scratch vectors the same way, once.
+the same views. `AdamState` needs no views: it allocates its moments and
+temporaries at exactly the size of the prefix of `flat` that it steps.
 
 Two more rules follow from the fixed cost of a call. A masked ufunc
 (`where=`) costs about five times an unmasked one on a (4, 32) array, 1.6
@@ -56,7 +56,7 @@ against 0.31 us, and allocates its mask, so `elu` makes four unmasked calls
 instead of one masked one. A Python-float operand costs some 0.1 us more
 per call than a 0-d float64 array (np.subtract(1.0, x, out) 0.37 us, with
 a 0-d 1.0 0.26 us), and the same double gives the same result. So the
-kernels' constants are 0-d arrays made at import, and each `TrainConfig`
+kernels' constants are 0-d arrays made at import, and each `AdamState`
 holds Adam's settings as 0-d arrays, made when it is built.
 
 The reverse loop carries only the recurrence and fills the store; the wx, b
@@ -564,53 +564,50 @@ def bptt_gradient(params: LstmParams, inputs, target, ws: Workspace):
 
 
 class AdamState:
-    """Adam's moment estimates, laid out like LstmParams.flat, the step
-    count, the end of the prefix of flat that Adam steps (all of it, None,
-    unless the entries past it get no gradient), and two scratch vectors of
-    flat's size that each step writes its temporaries into.
+    """Adam's run over one stack: its settings, the prefix of
+    LstmParams.flat it steps, its moment estimates `m` and `v`, its two
+    temporaries `step` and `denom`, and the step count `t`.
 
-    `live` is fixed when the state is built: `prefix` is its slice of flat,
-    and `live_m`, `live_v`, `live_step` and `live_denom` are that prefix of
-    m, v and the two scratch vectors, bound then, which `adam_update` reads
-    and writes in place. `live` reads `prefix` and cannot be reassigned, so
-    the views and the slice of flat that Adam steps always agree."""
+    `steps` is the lookback of the windows it trains on: at 1, `prefix` is
+    the slice of flat before wh, and otherwise all of it. The four vectors
+    are allocated at exactly the prefix's size, each a buffer of its own,
+    which `adam_update` reads and writes whole.
 
-    def __init__(self, m: np.ndarray, v: np.ndarray, live: int | None = None):
-        self.m, self.v, self.t = m, v, 0
-        self.scratch = np.empty((2,) + m.shape)
-        self.prefix = slice(live)
-        self.live_m, self.live_v = m[self.prefix], v[self.prefix]
-        self.live_step, self.live_denom = self.scratch[:, self.prefix]
+    `operands` holds beta1, 1 - beta1, beta2, 1 - beta2, the learning rate
+    and epsilon of `cfg`, each that Python expression's value as a 0-d
+    float64 array (see the module docstring), and `beta1` and `beta2` the
+    betas as floats, for the bias corrections. Every setting is read
+    through float(), so two configs that compare equal step alike."""
 
-    @property
-    def live(self) -> int | None:
-        return self.prefix.stop
-
-    @classmethod
-    def like(cls, params: LstmParams, live: int | None = None):
-        """Zero moments for `params`, stepping the prefix of flat up to
-        `live`."""
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), live)
+    def __init__(self, params: LstmParams, cfg: TrainConfig, steps: int):
+        # one step from the zero state: wh gets no gradient, and Adam would
+        # move it by exactly 0, so only the prefix before it is stepped
+        size = params.flat.size - params.wh.size if steps == 1 else params.flat.size
+        self.prefix, self.t = slice(size), 0
+        self.m, self.v, self.step, self.denom = (np.zeros(size) for _ in range(4))
+        beta1, beta2 = self.beta1, self.beta2 = float(cfg.beta1), float(cfg.beta2)
+        self.operands = tuple(np.array(value) for value in (
+            beta1, 1.0 - beta1, beta2, 1.0 - beta2, float(cfg.learning_rate), float(cfg.epsilon)))
 
 
-def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: TrainConfig):
-    """One Adam step with bias correction over the live prefix of the flat
+def adam_update(params: LstmParams, grads: LstmParams, state: AdamState):
+    """One Adam step with bias correction over `state`'s prefix of the flat
     parameter vector, elementwise, so it steps every member of a stack at
     once; updates params and state in place. With lr, beta1, beta2 and eps
-    the learning rate, betas and epsilon of `cfg`, each operation is the one of
+    the learning rate, betas and epsilon of `state`, each operation is the
+    one of
 
         m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
 
-    in that order, with m, v and the temporaries in the views `state`
-    bound, and the settings in `cfg`'s 0-d `adam_operands`."""
-    b1, one_b1, b2, one_b2, lr, eps = cfg.adam_operands
+    in that order, with m, v and the temporaries in `state`'s vectors and
+    the settings its 0-d `operands`."""
+    b1, one_b1, b2, one_b2, lr, eps = state.operands
     state.t += 1
-    bc1 = 1.0 - cfg.beta1**state.t
-    bc2 = 1.0 - cfg.beta2**state.t
-    live = state.prefix
-    grad, m, v, p = grads.flat[live], state.live_m, state.live_v, params.flat[live]
-    step, denom = state.live_step, state.live_denom
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    grad, p = grads.flat[state.prefix], params.flat[state.prefix]
+    m, v, step, denom = state.m, state.v, state.step, state.denom
     add, multiply, divide = np.add, np.multiply, np.divide
     multiply(m, b1, m)
     add(m, multiply(one_b1, grad, step), m)
@@ -620,7 +617,7 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState, cfg: Tr
     multiply(lr, divide(m, bc1, step), step)
     np.sqrt(divide(v, bc2, denom), denom)
     add(denom, eps, denom)
-    np.subtract(p, divide(step, denom, step), p)  # one pass over the live parameters
+    np.subtract(p, divide(step, denom, step), p)  # one pass over the stepped parameters
 
 
 # 500 times the paper's 2000: `train` allocates an (epochs, members) loss
@@ -644,17 +641,7 @@ class TrainConfig:
     """The training settings of one model. A setting of the wrong type or
     out of range is a ValueError naming it: `epochs`, `hidden` and `seed`
     are ints or numpy integers, the four float settings real numbers (an int
-    too, as a checkpoint may hold `1`), `activation` a str, and none a bool.
-
-    `adam_operands`, made when the config is built and not a field, holds
-    Adam's beta1, 1 - beta1, beta2, 1 - beta2, learning rate and epsilon,
-    each that Python expression's value as a 0-d float64 array, the
-    operands `adam_update` reads. It lives in a slot, out of `__dict__`, so
-    `TrainConfig(**cfg.__dict__)` still makes a config, and a copy or a
-    pickle goes through the constructor, which makes it anew (a frozen
-    instance takes no slot state)."""
-
-    __slots__ = ("__dict__", "__weakref__", "adam_operands")
+    too, as a checkpoint may hold `1`), `activation` a str, and none a bool."""
 
     epochs: int = 2000
     hidden: int = 32
@@ -682,12 +669,6 @@ class TrainConfig:
             raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        beta1, beta2 = self.beta1, self.beta2
-        object.__setattr__(self, "adam_operands", tuple(np.array(value, dtype=float) for value in (
-            beta1, 1.0 - beta1, beta2, 1.0 - beta2, self.learning_rate, self.epsilon)))
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -744,10 +725,8 @@ def train(
         targets[e, :, : d.targets.shape[1]] = d.targets
     members = np.arange(len(cfgs))
     ws = Workspace(params, dataset.inputs.shape[1], tuple(c.activation for c in cfgs))
-    # one step from the zero state: wh gets no gradient, and Adam would move
-    # it by exactly 0, so only the prefix before it is stepped
-    live = params.flat.size - params.wh.size if dataset.inputs.shape[1] == 1 else None
-    state = AdamState.like(params, live)
+    # the members' configs differ only in seed and activation: one state serves them all
+    state = AdamState(params, cfg, dataset.inputs.shape[1])
     n = len(dataset)
     losses = np.empty((cfg.epochs, len(cfgs)))
     # a diverging member overflows on its way to a non-finite mean loss; the
@@ -760,7 +739,7 @@ def train(
             for x, y in zip(inputs[members, order], targets[members, order]):
                 loss, grads = bptt_gradient(params, x, y, ws)
                 total += loss
-                adam_update(params, grads, state, cfg)
+                adam_update(params, grads, state)
             losses[epoch] = total / n
             finite = np.isfinite(losses[epoch])
             if not finite.all():  # argmin: the first False

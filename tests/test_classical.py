@@ -637,6 +637,26 @@ def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, r
         dataclasses.replace(fit, **broken)
 
 
+@pytest.mark.parametrize("fit, broken, message", [
+    (HW, {"level": "100"}, "^level must be a real number, got '100'$"),
+    (HW, {"level": None}, "^level must be a real number, got None$"),
+    (HW, {"trend": None}, "^trend must be a real number, got None$"),
+    (HW, {"trend": True}, "^trend must be a real number, got True$"),
+    (ARIMA, {"intercept": "x"}, "^intercept must be a real number, got 'x'$"),
+    (PROPHET, {"n_train": 31.5}, "^training length must be an integer, got 31.5$"),
+    (PROPHET, {"n_train": True}, "^training length must be an integer, got True$"),
+    (PROPHET, {"n_train": -5}, "^training length must be at least 1, got -5$"),
+    (PROPHET, {"n_train": 0}, "^training length must be at least 1, got 0$"),
+], ids=["hw-level-str", "hw-level-none", "hw-trend-none", "hw-trend-bool", "arima-intercept-str",
+        "prophet-n-train-float", "prophet-n-train-bool", "prophet-n-train-negative",
+        "prophet-n-train-zero"])
+def test_a_scalar_fit_field_of_the_wrong_kind_is_a_fit_error(fit, broken, message):
+    # unchecked, each built, and then its forecast or its checkpoint's save
+    # raised a bare numpy or Python error, or the forecast ran from nonsense
+    with pytest.raises(FitError, match=message):
+        dataclasses.replace(fit, **broken)
+
+
 # the integer setting of each fitter besides hw_fit's m, which
 # TestHoltWinters checks by the same rule
 @pytest.mark.parametrize("fitter, setting, name", [

@@ -1,8 +1,7 @@
-import copy
 import dataclasses
 import datetime as dt
+import itertools
 import math
-import pickle
 import re
 import types
 import warnings
@@ -617,18 +616,21 @@ class TestKernelOracle:
         assert (saturated > 0) == (scale > 1.0)
 
 
+# a lookback above 1: an AdamState built for it steps all of flat
+ALL_OF_FLAT = 2
+
+
 def _python_float_adam(params, grads, state, cfg):
-    """The form of `adam_update` whose operands are Python floats and whose
-    parameters are written through `params.flat[live] -= ...`. Kept as the
-    oracle that the step on its config's 0-d operands, writing the
-    parameters in one pass, must match bit for bit."""
+    """The form of `adam_update` whose operands are `cfg`'s Python floats
+    and whose parameters are written through `params.flat[live] -= ...`.
+    Kept as the oracle that the step on its state's 0-d operands, writing
+    the parameters in one pass, must match bit for bit."""
     lr, beta1, beta2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
     live = state.prefix
-    grad, m, v = grads.flat[live], state.live_m, state.live_v
-    step, denom = state.live_step, state.live_denom
+    grad, m, v, step, denom = grads.flat[live], state.m, state.v, state.step, state.denom
     m *= beta1
     m += np.multiply(1.0 - beta1, grad, out=step)
     v *= beta2
@@ -645,10 +647,10 @@ class TestAdamOracle:
     def test_adam_is_bitwise_the_python_float_oracle(self, lookback):
         # three states stepped in turn, each with its own config: the
         # second made from the first by `replace`, the third equal to the
-        # first; no step may read the operands of a config it was not given
+        # first; no step may read the operands of a config its state was
+        # not built with
         rng = np.random.default_rng(34)
         params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in (1, 2)])
-        live = params.flat.size - params.wh.size if lookback == 1 else None
         first = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
         configs = [first,
                    dataclasses.replace(first, learning_rate=2e-3, beta1=0.95, beta2=0.9999,
@@ -658,13 +660,13 @@ class TestAdamOracle:
         for cfg in configs:
             mine, theirs = params.zeros_like(), params.zeros_like()
             mine.flat[...] = theirs.flat[...] = params.flat
-            runs.append((mine, AdamState.like(mine, live), cfg, theirs,
-                         AdamState.like(theirs, live)))
+            runs.append((mine, AdamState(mine, cfg, lookback), cfg, theirs,
+                         AdamState(theirs, cfg, lookback)))
         grads = params.zeros_like()
         for _ in range(50):  # one gradient per step for every run
             grads.flat[...] = rng.standard_normal(grads.flat.size) * rng.choice([1e-6, 1.0, 1e3])
             for mine, state, cfg, theirs, oracle in runs:
-                adam_update(mine, grads, state, cfg)
+                adam_update(mine, grads, state)
                 _python_float_adam(theirs, grads, oracle, cfg)
         for mine, state, cfg, theirs, oracle in runs:
             assert state.t == oracle.t == 50
@@ -675,10 +677,47 @@ class TestAdamOracle:
         assert rest == [rest[0], first] and rest[0] != first
 
 
-def _same_view(a, b):
-    """a and b view the same memory the same way."""
-    return (a.__array_interface__["data"] == b.__array_interface__["data"]
-            and a.shape == b.shape and a.strides == b.strides)
+class TestAdamState:
+    @pytest.mark.parametrize("lookback", [1, 3])
+    def test_train_steps_exact_size_vectors_of_their_own(self, monkeypatch, lookback):
+        members = mixed_width_members(lookback, epochs=1, widths=ADJACENT_WIDTHS)
+        real, seen = lstm.adam_update, []
+
+        def spy(params, grads, state):
+            seen.append((params, grads, state))
+            real(params, grads, state)
+
+        monkeypatch.setattr(lstm, "adam_update", spy)
+        train(*members[0], *members[1:])
+        params, grads, state = seen[0]
+        assert all(step == (params, grads, state) for step in seen)
+        # at lookback 1 wh, flat's last block, gets no gradient and is not stepped
+        size = params.flat.size - params.wh.size if lookback == 1 else params.flat.size
+        vectors = [state.m, state.v, state.step, state.denom]
+        for vector in vectors:
+            assert vector.shape == (size,) and vector.dtype == np.float64
+            assert vector.flags.c_contiguous
+        for a, b in itertools.combinations(vectors + [params.flat, grads.flat], 2):
+            assert not np.shares_memory(a, b)
+
+    def test_state_holds_its_configs_settings_as_0d_operands(self):
+        cfg = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
+        state = AdamState(zero_params(2, 1), cfg, ALL_OF_FLAT)
+        assert [(a.shape, a.dtype, a.item()) for a in state.operands] == [
+            ((), np.float64, value) for value in (0.8, 1.0 - 0.8, 0.99, 1.0 - 0.99, 0.05, 1e-6)]
+        assert (state.beta1, state.beta2, state.t) == (0.8, 0.99, 0)
+
+    def test_state_reads_each_setting_as_a_float(self):
+        # numpy and int settings: each Python expression is on its float value
+        beta1, beta2 = float(np.float32(0.8)), float(np.float32(0.99))
+        cfg = TrainConfig(learning_rate=1, beta1=np.float32(0.8), beta2=np.float32(0.99),
+                          epsilon=np.float32(1e-6))
+        state = AdamState(zero_params(2, 1), cfg, ALL_OF_FLAT)
+        assert type(state.beta1) is float and type(state.beta2) is float
+        assert (state.beta1, state.beta2) == (beta1, beta2)
+        assert [(a.dtype, a.item()) for a in state.operands] == [
+            (np.float64, value) for value in (beta1, 1.0 - beta1, beta2, 1.0 - beta2, 1.0,
+                                              float(np.float32(1e-6)))]
 
 
 class TestBoundViews:
@@ -693,8 +732,7 @@ class TestBoundViews:
         params = LstmParams.stack([LstmParams.glorot(4, w, rng) for w in widths])
         before = params.flat.copy()
         members, width, activations = len(widths), params.input_dim, ("elu", "tanh", "elu")
-        live = params.flat.size - params.wh.size if lookback == 1 else None
-        state = AdamState.like(params, live)
+        state = AdamState(params, TrainConfig(learning_rate=0.05), lookback)
         ws = lstm.Workspace(params, lookback, activations)
         want = _per_step_workspace(params, lookback, activations)
         for _ in range(4):
@@ -706,7 +744,7 @@ class TestBoundViews:
             want_loss, want_grads = _per_step_bptt(params, inputs, target, want)
             assert loss.tobytes() == want_loss.tobytes()
             assert grads.flat.tobytes() == want_grads.flat.tobytes()
-            adam_update(params, grads, state, TrainConfig(learning_rate=0.05))
+            adam_update(params, grads, state)
         assert params.flat.tobytes() != before.tobytes()
         # name -> (the bound view, its expression on the named arrays now)
         fresh = {
@@ -723,28 +761,23 @@ class TestBoundViews:
         for name, (bound, expected) in fresh.items():
             assert np.shares_memory(bound, params.flat), name
             assert bound.shape == expected.shape and bound.tobytes() == expected.tobytes(), name
-        prefix = slice(live)
-        for bound, owner in ((state.live_m, state.m[prefix]), (state.live_v, state.v[prefix]),
-                             (state.live_step, state.scratch[0, prefix]),
-                             (state.live_denom, state.scratch[1, prefix])):
-            assert _same_view(bound, owner)
-        assert state.t == 4 and state.live == live and state.prefix == prefix
-        with pytest.raises(AttributeError):  # fixed when built, with the views
-            state.live = 0
+        # four steps, which at lookback 1 leave wh, flat's last block, as it was
+        assert state.t == 4
+        assert (params.wh.tobytes() == before[-params.wh.size:].tobytes()) == (lookback == 1)
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = zero_params(2, 1)
         params.dense_b[:] = 3.0
-        adam_update(params, params.zeros_like(), AdamState.like(params), TrainConfig())
+        adam_update(params, params.zeros_like(), AdamState(params, TrainConfig(), ALL_OF_FLAT))
         np.testing.assert_array_equal(params.dense_b, 3.0)
 
     def test_first_step_with_unit_gradient(self):
         params = zero_params(1, 1)
         grads = params.zeros_like()
         grads.dense_b[:] = 1.0
-        adam_update(params, grads, AdamState.like(params), TrainConfig(learning_rate=1e-3))
+        adam_update(params, grads, AdamState(params, TrainConfig(learning_rate=1e-3), ALL_OF_FLAT))
         # bias-corrected first step: -lr * 1 / (1 + eps)
         assert abs(params.dense_b[0, 0] + 1e-3) < 1e-10
 
@@ -754,9 +787,9 @@ class TestAdam:
             params = zero_params(2, 1)
             grads = params.zeros_like()
             grads.flat[:] = 0.3
-            state = AdamState.like(params)
+            state = AdamState(params, TrainConfig(), ALL_OF_FLAT)
             for _ in range(3):
-                adam_update(params, grads, state, TrainConfig())
+                adam_update(params, grads, state)
             results.append(params.dense_w.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -765,7 +798,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=lr, beta1=beta1, beta2=beta2, epsilon=eps)
         rng = np.random.default_rng(5)
         params = LstmParams.glorot(3, 2, rng)
-        state = AdamState.like(params)
+        state = AdamState(params, cfg, ALL_OF_FLAT)
         # reference: Adam one named array at a time, moments in dicts
         expected = {k: getattr(params, k).copy() for k in LstmParams.NAMES}
         m = {k: np.zeros_like(a) for k, a in expected.items()}
@@ -775,7 +808,7 @@ class TestAdam:
             for k in LstmParams.NAMES:  # written through the named views
                 a = getattr(grads, k)
                 a[...] = rng.standard_normal(a.shape)
-            adam_update(params, grads, state, cfg)
+            adam_update(params, grads, state)
             bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
             for k, arr in expected.items():
                 grad = getattr(grads, k)
@@ -833,22 +866,17 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^epochs must be <= {MAX_EPOCHS}$"):
             TrainConfig(epochs=MAX_EPOCHS + 1)
 
-    def test_config_holds_adams_settings_as_0d_operands_outside_its_fields(self):
-        cfg = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
-        assert [(a.shape, a.dtype, a.item()) for a in cfg.adam_operands] == [
-            ((), np.float64, value) for value in (0.8, 1.0 - 0.8, 0.99, 1.0 - 0.99, 0.05, 1e-6)]
-        # not a field: equality and repr read the settings alone, and a
-        # replaced or unpickled config holds its own settings' operands
-        assert "adam_operands" not in repr(cfg) and "adam_operands" not in cfg.__dict__
-        assert cfg == TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.99, epsilon=1e-6)
-        for other in (dataclasses.replace(cfg, beta1=0.5),
-                      TrainConfig(**{**cfg.__dict__, "beta1": 0.5})):
-            assert [a.item() for a in other.adam_operands[:2]] == [0.5, 0.5]
-        for other in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg)):
-            assert other == cfg
-            assert [a.item() for a in other.adam_operands] == [a.item() for a in cfg.adam_operands]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.adam_operands = other.adam_operands
+    @pytest.mark.parametrize("lookback", [1, 2])
+    def test_configs_that_compare_equal_train_alike(self, lookback):
+        # a float32 beta equals and hashes like its value as a float, and
+        # Adam reads both as that float
+        ds = make_windows(np.linspace(0.0, 1.0, 12)[:, None], lookback)
+        narrow = TrainConfig(epochs=5, hidden=4, beta1=np.float32(0.9))
+        wide = TrainConfig(epochs=5, hidden=4, beta1=float(np.float32(0.9)))
+        assert narrow == wide and hash(narrow) == hash(wide)
+        (a,), (b,) = train(ds, narrow), train(ds, wide)
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
+        assert a.epoch_losses == b.epoch_losses
 
     def test_reachable_targets_drive_loss_to_zero(self):
         inputs = np.full((5, 1, 1), 0.5)
@@ -946,9 +974,9 @@ class TestLockstep:
         members = mixed_width_members(lookback=1, epochs=1, widths=ADJACENT_WIDTHS)
         real, seen = lstm.adam_update, []
 
-        def spy(params, grads, state, *args):
-            seen.append((params, grads, state.live))
-            real(params, grads, state, *args)
+        def spy(params, grads, state):
+            seen.append((params, grads, state.prefix.stop))
+            real(params, grads, state)
 
         monkeypatch.setattr(lstm, "adam_update", spy)
         train(*members[0], *members[1:])
@@ -1007,7 +1035,7 @@ class TestLockstep:
         cfg = TrainConfig(epochs=3, hidden=5, activation="tanh", seed=6)
         rng = np.random.default_rng(cfg.seed)
         params = LstmParams.glorot(cfg.hidden, 1, rng)
-        state = AdamState.like(params)
+        state = AdamState(params, cfg, ALL_OF_FLAT)
         losses = []
         for _ in range(cfg.epochs):
             total = 0.0
@@ -1016,7 +1044,7 @@ class TestLockstep:
                     params, ds.inputs[k][None], ds.targets[k][None], (cfg.activation,)
                 )
                 total += loss[0]
-                adam_update(params, grads, state, cfg)
+                adam_update(params, grads, state)
             losses.append(total / len(ds))
         (model,) = train(ds, cfg)
         assert model.params.flat.tobytes() == params.flat.tobytes()

@@ -127,11 +127,15 @@ def test_bench_record_writes_sorted_keys_whatever_the_order_it_got():
                 "machine": dict(reversed(run["machine"].items()))}
     shuffled_tier1 = {"seconds": dict(reversed(tier1["seconds"].items())),
                       "warnings": tier1["warnings"], "counts": tier1["counts"]}
-    texts = [bench_record.record_text("7", 25, a, b, t, "0" * 64)
-             for a, b, t in ((run, run, tier1), (shuffled, shuffled, shuffled_tier1))]
+    lines = {"lstm.py": 431, "cli.py": 258, "__init__.py": 20}
+    texts = [bench_record.record_text("7", 25, a, b, t, "0" * 64, c)
+             for a, b, t, c in ((run, run, tier1, lines),
+                                (shuffled, shuffled, shuffled_tier1, dict(reversed(lines.items()))))]
     assert texts[0] == texts[1] and texts[0].endswith("}\n")
     record = json.loads(texts[0])
-    assert list(record) == ["command", "label", "source_sha256", "tier1", "traced", "untraced"]
+    assert list(record) == ["code_lines", "command", "label", "source_sha256", "tier1", "traced",
+                            "untraced"]
+    assert list(record["code_lines"].items()) == sorted(lines.items())
     assert record["command"] == {"seconds": 25, "seed": bench_record.SEED, "workload": "all"}
     assert record["untraced"] == run
     assert record["tier1"] == {"command": " ".join(["python"] + bench_record.TIER1), **tier1}
@@ -200,3 +204,20 @@ def test_bench_record_source_digest_follows_the_package_and_not_its_cache(tmp_pa
     assert bench_record.source_digest(tmp_path) == first
     (package / "lstm.py").write_text("A = 2\n", encoding="utf-8")
     assert bench_record.source_digest(tmp_path) != first
+
+
+def test_bench_record_writes_each_modules_code_lines(tmp_path, monkeypatch, capsys):
+    # canned perfbench and Tier-1 runs: the record keeps the package's code
+    # lines beside them
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 3}', encoding="utf-8")
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_perfbench",
+                        lambda seconds, trace: bench_record.parse_run(PERFBENCH_OUTPUT))
+    monkeypatch.setattr(bench_record, "run_tier1",
+                        lambda: bench_record.parse_durations(PYTEST_OUTPUT))
+    assert bench_record.main(["t"]) == 0
+    assert capsys.readouterr().out == "bench_record: wrote BENCH_t.json\n"
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert record["code_lines"] == code_lines_tool.tree_counts()
+    assert set(record["code_lines"]) >= {"lstm.py", "classical.py", "cli.py"}
+    assert record["command"]["seconds"] == 3

@@ -12,9 +12,10 @@ runs Tier-1 (`TIER1`, pytest with `--durations=0`) and keeps its outcome
 counts, its warning count and its time split: the set-up of the
 acceptance tests (their session fixtures, the 20-member LSTM training
 among them), `test_full_u2_determinism`, and the rest of pytest's total.
-The record names the SHA-256 of the source files it measured and is
-written with its keys sorted, so two records of one tree differ only in
-their numbers.
+It also keeps each module's code lines (`code_lines.tree_counts()`), so
+the trajectory shows the package's size beside its speed. The record
+names the SHA-256 of the source files it measured and is written with its
+keys sorted, so two records of one tree differ only in their numbers.
 
 Exit 1 when a perfbench run fails or prints no machine line or no JSON, or
 when pytest's summary counts anything but the `OUTCOMES` of tests and
@@ -32,6 +33,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from code_lines import tree_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -107,11 +110,13 @@ def source_digest(root: Path = ROOT) -> str:
 
 
 def record_text(label: str, seconds: int, untraced: dict, traced: dict, tier1: dict,
-                digest: str) -> str:
-    """The record as JSON text, keys sorted, one trailing newline."""
+                digest: str, code_lines: dict) -> str:
+    """The record as JSON text, keys sorted, one trailing newline;
+    `code_lines` maps each module's file name to its code lines."""
     record = {
         "label": label,
         "source_sha256": digest,
+        "code_lines": code_lines,
         "command": {"workload": "all", "seed": SEED, "seconds": seconds},
         "untraced": untraced,
         "traced": traced,
@@ -155,8 +160,9 @@ def main(argv=None) -> int:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
     path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(record_text(args.label, seconds, untraced, traced, tier1, source_digest()),
-                    encoding="utf-8")
+    text = record_text(args.label, seconds, untraced, traced, tier1, source_digest(),
+                       tree_counts())
+    path.write_text(text, encoding="utf-8")
     print(f"bench_record: wrote {path.name}")
     return 0
 
