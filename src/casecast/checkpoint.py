@@ -1,7 +1,7 @@
 """Versioned JSON checkpoint container shared by all model kinds.
 
 Each field of a classical fit and of an LSTM config is written and read by
-the type its dataclass declares for it (`typing.get_type_hints`), whatever
+the type its dataclass declares for it (`data.field_types`), whatever
 type the value came in: a numpy integer is written as an int. Floats are
 stored as shortest-round-trip decimal strings (Python repr), so save ->
 load is bit-exact; those of an LSTM config stay JSON numbers. What a fit's
@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-import typing
 
 import numpy as np
 
 from .classical import ArimaFit, FitError, HwFit, ProphetLiteFit
+from .data import field_types
 from .lstm import LstmModel, LstmParams, TrainConfig
 
 FORMAT_VERSION = 1
@@ -75,7 +75,7 @@ def _encode_fields(obj, float_as) -> dict:
     encode = {np.ndarray: _encode_array, float: float_as, int: int, str: str,
               tuple[int, int, int]: lambda order: [int(n) for n in order]}
     return {name: encode[t](getattr(obj, name))
-            for name, t in typing.get_type_hints(type(obj)).items()}
+            for name, t in field_types(type(obj)).items()}
 
 
 def save_lstm(model: LstmModel, path: str) -> None:
@@ -103,9 +103,10 @@ def save_classical(fit: ArimaFit | HwFit | ProphetLiteFit, path: str) -> None:
 def _decode_fit(cls, encoded: dict):
     """Rebuild a classical fit from its dataclass fields, decoding each by
     its declared type. Stored keys the dataclass lacks are ignored. Fields
-    the fit class rejects together (its FitError) are a ValueError."""
+    the fit class rejects (its FitError: an order entry that is no int, or
+    fields that do not fit together) are a ValueError."""
     values = {}
-    for name, declared in typing.get_type_hints(cls).items():
+    for name, declared in field_types(cls).items():
         if declared is np.ndarray:
             values[name] = _decode_array(encoded, name, "fields")
             if values[name].ndim != 1:
@@ -114,11 +115,8 @@ def _decode_fit(cls, encoded: dict):
             values[name] = _float(_get(encoded, name, str, "fields"), f"fields.{name}")
         elif declared is int:
             values[name] = _get(encoded, name, int, "fields")
-        else:  # tuple[int, int, int]
-            order = _get(encoded, name, list, "fields")
-            if len(order) != 3 or not all(type(n) is int for n in order):
-                raise ValueError(f"checkpoint field 'fields.{name}' must hold three ints")
-            values[name] = tuple(order)
+        else:  # tuple[int, int, int], whose entries the fit class checks
+            values[name] = tuple(_get(encoded, name, list, "fields"))
     try:
         return cls(**values)
     except FitError as exc:
@@ -129,7 +127,7 @@ def _decode_lstm(doc: dict) -> LstmModel:
     """Rebuild an LSTM from its config, its five arrays, whose shapes must
     be those of one model of `config.hidden` units, and its losses."""
     config = _get(doc, "config", dict)
-    types = typing.get_type_hints(TrainConfig)
+    types = field_types(TrainConfig)
     unknown = sorted(config.keys() - types.keys())
     if unknown:
         raise ValueError(f"unknown checkpoint field 'config.{unknown[0]}'")

@@ -3,10 +3,13 @@ squares), Holt-Winters additive with damped trend, and a simplified
 Prophet-style regressor (piecewise-linear trend + weekly Fourier terms
 with ridge). All fitters are deterministic functions of their inputs.
 
-Each fit class owns the rule its forecast needs of its fields together:
-its `__post_init__` raises `FitError` naming the rule, so every fit object
-that exists, fitted, built by hand or loaded from a checkpoint, can
-forecast. The fitters' own input checks still run before any solve.
+Each fit class checks, when it is built, the declared type of every field
+(`data.check_fields`) and then the rule its forecast needs of its fields
+together; either fault is a `FitError` naming the field or the rule. So
+every fit object that exists, fitted, built by hand or loaded from a
+checkpoint, can be saved, loaded back and forecast. The fitters check the
+types (`data.check_value`) and ranges of their own settings before any
+solve.
 
 scipy is imported only when a Holt-Winters fit runs (`hw_fit`, through
 `minimize`). Importing this module, the other fitters, forecasting from a
@@ -36,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_fields, check_value
+
 
 class FitError(Exception):
     pass
@@ -50,23 +55,9 @@ def _finite(series) -> np.ndarray:
     return y
 
 
-def _integer(value, name: str) -> None:
-    """A FitError naming the setting `name` unless `value` is an int or a
-    numpy integer; a bool is neither here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise FitError(f"{name} must be an integer, got {value!r}")
-
-
-def _real(value, name: str) -> None:
-    """A FitError naming the setting `name` unless `value` is an int, a
-    float, a numpy integer or a numpy float; a bool is none of these here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise FitError(f"{name} must be a real number, got {value!r}")
-
-
 def _ridge_penalty(value) -> None:
-    """A FitError unless the ridge penalty `value` is a finite number >= 0."""
-    _real(value, "ridge penalty")
+    """A FitError unless the ridge penalty `value`, a real number, is finite
+    and >= 0."""
     if not 0.0 <= value < np.inf:  # NaN fails too
         raise FitError(f"ridge penalty must be a finite number >= 0, got {value}")
 
@@ -84,9 +75,8 @@ class ArimaFit:
     condition_number: float
 
     def __post_init__(self):
+        check_fields(self, FitError)
         p = self.order[0]
-        _integer(p, "AR order")
-        _real(self.intercept, "intercept")
         if not (p >= 1 and self.order[1:] == (1, 0) and len(self.coefficients) == p):
             raise FitError("'order' must be (p, 1, 0) with p >= 1 and 'coefficients' must hold"
                            " p values")
@@ -107,7 +97,7 @@ def fit_arima(series, p: int = 6) -> ArimaFit:
     Conditional least squares; exact for models without MA terms.
     """
     series = _finite(series)
-    _integer(p, "AR order")
+    check_value("p", int, p, FitError)
     if p < 1:
         raise FitError(f"AR order must be at least 1, got {p}")
     y = difference(series)
@@ -157,11 +147,8 @@ class HwFit:
     sse: float
 
     def __post_init__(self):
+        check_fields(self, FitError)
         m = self.season_length
-        _integer(m, "season length")
-        _real(self.phi, "damping phi")
-        _real(self.level, "level")
-        _real(self.trend, "trend")
         if not (m >= 1 and len(self.seasonals) == m and 0.0 < self.phi <= 1.0):
             raise FitError("'seasonals' must hold 'season_length' >= 1 values and 'phi' must"
                            " lie in (0, 1]")
@@ -313,10 +300,10 @@ def hw_fit(series, m: int = 7, phi: float = 0.96) -> HwFit:
     fit's candidates and no others, ready for the next fit.
     """
     y = _finite(series)
-    _integer(m, "season length")
+    check_value("m", int, m, FitError)
     if m < 1:
         raise FitError(f"season length must be at least 1, got {m}")
-    _real(phi, "damping phi")
+    check_value("phi", float, phi, FitError)
     if not 0.0 < phi <= 1.0:  # NaN and the infinities fail too
         raise FitError(f"damping phi must lie in (0, 1], got {phi}")
     if len(y) < 2 * m:
@@ -378,10 +365,9 @@ class ProphetLiteFit:
     ridge_lambda: float
 
     def __post_init__(self):
+        check_fields(self, FitError)
         k = self.fourier_order
-        _integer(k, "Fourier order")
         _ridge_penalty(self.ridge_lambda)
-        _integer(self.n_train, "training length")
         if self.n_train < 1:
             raise FitError(f"training length must be at least 1, got {self.n_train}")
         if not (k >= 0 and len(self.coefficients) == 2 + len(self.changepoints) + 2 * k):
@@ -412,7 +398,8 @@ def prophet_lite_fit(
     >= 0.
     """
     y = _finite(series)
-    _integer(fourier_order, "Fourier order")
+    check_value("fourier_order", int, fourier_order, FitError)
+    check_value("ridge_lambda", float, ridge_lambda, FitError)
     _ridge_penalty(ridge_lambda)
     n = len(y)
     if n < 14:

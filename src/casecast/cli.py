@@ -31,6 +31,7 @@ from .data import (
     DAY,
     DataError,
     bundled_dataset_path,
+    check_fields,
     forecast_horizon,
     load_csv,
     observed_horizon,
@@ -50,7 +51,6 @@ from .lstm import (
     NonFiniteForecastError,
     TrainConfig,
     TrainingDivergedError,
-    check_field_types,
     forecast_schemas,
 )
 # not called here: perfbench's tracer patches these two by name in `cli`
@@ -86,7 +86,7 @@ class RunConfig:
     out: str = "out"
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, ValueError)
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
         for name in ("horizon", "lookback"):

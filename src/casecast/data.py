@@ -1,5 +1,6 @@
 """Loading, validation, normalization and supervised windowing of the
-cumulative case/death series.
+cumulative case/death series, and the one check of declared field types
+that every config and every classical fit runs when it is built.
 
 All types are immutable value objects; every operation is a pure function.
 """
@@ -8,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import os
 import re
 import sys
+import typing
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,6 +28,44 @@ _COUNT = re.compile(r"-?[0-9]+")
 
 class DataError(Exception):
     """Anything the data layer rejects; its message names the fault."""
+
+
+# the declared type of each field of a dataclass, by name in field order:
+# resolved once per class, since under postponed annotations one resolution
+# costs about 90 us and a fit is built in about 6 us. Every caller shares the
+# dict, so none may change it.
+field_types = functools.cache(typing.get_type_hints)
+
+# the types each declared number type admits besides itself
+_ADMITS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+# the name a message gives each declared type that is no plain class
+_SHOWN = {np.ndarray: "1-D int or float ndarray", tuple[int, int, int]: "tuple[int, int, int]"}
+
+
+def _admits(kind, value) -> bool:
+    if kind is np.ndarray:
+        return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iuf"
+    if kind == tuple[int, int, int]:
+        return isinstance(value, tuple) and len(value) == 3 and all(_admits(int, n) for n in value)
+    return isinstance(value, _ADMITS.get(kind, kind)) and not isinstance(value, (bool, dt.datetime))
+
+
+def check_value(name: str, declared, value, error) -> None:
+    """Raise `error` naming `name` unless `value` is of the type `declared`.
+    An `int` is an int or a numpy integer, a `float` also a float or a numpy
+    float, and neither a bool nor a numpy bool; a `dt.date` is no datetime,
+    which compares with no date; a `tuple[int, int, int]` holds three such
+    ints; an `np.ndarray` is 1-D, of integer or float dtype. Any other type
+    admits its own instances."""
+    if not _admits(declared, value):
+        raise error(f"{name} must be of type {_SHOWN.get(declared, declared.__name__)}, "
+                    f"got {value!r}")
+
+
+def check_fields(obj, error) -> None:
+    """`check_value` on every field of the dataclass `obj`, in field order."""
+    for name, declared in field_types(type(obj)).items():
+        check_value(name, declared, getattr(obj, name), error)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -86,7 +86,6 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import math
-import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,6 +94,7 @@ from .data import (
     DataError,
     TimeSeries,
     WindowedDataset,
+    check_fields,
     fit_normalizer,
     forecast_horizon,
     make_windows,
@@ -625,23 +625,13 @@ def adam_update(params: LstmParams, grads: LstmParams, state: AdamState):
 MAX_EPOCHS = 1_000_000
 
 
-def check_field_types(config, admits=None):
-    """Raise a ValueError naming the first field of the dataclass `config`
-    that holds a bool or a value of none of the types its declared type
-    admits: `admits` maps a declared type to those types, and a declared
-    type it does not map admits only itself."""
-    for name, declared in typing.get_type_hints(type(config)).items():
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (admits or {}).get(declared, declared)):
-            raise ValueError(f"{name} must be of type {declared.__name__}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """The training settings of one model. A setting of the wrong type or
-    out of range is a ValueError naming it: `epochs`, `hidden` and `seed`
-    are ints or numpy integers, the four float settings real numbers (an int
-    too, as a checkpoint may hold `1`), `activation` a str, and none a bool."""
+    out of range is a ValueError naming it. The types are those of
+    `data.check_value`: `epochs`, `hidden` and `seed` are ints or numpy
+    integers, the four float settings real numbers (an int too, as a
+    checkpoint may hold `1`), `activation` a str, and none a bool."""
 
     epochs: int = 2000
     hidden: int = 32
@@ -653,7 +643,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_field_types(self, {int: (int, np.integer), float: (int, float, np.integer, np.floating)})
+        check_fields(self, ValueError)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.epochs > MAX_EPOCHS:

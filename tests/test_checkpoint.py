@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +11,7 @@ from casecast import TrainConfig, cli, slice_window
 from casecast.checkpoint import load, save_classical, save_lstm
 from casecast.classical import (
     ArimaFit,
+    FitError,
     HwFit,
     ProphetLiteFit,
     fit_arima,
@@ -336,6 +339,10 @@ def _set(doc, path, value):
     # prophet_lite_fit's rule for its penalty, which the forecast never reads
     *[("prophet-lite", ["fields", "ridge_lambda"], penalty, "ridge penalty must be a finite")
       for penalty in ("nan", "-5.0", "inf")],
+    # the fit class checks the entries of the tuple the checkpoint's list makes
+    *[("arima", ["fields", "order"], order, r"^checkpoint fields do not fit together: order must be"
+       rf" of type tuple\[int, int, int\], got {re.escape(repr(tuple(order)))}$")
+      for order in ([6, "x", 0], [6, 1])],
 ], ids=lambda v: None if isinstance(v, (list, dict)) else str(v)[:24])
 def test_a_malformed_body_is_a_value_error_naming_the_field(tmp_path, series, name, path,
                                                             value, message):
@@ -406,3 +413,37 @@ class TestFuzzedCheckpoint:
         except ValueError:
             return
         assert _forecast(fit, series) == forecast
+
+
+def _pool(value):
+    """The values a fuzzed fit field draws from; the arrays are made of the
+    field's own entries, so they keep its length."""
+    entries = np.atleast_1d(value)
+    return [None, "x", True, np.bool_(True), 0.5 + 0j, float("nan"), np.float32(0.5),
+            np.int64(7), list(entries), entries[:, None], entries.astype(str), entries.astype(int)]
+
+
+class TestFuzzedFit:
+    """Whatever one field of a fit is replaced by, building the fit raises a
+    FitError, or the fit forecasts, saves, loads back and forecasts again."""
+
+    @pytest.fixture(scope="class")
+    def fits(self, series):
+        y = slice_window(series, TRAIN_START, TRAIN_END).cases.astype(float)
+        return [fit_arima(y), hw_fit(y), prophet_lite_fit(y)]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_fit_that_builds_saves_loads_and_forecasts(self, fits, series, tmp_path, data):
+        fit = data.draw(st.sampled_from(fits), label="fit")
+        name = data.draw(st.sampled_from([f.name for f in fields(fit)]), label="field")
+        value = data.draw(st.sampled_from(_pool(getattr(fit, name))), label="value")
+        try:
+            fuzzed = dataclasses.replace(fit, **{name: value})
+        except FitError:
+            return
+        _forecast(fuzzed, series)
+        path = str(tmp_path / "fit.json")
+        save_classical(fuzzed, path)
+        _forecast(load(path), series)

@@ -221,7 +221,7 @@ class TestHoltWinters:
                              ids=["float", "float64", "str", "bool"])
     def test_season_length_that_is_no_integer_is_a_fit_error(self, m, monkeypatch):
         monkeypatch.setattr(classical, "_hw_affine_pass", None)
-        with pytest.raises(FitError, match="season length must be an integer"):
+        with pytest.raises(FitError, match=f"^m must be of type int, got {re.escape(repr(m))}$"):
             hw_fit(np.arange(30.0) ** 1.5, m=m)
 
     def test_undamped_fit_and_a_numpy_season_length_are_accepted(self):
@@ -606,6 +606,10 @@ PROPHET_RULE = (r"^'coefficients' must hold 2 \+ len\('changepoints'\) \+ 2 \* '
 ARIMA = ArimaFit((6, 1, 0), 0.0, np.zeros(6), np.zeros(9), 1.0)
 HW = HwFit(0.5, 0.1, 0.1, 0.96, 7, 100.0, 3.0, np.zeros(7), 1.0)
 PROPHET = ProphetLiteFit(31, np.arange(5.0), np.zeros(13), 3, 1.0)
+UNRANGED_REALS = [("hw", HW, "alpha"), ("hw", HW, "beta"), ("hw", HW, "gamma"), ("hw", HW, "sse"),
+                  ("arima", ARIMA, "condition_number")]
+ARRAYS = [("arima", ARIMA, "coefficients"), ("arima", ARIMA, "residuals"), ("hw", HW, "seasonals"),
+          ("prophet", PROPHET, "changepoints"), ("prophet", PROPHET, "coefficients")]
 
 
 @pytest.mark.parametrize("fit, broken, rule", [
@@ -622,10 +626,11 @@ PROPHET = ProphetLiteFit(31, np.arange(5.0), np.zeros(13), 3, 1.0)
     (PROPHET, {"fourier_order": -1, "coefficients": np.zeros(5)}, PROPHET_RULE),
     # each fitter's rule for a setting: a float here is an IndexError in
     # hw_forecast and a TypeError in the other two forecasts
-    (HW, {"season_length": 7.0}, "^season length must be an integer, got 7.0$"),
-    (ARIMA, {"order": (6.0, 1, 0)}, "^AR order must be an integer, got 6.0$"),
-    (PROPHET, {"fourier_order": 3.0}, "^Fourier order must be an integer, got 3.0$"),
-    (PROPHET, {"fourier_order": True}, "^Fourier order must be an integer, got True$"),
+    (HW, {"season_length": 7.0}, "^season_length must be of type int, got 7.0$"),
+    (ARIMA, {"order": (6.0, 1, 0)},
+     r"^order must be of type tuple\[int, int, int\], got \(6.0, 1, 0\)$"),
+    (PROPHET, {"fourier_order": 3.0}, "^fourier_order must be of type int, got 3.0$"),
+    (PROPHET, {"fourier_order": True}, "^fourier_order must be of type int, got True$"),
     *[(PROPHET, {"ridge_lambda": penalty}, "^ridge penalty must be a finite number >= 0")
       for penalty in (np.nan, -5.0, np.inf)],
 ], ids=["arima-p-not-len", "arima-d-0", "arima-p-0", "hw-m-0", "hw-seasonals-short",
@@ -638,18 +643,27 @@ def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, r
 
 
 @pytest.mark.parametrize("fit, broken, message", [
-    (HW, {"level": "100"}, "^level must be a real number, got '100'$"),
-    (HW, {"level": None}, "^level must be a real number, got None$"),
-    (HW, {"trend": None}, "^trend must be a real number, got None$"),
-    (HW, {"trend": True}, "^trend must be a real number, got True$"),
-    (ARIMA, {"intercept": "x"}, "^intercept must be a real number, got 'x'$"),
-    (PROPHET, {"n_train": 31.5}, "^training length must be an integer, got 31.5$"),
-    (PROPHET, {"n_train": True}, "^training length must be an integer, got True$"),
+    (HW, {"level": "100"}, "^level must be of type float, got '100'$"),
+    (HW, {"level": None}, "^level must be of type float, got None$"),
+    (HW, {"trend": None}, "^trend must be of type float, got None$"),
+    (HW, {"trend": True}, "^trend must be of type float, got True$"),
+    (ARIMA, {"intercept": "x"}, "^intercept must be of type float, got 'x'$"),
+    (PROPHET, {"n_train": 31.5}, "^n_train must be of type int, got 31.5$"),
+    (PROPHET, {"n_train": True}, "^n_train must be of type int, got True$"),
     (PROPHET, {"n_train": -5}, "^training length must be at least 1, got -5$"),
     (PROPHET, {"n_train": 0}, "^training length must be at least 1, got 0$"),
+    # the float fields no range rule reads, and every array field
+    *[(fit, {name: value}, f"^{name} must be of type float, got {value!r}$")
+      for _, fit, name in UNRANGED_REALS for value in (None, "x")],
+    *[(fit, {name: value}, f"^{name} must be of type 1-D int or float ndarray, got "
+                           f"{re.escape(repr(value))}$")
+      for _, fit, name in ARRAYS
+      for value in (getattr(fit, name).astype(str), getattr(fit, name)[:, None])],
 ], ids=["hw-level-str", "hw-level-none", "hw-trend-none", "hw-trend-bool", "arima-intercept-str",
         "prophet-n-train-float", "prophet-n-train-bool", "prophet-n-train-negative",
-        "prophet-n-train-zero"])
+        "prophet-n-train-zero",
+        *[f"{kind}-{name}-{how}" for kind, _, name in UNRANGED_REALS for how in ("none", "str")],
+        *[f"{kind}-{name}-{how}" for kind, _, name in ARRAYS for how in ("str-dtype", "2-d")]])
 def test_a_scalar_fit_field_of_the_wrong_kind_is_a_fit_error(fit, broken, message):
     # unchecked, each built, and then its forecast or its checkpoint's save
     # raised a bare numpy or Python error, or the forecast ran from nonsense
@@ -658,27 +672,28 @@ def test_a_scalar_fit_field_of_the_wrong_kind_is_a_fit_error(fit, broken, messag
 
 
 # the integer setting of each fitter besides hw_fit's m, which
-# TestHoltWinters checks by the same rule
-@pytest.mark.parametrize("fitter, setting, name", [
-    (fit_arima, "p", "AR order"), (prophet_lite_fit, "fourier_order", "Fourier order"),
+# TestHoltWinters checks by the same rule; the message names the setting
+@pytest.mark.parametrize("fitter, setting", [
+    (fit_arima, "p"), (prophet_lite_fit, "fourier_order"),
 ], ids=["arima-p", "prophet-fourier-order"])
 @pytest.mark.parametrize("value", [2.0, np.float64(2.0), "2", True],
                          ids=["float", "float64", "str", "bool"])
-def test_an_integer_setting_that_is_no_integer_is_a_fit_error(fitter, setting, name, value):
-    with pytest.raises(FitError, match=f"{name} must be an integer"):
+def test_an_integer_setting_that_is_no_integer_is_a_fit_error(fitter, setting, value):
+    message = f"^{setting} must be of type int, got {re.escape(repr(value))}$"
+    with pytest.raises(FitError, match=message):
         fitter(np.cumsum(np.arange(1.0, 41.0)), **{setting: value})
 
 
 # the real-valued setting of each fitter, and of the one fit class that
 # holds one unchecked by a range alone
-@pytest.mark.parametrize("fitter, setting, name", [
-    (hw_fit, "phi", "damping phi"), (prophet_lite_fit, "ridge_lambda", "ridge penalty"),
-    (lambda y, phi: dataclasses.replace(HW, phi=phi), "phi", "damping phi"),
+@pytest.mark.parametrize("fitter, setting", [
+    (hw_fit, "phi"), (prophet_lite_fit, "ridge_lambda"),
+    (lambda y, phi: dataclasses.replace(HW, phi=phi), "phi"),
 ], ids=["hw-phi", "prophet-ridge-lambda", "hw-fit-phi"])
 @pytest.mark.parametrize("value", ["0.9", True, np.bool_(True), None, 0.9 + 0j],
                          ids=["str", "bool", "numpy-bool", "none", "complex"])
-def test_a_real_setting_that_is_no_real_number_is_a_fit_error(fitter, setting, name, value):
-    message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+def test_a_real_setting_that_is_no_real_number_is_a_fit_error(fitter, setting, value):
+    message = f"^{setting} must be of type float, got {re.escape(repr(value))}$"
     with pytest.raises(FitError, match=message):
         fitter(np.cumsum(np.arange(1.0, 41.0)), **{setting: value})
 

@@ -142,6 +142,13 @@ class TestRun:
         with pytest.raises(ValueError, match="^horizon must be >= 1$"):
             RunConfig(horizon=0)
 
+    def test_a_date_setting_that_is_a_datetime_is_a_value_error(self):
+        # a datetime is a date to isinstance, and built, such a config made
+        # slice_window compare it with the series' dates: a bare TypeError
+        with pytest.raises(ValueError, match=r"^train_start must be of type date, got "
+                                             r"datetime\.datetime\(2020, 3, 24, 0, 0\)$"):
+            RunConfig(train_start=dt.datetime(2020, 3, 24))
+
     def test_run_config_cannot_be_changed(self):
         cfg = RunConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
