@@ -1,11 +1,15 @@
 """Versioned JSON checkpoint container shared by all model kinds.
 
-Each field of a classical fit and of an LSTM config is written and read by
-the type its dataclass declares for it (`data.field_types`), whatever
-type the value came in: a numpy integer is written as an int. Floats are
-stored as shortest-round-trip decimal strings (Python repr), so save ->
-load is bit-exact; those of an LSTM config stay JSON numbers. What a fit's
-fields must satisfy together is the fit class's own rule (its
+This module holds the file format alone; what a value may be is the rule of
+the code that owns it. Each field of a classical fit and of an LSTM config
+is written by the type its dataclass declares for it (`data.field_types`),
+whatever type the value came in: a numpy integer is written as an int.
+Floats are stored as shortest-round-trip decimal strings (Python repr), so
+save -> load is bit-exact; those of an LSTM config stay JSON numbers.
+`load` reads every field through one decoder, which turns the stored form
+back into a value and checks it against the declared type by
+`data.check_value`, the rule the dataclass itself runs, naming the field.
+What a fit's fields must satisfy together is the fit class's own rule (its
 `__post_init__` raises `FitError`), which `load` reports as a ValueError.
 """
 
@@ -17,7 +21,7 @@ import math
 import numpy as np
 
 from .classical import ArimaFit, FitError, HwFit, ProphetLiteFit
-from .data import field_types
+from .data import check_value, field_types
 from .lstm import LstmModel, LstmParams, TrainConfig
 
 FORMAT_VERSION = 1
@@ -25,24 +29,25 @@ LSTM_KEYS = ("wx", "wh", "b", "dense_w", "dense_b")  # not LstmParams' memory or
 CLASSICAL_KINDS = {"arima": ArimaFit, "hwaas": HwFit, "prophet-lite": ProphetLiteFit}
 
 
+def _text(value) -> str:
+    """A float as its shortest round-trip decimal string."""
+    return repr(float(value))
+
+
 def _encode_array(a: np.ndarray) -> dict:
-    return {
-        "shape": list(a.shape),
-        "data": [repr(float(v)) for v in np.asarray(a, dtype=float).ravel()],
-    }
+    return {"shape": list(a.shape), "data": [_text(v) for v in np.asarray(a, dtype=float).ravel()]}
 
 
-def _get(parent: dict, key: str, kind, path: str = ""):
-    """`parent[key]` if it is of type `kind` (a type or a tuple of them,
-    never a bool for a number); anything else is a ValueError naming the
-    field `path.key`."""
+def _get(parent: dict, key: str, kind, path: str = "", decode=None):
+    """The value stored as `parent[key]`, turned back from its stored form
+    by `decode(stored, name)` when one is given, if it is of type `kind` by
+    `data.check_value`; a missing entry or a value of another type is a
+    ValueError naming the field `path.key`."""
     name = f"{path}.{key}" if path else key
     if key not in parent:
         raise ValueError(f"checkpoint field {name!r} is missing")
-    value = parent[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise ValueError(f"checkpoint field {name!r} must be {kinds}, not {type(value).__name__}")
+    value = parent[key] if decode is None else decode(parent[key], name)
+    check_value(f"checkpoint field {name!r}", kind, value, ValueError)
     return value
 
 
@@ -56,11 +61,12 @@ def _float(value, path: str) -> float:
     raise ValueError(f"checkpoint field {path!r} must hold floats written as strings")
 
 
-def _decode_array(parent: dict, key: str, path: str) -> np.ndarray:
-    """The array `parent[key]`, whose data must fill its shape."""
-    obj = _get(parent, key, dict, path)
-    path = f"{path}.{key}"
-    shape, data = _get(obj, "shape", list, path), _get(obj, "data", list, path)
+def _decode_array(stored, path: str):
+    """The array stored as `{shape, data}`, whose data must fill its shape;
+    any other stored value is left as it is, for the caller's type check."""
+    if type(stored) is not dict:
+        return stored
+    shape, data = _get(stored, "shape", list, path), _get(stored, "data", list, path)
     if not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"checkpoint field '{path}.shape' must list sizes, not {shape}")
     if len(data) != math.prod(shape):
@@ -78,45 +84,41 @@ def _encode_fields(obj, float_as) -> dict:
             for name, t in field_types(type(obj)).items()}
 
 
+def _decode_fields(cls, encoded: dict, path: str, float_from=None) -> dict:
+    """Every field of the dataclass `cls` from `encoded`, the inverse of
+    `_encode_fields`: an array from its `{shape, data}`, a float by
+    `float_from` (stored as itself when None), a tuple from a JSON list
+    only, any other value as stored; each then checked against its declared
+    type under `path.name`. Stored keys `cls` lacks are ignored."""
+    decode = {np.ndarray: _decode_array, float: float_from,
+              tuple[int, int, int]: lambda v, _: tuple(v) if type(v) is list else v}
+    return {name: _get(encoded, name, t, path, decode.get(t))
+            for name, t in field_types(cls).items()}
+
+
+def _write(path: str, kind: str, **body) -> None:
+    """Write a checkpoint of `kind` whose body holds `body`'s entries in order."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump({"format_version": FORMAT_VERSION, "kind": kind, **body}, fh, indent=1)
+
+
 def save_lstm(model: LstmModel, path: str) -> None:
     """Write a model, a stack of one, as its one member's arrays; `load`
     reads them back through the LstmParams constructor, a stack of one."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "lstm",
-        "config": _encode_fields(model.config, float),
-        "params": {k: _encode_array(a) for k in LSTM_KEYS for (a,) in [getattr(model.params, k)]},
-        "epoch_losses": [repr(float(x)) for x in model.epoch_losses],
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
+    _write(path, "lstm", config=_encode_fields(model.config, float),
+           params={k: _encode_array(a) for k in LSTM_KEYS for (a,) in [getattr(model.params, k)]},
+           epoch_losses=[_text(x) for x in model.epoch_losses])
 
 
 def save_classical(fit: ArimaFit | HwFit | ProphetLiteFit, path: str) -> None:
     kind = {cls: name for name, cls in CLASSICAL_KINDS.items()}[type(fit)]
-    encoded = _encode_fields(fit, lambda v: repr(float(v)))
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, "fields": encoded}
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
+    _write(path, kind, fields=_encode_fields(fit, _text))
 
 
 def _decode_fit(cls, encoded: dict):
-    """Rebuild a classical fit from its dataclass fields, decoding each by
-    its declared type. Stored keys the dataclass lacks are ignored. Fields
-    the fit class rejects (its FitError: an order entry that is no int, or
-    fields that do not fit together) are a ValueError."""
-    values = {}
-    for name, declared in field_types(cls).items():
-        if declared is np.ndarray:
-            values[name] = _decode_array(encoded, name, "fields")
-            if values[name].ndim != 1:
-                raise ValueError(f"checkpoint field 'fields.{name}' must be 1-D")
-        elif declared is float:
-            values[name] = _float(_get(encoded, name, str, "fields"), f"fields.{name}")
-        elif declared is int:
-            values[name] = _get(encoded, name, int, "fields")
-        else:  # tuple[int, int, int], whose entries the fit class checks
-            values[name] = tuple(_get(encoded, name, list, "fields"))
+    """Rebuild a classical fit from its dataclass fields; fields that do not
+    fit together (the fit class's FitError) are a ValueError."""
+    values = _decode_fields(cls, encoded, "fields", _float)
     try:
         return cls(**values)
     except FitError as exc:
@@ -127,18 +129,17 @@ def _decode_lstm(doc: dict) -> LstmModel:
     """Rebuild an LSTM from its config, its five arrays, whose shapes must
     be those of one model of `config.hidden` units, and its losses."""
     config = _get(doc, "config", dict)
-    types = field_types(TrainConfig)
-    unknown = sorted(config.keys() - types.keys())
+    unknown = sorted(config.keys() - field_types(TrainConfig).keys())
     if unknown:
         raise ValueError(f"unknown checkpoint field 'config.{unknown[0]}'")
-    settings = {name: _get(config, name, (int, float) if t is float else t, "config")
-                for name, t in types.items()}
+    settings = _decode_fields(TrainConfig, config, "config")
     try:
         cfg = TrainConfig(**settings)
     except ValueError as exc:
         raise ValueError(f"checkpoint field 'config': {exc}") from exc
     params = _get(doc, "params", dict)
-    arrays = {k: _decode_array(params, k, "params") for k in LSTM_KEYS}
+    arrays = {k: _decode_array(_get(params, k, dict, "params"), f"params.{k}")
+              for k in LSTM_KEYS}
     h, d = cfg.hidden, max((1, *arrays["wx"].shape[1:2]))  # d: wx's input width, at least 1
     shapes = {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "dense_w": (d, h), "dense_b": (d,)}
     for key, shape in shapes.items():

@@ -1,6 +1,6 @@
 """Loading, validation, normalization and supervised windowing of the
 cumulative case/death series, and the one check of declared field types
-that every config and every classical fit runs when it is built.
+that every config and every fit, an LSTM model too, runs when it is built.
 
 All types are immutable value objects; every operation is a pure function.
 """
@@ -39,7 +39,8 @@ field_types = functools.cache(typing.get_type_hints)
 # the types each declared number type admits besides itself
 _ADMITS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 # the name a message gives each declared type that is no plain class
-_SHOWN = {np.ndarray: "1-D int or float ndarray", tuple[int, int, int]: "tuple[int, int, int]"}
+_SHOWN = {np.ndarray: "1-D int or float ndarray", tuple[int, int, int]: "tuple[int, int, int]",
+          list[float]: "list[float]"}
 
 
 def _admits(kind, value) -> bool:
@@ -47,6 +48,8 @@ def _admits(kind, value) -> bool:
         return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iuf"
     if kind == tuple[int, int, int]:
         return isinstance(value, tuple) and len(value) == 3 and all(_admits(int, n) for n in value)
+    if kind == list[float]:
+        return isinstance(value, list) and all(_admits(float, x) for x in value)
     return isinstance(value, _ADMITS.get(kind, kind)) and not isinstance(value, (bool, dt.datetime))
 
 
@@ -55,8 +58,9 @@ def check_value(name: str, declared, value, error) -> None:
     An `int` is an int or a numpy integer, a `float` also a float or a numpy
     float, and neither a bool nor a numpy bool; a `dt.date` is no datetime,
     which compares with no date; a `tuple[int, int, int]` holds three such
-    ints; an `np.ndarray` is 1-D, of integer or float dtype. Any other type
-    admits its own instances."""
+    ints and a `list[float]` any number of such floats; an `np.ndarray` is
+    1-D, of integer or float dtype. Any other type admits its own
+    instances."""
     if not _admits(declared, value):
         raise error(f"{name} must be of type {_SHOWN.get(declared, declared.__name__)}, "
                     f"got {value!r}")

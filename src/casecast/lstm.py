@@ -663,9 +663,21 @@ class TrainConfig:
 
 @dataclass
 class LstmModel:
+    """One trained model: its parameters, a stack of one member of
+    `config.hidden` units, its config, and its mean loss per epoch, a list
+    of real numbers. Anything else is a ValueError when the model is built,
+    so every model that exists can be saved, loaded back and forecast."""
+
     params: LstmParams
     config: TrainConfig
     epoch_losses: list[float]
+
+    def __post_init__(self):
+        check_fields(self, ValueError)
+        members, hidden = len(self.params.widths), self.params.hidden
+        if members != 1 or hidden != self.config.hidden:
+            raise ValueError(f"params must be one member of hidden size {self.config.hidden},"
+                             f" got {members} of hidden size {hidden}")
 
 
 def train(

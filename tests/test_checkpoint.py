@@ -2,6 +2,8 @@ import dataclasses
 import json
 import re
 from dataclasses import fields
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -317,30 +319,43 @@ def _set(doc, path, value):
     doc[path[-1]] = value
 
 
+# a pytest.param gives its case a fixed id, so the case's name does not follow
+# the wording of the message it pins
 @pytest.mark.parametrize("name, path, value, message", [
     ("hwaas", ["fields"], {}, "^checkpoint field 'fields.alpha' is missing$"),
     ("lstm-u3", ["params"], ..., "^checkpoint field 'params' is missing$"),
-    ("lstm-u3", ["config", "hidden"], "3", "^checkpoint field 'config.hidden' must be int, not str$"),
+    ("lstm-u3", ["config", "hidden"], "3",
+     "^checkpoint field 'config.hidden' must be of type int, got '3'$"),
     ("lstm-u3", ["config", "dropout"], 0.5, "^unknown checkpoint field 'config.dropout'$"),
     ("lstm-u3", ["config", "hidden"], 0, "^checkpoint field 'config': hidden must be >= 1$"),
-    ("lstm-u3", ["epoch_losses"], None, "'epoch_losses' must be list, not NoneType"),
+    pytest.param("lstm-u3", ["epoch_losses"], None,
+                 "^checkpoint field 'epoch_losses' must be of type list, got None$",
+                 id="lstm-u3-path5-None-'epoch_losses' must be l"),
     ("lstm-u3", ["config", "hidden"], 4, r"'params.wx' has shape \[12, 2\], but hidden 4 .* \[16, 2\]"),
     ("lstm-u3", ["params", "wx", "data"], ["0.5"] * 23, r"'params.wx.data' holds 23 values, .* 24"),
     ("lstm-u3", ["params", "b", "data", 0], 0.5, "'params.b.data' must hold floats written as"),
-    ("hwaas", ["fields", "seasonals"], "x", "'fields.seasonals' must be dict, not str"),
-    ("hwaas", ["fields", "season_length"], True, "'fields.season_length' must be int, not bool"),
+    pytest.param("hwaas", ["fields", "seasonals"], "x",
+                 "^checkpoint field 'fields.seasonals' must be of type 1-D int or float ndarray,"
+                 " got 'x'$", id="hwaas-path9-x-'fields.seasonals' must "),
+    pytest.param("hwaas", ["fields", "season_length"], True,
+                 "^checkpoint field 'fields.season_length' must be of type int, got True$",
+                 id="hwaas-path10-True-'fields.season_length' m"),
     ("hwaas", ["fields", "season_length"], 6, "'seasonals' must hold 'season_length'"),
     ("arima", ["fields", "order"], [7, 1, 0], "'coefficients' must hold p values"),
-    ("arima", ["fields", "order"], "abc", "'fields.order' must be list, not str"),
-    ("arima", ["fields", "coefficients", "shape"], [2, 3], "'fields.coefficients' must be 1-D"),
+    pytest.param("arima", ["fields", "order"], "abc",
+                 r"^checkpoint field 'fields.order' must be of type tuple\[int, int, int\],"
+                 r" got 'abc'$", id="arima-path13-abc-'fields.order' must be l"),
+    ("arima", ["fields", "coefficients", "shape"], [2, 3],
+     r"^checkpoint field 'fields.coefficients' must be of type 1-D int or float ndarray,"
+     r" got array\(\[\[.*\],\n +\[.*\]\]\)$"),
     ("prophet-lite", ["fields", "fourier_order"], 2, "'coefficients' must hold 2 \\+"),
     *[("hwaas", ["fields", "phi"], phi, r"'phi' must lie in \(0, 1\]")
       for phi in ("nan", "inf", "0.0", "-0.5", "2.0")],
     # prophet_lite_fit's rule for its penalty, which the forecast never reads
     *[("prophet-lite", ["fields", "ridge_lambda"], penalty, "ridge penalty must be a finite")
       for penalty in ("nan", "-5.0", "inf")],
-    # the fit class checks the entries of the tuple the checkpoint's list makes
-    *[("arima", ["fields", "order"], order, r"^checkpoint fields do not fit together: order must be"
+    # the entries of the tuple the checkpoint's list makes are checked as the field's
+    *[("arima", ["fields", "order"], order, r"^checkpoint field 'fields.order' must be"
        rf" of type tuple\[int, int, int\], got {re.escape(repr(tuple(order)))}$")
       for order in ([6, "x", 0], [6, 1])],
 ], ids=lambda v: None if isinstance(v, (list, dict)) else str(v)[:24])
@@ -413,6 +428,47 @@ class TestFuzzedCheckpoint:
         except ValueError:
             return
         assert _forecast(fit, series) == forecast
+
+
+# JSON values of every type, of the types a field holds among them, and array
+# objects, one of them of a shape no fit field has
+LEAVES = [None, True, False, 0, 1, 7, -1, 2.5, "", "x", "7", "0.5", [], ["0.5"], [6, 1, 0],
+          {}, {"a": 1}, {"shape": [1], "data": ["0.5"]},
+          {"shape": [2, 3], "data": ["1.0"] * 6}]
+# what a ValueError from the body of a checkpoint starts with: the field at
+# fault, or the rule of the fit class that its fields break together
+NAMES_A_FIELD = r"^(checkpoint field '[\w.]+'|checkpoint fields do not fit together: )"
+
+
+class TestFuzzedLeaf:
+    """Whatever one leaf of a checkpoint's body is replaced by, `load`
+    raises a ValueError naming a field or the fit's cross-field rule, or
+    returns a model that forecasts."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory, series):
+        saved = _checkpoints(tmp_path_factory.mktemp("checkpoints"), series)
+        return {name: path.read_text() for name, path in saved.items()}
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_names_the_field_or_returns_a_model_that_forecasts(self, originals, series,
+                                                                   tmp_path, data):
+        name = data.draw(st.sampled_from(sorted(originals)), label="name")
+        doc = json.loads(originals[name])
+        leaves = [p for p in _entries(doc) if p[0] not in ("format_version", "kind")
+                  and not isinstance(reduce(getitem, p, doc), (dict, list))]
+        path = data.draw(st.sampled_from(leaves), label="path")
+        _set(doc, path, data.draw(st.sampled_from(LEAVES), label="value"))
+        target = tmp_path / f"{name}.json"
+        target.write_text(json.dumps(doc, indent=1))
+        try:
+            fit = load(str(target))
+        except ValueError as exc:
+            assert re.match(NAMES_A_FIELD, str(exc)), str(exc)
+            return
+        _forecast(fit, series)
 
 
 def _pool(value):

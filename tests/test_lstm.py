@@ -823,6 +823,42 @@ class TestAdam:
         )
 
 
+class TestLstmModel:
+    """A model checks itself when built, so any model that exists is one
+    member of its config's hidden size that `save_lstm` can write."""
+
+    @pytest.mark.parametrize("params, losses, message", [
+        (lambda: zero_params(4, 1), [0.5],
+         "^params must be one member of hidden size 32, got 1 of hidden size 4$"),
+        (lambda: LstmParams.stack([zero_params(32, 1)] * 2), [0.5],
+         "^params must be one member of hidden size 32, got 2 of hidden size 32$"),
+        (lambda: None, [0.5], "^params must be of type LstmParams, got None$"),
+        (lambda: zero_params(32, 1), [None],
+         r"^epoch_losses must be of type list\[float\], got \[None\]$"),
+        (lambda: zero_params(32, 1), [0.5, True],
+         r"^epoch_losses must be of type list\[float\], got \[0.5, True\]$"),
+        (lambda: zero_params(32, 1), [0.5, "0.25"],
+         r"^epoch_losses must be of type list\[float\], got \[0.5, '0.25'\]$"),
+        (lambda: zero_params(32, 1), (0.5,),
+         r"^epoch_losses must be of type list\[float\], got \(0.5,\)$"),
+        (lambda: zero_params(32, 1), None,
+         r"^epoch_losses must be of type list\[float\], got None$"),
+    ], ids=["hidden-mismatch", "two-members", "params-none", "loss-none", "loss-bool",
+            "loss-str", "losses-tuple", "losses-none"])
+    def test_a_model_that_is_no_one_member_fit_is_a_value_error(self, params, losses, message):
+        with pytest.raises(ValueError, match=message):
+            LstmModel(params(), TrainConfig(hidden=32), losses)
+
+    def test_a_config_of_another_type_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^config must be of type TrainConfig, got None$"):
+            LstmModel(zero_params(32, 1), None, [])
+
+    def test_real_losses_of_numpy_types_build(self):
+        model = LstmModel(zero_params(4, 2), TrainConfig(hidden=4),
+                          [np.float64(0.5), np.float32(0.25), 1, np.int64(2)])
+        assert model.params.widths == (2,)
+
+
 class TestTrain:
     @pytest.mark.parametrize("setting, message", [
         ({"seed": -1}, "^seed must be >= 0$"),

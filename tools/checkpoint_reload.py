@@ -5,9 +5,10 @@ print every field and the forecast.
     PYTHONPATH=src python3 tools/checkpoint_reload.py
 
 Each model runs on the paper split into a temporary directory of its own:
-`arima`, `hwaas`, `prophet-lite`, and `lstm-u3` at lookback 3 for 20
-epochs. A loaded fit forecasts 15 days by the route README gives for its
-kind: `forecast_arima_from_series` on the training cases, `hw_forecast`,
+`arima`, `hwaas`, `prophet-lite`, and the LSTMs `lstm-u2` (input width 1)
+and `lstm-u3` (input width 2), each at lookback 3 for 20 epochs. A loaded
+fit forecasts 15 days by the route README gives for its kind:
+`forecast_arima_from_series` on the training cases, `hw_forecast`,
 `prophet_lite_forecast`, and `run_schema` with the loaded model. After
 `run`'s own line, each model prints the loaded fit's type, then one line per
 field with its repr (an array as a list, so every digit shows), then the
@@ -28,8 +29,8 @@ from casecast.classical import forecast_arima_from_series, hw_forecast, prophet_
 from casecast.lstm import LstmModel, LstmParams
 
 HORIZON = 15
-RUNS = {"arima": [], "hwaas": [], "prophet-lite": [],
-        "lstm-u3": ["--lookback", "3", "--epochs", "20"]}
+LSTM_FLAGS = ["--lookback", "3", "--epochs", "20"]
+RUNS = {"arima": [], "hwaas": [], "prophet-lite": [], "lstm-u2": LSTM_FLAGS, "lstm-u3": LSTM_FLAGS}
 
 
 def field_lines(fit) -> list[str]:
@@ -55,9 +56,9 @@ def main() -> None:
             if code != cli.EXIT_OK:
                 raise SystemExit(f"run --model {model} exited {code}")
             fit = checkpoint.load(os.path.join(out, "checkpoint.json"))
-        if model == "lstm-u3":
-            forecasts = run_schema(ts, "u3", fit.config, cfg.train_start, cfg.train_end,
-                                   HORIZON, 3, model=fit).forecasts
+        if isinstance(fit, LstmModel):
+            forecasts = run_schema(ts, model.removeprefix("lstm-"), fit.config, cfg.train_start,
+                                   cfg.train_end, HORIZON, 3, model=fit).forecasts
         elif model == "arima":
             forecasts = forecast_arima_from_series(fit, y, HORIZON)
         elif model == "hwaas":
