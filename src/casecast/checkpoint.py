@@ -5,12 +5,18 @@ the code that owns it. Each field of a classical fit and of an LSTM config
 is written by the type its dataclass declares for it (`data.field_types`),
 whatever type the value came in: a numpy integer is written as an int.
 Floats are stored as shortest-round-trip decimal strings (Python repr), so
-save -> load is bit-exact; those of an LSTM config stay JSON numbers.
-`load` reads every field through one decoder, which turns the stored form
-back into a value and checks it against the declared type by
-`data.check_value`, the rule the dataclass itself runs, naming the field.
-What a fit's fields must satisfy together is the fit class's own rule (its
-`__post_init__` raises `FitError`), which `load` reports as a ValueError.
+save -> load is bit-exact, and `load` takes back no other spelling of a
+float; those of an LSTM config stay JSON numbers.
+
+`load` reads every kind through one decoder, `_decode`: an LstmModel from
+the whole file, a classical fit from its `fields`. It turns each declared
+field's stored form back into a value (an LSTM's config, params and losses
+by small decoders of their own), checks it against the declared type by
+`data.check_value`, the rule the class itself runs, naming the field, and
+builds the class. What the fields must satisfy together is the class's own
+rule: a fit's `__post_init__` (FitError), TrainConfig's ranges, the shapes
+of one LSTM in the LstmParams constructor, LstmModel's hidden size. `_build`
+reports any of them, in one place, as a ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -52,20 +58,19 @@ def _get(parent: dict, key: str, kind, path: str = "", decode=None):
 
 
 def _float(value, path: str) -> float:
-    """A float stored as its repr string; anything else is a ValueError."""
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
+    """A float stored as the string `_text` writes for it, its repr;
+    anything else, `"1_00"`, `" 100 "`, `"100"` or `"Infinity"` too, which
+    `float` also reads, is a ValueError."""
+    try:
+        if isinstance(value, str) and repr(x := float(value)) == value:
+            return x
+    except ValueError:
+        pass
     raise ValueError(f"checkpoint field {path!r} must hold floats written as strings")
 
 
-def _decode_array(stored, path: str):
-    """The array stored as `{shape, data}`, whose data must fill its shape;
-    any other stored value is left as it is, for the caller's type check."""
-    if type(stored) is not dict:
-        return stored
+def _decode_array(stored: dict, path: str) -> np.ndarray:
+    """The array stored as `{shape, data}`, whose data must fill its shape."""
     shape, data = _get(stored, "shape", list, path), _get(stored, "data", list, path)
     if not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"checkpoint field '{path}.shape' must list sizes, not {shape}")
@@ -84,16 +89,54 @@ def _encode_fields(obj, float_as) -> dict:
             for name, t in field_types(type(obj)).items()}
 
 
-def _decode_fields(cls, encoded: dict, path: str, float_from=None) -> dict:
-    """Every field of the dataclass `cls` from `encoded`, the inverse of
-    `_encode_fields`: an array from its `{shape, data}`, a float by
-    `float_from` (stored as itself when None), a tuple from a JSON list
-    only, any other value as stored; each then checked against its declared
-    type under `path.name`. Stored keys `cls` lacks are ignored."""
-    decode = {np.ndarray: _decode_array, float: float_from,
-              tuple[int, int, int]: lambda v, _: tuple(v) if type(v) is list else v}
-    return {name: _get(encoded, name, t, path, decode.get(t))
-            for name, t in field_types(cls).items()}
+def _build(cls, path: str, values: dict):
+    """`cls(**values)`; the class's own rule, its FitError or ValueError, is
+    a ValueError naming the field `path`, or at the root (`path` "") the
+    fields that do not fit together."""
+    try:
+        return cls(**values)
+    except (FitError, ValueError) as exc:
+        place = f"field {path!r}:" if path else "fields do not fit together:"
+        raise ValueError(f"checkpoint {place} {exc}") from exc
+
+
+def _stored_as(kind, decode):
+    """`decode` for a value stored as a `kind`, a JSON object or list; any
+    other stored value is left as it is, for the caller's type check."""
+    return lambda stored, name: decode(stored, name) if type(stored) is kind else stored
+
+
+def _decode_config(stored: dict, path: str) -> TrainConfig:
+    """The TrainConfig stored as an object; unlike a fit's fields, a key
+    that is no setting is a ValueError."""
+    unknown = sorted(stored.keys() - field_types(TrainConfig).keys())
+    if unknown:
+        raise ValueError(f"unknown checkpoint field '{path}.{unknown[0]}'")
+    return _decode(TrainConfig, stored, path)
+
+
+def _decode_params(stored: dict, path: str) -> LstmParams:
+    """The LstmParams stored as its five `{shape, data}` arrays, read in
+    the order of LSTM_KEYS."""
+    return _build(LstmParams, path, {k: _decode_array(_get(stored, k, dict, path), f"{path}.{k}")
+                                     for k in LSTM_KEYS})
+
+
+def _decode(cls, encoded: dict, path: str, float_from=None):
+    """The dataclass `cls` built from its fields in `encoded`, the inverse of
+    the writers: an array from its `{shape, data}`, a float by `float_from`
+    (stored as itself when None), a tuple from a JSON list only, a config,
+    an LSTM's params and its losses by their own decoders, any other value
+    as stored; each then checked against its declared type under
+    `path.name`, and `cls` built by `_build`. Stored keys `cls` lacks are
+    ignored."""
+    decode = {np.ndarray: _stored_as(dict, _decode_array), float: float_from,
+              tuple[int, int, int]: _stored_as(list, lambda v, _: tuple(v)),
+              list[float]: _stored_as(list, lambda v, name: [_float(x, name) for x in v]),
+              TrainConfig: _stored_as(dict, _decode_config),
+              LstmParams: _stored_as(dict, _decode_params)}
+    return _build(cls, path, {name: _get(encoded, name, t, path, decode.get(t))
+                              for name, t in field_types(cls).items()})
 
 
 def _write(path: str, kind: str, **body) -> None:
@@ -115,41 +158,6 @@ def save_classical(fit: ArimaFit | HwFit | ProphetLiteFit, path: str) -> None:
     _write(path, kind, fields=_encode_fields(fit, _text))
 
 
-def _decode_fit(cls, encoded: dict):
-    """Rebuild a classical fit from its dataclass fields; fields that do not
-    fit together (the fit class's FitError) are a ValueError."""
-    values = _decode_fields(cls, encoded, "fields", _float)
-    try:
-        return cls(**values)
-    except FitError as exc:
-        raise ValueError(f"checkpoint fields do not fit together: {exc}") from exc
-
-
-def _decode_lstm(doc: dict) -> LstmModel:
-    """Rebuild an LSTM from its config, its five arrays, whose shapes must
-    be those of one model of `config.hidden` units, and its losses."""
-    config = _get(doc, "config", dict)
-    unknown = sorted(config.keys() - field_types(TrainConfig).keys())
-    if unknown:
-        raise ValueError(f"unknown checkpoint field 'config.{unknown[0]}'")
-    settings = _decode_fields(TrainConfig, config, "config")
-    try:
-        cfg = TrainConfig(**settings)
-    except ValueError as exc:
-        raise ValueError(f"checkpoint field 'config': {exc}") from exc
-    params = _get(doc, "params", dict)
-    arrays = {k: _decode_array(_get(params, k, dict, "params"), f"params.{k}")
-              for k in LSTM_KEYS}
-    h, d = cfg.hidden, max((1, *arrays["wx"].shape[1:2]))  # d: wx's input width, at least 1
-    shapes = {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "dense_w": (d, h), "dense_b": (d,)}
-    for key, shape in shapes.items():
-        if arrays[key].shape != shape:
-            raise ValueError(f"checkpoint field 'params.{key}' has shape {list(arrays[key].shape)},"
-                             f" but hidden {h} and input width {d} need {list(shape)}")
-    losses = [_float(v, "epoch_losses") for v in _get(doc, "epoch_losses", list)]
-    return LstmModel(LstmParams(**arrays), cfg, losses)
-
-
 def load(path: str):
     """Load any checkpoint as the model it was saved from: an LstmModel,
     ArimaFit, HwFit or ProphetLiteFit, each ready to forecast. A file that
@@ -169,5 +177,5 @@ def load(path: str):
     if doc["kind"] not in kinds:
         raise ValueError(f"unknown checkpoint kind {doc['kind']!r}, expected one of {kinds}")
     if doc["kind"] == "lstm":
-        return _decode_lstm(doc)
-    return _decode_fit(CLASSICAL_KINDS[doc["kind"]], _get(doc, "fields", dict))
+        return _decode(LstmModel, doc, "")
+    return _decode(CLASSICAL_KINDS[doc["kind"]], _get(doc, "fields", dict), "fields", _float)

@@ -4,8 +4,9 @@ Prophet-style regressor (piecewise-linear trend + weekly Fourier terms
 with ridge). All fitters are deterministic functions of their inputs.
 
 Each fit class checks, when it is built, the declared type of every field
-(`data.check_fields`) and then the rule its forecast needs of its fields
-together; either fault is a `FitError` naming the field or the rule. So
+(`data.check_fields`), then the rule its forecast needs of its fields
+together, and last that no float field or array holds a NaN or an infinity
+(`_finite_state`); each fault is a `FitError` naming the field or the rule. So
 every fit object that exists, fitted, built by hand or loaded from a
 checkpoint, can be saved, loaded back and forecast. The fitters check the
 types (`data.check_value`) and ranges of their own settings before any
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_fields, check_value
+from .data import check_fields, check_value, field_types
 
 
 class FitError(Exception):
@@ -62,6 +63,17 @@ def _ridge_penalty(value) -> None:
         raise FitError(f"ridge penalty must be a finite number >= 0, got {value}")
 
 
+def _finite_state(fit) -> None:
+    """A FitError naming the first float field or array of `fit` that holds
+    a NaN or an infinity; run after the fit's other rules, so a range rule
+    (phi's, the ridge penalty's) keeps its own message."""
+    for name, declared in field_types(type(fit)).items():
+        value = getattr(fit, name)  # a float field may hold an int no numpy type holds
+        if (declared is float and not abs(value) < np.inf
+                or declared is np.ndarray and not np.isfinite(value).all()):
+            raise FitError(f"'{name}' must hold no NaN or infinity")
+
+
 # ---------------------------------------------------------------------------
 # ARIMA(p,1,0) via conditional least squares
 
@@ -80,6 +92,7 @@ class ArimaFit:
         if not (p >= 1 and self.order[1:] == (1, 0) and len(self.coefficients) == p):
             raise FitError("'order' must be (p, 1, 0) with p >= 1 and 'coefficients' must hold"
                            " p values")
+        _finite_state(self)
 
 
 def difference(series) -> np.ndarray:
@@ -152,6 +165,7 @@ class HwFit:
         if not (m >= 1 and len(self.seasonals) == m and 0.0 < self.phi <= 1.0):
             raise FitError("'seasonals' must hold 'season_length' >= 1 values and 'phi' must"
                            " lie in (0, 1]")
+        _finite_state(self)
 
 
 def _hw_column(observed, level, trend, seasons, alpha, beta, gamma, phi):
@@ -373,6 +387,7 @@ class ProphetLiteFit:
         if not (k >= 0 and len(self.coefficients) == 2 + len(self.changepoints) + 2 * k):
             raise FitError("'coefficients' must hold 2 + len('changepoints') + 2 * 'fourier_order'"
                            " values, 'fourier_order' >= 0")
+        _finite_state(self)
 
 
 def _prophet_design(t, changepoints, fourier_order):

@@ -41,6 +41,8 @@ _ADMITS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 # the name a message gives each declared type that is no plain class
 _SHOWN = {np.ndarray: "1-D int or float ndarray", tuple[int, int, int]: "tuple[int, int, int]",
           list[float]: "list[float]"}
+# the most characters of a rejected value that a message quotes
+_QUOTED = 160
 
 
 def _admits(kind, value) -> bool:
@@ -53,6 +55,14 @@ def _admits(kind, value) -> bool:
     return isinstance(value, _ADMITS.get(kind, kind)) and not isinstance(value, (bool, dt.datetime))
 
 
+def _quoted(value) -> str:
+    """repr(value) on one line; past _QUOTED characters, its middle is cut
+    to `...`, so a long value keeps its first and its last entries."""
+    text = re.sub(r"\n\s*", " ", repr(value))
+    keep = (_QUOTED - 3) // 2
+    return text if len(text) <= _QUOTED else f"{text[:keep]}...{text[-keep:]}"
+
+
 def check_value(name: str, declared, value, error) -> None:
     """Raise `error` naming `name` unless `value` is of the type `declared`.
     An `int` is an int or a numpy integer, a `float` also a float or a numpy
@@ -60,10 +70,10 @@ def check_value(name: str, declared, value, error) -> None:
     which compares with no date; a `tuple[int, int, int]` holds three such
     ints and a `list[float]` any number of such floats; an `np.ndarray` is
     1-D, of integer or float dtype. Any other type admits its own
-    instances."""
+    instances. The message quotes the value by `_quoted`."""
     if not _admits(declared, value):
         raise error(f"{name} must be of type {_SHOWN.get(declared, declared.__name__)}, "
-                    f"got {value!r}")
+                    f"got {_quoted(value)}")
 
 
 def check_fields(obj, error) -> None:

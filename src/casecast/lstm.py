@@ -220,7 +220,7 @@ class LstmParams:
     member axis, laid out in the order of NAMES:
 
     wx (E, 4H, D) input-to-gate, rows stacked i|f|o|c; b (E, 4H);
-    dense_w (E, D_out, H); dense_b (E, D_out); wh (E, 4H, H) hidden-to-gate,
+    dense_w (E, D, H); dense_b (E, D); wh (E, 4H, H) hidden-to-gate,
     last, so the rest is a prefix.
 
     D is the widest member's input width, and `widths` holds each member's
@@ -229,6 +229,13 @@ class LstmParams:
     C-contiguous block and the blocks before wh are again a prefix. The
     constructor and `glorot` take one model's arrays and give a stack of one,
     whose `flat` is those arrays concatenated in the order of NAMES.
+
+    The constructor holds the one rule of one model's layout: wx (4H, D),
+    b (4H,), dense_w (D, H), dense_b (D,) and wh (4H, H), with H (wh's last
+    axis) and D (wx's) each >= 1. Any other set of shapes is a ValueError
+    naming the shapes it got and those it needs. `glorot`, `member` and the
+    checkpoint reader all build through it, so every stack of one is one
+    consistent model, and every model `save_lstm` writes loads back.
 
     The operands the kernels read are bound with the named arrays, as views
     of `flat`: `wx_cols` (E, 1, 4H, D), wx ready for the input term of every
@@ -247,8 +254,14 @@ class LstmParams:
 
     def __init__(self, wx, wh, b, dense_w, dense_b):
         arrays = [np.asarray(a, dtype=float) for a in (wx, b, dense_w, dense_b, wh)]
+        got = [a.shape for a in arrays]
+        d, h = (shape[-1] if shape else 0 for shape in (got[0], got[4]))  # wx's and wh's last axes
+        need = [(4 * h, d), (4 * h,), (d, h), (d,), (4 * h, h)]
+        if got != need or min(h, d) < 1:
+            raise ValueError(f"one LSTM of hidden size {h} and input width {d}, each >= 1, needs"
+                             f" {dict(zip(self.NAMES, need))}, got {dict(zip(self.NAMES, got))}")
         flat = np.concatenate([a.ravel() for a in arrays])
-        self._bind(flat, [a.shape for a in arrays], (arrays[0].shape[-1],))
+        self._bind(flat, got, (d,))
 
     def _bind(self, flat, shapes, widths):
         """Point the named arrays and the kernels' operands at the 1-D

@@ -42,6 +42,20 @@ def test_lstm_round_trip_is_bit_exact(tmp_path):
     assert loaded.epoch_losses == model.epoch_losses
 
 
+@pytest.mark.parametrize("hidden, width", [(1, 1), (1, 2), (3, 1), (5, 2)])
+def test_every_model_that_builds_loads_back_bit_exact(tmp_path, hidden, width):
+    rng = np.random.default_rng(hidden * 10 + width)
+    params = LstmParams.glorot(hidden, width, rng)
+    params.flat[:] = rng.standard_normal(params.flat.size)
+    model = LstmModel(params, TrainConfig(epochs=1, hidden=hidden), [rng.standard_normal()])
+    path = str(tmp_path / "model.json")
+    save_lstm(model, path)
+    loaded = load(path)
+    assert (loaded.config, loaded.epoch_losses) == (model.config, model.epoch_losses)
+    assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+    assert loaded.params.widths == (width,)
+
+
 # save_lstm's output for the model in test_lstm_checkpoint_bytes_are_pinned; it
 # must not depend on the order of LstmParams' arrays in memory
 PINNED_LSTM_CHECKPOINT = """\
@@ -329,9 +343,13 @@ def _set(doc, path, value):
     ("lstm-u3", ["config", "dropout"], 0.5, "^unknown checkpoint field 'config.dropout'$"),
     ("lstm-u3", ["config", "hidden"], 0, "^checkpoint field 'config': hidden must be >= 1$"),
     pytest.param("lstm-u3", ["epoch_losses"], None,
-                 "^checkpoint field 'epoch_losses' must be of type list, got None$",
+                 r"^checkpoint field 'epoch_losses' must be of type list\[float\], got None$",
                  id="lstm-u3-path5-None-'epoch_losses' must be l"),
-    ("lstm-u3", ["config", "hidden"], 4, r"'params.wx' has shape \[12, 2\], but hidden 4 .* \[16, 2\]"),
+    # LstmModel's own rule: params of hidden size 3 are no model of config.hidden 4
+    pytest.param("lstm-u3", ["config", "hidden"], 4,
+                 "^checkpoint fields do not fit together: params must be one member of hidden"
+                 " size 4, got 1 of hidden size 3$",
+                 id=r"lstm-u3-path6-4-'params.wx' has shape \["),
     ("lstm-u3", ["params", "wx", "data"], ["0.5"] * 23, r"'params.wx.data' holds 23 values, .* 24"),
     ("lstm-u3", ["params", "b", "data", 0], 0.5, "'params.b.data' must hold floats written as"),
     pytest.param("hwaas", ["fields", "seasonals"], "x",
@@ -347,7 +365,7 @@ def _set(doc, path, value):
                  r" got 'abc'$", id="arima-path13-abc-'fields.order' must be l"),
     ("arima", ["fields", "coefficients", "shape"], [2, 3],
      r"^checkpoint field 'fields.coefficients' must be of type 1-D int or float ndarray,"
-     r" got array\(\[\[.*\],\n +\[.*\]\]\)$"),
+     r" got array\(\[\[.*\], \[.*\]\]\)$"),
     ("prophet-lite", ["fields", "fourier_order"], 2, "'coefficients' must hold 2 \\+"),
     *[("hwaas", ["fields", "phi"], phi, r"'phi' must lie in \(0, 1\]")
       for phi in ("nan", "inf", "0.0", "-0.5", "2.0")],
@@ -358,6 +376,20 @@ def _set(doc, path, value):
     *[("arima", ["fields", "order"], order, r"^checkpoint field 'fields.order' must be"
        rf" of type tuple\[int, int, int\], got {re.escape(repr(tuple(order)))}$")
       for order in ([6, "x", 0], [6, 1])],
+    # a float in a spelling float() reads but `_text` never writes
+    *[("hwaas", ["fields", "level"], stored,
+       "^checkpoint field 'fields.level' must hold floats written as strings$")
+      for stored in ("1_00", " 100 ", "100", "Infinity")],
+    # a state the fit class rejects: unchecked, a level of inf loaded, and
+    # hw_forecast on it returned [inf inf]
+    *[("hwaas", ["fields", *field], stored,
+       f"^checkpoint field 'fields': '{field[0]}' must hold no NaN or infinity$")
+      for field, stored in ((["level"], "inf"), (["trend"], "-inf"), (["sse"], "nan"),
+                            (["seasonals", "data", 3], "inf"))],
+    # data that fills its own shape, but not the one LSTM the other arrays make
+    ("lstm-u3", ["params", "dense_w"], {"shape": [1, 3], "data": ["0.5"] * 3},
+     r"^checkpoint field 'params': one LSTM of hidden size 3 and input width 2, each >= 1,"
+     r" needs .*'dense_w': \(2, 3\).*, got .*'dense_w': \(1, 3\)"),
 ], ids=lambda v: None if isinstance(v, (list, dict)) else str(v)[:24])
 def test_a_malformed_body_is_a_value_error_naming_the_field(tmp_path, series, name, path,
                                                             value, message):

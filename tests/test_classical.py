@@ -603,6 +603,14 @@ ARIMA_RULE = r"^'order' must be \(p, 1, 0\) with p >= 1 and 'coefficients' must 
 HW_RULE = r"^'seasonals' must hold 'season_length' >= 1 values and 'phi' must lie in \(0, 1\]$"
 PROPHET_RULE = (r"^'coefficients' must hold 2 \+ len\('changepoints'\) \+ 2 \* 'fourier_order'"
                 r" values, 'fourier_order' >= 0$")
+
+
+def one_line(value) -> str:
+    """repr(value) as a message quotes it: on one line, each line break and
+    the indent after it one space."""
+    return re.sub(r"\n *", " ", repr(value))
+
+
 ARIMA = ArimaFit((6, 1, 0), 0.0, np.zeros(6), np.zeros(9), 1.0)
 HW = HwFit(0.5, 0.1, 0.1, 0.96, 7, 100.0, 3.0, np.zeros(7), 1.0)
 PROPHET = ProphetLiteFit(31, np.arange(5.0), np.zeros(13), 3, 1.0)
@@ -656,7 +664,7 @@ def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, r
     *[(fit, {name: value}, f"^{name} must be of type float, got {value!r}$")
       for _, fit, name in UNRANGED_REALS for value in (None, "x")],
     *[(fit, {name: value}, f"^{name} must be of type 1-D int or float ndarray, got "
-                           f"{re.escape(repr(value))}$")
+                           f"{re.escape(one_line(value))}$")
       for _, fit, name in ARRAYS
       for value in (getattr(fit, name).astype(str), getattr(fit, name)[:, None])],
 ], ids=["hw-level-str", "hw-level-none", "hw-trend-none", "hw-trend-bool", "arima-intercept-str",
@@ -669,6 +677,23 @@ def test_a_scalar_fit_field_of_the_wrong_kind_is_a_fit_error(fit, broken, messag
     # raised a bare numpy or Python error, or the forecast ran from nonsense
     with pytest.raises(FitError, match=message):
         dataclasses.replace(fit, **broken)
+
+
+# every float field and array that no range rule reads; phi and the ridge
+# penalty keep their range rules' messages
+FINITE_STATE = [*UNRANGED_REALS, *ARRAYS, ("hw", HW, "level"), ("hw", HW, "trend"),
+                ("arima", ARIMA, "intercept")]
+
+
+@pytest.mark.parametrize("fit, name", [(fit, name) for _, fit, name in FINITE_STATE],
+                         ids=[f"{kind}-{name}" for kind, _, name in FINITE_STATE])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_a_non_finite_fit_state_is_a_fit_error_naming_the_field(fit, name, bad):
+    # unchecked, each built, and its forecast held NaN or inf
+    value = getattr(fit, name)
+    broken = np.r_[value[:-1], bad] if isinstance(value, np.ndarray) else bad
+    with pytest.raises(FitError, match=f"^'{name}' must hold no NaN or infinity$"):
+        dataclasses.replace(fit, **{name: broken})
 
 
 # the integer setting of each fitter besides hw_fit's m, which

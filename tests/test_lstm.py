@@ -275,6 +275,46 @@ class TestLstmParams:
         for name in LstmParams.NAMES:
             assert getattr(grads, name).shape == getattr(params, name).shape
 
+    # each array of a model of hidden size 4 and input width 2 one size off;
+    # hidden size and input width are read from wh and wx, so their last axes
+    # change what the others must be
+    @pytest.mark.parametrize("name, shape, need", [
+        ("wx", (17, 2), "'wx': (16, 2)"),
+        ("wx", (16, 3), "'wx': (16, 3), 'b': (16,), 'dense_w': (3, 4), 'dense_b': (3,)"),
+        ("b", (15,), "'b': (16,)"),
+        ("dense_w", (2, 5), "'dense_w': (2, 4)"),
+        ("dense_w", (3, 4), "'dense_w': (2, 4)"),
+        ("dense_b", (1,), "'dense_b': (2,)"),
+        ("wh", (16, 5), "'wx': (20, 2), 'b': (20,), 'dense_w': (2, 5), 'dense_b': (2,), "
+                        "'wh': (20, 5)"),
+        ("wh", (17, 4), "'wh': (16, 4)"),
+    ], ids=["wx-rows", "wx-width", "b", "dense-w-hidden", "dense-w-width", "dense-b",
+            "wh-hidden", "wh-rows"])
+    def test_arrays_of_no_one_model_are_a_value_error(self, name, shape, need):
+        params = LstmParams.glorot(4, 2, np.random.default_rng(5))
+        arrays = {k: getattr(params, k)[0] for k in LstmParams.NAMES} | {name: np.zeros(shape)}
+        got = ", ".join(f"'{k}': {arrays[k].shape}" for k in LstmParams.NAMES)
+        with pytest.raises(ValueError, match=r"^one LSTM of hidden size \d and input width \d,"
+                                             rf" each >= 1, needs \{{.*{re.escape(need)}.*\}},"
+                                             rf" got \{{{re.escape(got)}\}}$"):
+            LstmParams(**arrays)
+
+    @pytest.mark.parametrize("hidden, width", [(0, 1), (1, 0), (0, 0)])
+    def test_a_model_of_no_unit_or_no_input_is_a_value_error(self, hidden, width):
+        arrays = {name: np.zeros(shape) for name, shape in zip(LstmParams.NAMES, [
+            (4 * hidden, width), (4 * hidden,), (width, hidden), (width,), (4 * hidden, hidden)])}
+        with pytest.raises(ValueError, match=f"^one LSTM of hidden size {hidden} and input width"
+                                             f" {width}, each >= 1, needs "):
+            LstmParams(**arrays)
+
+    def test_a_dense_head_wider_than_the_input_is_a_value_error(self):
+        # a head of two outputs on a model of one input: it forecast and saved,
+        # but no checkpoint of it loaded back
+        g = LstmParams.glorot(4, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"'dense_w': \(1, 4\).*, got .*'dense_w': \(2, 4\)"):
+            LstmModel(LstmParams(g.wx[0], g.wh[0], g.b[0], np.zeros((2, 4)), g.dense_b[0]),
+                      TrainConfig(hidden=4, epochs=1), [0.5])
+
 
 class TestForward:
     def test_zero_params_returns_dense_bias(self):
@@ -848,6 +888,16 @@ class TestLstmModel:
     def test_a_model_that_is_no_one_member_fit_is_a_value_error(self, params, losses, message):
         with pytest.raises(ValueError, match=message):
             LstmModel(params(), TrainConfig(hidden=32), losses)
+
+    def test_a_long_bad_value_is_quoted_on_one_bounded_line(self):
+        # 2000 epochs' losses, the last one bad: the message quoted all 2000
+        losses = [0.5] * 1999 + [None]
+        with pytest.raises(ValueError) as raised:
+            LstmModel(zero_params(32, 1), TrainConfig(hidden=32), losses)
+        message = str(raised.value)
+        assert re.match(r"^epoch_losses must be of type list\[float\], got \[0\.5, 0\.5, "
+                        r"[0-9., ]+\.\.\.[0-9., ]+, 0\.5, None\]$", message), message
+        assert len(message) < 250
 
     def test_a_config_of_another_type_is_a_value_error(self):
         with pytest.raises(ValueError, match="^config must be of type TrainConfig, got None$"):
