@@ -224,9 +224,10 @@ def _schema(name: str) -> str:
 def _forecast(ts, cfg: RunConfig, name: str):
     """Fit model `name` on the configured window and forecast the horizon.
 
-    An `lstm-*` name trains and forecasts one (schema, config) member
-    through `forecast_schemas`, the path `reproduce` takes for all of its
-    members. A classical name fits on the cases of the window.
+    An `lstm-*` name trains and forecasts one (schema, config, window)
+    member, on the configured window, through `forecast_schemas`, the path
+    `reproduce` takes for all of its members. A classical name fits on the
+    cases of the window.
     Returns (forecasts, fit): the fit is the LstmModel or the classical
     fit, which is what a checkpoint stores. A forecast with a NaN or an
     infinity is a NonFiniteForecastError, whatever the model. The horizon
@@ -234,9 +235,8 @@ def _forecast(ts, cfg: RunConfig, name: str):
     """
     schema = _schema(name)
     if schema:
-        member = (schema, _train_config(cfg, cfg.activation))
-        ((fit, forecasts),) = forecast_schemas(ts, [member], cfg.train_start, cfg.train_end,
-                                               cfg.horizon, cfg.lookback).values()
+        member = (schema, _train_config(cfg, cfg.activation), (cfg.train_start, cfg.train_end))
+        ((fit, forecasts),) = forecast_schemas(ts, [member], cfg.horizon, cfg.lookback).values()
     else:
         y = slice_window(ts, cfg.train_start, cfg.train_end).cases.astype(float)
         if name == "arima":
@@ -296,8 +296,9 @@ def cmd_reproduce(args) -> int:
     for name in ("arima", "hwaas", "prophet-lite"):
         classical[name], _ = _forecast(ts, cfg, name)
     cfgs = [_train_config(cfg, a) for a in ("elu", "tanh")]
-    lstms = forecast_schemas(ts, [(s, c) for s in SCHEMAS for c in cfgs],
-                             cfg.train_start, cfg.train_end, cfg.horizon, cfg.lookback)
+    window = (cfg.train_start, cfg.train_end)
+    lstms = forecast_schemas(ts, [(s, c, window) for s in SCHEMAS for c in cfgs], cfg.horizon,
+                             cfg.lookback)
     texts, tables, plots, stdout = evaluation.study_report(
         classical, lstms, actuals, dates, seed=cfg.seed, train_start=cfg.train_start,
         train_end=cfg.train_end, horizon=cfg.horizon, lookback=cfg.lookback, epochs=cfg.epochs)

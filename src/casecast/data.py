@@ -36,8 +36,11 @@ class DataError(Exception):
 # dict, so none may change it.
 field_types = functools.cache(typing.get_type_hints)
 
-# the types each declared number type admits besides itself
-_ADMITS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+# the types a declared int admits; a declared float admits these too, a
+# Python int only if float() converts it, and any float or numpy float
+_ADMITS = {int: (int, np.integer)}
+# the least int that float() rejects: 2**1024 - 2**970 rounds up to 2**1024
+_INT_BEYOND_FLOAT = 2**1024 - 2**970
 # the name a message gives each declared type that is no plain class
 _SHOWN = {np.ndarray: "1-D int or float ndarray", tuple[int, int, int]: "tuple[int, int, int]",
           list[float]: "list[float]"}
@@ -46,6 +49,9 @@ _QUOTED = 160
 
 
 def _admits(kind, value) -> bool:
+    if kind is float:  # first: a list[float] checks each of its entries here
+        return isinstance(value, (float, np.floating, np.integer)) or (
+            _admits(int, value) and abs(value) < _INT_BEYOND_FLOAT)
     if kind is np.ndarray:
         return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iuf"
     if kind == tuple[int, int, int]:
@@ -66,7 +72,8 @@ def _quoted(value) -> str:
 def check_value(name: str, declared, value, error) -> None:
     """Raise `error` naming `name` unless `value` is of the type `declared`.
     An `int` is an int or a numpy integer, a `float` also a float or a numpy
-    float, and neither a bool nor a numpy bool; a `dt.date` is no datetime,
+    float, and neither a bool nor a numpy bool; an int that `float()` cannot
+    convert, 10**400 say, is no `float`; a `dt.date` is no datetime,
     which compares with no date; a `tuple[int, int, int]` holds three such
     ints and a `list[float]` any number of such floats; an `np.ndarray` is
     1-D, of integer or float dtype. Any other type admits its own

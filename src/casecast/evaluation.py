@@ -87,9 +87,10 @@ def study_report(classical: dict, lstms: dict, actuals, dates, *, seed: int, tra
 
     `classical` maps a classical model's name ("arima", "hwaas",
     "prophet-lite") to its forecasts; `lstms` is what `forecast_schemas`
-    returns, {(schema, config): (model, forecasts)}, and each of its rows is
-    labelled by schema and activation ("U1-elu" ... "U3-tanh"). `summarize`
-    scores each row once, under its label.
+    returns, {(schema, config, window): (model, forecasts)}, and each of its
+    rows is labelled by schema and activation ("U1-elu" ... "U3-tanh"), not
+    by its window, which is the run's one `train_start`..`train_end`.
+    `summarize` scores each row once, under its label.
 
     Returns (texts, tables, plots, stdout), keyed by the names in
     ARTIFACTS: texts {"table1.csv": lines, "summary.md": lines} for
@@ -101,7 +102,7 @@ def study_report(classical: dict, lstms: dict, actuals, dates, *, seed: int, tra
     is ASCII.
     """
     rows = classical | {f"{schema.upper()}-{cfg.activation}": forecasts
-                        for (schema, cfg), (_, forecasts) in lstms.items()}
+                        for (schema, cfg, _), (_, forecasts) in lstms.items()}
     reports = {label: summarize(forecasts, actuals, label) for label, forecasts in rows.items()}
     table1 = ["activation,u1,u2,u3"]
     for activation in ("tanh", "elu"):

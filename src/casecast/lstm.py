@@ -77,8 +77,9 @@ is the dense head: numpy computes a one-row product with a different kernel
 than a two-row one, whose bits differ, so `forward` computes the head once
 per distinct width, each member at its own width. The members of one width
 are adjacent in a stack, a rule `LstmParams` enforces, so each width's head
-is one product on views bound once. `train_schema_model` trains its members
-univariate first, so any member list it is given keeps the rule.
+is one product on views bound once. `train_schema_model` trains its
+(schema, config, window) members univariate first, so any member list it is
+given, whatever windows its members carry, keeps the rule.
 """
 
 from __future__ import annotations
@@ -781,47 +782,49 @@ def _schema_training_values(ts: TimeSeries, schema: str, train_start, train_end)
 
 
 def train_schema_model(
-    ts: TimeSeries, members: list[tuple[str, TrainConfig]], train_start: dt.date,
-    train_end: dt.date, lookback: int = 1,
+    ts: TimeSeries, members: list[tuple[str, TrainConfig, tuple[dt.date, dt.date]]],
+    lookback: int = 1,
 ) -> list[LstmModel]:
-    """Fit a model for each (schema, config) member on the schema's
-    normalised training window: the cases alone, or (cases, deaths) for u3.
-    The u1 and u2 members of one config share one model, trained once. The
-    distinct members train as one lockstep ensemble (see `train`), the
-    univariate ones first and each kind in the order it first appears, so
-    each width's members are adjacent in the stack, whatever the members'
-    order, and each model is bitwise its one-member fit. A
-    TrainingDivergedError names the first diverging member in that
-    training order. Returns one model per member, in the members' order;
-    no members is a ValueError."""
+    """Fit a model for each (schema, config, (train_start, train_end))
+    member on the schema's normalised values over the member's own training
+    window: the cases alone, or (cases, deaths) for u3. The u1 and u2
+    members of one config and one window share one model, trained once.
+    The distinct members train as one lockstep ensemble (see `train`), so
+    their windows must hold one window count; the univariate ones train
+    first and each kind in the order it first appears, so each width's
+    members are adjacent in the stack, whatever the members' order, and
+    each model is bitwise its one-member fit. A TrainingDivergedError names
+    the first diverging member in that training order. Returns one model
+    per member, in the members' order; no members is a ValueError."""
     if not members:
         raise ValueError("train_schema_model needs at least one member")
     # u1 and u2 train on the same cases: a u1 member forecasts with the u2 model
-    shared = [("u2" if schema == "u1" else schema, cfg) for schema, cfg in members]
+    shared = [("u2" if schema == "u1" else schema, cfg, window) for schema, cfg, window in members]
     # univariate first, a stable sort: each width's members adjacent
     trained = sorted(dict.fromkeys(shared), key=lambda member: member[0] == "u3")
-    windows = {s: make_windows(_schema_training_values(ts, s, train_start, train_end)[1],
-                               lookback) for s, _ in trained}
-    pairs = [(windows[schema], cfg) for schema, cfg in trained]
+    windows = {(s, w): make_windows(_schema_training_values(ts, s, *w)[1], lookback)
+               for s, _, w in trained}
+    pairs = [(windows[schema, window], cfg) for schema, cfg, window in trained]
     models = dict(zip(trained, train(*pairs[0], *pairs[1:])))
     return [models[member] for member in shared]
 
 
 def forecast_schemas(
-    ts: TimeSeries, members: list[tuple[str, TrainConfig]], train_start: dt.date,
-    train_end: dt.date, horizon: int = 15, lookback: int = 1,
-) -> dict[tuple[str, TrainConfig], tuple[LstmModel, np.ndarray]]:
-    """Train every (schema, config) member in one `train_schema_model` call,
-    then forecast each member's schema with its model through `run_schema`.
-    Returns {(schema, config): (model, forecasts)} in the members' order;
-    no members, or a member given twice, whose entries would collide, is a
-    ValueError."""
+    ts: TimeSeries, members: list[tuple[str, TrainConfig, tuple[dt.date, dt.date]]],
+    horizon: int = 15, lookback: int = 1,
+) -> dict[tuple[str, TrainConfig, tuple[dt.date, dt.date]], tuple[LstmModel, np.ndarray]]:
+    """Train every (schema, config, window) member in one
+    `train_schema_model` call, then forecast each member's schema with its
+    model through `run_schema`, from the end of the member's own window.
+    Returns {member: (model, forecasts)} in the members' order; no members,
+    or a member given twice, whose entries would collide, is a ValueError.
+    Members that differ only in their windows are distinct."""
     if len(set(members)) < len(members):
         raise ValueError(f"forecast_schemas got member {max(members, key=members.count)} twice")
-    models = train_schema_model(ts, members, train_start, train_end, lookback)
-    return {(schema, cfg): (model, run_schema(ts, schema, cfg, train_start, train_end, horizon,
-                                              lookback, model=model).forecasts)
-            for (schema, cfg), model in zip(members, models)}
+    models = train_schema_model(ts, members, lookback)
+    return {(schema, cfg, window): (model, run_schema(ts, schema, cfg, *window, horizon, lookback,
+                                                      model=model).forecasts)
+            for (schema, cfg, window), model in zip(members, models)}
 
 
 def run_schema(

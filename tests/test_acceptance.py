@@ -45,18 +45,19 @@ def train_cases(series):
 def lstm_matrix(series, test_actuals):
     """MAPEs for every (activation, schema, seed) cell at full scale.
 
-    `forecast_schemas` gets every (schema, config) member, schema-major, as
-    `reproduce` passes them for its one seed, and trains the 20 models
-    (5 seeds x 2 activations x {univariate, bivariate}; u1 shares u2's) as
-    one lockstep ensemble. Also keeps each univariate loss curve.
+    `forecast_schemas` gets every (schema, config, window) member on the
+    paper split, schema-major, as `reproduce` passes them for its one seed,
+    and trains the 20 models (5 seeds x 2 activations x {univariate,
+    bivariate}; u1 shares u2's) as one lockstep ensemble. Also keeps each
+    univariate loss curve.
     """
     cfgs = [TrainConfig(activation=activation, seed=seed)
             for activation, seed in itertools.product(("elu", "tanh"), SEEDS)]
-    members = [(schema, cfg) for schema in SCHEMAS for cfg in cfgs]
-    matrix = forecast_schemas(series, members, TRAIN_START, TRAIN_END, HORIZON)
+    members = [(schema, cfg, (TRAIN_START, TRAIN_END)) for schema in SCHEMAS for cfg in cfgs]
+    matrix = forecast_schemas(series, members, HORIZON)
     mapes = {}
     losses = {}
-    for (schema, cfg), (model, forecasts) in matrix.items():
+    for (schema, cfg, _), (model, forecasts) in matrix.items():
         if schema == "u2":
             losses[(cfg.activation, cfg.seed)] = model.epoch_losses
         rep = summarize(forecasts, test_actuals, "lstm", schema)
@@ -159,7 +160,7 @@ class TestLstm:
         runs = []
         for _ in range(2):
             cfg = TrainConfig(seed=42)
-            (model,) = train_schema_model(series, [("u2", cfg)], TRAIN_START, TRAIN_END)
+            (model,) = train_schema_model(series, [("u2", cfg, (TRAIN_START, TRAIN_END))])
             run = run_schema(
                 series, "u2", cfg, TRAIN_START, TRAIN_END, HORIZON, model=model
             )

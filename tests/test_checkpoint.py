@@ -390,6 +390,10 @@ def _set(doc, path, value):
     ("lstm-u3", ["params", "dense_w"], {"shape": [1, 3], "data": ["0.5"] * 3},
      r"^checkpoint field 'params': one LSTM of hidden size 3 and input width 2, each >= 1,"
      r" needs .*'dense_w': \(2, 3\).*, got .*'dense_w': \(1, 3\)"),
+    # an int that float() rejects: unchecked, it loaded, and save_lstm on the
+    # loaded model raised a bare OverflowError
+    ("lstm-u3", ["config", "learning_rate"], 10**400,
+     r"^checkpoint field 'config.learning_rate' must be of type float, got 10+\.\.\.0+$"),
 ], ids=lambda v: None if isinstance(v, (list, dict)) else str(v)[:24])
 def test_a_malformed_body_is_a_value_error_naming_the_field(tmp_path, series, name, path,
                                                             value, message):

@@ -655,6 +655,8 @@ def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, r
     (HW, {"level": None}, "^level must be of type float, got None$"),
     (HW, {"trend": None}, "^trend must be of type float, got None$"),
     (HW, {"trend": True}, "^trend must be of type float, got True$"),
+    # unchecked, it built, and hw_forecast raised a bare OverflowError
+    (HW, {"level": 10**400}, r"^level must be of type float, got 10+\.\.\.0+$"),
     (ARIMA, {"intercept": "x"}, "^intercept must be of type float, got 'x'$"),
     (PROPHET, {"n_train": 31.5}, "^n_train must be of type int, got 31.5$"),
     (PROPHET, {"n_train": True}, "^n_train must be of type int, got True$"),
@@ -667,7 +669,8 @@ def test_a_fit_with_a_broken_field_is_a_fit_error_naming_its_rule(fit, broken, r
                            f"{re.escape(one_line(value))}$")
       for _, fit, name in ARRAYS
       for value in (getattr(fit, name).astype(str), getattr(fit, name)[:, None])],
-], ids=["hw-level-str", "hw-level-none", "hw-trend-none", "hw-trend-bool", "arima-intercept-str",
+], ids=["hw-level-str", "hw-level-none", "hw-trend-none", "hw-trend-bool",
+        "hw-level-int-beyond-float", "arima-intercept-str",
         "prophet-n-train-float", "prophet-n-train-bool", "prophet-n-train-negative",
         "prophet-n-train-zero",
         *[f"{kind}-{name}-{how}" for kind, _, name in UNRANGED_REALS for how in ("none", "str")],

@@ -90,7 +90,8 @@ class TestRun:
         monkeypatch.setattr(cli, "forecast_schemas", spy)
         assert run_cli("run", "--model", f"lstm-{schema}", "--epochs", "1",
                        "--out", str(tmp_path / "out")) == EXIT_OK
-        assert calls == [[(schema, lstm.TrainConfig(epochs=1))]]
+        window = (dt.date(2020, 3, 24), dt.date(2020, 4, 23))  # the default --train
+        assert calls == [[(schema, lstm.TrainConfig(epochs=1), window)]]
 
     def test_zero_horizon_is_config_error(self, capsys):
         assert run_cli("run", "--model", "hwaas", "--horizon", "0") == EXIT_USAGE

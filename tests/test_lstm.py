@@ -37,6 +37,9 @@ from casecast.lstm import (
 TRAIN_START = dt.date(2020, 3, 24)
 TRAIN_END = dt.date(2020, 4, 23)
 TEST_START = dt.date(2020, 4, 24)
+WINDOW = (TRAIN_START, TRAIN_END)
+# a second training window of the paper split's length, one day earlier
+SHIFTED = (dt.date(2020, 3, 23), dt.date(2020, 4, 22))
 
 
 class TestElu:
@@ -935,8 +938,11 @@ class TestTrain:
         {"epochs": 2.5}, {"hidden": 4.0}, {"epochs": math.nan}, {"epochs": True},
         {"seed": "3"}, {"learning_rate": "0.1"}, {"epsilon": True}, {"beta1": True},
         {"activation": ["elu"]},
+        # ints that float() rejects: unchecked, `train` raised a bare OverflowError
+        {"learning_rate": 10**400}, {"learning_rate": 2**1024 - 2**970},
     ], ids=["epochs-float", "hidden-float", "epochs-nan", "epochs-bool", "seed-str",
-            "learning-rate-str", "epsilon-bool", "beta1-bool", "activation-list"])
+            "learning-rate-str", "epsilon-bool", "beta1-bool", "activation-list",
+            "learning-rate-int-beyond-float", "learning-rate-int-rounding-to-inf"])
     def test_config_rejects_a_setting_of_the_wrong_type(self, setting):
         (name,) = setting
         with pytest.raises(ValueError, match=f"^{name} must be of type .*, got "):
@@ -946,6 +952,9 @@ class TestTrain:
         cfg = TrainConfig(epochs=np.int64(3), hidden=np.int32(4), seed=np.int64(4),
                           learning_rate=1, beta1=np.float64(0.5))
         assert (cfg.epochs, cfg.hidden, cfg.seed, cfg.learning_rate) == (3, 4, 4, 1)
+        # the largest int that float() converts, to the largest float
+        largest = 2**1024 - 2**970 - 1
+        assert float(TrainConfig(learning_rate=largest).learning_rate) == np.finfo(float).max
 
     def test_config_caps_epochs(self):
         assert TrainConfig(epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
@@ -1230,8 +1239,8 @@ def stub_forward(monkeypatch, step):
 class TestRunSchema:
     def test_u1_u2_share_training_path(self, series):
         cfg = TrainConfig(epochs=3, hidden=4, seed=2)
-        (m1,) = train_schema_model(series, [("u1", cfg)], TRAIN_START, TRAIN_END)
-        (m2,) = train_schema_model(series, [("u2", cfg)], TRAIN_START, TRAIN_END)
+        (m1,) = train_schema_model(series, [("u1", cfg, WINDOW)])
+        (m2,) = train_schema_model(series, [("u2", cfg, WINDOW)])
         for k in LstmParams.NAMES:
             np.testing.assert_array_equal(getattr(m1.params, k), getattr(m2.params, k))
 
@@ -1240,24 +1249,22 @@ class TestRunSchema:
         # what `reproduce` tabulates is what `run --model lstm-uX` gives
         cfgs = [TrainConfig(epochs=3, hidden=4, activation="elu", seed=1),
                 TrainConfig(epochs=3, hidden=4, activation="tanh", seed=2)]
-        members = [(s, c) for s in SCHEMAS for c in cfgs]
-        matrix = lstm.forecast_schemas(series, members, TRAIN_START, TRAIN_END, 15, lookback)
+        members = [(s, c, WINDOW) for s in SCHEMAS for c in cfgs]
+        matrix = lstm.forecast_schemas(series, members, 15, lookback)
         assert list(matrix) == members
-        for (schema, cfg), (model, forecasts) in matrix.items():
-            (alone,) = train_schema_model(series, [(schema, cfg)], TRAIN_START, TRAIN_END,
-                                          lookback)
-            run = run_schema(series, schema, cfg, TRAIN_START, TRAIN_END, 15, lookback,
-                             model=alone)
+        for (schema, cfg, window), (model, forecasts) in matrix.items():
+            (alone,) = train_schema_model(series, [(schema, cfg, window)], lookback)
+            run = run_schema(series, schema, cfg, *window, 15, lookback, model=alone)
             assert model.params.flat.tobytes() == alone.params.flat.tobytes(), (schema, cfg)
             assert forecasts.tobytes() == run.forecasts.tobytes(), (schema, cfg)
 
     def test_forecast_schemas_needs_a_member(self, series):
         with pytest.raises(ValueError, match="at least one member"):
-            lstm.forecast_schemas(series, [], TRAIN_START, TRAIN_END)
+            lstm.forecast_schemas(series, [])
 
     def test_forecast_schemas_rejects_a_repeated_member_before_training(self, series,
                                                                         monkeypatch):
-        # a repeated member would collide on its (schema, config) key
+        # a repeated member would collide on its (schema, config, window) key
         def no_training(*args):
             raise AssertionError("trained")
 
@@ -1265,25 +1272,34 @@ class TestRunSchema:
         cfg = TrainConfig(epochs=1, hidden=2)
         with pytest.raises(ValueError,
                            match=r"member \('u1', TrainConfig\(epochs=1, hidden=2,.* twice"):
-            lstm.forecast_schemas(series, [("u1", cfg), ("u2", cfg), ("u1", cfg)],
-                                  TRAIN_START, TRAIN_END)
+            lstm.forecast_schemas(series, [("u1", cfg, WINDOW), ("u2", cfg, WINDOW),
+                                           ("u1", cfg, WINDOW)])
+        # a member that differs from another only in its window is no repeat:
+        # it goes on to train
+        with pytest.raises(AssertionError, match="^trained$"):
+            lstm.forecast_schemas(series, [("u1", cfg, WINDOW), ("u1", cfg, SHIFTED)])
 
     def test_train_schema_model_needs_a_member(self, series):
         with pytest.raises(ValueError, match="at least one member"):
-            train_schema_model(series, [], TRAIN_START, TRAIN_END)
+            train_schema_model(series, [])
 
     @pytest.mark.parametrize("lookback", [1, 3])
     def test_mixed_members_are_each_their_one_member_fit(self, series, lookback):
-        members = [("u3", TrainConfig(epochs=3, hidden=4, activation="tanh", seed=5)),
-                   ("u1", TrainConfig(epochs=3, hidden=4, activation="elu", seed=1)),
-                   ("u2", TrainConfig(epochs=3, hidden=4, activation="tanh", seed=2))]
-        models = train_schema_model(series, members, TRAIN_START, TRAIN_END, lookback)
+        # the last two train on a second window of the same length in the
+        # same call, one of them under the third's config
+        cfgs = [TrainConfig(epochs=3, hidden=4, activation=a, seed=s)
+                for a, s in (("tanh", 5), ("elu", 1), ("tanh", 2), ("elu", 6))]
+        members = [("u3", cfgs[0], WINDOW), ("u1", cfgs[1], WINDOW), ("u2", cfgs[2], WINDOW),
+                   ("u2", cfgs[2], SHIFTED), ("u3", cfgs[3], SHIFTED)]
+        models = train_schema_model(series, members, lookback)
+        matrix = lstm.forecast_schemas(series, members, 15, lookback)
         assert len(models) == len(members)
         for member, model in zip(members, models):
-            (alone,) = train_schema_model(series, [member], TRAIN_START, TRAIN_END, lookback)
+            ((alone, forecasts),) = lstm.forecast_schemas(series, [member], 15, lookback).values()
             assert model.config == member[1]
             assert model.params.flat.tobytes() == alone.params.flat.tobytes(), member
             assert model.epoch_losses == alone.epoch_losses, member
+            assert matrix[member][1].tobytes() == forecasts.tobytes(), member
 
     @staticmethod
     def spy_on_train(monkeypatch):
@@ -1302,19 +1318,38 @@ class TestRunSchema:
     def test_u1_and_u2_of_one_config_train_one_model(self, series, monkeypatch):
         calls = self.spy_on_train(monkeypatch)
         cfg = TrainConfig(epochs=2, hidden=4, seed=3)
-        u1, u2 = train_schema_model(series, [("u1", cfg), ("u2", cfg)], TRAIN_START, TRAIN_END)
+        u1, u2 = train_schema_model(series, [("u1", cfg, WINDOW), ("u2", cfg, WINDOW)])
         assert calls == [[(1, cfg)]]
         assert u1 is u2
+        # on two windows, they share the config but not the model
+        u1, u2 = train_schema_model(series, [("u1", cfg, WINDOW), ("u2", cfg, SHIFTED)])
+        assert calls[1:] == [[(1, cfg), (1, cfg)]]
+        assert u1 is not u2 and u1.params.flat.tobytes() != u2.params.flat.tobytes()
+
+    def test_windows_of_other_window_counts_are_refused_before_any_step(self, series,
+                                                                        monkeypatch):
+        steps = []
+        monkeypatch.setattr(lstm, "bptt_gradient", lambda *args: steps.append(args))
+        cfg = TrainConfig(epochs=2, hidden=4)
+        shorter = (TRAIN_START, TRAIN_END - dt.timedelta(days=1))
+        with pytest.raises(ValueError, match="must share the window count and the lookback"):
+            train_schema_model(series, [("u2", cfg, WINDOW), ("u3", cfg, shorter)])
+        assert steps == []
 
     def test_forecast_schemas_trains_one_lockstep_ensemble(self, series, monkeypatch):
         # the study's wall time rests on one `train` call for every member
         calls = self.spy_on_train(monkeypatch)
         cfgs = [TrainConfig(epochs=2, hidden=4, activation=a, seed=s)
                 for a, s in (("elu", 1), ("tanh", 2), ("elu", 3))]
-        lstm.forecast_schemas(series, [(s, c) for s in SCHEMAS for c in cfgs], TRAIN_START,
-                              TRAIN_END)
+        lstm.forecast_schemas(series, [(s, c, WINDOW) for s in SCHEMAS for c in cfgs])
         # u1 shares u2's model: the univariate members in the configs' order, then u3's
         assert calls == [[(1, c) for c in cfgs] + [(2, c) for c in cfgs]]
+        calls.clear()
+        # members on two windows of one length train in one call too, each
+        # window's u1 with its own u2
+        lstm.forecast_schemas(series, [(s, cfgs[0], w) for w in (WINDOW, SHIFTED)
+                                       for s in SCHEMAS])
+        assert calls == [[(1, cfgs[0])] * 2 + [(2, cfgs[0])] * 2]
 
     @pytest.mark.parametrize("lookback", [1, 3])
     def test_interleaved_members_train_univariate_first_each_as_its_one_member_fit(
@@ -1323,17 +1358,15 @@ class TestRunSchema:
         # width's members adjacent, the univariate ones first
         cfgs = [TrainConfig(epochs=3, hidden=4, activation=a, seed=s)
                 for a, s in (("elu", 1), ("tanh", 2), ("tanh", 3), ("elu", 4))]
-        members = [("u2", cfgs[0]), ("u3", cfgs[1]), ("u1", cfgs[2]), ("u3", cfgs[3]),
-                   ("u1", cfgs[0])]
+        members = [("u2", cfgs[0], WINDOW), ("u3", cfgs[1], WINDOW), ("u1", cfgs[2], WINDOW),
+                   ("u3", cfgs[3], WINDOW), ("u1", cfgs[0], WINDOW)]
         calls = self.spy_on_train(monkeypatch)
-        matrix = lstm.forecast_schemas(series, members, TRAIN_START, TRAIN_END, 15, lookback)
+        matrix = lstm.forecast_schemas(series, members, 15, lookback)
         assert calls == [[(1, cfgs[0]), (1, cfgs[2]), (2, cfgs[1]), (2, cfgs[3])]]
         assert list(matrix) == members
-        for (schema, cfg), (model, forecasts) in matrix.items():
-            (alone,) = train_schema_model(series, [(schema, cfg)], TRAIN_START, TRAIN_END,
-                                          lookback)
-            run = run_schema(series, schema, cfg, TRAIN_START, TRAIN_END, 15, lookback,
-                             model=alone)
+        for (schema, cfg, window), (model, forecasts) in matrix.items():
+            (alone,) = train_schema_model(series, [(schema, cfg, window)], lookback)
+            run = run_schema(series, schema, cfg, *window, 15, lookback, model=alone)
             assert model.params.flat.tobytes() == alone.params.flat.tobytes(), (schema, cfg)
             assert model.epoch_losses == alone.epoch_losses, (schema, cfg)
             assert forecasts.tobytes() == run.forecasts.tobytes(), (schema, cfg)
@@ -1445,8 +1478,7 @@ class TestRunSchema:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(lstm.TrainingDivergedError) as info:
-                lstm.forecast_schemas(series, [("u3", cfg)], TRAIN_START, TRAIN_END,
-                                      lookback=lookback)
+                lstm.forecast_schemas(series, [("u3", cfg, WINDOW)], lookback=lookback)
         assert caught == []
         assert info.value.epoch == 1
         assert str(info.value) == "non-finite training loss at epoch 1 (activation elu, seed 42)"
@@ -1454,8 +1486,8 @@ class TestRunSchema:
     def test_a_saturating_model_forecasts_without_a_warning(self, series):
         # forward leaves exp's overflow on a saturated gate to its caller, and
         # run_schema ignores it
-        (model,) = train_schema_model(series, [("u2", TrainConfig(epochs=2))], TRAIN_START,
-                                      TRAIN_END, lookback=3)
+        (model,) = train_schema_model(series, [("u2", TrainConfig(epochs=2), WINDOW)],
+                                      lookback=3)
         model.params.flat[...] *= 1e3
         _, values = lstm._schema_training_values(series, "u2", TRAIN_START, TRAIN_END)
         ws = lstm.Workspace(model.params, 3, ("elu",))

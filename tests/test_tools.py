@@ -1,11 +1,13 @@
-"""The repository's tools: the bitwise gate's fast self-checks, the code
-line count and the benchmark record's parser. The gate's HEAD-against-HEAD
-run (about 25 s) stays in `tools/gate_selftest.py`."""
+"""The repository's tools: the bitwise gate's fast self-checks and its
+choice of script, the code line count, and the benchmark record's parser and
+speed scaling. The gate's HEAD-against-HEAD run (about 25 s) stays in
+`tools/gate_selftest.py`."""
 
 import json
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_record  # noqa: E402
+import bitwise_gate  # noqa: E402
 import code_lines as code_lines_tool  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from gate_selftest import (  # noqa: E402,F401  collected here as tests
@@ -20,6 +23,28 @@ from gate_selftest import (  # noqa: E402,F401  collected here as tests
     test_differing_lists_changed_missing_and_extra_entries,
     test_every_command_has_a_known_kind,
 )
+
+
+def test_bitwise_gate_runs_each_sides_own_script_or_else_the_working_trees(tmp_path,
+                                                                           monkeypatch):
+    # the side has its own copy of one script; the other is new in the
+    # working tree, so the side runs the working tree's
+    side = tmp_path / "side"
+    (side / "tools").mkdir(parents=True)
+    (side / "tools" / "kept.py").write_text("", encoding="utf-8")
+    monkeypatch.setattr(bitwise_gate, "COMMANDS",
+                        {"script-kept": ["kept.py"], "script-new": ["new.py", "--flag"]})
+    runs = []
+
+    def run(command, cwd, env, capture_output):
+        runs.append((command[1:], env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(command, 0, b"", b"")
+
+    monkeypatch.setattr(bitwise_gate, "subprocess", types.SimpleNamespace(run=run))
+    bitwise_gate.run_side(side, tmp_path / "work")
+    assert runs == [([str(side / "tools" / "kept.py")], str(side / "src")),
+                    ([str(bitwise_gate.ROOT / "tools" / "new.py"), "--flag"], str(side / "src"))]
+
 
 SOURCE = '''"""A module docstring
 over two lines."""
@@ -102,6 +127,13 @@ backtest: correct, error_rate 0.0000 (0/90 model results failed)
 """
 
 
+def canned_run(before=0.004, after=0.0042):
+    """PERFBENCH_OUTPUT as `run_perfbench` returns it, with brackets of
+    `before` and `after` seconds."""
+    return {**bench_record.parse_run(PERFBENCH_OUTPUT),
+            "speed": bench_record.speed_entry(before, after)}
+
+
 def test_bench_record_keeps_the_machine_line_and_the_last_json_line():
     run = bench_record.parse_run(PERFBENCH_OUTPUT)
     assert run["machine"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
@@ -121,9 +153,10 @@ def test_bench_record_rejects_output_missing_either_line(output, message):
 
 
 def test_bench_record_writes_sorted_keys_whatever_the_order_it_got():
-    run = bench_record.parse_run(PERFBENCH_OUTPUT)
+    run = canned_run()
     tier1 = bench_record.parse_durations(PYTEST_OUTPUT)
-    shuffled = {"result": dict(reversed(run["result"].items())),
+    shuffled = {"speed": dict(reversed(run["speed"].items())),
+                "result": dict(reversed(run["result"].items())),
                 "machine": dict(reversed(run["machine"].items()))}
     shuffled_tier1 = {"seconds": dict(reversed(tier1["seconds"].items())),
                       "warnings": tier1["warnings"], "counts": tier1["counts"]}
@@ -134,7 +167,7 @@ def test_bench_record_writes_sorted_keys_whatever_the_order_it_got():
     assert texts[0] == texts[1] and texts[0].endswith("}\n")
     record = json.loads(texts[0])
     assert list(record) == ["code_lines", "command", "label", "source_sha256", "tier1", "traced",
-                            "untraced"]
+                            "traced_scaled", "untraced"]
     assert list(record["code_lines"].items()) == sorted(lines.items())
     assert record["command"] == {"seconds": 25, "seed": bench_record.SEED, "workload": "all"}
     assert record["untraced"] == run
@@ -212,7 +245,7 @@ def test_bench_record_writes_each_modules_code_lines(tmp_path, monkeypatch, caps
     (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 3}', encoding="utf-8")
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_perfbench",
-                        lambda seconds, trace: bench_record.parse_run(PERFBENCH_OUTPUT))
+                        lambda seconds, trace: canned_run())
     monkeypatch.setattr(bench_record, "run_tier1",
                         lambda: bench_record.parse_durations(PYTEST_OUTPUT))
     assert bench_record.main(["t"]) == 0
@@ -221,3 +254,50 @@ def test_bench_record_writes_each_modules_code_lines(tmp_path, monkeypatch, caps
     assert record["code_lines"] == code_lines_tool.tree_counts()
     assert set(record["code_lines"]) >= {"lstm.py", "classical.py", "cli.py"}
     assert record["command"]["seconds"] == 3
+
+
+# a traced run's metrics of every unit perfbench reports
+TRACED_METRICS = {
+    "study.lstm.train.us_per_step": {"value": 100.0, "unit": "us"},
+    "fit_seq7.checkpoint.load.ms": {"value": 6.0, "unit": "ms"},
+    "study.trace.wall_s": {"value": 1.5, "unit": "s"},
+    "study.lstm.train.steps": {"value": 9000.0, "unit": "count"},
+    "study.lstm.adam.share": {"value": 0.25, "unit": "ratio"},
+    "study.lstm.train.gflops_computed": {"value": 0.4, "unit": "GFLOP/s"},
+    "fit_seq7.checkpoint.bytes": {"value": 128146.0, "unit": "bytes"},
+    "study.lstm.mape.u1_elu": {"value": 0.7, "unit": "%"},
+}
+
+
+def test_bench_record_scales_the_traced_times_by_the_brackets_of_their_run(tmp_path,
+                                                                           monkeypatch, capsys):
+    # brackets of 4 and 9 ms: their geometric mean, 6 ms, is twice the
+    # reference's 3 ms, so each time halves; counts, ratios, rates, bytes
+    # and errors are left out
+    traced = {"machine": {}, "result": {"metrics": TRACED_METRICS},
+              "speed": bench_record.speed_entry(0.004, 0.009)}
+    assert bench_record.speed.REFERENCE_SECONDS == 0.003
+    scaled = bench_record.traced_scaled(traced)
+    assert scaled == {"study.lstm.train.us_per_step": {"value": pytest.approx(50.0), "unit": "us"},
+                      "fit_seq7.checkpoint.load.ms": {"value": pytest.approx(3.0), "unit": "ms"},
+                      "study.trace.wall_s": {"value": pytest.approx(0.75), "unit": "s"}}
+    # 9 ms is 2.25 times 4 ms, past the 20 % a steady run may differ by;
+    # the record is flagged on stderr and written all the same
+    assert [bench_record.speed_entry(*b)["steady"]
+            for b in ((0.004, 0.009), (0.006, 0.007), (0.007, 0.006), (0.006, 0.0075))] == [
+        False, True, True, False]
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 3}', encoding="utf-8")
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_perfbench",
+                        lambda seconds, trace: traced if trace else canned_run())
+    monkeypatch.setattr(bench_record, "run_tier1",
+                        lambda: bench_record.parse_durations(PYTEST_OUTPUT))
+    assert bench_record.main(["t"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "bench_record: wrote BENCH_t.json\n"
+    assert err == ("bench_record: the traced run's speed brackets differ by more than 20%: "
+                   "0.00400 s before, 0.00900 s after\n")
+    record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert record["traced"]["speed"] == {"before": 0.004, "after": 0.009, "steady": False}
+    assert record["untraced"]["speed"]["steady"] is True
+    assert record["traced_scaled"] == scaled

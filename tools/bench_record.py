@@ -17,6 +17,19 @@ the trajectory shows the package's size beside its speed. The record
 names the SHA-256 of the source files it measured and is written with its
 keys sorted, so two records of one tree differ only in their numbers.
 
+Untraced perfbench scales its times by its own speed probe, but the traced
+per-layer figures are raw, so they move with the host's speed. So each
+perfbench run is bracketed by the median seconds of `BRACKET` calls of
+perfbench's `speed.reference()` just before it and just after it, kept
+under the run's `speed` with `steady`, false when the two differ by more
+than `STEADY` (20 %). Such a record is flagged on stderr, not refused.
+`traced_scaled` holds each traced metric in us, ms or s times
+`speed.REFERENCE_SECONDS / sqrt(before * after)` of the traced run's
+brackets, so it reads as on perfbench's reference machine. A bracket
+cannot follow a swing of speed inside a run. Records written before the
+brackets (BENCH_40.json and older) hold no bracket, and they cannot be
+back-filled: the host's speed at the time of their runs is gone.
+
 Exit 1 when a perfbench run fails or prints no machine line or no JSON, or
 when pytest's summary counts anything but the `OUTCOMES` of tests and
 warnings (an error, such as a collection error, among them) or it prints
@@ -28,8 +41,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +52,16 @@ from pathlib import Path
 from code_lines import tree_counts
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import speed  # noqa: E402  perfbench's machine-speed probe
+
+# `speed.reference()` calls per bracket, and the most the two brackets of
+# a run may differ by, as a ratio, for the run to count as steady
+BRACKET = 31
+STEADY = 1.2
+# the units of the traced metrics that `traced_scaled` scales
+TIMED_UNITS = ("us", "ms", "s")
 SEED = 1
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0",
          "-p", "no:cacheprovider"]
@@ -109,10 +134,28 @@ def source_digest(root: Path = ROOT) -> str:
     return digest.hexdigest()
 
 
+def speed_entry(before: float, after: float) -> dict:
+    """A run's `speed`: its brackets, in seconds, and whether they differ by
+    at most the ratio STEADY."""
+    return {"before": before, "after": after,
+            "steady": max(before, after) <= STEADY * min(before, after)}
+
+
+def traced_scaled(traced: dict) -> dict:
+    """Each metric of the traced run in one of TIMED_UNITS, times
+    REFERENCE_SECONDS over the geometric mean of the run's brackets."""
+    factor = speed.REFERENCE_SECONDS / math.sqrt(traced["speed"]["before"]
+                                                 * traced["speed"]["after"])
+    return {name: {"value": metric["value"] * factor, "unit": metric["unit"]}
+            for name, metric in traced["result"]["metrics"].items()
+            if metric["unit"] in TIMED_UNITS}
+
+
 def record_text(label: str, seconds: int, untraced: dict, traced: dict, tier1: dict,
                 digest: str, code_lines: dict) -> str:
     """The record as JSON text, keys sorted, one trailing newline;
-    `code_lines` maps each module's file name to its code lines."""
+    `code_lines` maps each module's file name to its code lines. Each run
+    holds its `speed`."""
     record = {
         "label": label,
         "source_sha256": digest,
@@ -120,19 +163,28 @@ def record_text(label: str, seconds: int, untraced: dict, traced: dict, tier1: d
         "command": {"workload": "all", "seed": SEED, "seconds": seconds},
         "untraced": untraced,
         "traced": traced,
+        "traced_scaled": traced_scaled(traced),
         "tier1": {"command": " ".join(["python"] + TIER1), **tier1},
     }
     return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
+def bracket() -> float:
+    """The median seconds of BRACKET `speed.reference()` calls."""
+    return statistics.median(speed.reference() for _ in range(BRACKET))
+
+
 def run_perfbench(seconds: int, trace: int) -> dict:
+    """One perfbench run, parsed, with the `speed` of its brackets."""
     argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", str(trace)]
+    before = bracket()
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    after = bracket()
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return parse_run(proc.stdout)
+    return {**parse_run(proc.stdout), "speed": speed_entry(before, after)}
 
 
 def run_tier1() -> dict:
@@ -164,6 +216,11 @@ def main(argv=None) -> int:
                        tree_counts())
     path.write_text(text, encoding="utf-8")
     print(f"bench_record: wrote {path.name}")
+    for name, run in (("untraced", untraced), ("traced", traced)):
+        if not run["speed"]["steady"]:
+            print(f"bench_record: the {name} run's speed brackets differ by more than "
+                  f"{STEADY - 1:.0%}: {run['speed']['before']:.5f} s before, "
+                  f"{run['speed']['after']:.5f} s after", file=sys.stderr)
     return 0
 
 

@@ -4,9 +4,12 @@ Runs one fixed list of `casecast` commands on the `src/` of a git revision
 and on the `src/` of the working tree, hashes (SHA-256) every artifact, the
 stdout, the stderr and the exit code of each command, and lists every entry
 that differs between the two sides. Each command runs in a fresh process;
-an entry whose argv is a `.py` file runs that script of the working tree's
-`tools/` on each side's package instead, for behaviour that only shows
-within one process (state one call leaves for the next).
+an entry whose argv is a `.py` file runs a script on each side's package
+instead, for behaviour that only shows within one process (state one call
+leaves for the next). Each side runs its own copy of the script, from the
+`tools/` committed next to its `src/`, so a script may follow a change to
+the package's API; a side that lacks the script runs the working tree's,
+so a new script runs on both sides.
 
     python3 tools/bitwise_gate.py REV    # REV against the working tree
     python3 tools/gate_selftest.py       # HEAD against HEAD
@@ -104,24 +107,33 @@ def commit_of(rev: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def extract_src(commit: str, dest: Path) -> Path:
-    """The committed `src/` of `commit`, unpacked under `dest`."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit, "src"],
-                         capture_output=True, check=True).stdout
+def extract_tree(commit: str, dest: Path) -> Path:
+    """The committed `src/` and `tools/` of `commit`, unpacked under `dest`,
+    which is returned: the root of that side."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit, "src",
+                          "tools"], capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
-    return dest / "src"
+    return dest
 
 
-def run_side(src: Path, work: Path) -> dict[str, str]:
-    """Run every command on the package in `src` with `work` as the working
+def script_path(root: Path, script: str) -> Path:
+    """The script a side rooted at `root` runs: its own `tools/<script>`,
+    or the working tree's when it has none."""
+    own = root / "tools" / script
+    return own if own.is_file() else ROOT / "tools" / script
+
+
+def run_side(root: Path, work: Path) -> dict[str, str]:
+    """Run every command on the package in `root/src`, and each script
+    entry from `script_path(root, ...)`, with `work` as the working
     directory. Returns entry name -> digest."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
     digests = {}
     for name, argv in COMMANDS.items():
         out = Path("out") / name
         if argv[0].endswith(".py"):
-            command = [sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]]
+            command = [sys.executable, str(script_path(root, argv[0])), *argv[1:]]
         else:
             command = [sys.executable, "-m", "casecast.cli", *argv, "--out", str(out)]
         proc = subprocess.run(command, cwd=work, env=env, capture_output=True)
@@ -150,10 +162,10 @@ def main(argv=None) -> int:
     print(f"bitwise gate: {args.rev} ({commit[:12]}) against the working tree", flush=True)
     with tempfile.TemporaryDirectory(prefix="bitwise-gate-") as tmp:
         sides = []
-        for side, src in (("before", extract_src(commit, Path(tmp) / "tree")),
-                          ("after", ROOT / "src")):
+        for side, root in (("before", extract_tree(commit, Path(tmp) / "tree")),
+                           ("after", ROOT)):
             (Path(tmp) / side).mkdir()
-            sides.append(run_side(src, Path(tmp) / side))
+            sides.append(run_side(root, Path(tmp) / side))
     differ = differing(*sides)
     files = sum(not key.endswith("/exit") for key in sides[0])
     print(f"{len(sides[0])} entries on each side: {files} artifacts, stdouts and stderrs "

@@ -74,11 +74,11 @@ def test_every_command_has_a_known_kind():
 
 def test_head_against_head_shows_no_difference():
     with tempfile.TemporaryDirectory() as tmp:
-        src = bitwise_gate.extract_src(bitwise_gate.commit_of("HEAD"), Path(tmp) / "tree")
+        root = bitwise_gate.extract_tree(bitwise_gate.commit_of("HEAD"), Path(tmp) / "tree")
         sides = []
         for side in ("before", "after"):
             (Path(tmp) / side).mkdir()
-            sides.append(bitwise_gate.run_side(src, Path(tmp) / side))
+            sides.append(bitwise_gate.run_side(root, Path(tmp) / side))
     if bitwise_gate.differing(*sides):
         raise AssertionError(bitwise_gate.differing(*sides))
     expected = {name: 0 for name in bitwise_gate.COMMANDS} | FAILURE_EXITS

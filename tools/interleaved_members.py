@@ -25,8 +25,9 @@ from casecast.lstm import forecast_schemas
 
 CONFIGS = [TrainConfig(epochs=30, activation=activation, seed=seed)
            for activation, seed in (("elu", 1), ("tanh", 2), ("tanh", 3), ("elu", 4))]
-MEMBERS = [("u2", CONFIGS[0]), ("u3", CONFIGS[1]), ("u1", CONFIGS[2]), ("u3", CONFIGS[3]),
-           ("u1", CONFIGS[0])]
+WINDOW = (cli.RunConfig.train_start, cli.RunConfig.train_end)  # the default, the paper split
+MEMBERS = [("u2", CONFIGS[0], WINDOW), ("u3", CONFIGS[1], WINDOW), ("u1", CONFIGS[2], WINDOW),
+           ("u3", CONFIGS[3], WINDOW), ("u1", CONFIGS[0], WINDOW)]
 
 
 def _sha(array) -> str:
@@ -35,10 +36,9 @@ def _sha(array) -> str:
 
 def main() -> None:
     ts = load_csv(bundled_dataset_path())
-    run = cli.RunConfig()
     for lookback in (1, 3):
-        matrix = forecast_schemas(ts, MEMBERS, run.train_start, run.train_end, 15, lookback)
-        for (schema, cfg), (model, forecasts) in matrix.items():
+        matrix = forecast_schemas(ts, MEMBERS, 15, lookback)
+        for (schema, cfg, _), (model, forecasts) in matrix.items():
             print(lookback, schema, cfg.activation, cfg.seed, _sha(model.params.flat),
                   _sha(model.epoch_losses), _sha(forecasts))
 
